@@ -7,7 +7,8 @@ or passed, 1 usage/configuration error, 2 condition not satisfied, 3
 verification exceeded the supplied constant.
 
 DBAR_RANGE_THREADS caps the linear-algebra thread pools (default 1 so that
-identical configs reproduce byte-identical reports); it must be honored
+identical configs reproduce byte-identical reports); when set it overrides
+inherited OMP/OPENBLAS/MKL_NUM_THREADS values.  It must be honored
 before the numeric stack loads, which is why the heavy imports live inside
 the command handlers.
 """
@@ -22,14 +23,19 @@ from pathlib import Path
 
 
 def _setup_threads():
-    cap = os.environ.get("DBAR_RANGE_THREADS", "1")
+    """An explicit DBAR_RANGE_THREADS overrides inherited pool sizes; without
+    it, pools not already sized get 1 thread."""
+    cap = os.environ.get("DBAR_RANGE_THREADS")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+        if cap is not None:
+            os.environ[var] = cap
+        else:
+            os.environ.setdefault(var, "1")
 
 
-def _common(parser):
+def _common(parser, seed_default=0):
     parser.add_argument("--out", default="dbar-range-out", help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
+    parser.add_argument("--seed", type=int, default=seed_default, help="seed recorded in reports")
     parser.add_argument("--mesh", type=float, default=None, help="mesh override")
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
@@ -58,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("scenario", help="run a scenario spec file")
     s.add_argument("--spec", required=True, help="scenario JSON file")
-    _common(s)
+    _common(s, seed_default=None)
     return p
 
 
@@ -130,11 +136,11 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     from .discrete import (
-        DENSE_LIMIT,
         SolverError,
         assemble,
         closed_range_constant,
         least_norm_solve,
+        radial_bump,
         verify_certificate,
     )
     from .geometry import domain_from_dict
@@ -153,14 +159,11 @@ def cmd_verify(args) -> int:
     }
     dom = domain_from_dict(config["domain"])
     g = assemble(dom, args.mesh)
-    sigma = None
-    if g.size <= DENSE_LIMIT:
-        sigma = closed_range_constant(g, method="dense")
-    else:
-        try:
-            sigma = closed_range_constant(g, method="iterative")
-        except SolverError:
-            sigma = None
+    sigma = sigma_error = None
+    try:
+        sigma = closed_range_constant(g)
+    except SolverError as exc:
+        sigma_error = str(exc)
     rep = verify_certificate(g, args.C, trials=args.trials, seed=args.seed)
     report = {
         "command": "verify",
@@ -168,25 +171,25 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "unknowns": g.size,
         "sigma_min": sigma,
+        "sigma_min_error": sigma_error,
         "discrete_constant": None if sigma is None else 1.0 / sigma,
         "verification": rep,
     }
     path = write_report(Path(args.out) / "verify_report.json", stamp(report, config))
+    if sigma_error is not None:
+        print(f"warning: sigma_min not computed: {sigma_error}", file=sys.stderr)
     if args.dump_field and args.trials > 0:
         import numpy as np
 
-        w = np.zeros(g.size, dtype=complex)
         rng = np.random.default_rng(args.seed)
-        from .discrete import radial_bump
-
         c = g.nodes_z[int(rng.integers(0, g.size))]
         w = radial_bump(g.nodes_z, c, 10 * g.h)
         v, _ = least_norm_solve(g, g.op @ w)
         write_csv(
             Path(args.out) / "verify_field.csv",
             {
-                "x": g.nodes_z.real,
-                "y": g.nodes_z.imag,
+                "x": g.tri_z.real,
+                "y": g.tri_z.imag,
                 "re_u": v.real,
                 "im_u": v.imag,
             },
@@ -206,7 +209,7 @@ def cmd_scenario(args) -> int:
     spec = _load_json(args.spec)
     if args.mesh is not None:
         spec["mesh"] = args.mesh
-    if args.seed:
+    if args.seed is not None:
         spec["seed"] = args.seed
     report = run_scenario(spec)
     name = report["scenario"]

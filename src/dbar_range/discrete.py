@@ -1,23 +1,38 @@
 """Discretized Cauchy-Riemann operator on rasterized planar domains.
 
-The operator acts on grid functions supported on the domain's raster nodes,
-u -> du/dzbar = (du/dx + i du/dy)/2, with centered differences at nodes
-whose neighbors are all inside and one-sided differences toward the
-boundary (no boundary condition is imposed: this matches the maximal L^2
-extension, not a Dirichlet realization).  L^2 norms use the plain midpoint
-weight h^2 per node; boundary cells are not volume-corrected, which is
-absorbed into the O(h^2) quadrature tolerance of every check.
+Two discretizations live on the raster's inside nodes.
+
+`op` maps node values of a function to node values of its dzbar
+derivative (du/dx + i du/dy)/2, with centered differences where both
+neighbors are inside and one-sided differences toward the boundary.  It
+imposes no boundary condition; it builds trial data and the twisted
+quadrature check.
+
+The closed-range constant and the canonical solution go through the
+dbar-Neumann operator.  In one variable, box = dbar dbar* on (0,1)-forms is
+-(1/4) Laplacian with a Dirichlet condition (Hormander 1965), so the
+constant in ||u|| <= C ||dbar u|| is 1/sigma_min with sigma_min =
+sqrt(lambda_1)/2, and the canonical solution of dbar v = alpha is
+v = dbar* N alpha with N = 4 (-Laplacian_D)^(-1).  Discretely, the
+(0,1)-forms are P1 functions on the raster's right-triangle split that
+vanish off the inside nodes, `adj` = dbar* = -d/dz maps them to piecewise
+constants on the triangles, and `lap` = 2 Re(adj^H adj) is the P1
+stiffness matrix over the lumped mass h^2, which is exactly the 5-point
+Dirichlet Laplacian.  One sparse LU factor of `lap` serves both the
+eigenvalue and every solve.  Node norms use the weight h^2 per node,
+triangle norms h^2/2 per triangle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import lsqr
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
 
 from .geometry import PlanarDomain
 
@@ -38,26 +53,26 @@ __all__ = [
     "radial_bump",
 ]
 
-DENSE_LIMIT = 2000
-
 
 class MeshError(ValueError):
     """Grid too coarse or too empty for the requested computation."""
 
 
 class SolverError(RuntimeError):
-    """Iterative method failed to converge; carries diagnostics."""
+    """Eigensolver failed to converge; carries diagnostics."""
 
 
 @dataclass(eq=False)
 class DbarGrid:
-    """Sparse discrete dbar operator on the rasterized domain.
+    """Discrete dbar on the rasterized domain, in both discretizations.
 
     `op` maps node values of a function to node values of the (0,1)-form
     coefficient.  `full_stencil` flags nodes whose four neighbors are all
     inside (centered differences in both directions, exact on quadratics).
     `depth` is the grid distance from each node to the nearest outside
-    node, used for compact-support preconditions.
+    node, used for compact-support preconditions.  `adj` maps (0,1)-forms
+    at the nodes to functions on the triangles centred at `tri_z`; `lap` is
+    the 5-point Dirichlet Laplacian and `lap_lu` its sparse LU factor.
     """
 
     domain: PlanarDomain
@@ -66,6 +81,10 @@ class DbarGrid:
     op: sp.csr_matrix
     full_stencil: np.ndarray
     depth: np.ndarray
+    adj: sp.csr_matrix
+    tri_z: np.ndarray
+    lap: sp.csc_matrix
+    lap_lu: SuperLU
 
     @property
     def size(self) -> int:
@@ -78,13 +97,78 @@ class DbarGrid:
     def sample(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         return np.asarray(fn(self.nodes_z), dtype=complex)
 
+    @cached_property
+    def ground_state(self) -> tuple[float, np.ndarray]:
+        """(lambda_1, unit eigenvector) of `lap`, by shift-invert Lanczos on
+        the LU factor.  The start vector is all ones, so the result is
+        deterministic; the eigenvector is signed to a positive sum.  A
+        non-converged or inaccurate pair raises SolverError with its
+        relative residual."""
+        n = self.size
+        inv = LinearOperator((n, n), matvec=self.lap_lu.solve, dtype=float)
+        try:
+            lam, vec = eigsh(self.lap, k=1, sigma=0.0, OPinv=inv, v0=np.ones(n))
+        except ArpackNoConvergence as exc:
+            if len(exc.eigenvalues) == 0:
+                raise SolverError(
+                    f"eigsh stopped at its iteration limit on the {n}-node Dirichlet "
+                    "Laplacian with no Ritz pair converged, so no residual exists"
+                ) from None
+            lam, vec = exc.eigenvalues, exc.eigenvectors
+        lam, vec = float(lam[0]), vec[:, 0]
+        resid = float(np.linalg.norm(self.lap @ vec - lam * vec)) / (abs(lam) * np.linalg.norm(vec))
+        if not resid <= 1e-8:
+            raise SolverError(
+                f"eigsh did not converge for the {n}-node Dirichlet Laplacian: "
+                f"lambda_1 ~ {lam:.6g}, relative residual {resid:.3e} > 1e-08"
+            )
+        vec = vec / np.linalg.norm(vec)
+        return lam, vec if vec.sum() >= 0 else -vec
+
+
+def _dbar_adjoint(index: np.ndarray, x0: float, y0: float, h: float):
+    """dbar* = -d/dz from P1 (0,1)-forms, zero off the inside nodes, to
+    piecewise constants on the right-triangle split of the raster cells.
+
+    Each cell with lower-left node a, neighbours b (right), c (up) and d
+    (diagonal) splits into triangles (a, b, c) and (d, c, b).  `index` maps
+    grid nodes to unknowns (-1 outside); it is padded by one node so that
+    cells beyond the window edge are kept too.  Only triangles touching an
+    inside node are kept.  Returns the sparse map and the triangle centroids.
+    """
+    p = np.pad(index, 1, constant_values=-1)
+    a, b, c, d = p[:-1, :-1], p[:-1, 1:], p[1:, :-1], p[1:, 1:]
+    # -d/dz f = -(f_x - i f_y)/2 with f_x, f_y the edge differences over h
+    halves = (
+        (1 / 3, ((a, 1 - 1j), (b, -1), (c, 1j))),
+        (2 / 3, ((d, -1 + 1j), (c, 1), (b, -1j))),
+    )
+    rows, cols, vals, tri_z = [], [], [], []
+    n_tri = 0
+    for offset, corners in halves:
+        ky, kx = np.nonzero(np.stack([node for node, _ in corners]).max(axis=0) >= 0)
+        tri = n_tri + np.arange(len(ky))
+        n_tri += len(ky)
+        tri_z.append(x0 + h * (kx - 1 + offset) + 1j * (y0 + h * (ky - 1 + offset)))
+        for node, coef in corners:
+            nid = node[ky, kx]
+            ok = nid >= 0
+            rows.append(tri[ok])
+            cols.append(nid[ok])
+            vals.append(np.full(int(ok.sum()), coef / (2 * h)))
+    adj = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_tri, int(index.max()) + 1),
+    )
+    return adj, np.concatenate(tri_z)
+
 
 def assemble(dom: PlanarDomain, h: Optional[float] = None) -> DbarGrid:
-    """Build the discrete operator at mesh h.
+    """Build both discrete operators at mesh h and factor the Laplacian.
 
-    The stencil never reads outside the domain raster: a direction with no
-    inside neighbor contributes nothing at that node (degenerate for
-    one-node-wide ribbons, documented).
+    The `op` stencil never reads outside the domain raster: a direction
+    with no inside neighbor contributes nothing at that node (degenerate
+    for one-node-wide ribbons, documented).
     """
     x0, x1, y0, y1 = dom.window
     h = dom.mesh if h is None else float(h)
@@ -141,11 +225,18 @@ def assemble(dom: PlanarDomain, h: Optional[float] = None) -> DbarGrid:
     )
     full = (left >= 0) & (right >= 0) & (down >= 0) & (up >= 0)
     depth = r.dist_to_complement()[iy, ix]
-    return DbarGrid(dom, h, nodes_z, op, full, depth)
+    adj, tri_z = _dbar_adjoint(index, r.xs[0], r.ys[0], h)
+    # 2 Re(adj^H adj): 4 on the diagonal and -1 per inside neighbour, over
+    # h^2.  The imaginary part of adj^H adj is a Jacobian term that sums to
+    # zero exactly over the triangles.
+    re, im = adj.real, adj.imag
+    lap = (2.0 * (re.T @ re + im.T @ im)).tocsc()
+    lap.eliminate_zeros()
+    return DbarGrid(dom, h, nodes_z, op, full, depth, adj, tri_z, lap, splu(lap))
 
 
 # ---------------------------------------------------------------------------
-# Minimum-norm solves
+# Canonical solution and the closed-range constant
 # ---------------------------------------------------------------------------
 
 
@@ -158,119 +249,43 @@ class SolveReport:
     residual: float
 
 
-def least_norm_solve(
-    g: DbarGrid,
-    alpha: np.ndarray,
-    tol: float = 1e-9,
-    maxiter: Optional[int] = None,
-) -> tuple[np.ndarray, SolveReport]:
-    """Minimum-L^2-norm least-squares solution of (dbar) v = alpha.
+def least_norm_solve(g: DbarGrid, alpha: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+    """Canonical solution v = dbar* N alpha of dbar v = alpha.
 
-    LSQR iterates in the row space of the operator, so the returned v is
-    orthogonal to the discrete kernel without that kernel ever being
-    formed.  Non-convergence raises with the reached residual.
+    N alpha = 4 lap^(-1) alpha comes from the stored LU factor (a direct
+    solve: `iterations` is 0), and v = adj (N alpha) lives on the
+    triangles.  v is the minimum-norm solution: it lies in the range of
+    dbar*, orthogonal to the kernel of dbar.  Its norm comes from the
+    energy identity ||v||^2 = <alpha, N alpha>, so the ratio ||v||/||alpha||
+    never exceeds 1/sigma_min.  `residual` is the relative residual of
+    dbar v = alpha, with dbar = adj^H / 2 the adjoint of dbar* in the node
+    and triangle norms.
     """
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (g.size,):
         raise ValueError(f"alpha must have shape ({g.size},)")
     a_norm = g.norm(alpha)
     if a_norm == 0.0:
-        return np.zeros(g.size, dtype=complex), SolveReport(0.0, 0.0, 0.0, 0, 0.0)
-    maxiter = maxiter if maxiter is not None else 20 * g.size
-    # LSQR's stopping rule includes a ||A|| ||x|| term, so the inner
-    # tolerance is tightened until the actual relative residual meets tol
-    # (an incompatible system bottoms out at its least-squares floor).
-    inner = tol
-    itn_total = 0
-    for _ in range(4):
-        out = lsqr(g.op, alpha, atol=inner, btol=inner, iter_lim=maxiter)
-        v, istop, itn = out[0], out[1], out[2]
-        itn_total += int(itn)
-        resid = g.norm(g.op @ v - alpha) / a_norm
-        if resid <= tol or istop in (4, 5):
-            break
-        inner /= 1000.0
-    if istop == 7 and resid > 100 * tol:
-        raise SolverError(
-            f"minimum-norm solve did not converge in {itn_total} iterations; "
-            f"relative residual {resid:.3e}"
-        )
-    v_norm = g.norm(v)
-    return v, SolveReport(a_norm, v_norm, v_norm / a_norm, itn_total, resid)
+        return np.zeros(len(g.tri_z), dtype=complex), SolveReport(0.0, 0.0, 0.0, 0, 0.0)
+    re_im = 4.0 * g.lap_lu.solve(np.column_stack([alpha.real, alpha.imag]))
+    n_alpha = re_im[:, 0] + 1j * re_im[:, 1]
+    v = g.adj @ n_alpha
+    resid = float(np.linalg.norm(0.5 * (g.adj.conj().T @ v) - alpha) / np.linalg.norm(alpha))
+    v_norm = g.h * math.sqrt(np.vdot(alpha, n_alpha).real)
+    return v, SolveReport(a_norm, v_norm, v_norm / a_norm, 0, resid)
 
 
-# ---------------------------------------------------------------------------
-# Smallest nonzero singular value
-# ---------------------------------------------------------------------------
+def closed_range_constant(g: DbarGrid) -> float:
+    """sigma_min = sqrt(lambda_1)/2 of the discrete dbar-Neumann operator.
 
-
-def _dense_sigma_min(g: DbarGrid) -> float:
-    s = np.linalg.svd(g.op.toarray(), compute_uv=False)
-    thr = s[0] * max(g.op.shape) * np.finfo(float).eps
-    nz = s[s > thr]
-    if len(nz) == 0:
-        raise SolverError("operator is numerically zero")
-    return float(nz[-1])
-
-
-def _pinv_apply(op, b, tol=1e-12, maxiter=None):
-    out = lsqr(op, b, atol=tol, btol=tol, iter_lim=maxiter or 40 * op.shape[0])
-    return out[0]
-
-
-def _iterative_sigma_min(
-    g: DbarGrid,
-    tol: float = 1e-8,
-    block: int = 6,
-    maxiter: int = 400,
-) -> float:
-    """Largest eigenvalue of pinv(D)^H pinv(D) by block power iteration with
-    Rayleigh-Ritz extraction; the inverse square root is sigma_min restricted
-    off the kernel.  Deterministic (fixed seed)."""
-    n = g.size
-    opH = g.op.conj().T.tocsr()
-    rng = np.random.default_rng(2024)
-    X = rng.normal(size=(n, block)) + 1j * rng.normal(size=(n, block))
-    X, _ = np.linalg.qr(X)
-    history = []
-    lam_prev = None
-    stable = 0
-    for it in range(maxiter):
-        Y = np.column_stack([_pinv_apply(g.op, X[:, j]) for j in range(block)])
-        Z = np.column_stack([_pinv_apply(opH, Y[:, j]) for j in range(block)])
-        S = X.conj().T @ Z
-        lam = float(np.max(np.linalg.eigvalsh((S + S.conj().T) / 2)))
-        history.append(lam)
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
-            stable += 1
-            if stable >= 3:
-                return 1.0 / math.sqrt(lam)
-        else:
-            stable = 0
-        lam_prev = lam
-        X, _ = np.linalg.qr(Z)
-    raise SolverError(
-        f"singular-value iteration stagnated after {maxiter} steps; "
-        f"Ritz history tail: {history[-10:]}"
-    )
-
-
-def closed_range_constant(g: DbarGrid, method: str = "auto") -> float:
-    """Smallest nonzero singular value of the discrete operator.
-
-    Its reciprocal is the discrete closed-range constant: ||u|| <= (1/sigma)
-    ||dbar u|| for grid functions orthogonal to the discrete kernel.  Dense
-    decomposition up to 2000 unknowns, iterative beyond; the two agree to
-    1e-6 relative on overlapping sizes (tested).  This is a mesh-scale
-    statement only; no continuum constant is claimed.
+    Its reciprocal is the discrete closed-range constant: ||v|| <= (1/sigma)
+    ||dbar v|| for v orthogonal to the discrete kernel, with equality at
+    the canonical solution for the lambda_1 eigenvector.  Under mesh
+    refinement it converges to the continuum value (j_{0,1}/2 on the unit
+    disc).  Raises SolverError, with the reached residual, when the
+    eigensolver fails.
     """
-    if method == "auto":
-        method = "dense" if g.size <= DENSE_LIMIT else "iterative"
-    if method == "dense":
-        return _dense_sigma_min(g)
-    if method == "iterative":
-        return _iterative_sigma_min(g)
-    raise ValueError(f"unknown method {method!r}")
+    return math.sqrt(g.ground_state[0]) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +316,15 @@ def verify_certificate(
     seed: int = 0,
     tol: float = 1e-6,
 ) -> dict:
-    """Check ||v|| <= C (1 + tol) ||alpha|| over random exact-data trials.
+    """Check ||v|| <= C (1 + tol) ||alpha|| over seeded trials and a witness.
 
-    Each alpha is the discrete dbar of a random bump cocktail, hence in the
-    operator's range by construction.  A violated check never refutes the
-    certified bound: it flags discretization error, and the report says so.
+    Each trial alpha is `op` applied to a random bump cocktail; its
+    canonical solution gives the ratio ||v||/||alpha||.  The witness is the
+    lambda_1 eigenvector, whose ratio attains the discrete constant
+    1/sigma_min, so the check passes exactly when C is at least that
+    constant.  When the eigensolver fails, `witness_ratio` is None and only
+    the trials count.  A violated check never refutes the certified bound:
+    it says C is below the discrete constant at this mesh.
     """
     if C_cert <= 0:
         raise ValueError(f"certificate constant must be positive, got {C_cert}")
@@ -326,7 +345,11 @@ def verify_certificate(
         _, rep = least_norm_solve(g, alpha)
         ratios.append(rep.ratio)
         produced += 1
-    max_ratio = max(ratios) if ratios else 0.0
+    try:
+        witness_ratio = least_norm_solve(g, g.ground_state[1])[1].ratio
+    except SolverError:
+        witness_ratio = None
+    max_ratio = max(ratios + ([] if witness_ratio is None else [witness_ratio]), default=0.0)
     return {
         "trials": trials,
         "seed": seed,
@@ -336,9 +359,12 @@ def verify_certificate(
         "margin": C_cert * (1 + tol) - max_ratio,
         "passed": max_ratio <= C_cert * (1 + tol),
         "ratios": ratios,
+        "witness_ratio": witness_ratio,
         "note": (
-            "a violated check flags discretization error at this mesh, "
-            "not a counterexample to the certified bound"
+            "witness_ratio is the ratio of the lambda_1 eigenvector and equals "
+            "the discrete constant 1/sigma_min; a violated check says C is "
+            "below the discrete constant at this mesh, not a counterexample "
+            "to the certified bound"
         ),
     }
 
@@ -401,9 +427,9 @@ def twisted_quadrature_check(
     slack = 2 ||sqrt(tau) adj_lam(u)||_lam^2 - integral of the twisted
     curvature term against |u|^2 e^(-lam).  (In one complex variable the
     dbar of a (0,1)-form vanishes for degree reasons, so the first term of
-    the estimate contributes nothing.)  adj_lam = e^lam adj(e^-lam .) with
-    adj the conjugate transpose of the discrete operator, which realizes
-    the formal adjoint -d/dz for interior-supported data.
+    the estimate contributes nothing.)  adj_lam = e^lam op^H(e^-lam .) with
+    op^H the conjugate transpose of `op`, which realizes the formal adjoint
+    -d/dz for interior-supported data.
 
     The continuum inequality is slack >= 0; quadrature returns
     slack >= -O(h^2) * scale.  Support must stay 2h clear of the boundary

@@ -443,23 +443,6 @@ class ConditionXCertificate:
     accepted_by_symmetry: bool
     notes: list
 
-    _witness_lookup: Optional[dict] = None
-
-    def witness_for(self, z: complex) -> complex:
-        if self._witness_lookup is None:
-            self._witness_lookup = dict(zip(self.sample_points.tolist(), self.witness_points.tolist()))
-        try:
-            return self._witness_lookup[complex(z)]
-        except KeyError:
-            raise KeyError(f"no witness recorded for sample point {z}") from None
-
-    @property
-    def witnesses(self) -> dict:
-        """Materialized map sampled z -> witness z* (large for fine grids)."""
-        if self._witness_lookup is None:
-            self._witness_lookup = dict(zip(self.sample_points.tolist(), self.witness_points.tolist()))
-        return self._witness_lookup
-
 
 _FAILURE_SAMPLE_CAP = 10_000
 
@@ -611,12 +594,11 @@ def build_lattice(
     if not r.inside.any():
         return LatticeWitnessSet(M, delta, empty, empty)
 
-    witness_grid_ok = np.zeros(r.inside.shape, dtype=bool)
-    witness_of = {}
-    for z, w in zip(cert.sample_points, cert.witness_points):
-        iy, ix = r.nearest_index(complex(z))
-        witness_grid_ok[iy, ix] = True
-        witness_of[(iy, ix)] = complex(w)
+    # grid node -> row of its sample in cert (-1: no witness recorded)
+    sample_row = np.full(r.inside.shape, -1, dtype=np.int32)
+    sx = np.clip(np.rint((cert.sample_points.real - r.xs[0]) / r.h), 0, len(r.xs) - 1)
+    sy = np.clip(np.rint((cert.sample_points.imag - r.ys[0]) / r.h), 0, len(r.ys) - 1)
+    sample_row[sy.astype(np.intp), sx.astype(np.intp)] = np.arange(len(cert.sample_points))
 
     in_idx = r.nearest_inside_indices()
     dist_in = r.dist_to_domain()
@@ -642,10 +624,11 @@ def build_lattice(
             z_node = r.node_z(ziy, zix)
             if abs(w - z_node) >= M:
                 continue  # search disc does not meet the sampled domain
-            if not witness_grid_ok[ziy, zix]:
+            row = sample_row[ziy, zix]
+            if row < 0:
                 continue  # edge sample accepted by symmetry, no witness data
             points.append(w)
-            witnesses.append(witness_of[(ziy, zix)])
+            witnesses.append(complex(cert.witness_points[row]))
             lattice_flag[l - lmin, k - kmin] = True
 
             # clause (a): complement reachable inside the search disc

@@ -584,7 +584,7 @@ def omega_s_scenario(
         },
         {
             "name": "hand-placed witnesses clear the domain",
-            "passed": wit_clear > 0,
+            "passed": bool(wit_clear > 0),
             "detail": {"min_clearance": wit_clear},
         },
         {

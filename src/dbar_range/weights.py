@@ -146,7 +146,9 @@ class SeriesGridStats:
 
 def _phi_many(ws: np.ndarray, zs: np.ndarray, power: float, scale: float) -> np.ndarray:
     out = np.zeros(zs.shape, dtype=float)
-    chunk = max(1, 8_000_000 // max(len(ws), 1))
+    # ~1e6 pairwise distances per block bounds the temporaries at ~40 MB;
+    # each row sum is independent of the block size
+    chunk = max(1, 1_000_000 // max(len(ws), 1))
     for i in range(0, len(zs), chunk):
         d = np.abs(zs[i : i + chunk, None] - ws[None, :])
         out[i : i + chunk] = scale * np.sum(d**power, axis=1)
@@ -485,7 +487,7 @@ def certify_composite(
     if K is not None:
         B_prime = bound_for(K)
         return CompositeCertification(
-            B_prime > 0, K, B_prime, a_for(K), cross, b,
+            bool(B_prime > 0), K, B_prime, a_for(K), cross, b,
             {"inner": int(inner.sum()), "transition": int(trans.sum()), "outer": int(outer.sum())},
         )
     Kv = 1.0

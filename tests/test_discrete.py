@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from scipy.sparse.linalg import ArpackNoConvergence
+
+from dbar_range import discrete
 from dbar_range.discrete import (
-    DENSE_LIMIT,
     MeshError,
     SolverError,
     abs2_field,
@@ -19,6 +21,10 @@ from dbar_range.discrete import (
 )
 from dbar_range.forms import FormValue, HermitianField, theta
 from dbar_range.geometry import Disc, PlanarDomain, Rect, Strip, Union
+
+
+def stalled_eigsh(A, k, **kw):
+    raise ArpackNoConvergence("no convergence", np.array([]), np.zeros((A.shape[0], 0)))
 
 
 def disc_grid(radius=1.0, h=1 / 16, pad=1.0):
@@ -55,6 +61,16 @@ class TestAssemble:
         ones = np.ones(g.size, dtype=complex)
         assert np.max(np.abs((g.op @ ones)[g.full_stencil])) == 0.0
 
+    def test_laplacian_is_five_point_stencil(self):
+        g = disc_grid(h=1 / 8)
+        lap = (g.lap * g.h**2).tocoo()
+        assert np.all(lap.diagonal() == 4.0)
+        off = lap.row != lap.col
+        assert np.all(lap.data[off] == -1.0)
+        # off-diagonal entries are exactly the inside grid neighbours
+        d = g.nodes_z[lap.row[off]] - g.nodes_z[lap.col[off]]
+        assert np.allclose(np.abs(d), g.h, rtol=1e-12)
+
     def test_mesh_preconditions(self):
         dom = PlanarDomain(Rect(0, 1, 0, 1), (-0.5, 1.5, -0.5, 1.5), 0.2)
         with pytest.raises(MeshError):
@@ -71,42 +87,45 @@ class TestLeastNormSolve:
         assert np.all(v == 0) and rep.ratio == 0.0
 
     def test_matches_dense_pseudo_inverse(self):
+        # canonical solution = minimum-norm solution of dbar v = alpha with
+        # dbar = adj^H / 2, against a dense pinv and a dense Poisson solve
         g = disc_grid(h=1 / 8)
-        rng = np.random.default_rng(7)
         w = radial_bump(g.nodes_z, 0.2 + 0.1j, 0.5) * (1 + 0.3j)
         alpha = g.op @ w
         v, rep = least_norm_solve(g, alpha)
-        v_dense = np.linalg.pinv(g.op.toarray()) @ alpha
-        assert np.linalg.norm(v - v_dense) <= 1e-6 * np.linalg.norm(v_dense)
-        assert rep.residual <= 1e-9
+        dbar = 0.5 * g.adj.conj().T.toarray()
+        v_pinv = np.linalg.pinv(dbar) @ alpha
+        assert np.linalg.norm(v - v_pinv) <= 1e-9 * np.linalg.norm(v_pinv)
+        v_dense = g.adj @ np.linalg.solve(g.lap.toarray(), 4 * alpha)
+        assert np.linalg.norm(v - v_dense) <= 1e-9 * np.linalg.norm(v_dense)
+        assert rep.residual <= 1e-9 and rep.iterations == 0
 
     def test_minimality_beats_particular_solution(self):
+        # a bump on the triangles solves dbar v = alpha for its own alpha;
+        # the canonical solution is no longer, and its norm obeys the
+        # energy identity ||v||^2 = <alpha, N alpha>
         g = disc_grid(h=1 / 8)
-        w = radial_bump(g.nodes_z, -0.1 + 0.2j, 0.6)
-        alpha = g.op @ w
-        _, rep = least_norm_solve(g, alpha)
-        assert rep.v_norm <= g.norm(w) + 1e-12
+        w = radial_bump(g.tri_z, -0.1 + 0.2j, 0.6)
+        alpha = 0.5 * (g.adj.conj().T @ w)
+        v, rep = least_norm_solve(g, alpha)
+        tri_norm = g.h / math.sqrt(2)
+        assert rep.v_norm <= tri_norm * np.linalg.norm(w) + 1e-12
+        assert rep.v_norm == pytest.approx(tri_norm * np.linalg.norm(v), rel=1e-10)
+        assert rep.residual <= 1e-9
 
-    def test_orthogonal_to_sampled_monomials(self):
-        # explicit discrete-kernel audit: z^m restricted to the domain
+    def test_orthogonal_to_discrete_kernel(self):
+        # explicit kernel audit: dense SVD null space of dbar = adj^H / 2
         g = disc_grid(h=1 / 8)
-        w = radial_bump(g.nodes_z, 0.0j, 0.5)
-        alpha = g.op @ w
-        v, _ = least_norm_solve(g, alpha, tol=1e-12)
-        for m in range(3):
-            k = g.nodes_z**m
-            # monomials are only near-kernel (boundary stencils), so test
-            # against the projected kernel via dense SVD null space
-        A = g.op.toarray()
-        u_, s_, vh = np.linalg.svd(A)
-        null = vh[s_ < s_[0] * max(A.shape) * np.finfo(float).eps * 10, :].conj().T
-        if null.shape[1]:
-            overlap = np.linalg.norm(null.conj().T @ v)
-            assert overlap <= 1e-6 * np.linalg.norm(v)
+        alpha = g.op @ radial_bump(g.nodes_z, 0.0j, 0.5)
+        v, _ = least_norm_solve(g, alpha)
+        u_, s_, _ = np.linalg.svd(g.adj.toarray())
+        null = u_[:, int(np.sum(s_ > s_[0] * 1e-12)):]
+        assert null.shape[1] == len(g.tri_z) - g.size
+        assert np.linalg.norm(null.conj().T @ v) <= 1e-9 * np.linalg.norm(v)
 
     def test_ratio_bounded_across_bump_centers(self):
         g = disc_grid(h=1 / 8)
-        sigma = closed_range_constant(g, method="dense")
+        sigma = closed_range_constant(g)
         for c in (0j, 0.3 + 0.3j, -0.5j, 0.6 + 0j):
             alpha = g.op @ radial_bump(g.nodes_z, c, 0.35)
             _, rep = least_norm_solve(g, alpha)
@@ -115,31 +134,50 @@ class TestLeastNormSolve:
 
 class TestClosedRangeConstant:
     def test_dense_equals_pinv_oracle(self):
+        # dbar in orthonormal coordinates (weights h^2/2 and h^2) is adj^H/sqrt 2
         g = disc_grid(h=1 / 8)
-        sigma = closed_range_constant(g, method="dense")
-        oracle = 1.0 / np.linalg.norm(np.linalg.pinv(g.op.toarray()), ord=2)
+        sigma = closed_range_constant(g)
+        dbar = g.adj.conj().T.toarray() / math.sqrt(2)
+        oracle = 1.0 / np.linalg.norm(np.linalg.pinv(dbar), ord=2)
         assert sigma == pytest.approx(oracle, rel=1e-10)
 
-    def test_iterative_matches_dense_disc(self):
-        g = disc_grid(h=1 / 8)
-        s_dense = closed_range_constant(g, method="dense")
-        s_iter = closed_range_constant(g, method="iterative")
-        assert abs(s_iter - s_dense) <= 1e-6 * s_dense
+    def test_exact_eigenvalue_square(self):
+        # N x N nodes, spacing h, side (N + 1) h: lambda_1 = 8 sin^2(pi/(2N+2))/h^2
+        h = 1 / 16
+        g = square_grid(h)
+        n = math.isqrt(g.size)
+        assert n * n == g.size and n == 15
+        lam = 8 * math.sin(math.pi / (2 * n + 2)) ** 2 / h**2
+        assert g.ground_state[0] == pytest.approx(lam, rel=1e-10)
+        assert closed_range_constant(g) == pytest.approx(math.sqrt(lam) / 2, rel=1e-10)
 
-    def test_iterative_matches_dense_ribbon(self):
-        dom = PlanarDomain(Rect(-1.95, 1.95, -0.04, 0.04), (-2, 2, -1, 1), 0.1)
-        g = assemble(dom, 0.1)
-        assert g.size == 39  # one-node-high ribbon
-        s_dense = closed_range_constant(g, method="dense")
-        s_iter = closed_range_constant(g, method="iterative")
-        assert abs(s_iter - s_dense) <= 1e-6 * s_dense
+    def test_exact_eigenvalue_ribbon(self):
+        # one-node-high ribbon of 39 nodes: a 1-D Dirichlet chain plus the
+        # two vertical Dirichlet neighbours, lambda_1 = (2 + 4 sin^2(pi/80))/h^2
+        h = 0.1
+        dom = PlanarDomain(Rect(-1.95, 1.95, -0.04, 0.04), (-2, 2, -1, 1), h)
+        g = assemble(dom, h)
+        assert g.size == 39
+        lam = (2 + 4 * math.sin(math.pi / 80) ** 2) / h**2
+        assert g.ground_state[0] == pytest.approx(lam, rel=1e-10)
+        assert closed_range_constant(g) == pytest.approx(math.sqrt(lam) / 2, rel=1e-10)
+
+    def test_disc_sigma_converges_to_bessel_zero(self):
+        # continuum sigma_min on the unit disc is j_{0,1}/2
+        ref = 2.404825557695773 / 2
+        errs = [
+            abs(closed_range_constant(disc_grid(h=h, pad=0.5)) - ref) / ref
+            for h in (1 / 16, 1 / 32, 1 / 64)
+        ]
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] < 0.01
 
     def test_disc_scaling_halves_sigma(self):
         # fixed h/R: grids are exact rescalings, sigma scales like 1/R
         sigmas = {}
         for R in (1.0, 2.0):
             g = disc_grid(radius=R, h=R / 16, pad=0.25 * R)
-            sigmas[R] = closed_range_constant(g, method="dense")
+            sigmas[R] = closed_range_constant(g)
         assert sigmas[2.0] / sigmas[1.0] == pytest.approx(0.5, abs=1e-10)
 
     def test_domain_monotonicity_nested_discs(self):
@@ -149,19 +187,48 @@ class TestClosedRangeConstant:
         values = []
         for R in (1.0, 2.0, 4.0, 8.0):
             dom = PlanarDomain(Disc(0, 0, R), window, h)
-            g = assemble(dom, h)
-            assert g.size <= DENSE_LIMIT
-            values.append(closed_range_constant(g, method="dense"))
+            values.append(closed_range_constant(assemble(dom, h)))
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_eigensolver_failure_states_residual(self, monkeypatch):
+        g = disc_grid(h=1 / 8)
+
+        def inaccurate(A, k, **kw):
+            return np.array([1.0]), np.ones((A.shape[0], 1))
+
+        monkeypatch.setattr(discrete, "eigsh", inaccurate)
+        with pytest.raises(SolverError, match="relative residual"):
+            closed_range_constant(g)
+
+        monkeypatch.setattr(discrete, "eigsh", stalled_eigsh)
+        with pytest.raises(SolverError, match="no Ritz pair"):
+            closed_range_constant(disc_grid(h=1 / 8))
 
 
 class TestVerifyCertificate:
     def test_certified_constant_passes(self):
         g = disc_grid(h=1 / 8)
-        sigma = closed_range_constant(g, method="dense")
+        sigma = closed_range_constant(g)
         rep = verify_certificate(g, 1.0 / sigma, trials=10, seed=42)
         assert rep["passed"]
         assert rep["max_ratio"] <= 1.0 / sigma * (1 + 1e-9)
+
+    def test_eigenvector_witness_attains_constant(self):
+        g = disc_grid(h=1 / 16)
+        bound = 1.0 / closed_range_constant(g)
+        rep = verify_certificate(g, 1.0, trials=20, seed=0)
+        assert rep["witness_ratio"] == pytest.approx(bound, rel=1e-9)
+        assert rep["max_ratio"] == rep["witness_ratio"]
+        assert all(r <= bound * (1 + 1e-9) for r in rep["ratios"])
+        below = verify_certificate(g, bound * (1 - 1e-5), trials=0)
+        assert not below["passed"]
+
+    def test_eigensolver_failure_leaves_trials_only(self, monkeypatch):
+        monkeypatch.setattr(discrete, "eigsh", stalled_eigsh)
+        g = disc_grid(h=1 / 8)
+        rep = verify_certificate(g, 1.0, trials=3, seed=4)
+        assert rep["witness_ratio"] is None
+        assert rep["max_ratio"] == max(rep["ratios"])
 
     def test_tiny_constant_fails(self):
         g = disc_grid(h=1 / 8)
