@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import ndimage
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "DomainSpecError",
@@ -89,6 +89,9 @@ class EtaFunc:
             ax = np.asarray(xs)
             if np.any(np.diff(ax) <= 0):
                 raise DomainSpecError("eta sample x values must be strictly increasing")
+            # only spline strips need scipy.interpolate; it is slow to import
+            from scipy.interpolate import CubicSpline
+
             self.spec = {"x": xs, "y": ys}
             self._fn = CubicSpline(ax, np.asarray(ys), bc_type="natural")
             self.x_range = (xs[0], xs[-1])
@@ -198,7 +201,7 @@ class Union:
     def member(self, x, y):
         if not self.children:
             return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape, dtype=bool)
-        return np.logical_or.reduce([c.member(x, y) for c in self.children])
+        return reduce(np.logical_or, (c.member(x, y) for c in self.children))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +211,7 @@ class Intersection:
     def member(self, x, y):
         if not self.children:
             return np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape, dtype=bool)
-        return np.logical_and.reduce([c.member(x, y) for c in self.children])
+        return reduce(np.logical_and, (c.member(x, y) for c in self.children))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,8 +253,10 @@ class Raster:
             hi = strip.eta_hi(self.xs)
             if np.any(lo >= hi):
                 raise DomainSpecError("strip requires eta_lo(x) < eta_hi(x) on the window")
-        X, Y = np.meshgrid(self.xs, self.ys)
-        self.inside = np.asarray(domain.tree.member(X, Y), dtype=bool)
+        # one row of x against one column of y: a primitive that depends on
+        # x alone (a graph strip's eta) is evaluated once per column
+        member = domain.tree.member(self.xs[None, :], self.ys[:, None])
+        self.inside = np.broadcast_to(member, (ny, nx)).astype(bool)
         self._dist_in = None
         self._dist_out = None
         self._in_indices = None
@@ -268,15 +273,19 @@ class Raster:
     def node_z(self, iy, ix):
         return self.xs[ix] + 1j * self.ys[iy]
 
+    def _transform_to_inside(self):
+        # one EDT gives both fields: its distances are computed from the
+        # feature transform, so they do not depend on return_indices
+        if self._dist_in is None:
+            self._dist_in, self._in_indices = ndimage.distance_transform_edt(
+                ~self.inside, sampling=self.h, return_indices=True
+            )
+
     def dist_to_domain(self) -> np.ndarray:
         """Distance from each node to the nearest inside node (0 on inside)."""
-        if self._dist_in is None:
-            if not self.inside.any():
-                self._dist_in = np.full(self.inside.shape, np.inf)
-            else:
-                self._dist_in = ndimage.distance_transform_edt(
-                    ~self.inside, sampling=self.h
-                )
+        if not self.inside.any():
+            return np.full(self.inside.shape, np.inf)
+        self._transform_to_inside()
         return self._dist_in
 
     def dist_to_complement(self) -> np.ndarray:
@@ -292,13 +301,9 @@ class Raster:
 
     def nearest_inside_indices(self):
         """For every node, indices of the nearest inside node."""
-        if self._in_indices is None:
-            if not self.inside.any():
-                raise ConfigurationError("domain has no rasterized nodes")
-            _, idx = ndimage.distance_transform_edt(
-                ~self.inside, sampling=self.h, return_indices=True
-            )
-            self._in_indices = idx
+        if not self.inside.any():
+            raise ConfigurationError("domain has no rasterized nodes")
+        self._transform_to_inside()
         return self._in_indices
 
 
@@ -452,7 +457,6 @@ def condition_x(
     M: float,
     delta: float,
     h: Optional[float] = None,
-    want_witnesses: bool = True,
 ) -> ConditionXCertificate:
     """Decide the exterior-witness condition on the rasterization grid.
 
@@ -488,7 +492,9 @@ def condition_x(
     dist_in = r.dist_to_domain()
     admissible = (~inside) & (dist_in > delta)
     if admissible.any():
-        dist_adm = ndimage.distance_transform_edt(~admissible, sampling=r.h)
+        dist_adm, adm_idx = ndimage.distance_transform_edt(
+            ~admissible, sampling=r.h, return_indices=True
+        )
         witness_ok = (dist_adm < M) & inside
     else:
         witness_ok = np.zeros_like(inside)
@@ -529,12 +535,9 @@ def condition_x(
         )
 
     sample_points = witness_points = empty
-    if want_witnesses and witness_ok.any():
-        _, idx = ndimage.distance_transform_edt(
-            ~admissible, sampling=r.h, return_indices=True
-        )
+    if witness_ok.any():
         iy, ix = np.nonzero(witness_ok)
-        wy, wx = idx[0][iy, ix], idx[1][iy, ix]
+        wy, wx = adm_idx[0][iy, ix], adm_idx[1][iy, ix]
         sample_points = r.xs[ix] + 1j * r.ys[iy]
         witness_points = r.xs[wx] + 1j * r.ys[wy]
 

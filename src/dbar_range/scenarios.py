@@ -50,7 +50,6 @@ __all__ = [
     "tube_scenario",
     "gallery_domain",
     "uniform_gallery_params",
-    "shrinking_gallery_params",
     "strip_gallery",
     "omega_s_scenario",
     "scaling_scenario",
@@ -406,18 +405,6 @@ def uniform_gallery_params(j_min: int = -5, j_max: int = 6, height: float = 0.5)
     return {"c": c, "bands": bands, "M": 1.0}
 
 
-def shrinking_gallery_params(j_min: int = -31, j_max: int = 31, scale: float = 0.5) -> dict:
-    """Gaps proportional to 1/|j| around height j: the gallery loses its
-    exterior clearance as |Im z| grows."""
-    c = [float(j) for j in range(j_min, j_max + 1)]
-    bands = []
-    for a, b in zip(c, c[1:]):
-        g_lo = scale / max(abs(a), 1.0)
-        g_hi = scale / max(abs(b), 1.0)
-        bands.append([a + g_lo / 2, b - g_hi / 2])
-    return {"c": c, "bands": bands, "M": 1.0}
-
-
 def strip_gallery(
     c: Sequence[float],
     bands: Sequence,
@@ -676,12 +663,9 @@ def run_scenario(spec: dict) -> dict:
     if kind == "gallery":
         if "preset" in params:
             preset = params.pop("preset")
-            if preset == "uniform":
-                base = uniform_gallery_params()
-            elif preset == "shrinking":
-                base = shrinking_gallery_params()
-            else:
+            if preset != "uniform":
                 raise ScenarioError(f"unknown gallery preset {preset!r}")
+            base = uniform_gallery_params()
             base.update(params)
             params = base
         kw = {"seed": seed}

@@ -139,8 +139,6 @@ def eval_series_weight(w: SeriesWeight, z: complex) -> tuple[float, float]:
 class SeriesGridStats:
     grid_max_phi: float
     grid_min_zzbar: float
-    grid_min_fd_zzbar: float
-    fd_step: float
     nodes: int
 
 
@@ -159,11 +157,10 @@ def series_weight_grid_stats(
     w: SeriesWeight,
     dom: PlanarDomain,
     h: Optional[float] = None,
-    fd_step: Optional[float] = None,
 ) -> SeriesGridStats:
-    """Scan the rasterized domain: max of phi + tail against A, min of the
-    per-term Hessian lower bound against B, plus a finite-difference
-    Laplacian/4 cross-check of the truncated series."""
+    """Scan the rasterized domain: max of phi + tail against A and min of
+    the per-term Hessian lower bound against B, one phi evaluation per
+    inside node."""
     r = dom.raster(h)
     iy, ix = np.nonzero(r.inside)
     zs = r.xs[ix] + 1j * r.ys[iy]
@@ -188,20 +185,9 @@ def series_weight_grid_stats(
             f"coverage clause violated at sampled node {bad}"
         )
     zzbar_lower = 4.0 * np.abs(zs - ws[cover]) ** -6.0
-
-    step = fd_step if fd_step is not None else r.h
-    lap = (
-        _phi_many(ws, zs + step, -4.0, 1.0)
-        + _phi_many(ws, zs - step, -4.0, 1.0)
-        + _phi_many(ws, zs + 1j * step, -4.0, 1.0)
-        + _phi_many(ws, zs - 1j * step, -4.0, 1.0)
-        - 4.0 * phi
-    ) / (step * step)
     return SeriesGridStats(
         grid_max_phi=float(np.max(phi)) + w.tail_bound,
         grid_min_zzbar=float(np.min(zzbar_lower)),
-        grid_min_fd_zzbar=float(np.min(lap / 4.0)),
-        fd_step=float(step),
         nodes=len(zs),
     )
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -116,3 +118,22 @@ def test_numpy_scalars_reach_json_as_python_values():
 
     text = canonical_json({"ok": np.bool_(True), "n": np.int32(3), "x": np.float64(0.5)})
     assert json.loads(text) == {"ok": True, "n": 3, "x": 0.5}
+
+
+def test_unknown_gallery_preset_exits_1(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"scenario": "gallery", "params": {"preset": "shrinking"}}))
+    assert cli.main(["scenario", "--spec", str(spec), "--out", str(tmp_path)]) == 1
+    assert "unknown gallery preset" in capsys.readouterr().err
+
+
+def test_certify_modules_leave_spline_interpolation_unimported():
+    code = (
+        "import sys, dbar_range.cli, dbar_range.geometry, dbar_range.weights; "
+        "print('scipy.interpolate' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,13 @@
 import json
 import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from dbar_range import scenarios
 from dbar_range.geometry import (
     Complement,
     ConditionXCertificate,
@@ -25,8 +29,11 @@ from dbar_range.geometry import (
     domain_to_dict,
     exhaust,
     largest_disc_at,
+    load_domain,
     plane,
 )
+
+DOMAINS = sorted((Path(__file__).resolve().parent.parent / "domains").glob("*.json"))
 
 
 def unit_disc(mesh=1 / 64):
@@ -96,6 +103,71 @@ class TestContains:
             for ix in range(0, len(r.xs), 7):
                 z = r.node_z(iy, ix)
                 assert bool(r.inside[iy, ix]) == dom.member(z)
+
+
+@dataclass(frozen=True)
+class LeftOf:
+    """Half-plane x < x0 whose member never looks at y."""
+
+    x0: float
+
+    def member(self, x, y):
+        return x < self.x0
+
+
+class _Built(Exception):
+    pass
+
+
+def omega_s_domain(monkeypatch, mesh):
+    """The spline-strip domain exactly as the omega_s scenario builds it."""
+    built = []
+
+    def grab(dom, *args, **kwargs):
+        built.append(dom)
+        raise _Built
+
+    monkeypatch.setattr(scenarios, "condition_x", grab)
+    with pytest.raises(_Built):
+        scenarios.omega_s_scenario(mesh=mesh)
+    return built[0]
+
+
+def meshgrid_inside(dom, r):
+    """Membership on the full 2-D node grid: the reference for the raster."""
+    return dom.tree.member(*np.meshgrid(r.xs, r.ys))
+
+
+class TestRasterFields:
+    @pytest.mark.parametrize("path", DOMAINS, ids=[p.stem for p in DOMAINS])
+    def test_inside_matches_meshgrid_membership(self, path):
+        dom = load_domain(path)
+        r = dom.raster()
+        assert r.inside.dtype == bool and r.inside.shape == (len(r.ys), len(r.xs))
+        assert np.array_equal(r.inside, meshgrid_inside(dom, r))
+
+    def test_spline_strips_match_meshgrid_membership(self, monkeypatch):
+        dom = omega_s_domain(monkeypatch, mesh=0.03)
+        r = dom.raster()
+        assert np.array_equal(r.inside, meshgrid_inside(dom, r))
+
+    def test_member_ignoring_y_fills_every_row(self):
+        for tree in (LeftOf(0.3), Intersection((LeftOf(0.3), Disc(0, 0, 1.0)))):
+            dom = PlanarDomain(tree, (-2, 2, -1.5, 1.5), 0.05)
+            r = dom.raster()
+            assert r.inside.shape == (len(r.ys), len(r.xs)) and r.inside.flags.writeable
+            assert np.array_equal(r.inside, meshgrid_inside(dom, r))
+
+    @pytest.mark.parametrize("path", DOMAINS, ids=[p.stem for p in DOMAINS])
+    def test_one_transform_serves_distances_and_indices(self, path):
+        r = load_domain(path).raster()
+        dist = ndimage.distance_transform_edt(~r.inside, sampling=r.h)
+        _, idx = ndimage.distance_transform_edt(~r.inside, sampling=r.h, return_indices=True)
+        assert np.array_equal(r.dist_to_domain(), dist)
+        assert np.array_equal(r.nearest_inside_indices(), idx)
+        r = load_domain(path).raster()  # the other call order
+        assert np.array_equal(r.nearest_inside_indices(), idx)
+        assert np.array_equal(r.dist_to_domain(), dist)
 
 
 class TestLargestDisc:

@@ -141,9 +141,26 @@ class TestSeriesWeight:
         stats = series_weight_grid_stats(sw, dom)
         assert stats.grid_max_phi <= sw.A
         assert stats.grid_min_zzbar >= sw.B
-        # finite differences of the truncated series agree with the
-        # analytic bound direction up to O(h^2)
-        assert stats.grid_min_fd_zzbar >= sw.B - 10 * stats.fd_step**2
+        # 5-point Laplacian/4 of the series over all witnesses at the inside
+        # nodes: it agrees with the analytic bound direction up to O(h^2)
+        r = dom.raster()
+        h = r.h
+        iy, ix = np.nonzero(r.inside)
+        zs = r.xs[ix] + 1j * r.ys[iy]
+        phi = PointSeriesWeight(lat.witnesses)
+        fd = (
+            phi.value(zs + h) + phi.value(zs - h) + phi.value(zs + 1j * h)
+            + phi.value(zs - 1j * h) - 4.0 * phi.value(zs)
+        ) / (4.0 * h * h)
+        assert fd.min() >= sw.B - 10 * h**2
+        # and it is the analytic zzbar to O(h^2): each second difference is
+        # off by h^2/12 times a 4th derivative of |z - w|^-4, which is at
+        # most 840 |z - w|^-8 (Gegenbauer bound), taken within h of z
+        bound = np.empty(len(zs))
+        for i in range(0, len(zs), 2000):
+            d = np.abs(zs[i : i + 2000, None] - lat.witnesses[None, :])
+            bound[i : i + 2000] = 35.0 * h**2 * np.sum((d - h) ** -8.0, axis=1)
+        assert np.all(np.abs(fd - phi.zzbar(zs)) <= bound)
 
     def test_report_payload(self):
         dom = make_gallery()
