@@ -79,13 +79,7 @@ def _load_json(path: str):
 
 
 def cmd_certify(args) -> int:
-    from .geometry import (
-        ConfigurationError,
-        DomainSpecError,
-        build_lattice,
-        condition_x,
-        domain_from_dict,
-    )
+    from .geometry import build_lattice, condition_x, domain_from_dict
     from .reporting import stamp, write_report
     from .weights import lattice_weight_report
 
@@ -136,14 +130,13 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     from .discrete import (
-        SolverError,
         assemble,
         closed_range_constant,
         least_norm_solve,
         radial_bump,
         verify_certificate,
     )
-    from .geometry import domain_from_dict
+    from .geometry import SolverError, domain_from_dict
     from .reporting import stamp, write_csv, write_report
 
     if args.C <= 0:
@@ -226,8 +219,13 @@ def cmd_scenario(args) -> int:
 def main(argv=None) -> int:
     _setup_threads()
     args = build_parser().parse_args(argv)
-    from .discrete import MeshError, SolverError
-    from .geometry import ConfigurationError, DomainSpecError, QueryError
+    from .geometry import (
+        ConfigurationError,
+        DomainSpecError,
+        MeshError,
+        QueryError,
+        SolverError,
+    )
     from .scenarios import ScenarioError
 
     handlers = {"certify": cmd_certify, "verify": cmd_verify, "scenario": cmd_scenario}

@@ -34,11 +34,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
 
-from .geometry import PlanarDomain
+from .geometry import MeshError, PlanarDomain, SolverError
 
 __all__ = [
-    "MeshError",
-    "SolverError",
     "DbarGrid",
     "SolveReport",
     "assemble",
@@ -52,14 +50,6 @@ __all__ = [
     "gaussian_decay_field",
     "radial_bump",
 ]
-
-
-class MeshError(ValueError):
-    """Grid too coarse or too empty for the requested computation."""
-
-
-class SolverError(RuntimeError):
-    """Eigensolver failed to converge; carries diagnostics."""
 
 
 @dataclass(eq=False)
@@ -93,9 +83,6 @@ class DbarGrid:
     def norm(self, u: np.ndarray) -> float:
         """L^2 norm with midpoint weight h^2 per node."""
         return self.h * float(np.linalg.norm(u))
-
-    def sample(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        return np.asarray(fn(self.nodes_z), dtype=complex)
 
     @cached_property
     def ground_state(self) -> tuple[float, np.ndarray]:

@@ -8,6 +8,10 @@ on that grid; distance-type answers carry an error of at most h*sqrt(2).
 Unbounded domains are handled by the finite window plus an explicitly
 declared translation symmetry; nothing outside the window is ever
 inferred.  Each certificate object records how its window was treated.
+
+MeshError and SolverError live here beside the other error classes, so
+that a command that never builds the discrete operator (certify,
+scenario) need not import it to name them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import ndimage
@@ -25,12 +29,13 @@ __all__ = [
     "DomainSpecError",
     "QueryError",
     "ConfigurationError",
+    "MeshError",
+    "SolverError",
     "LatticeVerificationError",
     "Disc",
     "HalfPlane",
     "Rect",
     "Strip",
-    "GridRegion",
     "Union",
     "Intersection",
     "Complement",
@@ -43,11 +48,9 @@ __all__ = [
     "clearance",
     "condition_x",
     "build_lattice",
-    "exhaust",
     "domain_to_dict",
     "domain_from_dict",
     "load_domain",
-    "save_domain",
 ]
 
 
@@ -61,6 +64,14 @@ class QueryError(ValueError):
 
 class ConfigurationError(RuntimeError):
     """Window or mesh cannot support the requested computation."""
+
+
+class MeshError(ValueError):
+    """Grid too coarse or too empty for the requested computation."""
+
+
+class SolverError(RuntimeError):
+    """Eigensolver failed to converge; carries diagnostics."""
 
 
 class LatticeVerificationError(RuntimeError):
@@ -169,32 +180,6 @@ class Strip:
 
 
 @dataclass(frozen=True, eq=False)
-class GridRegion:
-    """Frozen raster mask; membership snaps to the nearest grid node.
-
-    Produced by `exhaust` for single connected components.  Exact at grid
-    nodes by construction; piecewise constant between them.  Not part of
-    the JSON schema.
-    """
-
-    x0: float
-    y0: float
-    h: float
-    mask: np.ndarray
-
-    def member(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        ix = np.rint((x - self.x0) / self.h).astype(int)
-        iy = np.rint((y - self.y0) / self.h).astype(int)
-        ok = (ix >= 0) & (ix < self.mask.shape[1]) & (iy >= 0) & (iy < self.mask.shape[0])
-        out = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-        sel = np.broadcast_arrays(ix, iy, ok)
-        out[sel[2]] = self.mask[sel[1][sel[2]], sel[0][sel[2]]]
-        return out if out.shape else bool(out)
-
-
-@dataclass(frozen=True, eq=False)
 class Union:
     children: tuple
 
@@ -260,10 +245,6 @@ class Raster:
         self._dist_in = None
         self._dist_out = None
         self._in_indices = None
-
-    @property
-    def node_count(self) -> int:
-        return int(self.inside.sum())
 
     def nearest_index(self, z: complex) -> tuple[int, int]:
         ix = int(np.clip(round((z.real - self.xs[0]) / self.h), 0, len(self.xs) - 1))
@@ -562,10 +543,6 @@ class LatticeWitnessSet:
     points: np.ndarray
     witnesses: np.ndarray
 
-    @property
-    def entries(self) -> list[tuple[complex, complex]]:
-        return list(zip(self.points.tolist(), self.witnesses.tolist()))
-
     def __len__(self):
         return len(self.points)
 
@@ -688,34 +665,6 @@ def build_lattice(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustion by grid components
-# ---------------------------------------------------------------------------
-
-
-def exhaust(dom: PlanarDomain, j: int, h: Optional[float] = None) -> list[PlanarDomain]:
-    """Connected grid components of the domain clipped to |z| < j.
-
-    Flood fill with 4-connectivity; components are returned in scan order.
-    The clipping balls |z| < j replace the smooth sublevel exhaustion of
-    pseudoconvex theory: nested as grid sets, with union the rasterized
-    domain once j passes the window radius.
-    """
-    if j < 1:
-        raise ValueError(f"exhaustion index must be >= 1, got {j}")
-    r = dom.raster(h)
-    X, Y = np.meshgrid(r.xs, r.ys)
-    mask = r.inside & (X**2 + Y**2 < float(j) ** 2)
-    labels, ncomp = ndimage.label(mask)
-    out = []
-    for c in range(1, ncomp + 1):
-        comp = labels == c
-        region = GridRegion(float(r.xs[0]), float(r.ys[0]), r.h, comp)
-        tree = Intersection((dom.tree, Disc(0.0, 0.0, float(j)), region))
-        out.append(PlanarDomain(tree, dom.window, r.h, dom.symmetry))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # JSON schema
 # ---------------------------------------------------------------------------
 
@@ -814,8 +763,3 @@ def load_domain(path) -> PlanarDomain:
     with open(path, "r", encoding="utf-8") as fh:
         return domain_from_dict(json.load(fh))
 
-
-def save_domain(dom: PlanarDomain, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(domain_to_dict(dom), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -13,15 +13,14 @@ Three reproducible scenario types, each emitting a replayable report:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .discrete import MeshError, radial_bump
 from .geometry import (
-    ConfigurationError,
     EtaFunc,
+    MeshError,
     PlanarDomain,
     Rect,
     Strip,
@@ -66,30 +65,24 @@ class ScenarioError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BumpProfile:
-    """exp(-1/(1 - |z|^2)) on the unit disc, with closed-form derivatives.
+    """exp(-1/(1 - |z|^2)) on the unit disc, through its closed-form
+    derivative fields.
 
-    Values within `drop_ring` of the unit circle are dropped: they are
+    Values within `_DROP_RING` of the unit circle are dropped: they are
     below exp(-500), and skipping them avoids overflow in the inner
     quotient.  The adjoint here is the formal one for compactly supported
     data, -d/dz, applied to the (0,1)-form with this coefficient.
     """
 
-    drop_ring: float = 1e-3
+    _DROP_RING = 1e-3
 
     def _g(self, z):
         z = np.asarray(z, dtype=complex)
         r2 = np.abs(z) ** 2
         g = 1.0 - r2
-        live = r2 < (1.0 - self.drop_ring) ** 2
+        live = r2 < (1.0 - self._DROP_RING) ** 2
         return g, live
-
-    def value(self, z):
-        g, live = self._g(z)
-        out = np.zeros(g.shape)
-        out[live] = np.exp(-1.0 / g[live])
-        return out
 
     def dbar_star(self, z):
         """-d/dz of the bump: alpha * zbar / g^2."""
@@ -140,20 +133,18 @@ def scaling_ratio(
     j: int,
     mesh: float = 1 / 16,
     center: complex = 0j,
-    profile: Optional[BumpProfile] = None,
-    tol: float = 0.01,
 ) -> ScalingRatio:
     """Norm ratio of the dilated test pair at scale j, two ways.
 
     The analytic path applies the change-of-variables identities to
     unit-disc quadrature values (numerator scale-invariant, denominator
     decaying like 1/j); the direct path integrates the dilated integrands
-    on an absolute grid of the same mesh.  Disagreement beyond `tol` is a
+    on an absolute grid of the same mesh.  Disagreement beyond 1% is a
     mesh error.
     """
     if j < 1:
         raise ScenarioError(f"scale index must be >= 1, got {j}")
-    profile = profile or BumpProfile()
+    profile = BumpProfile()
     s_num = _disc_quadrature_norm(profile.dbar_star, 0j, 1.0, mesh)
     s_den = _disc_quadrature_norm(profile.dbar_dbar_star, 0j, 1.0, mesh)
     num, den = s_num, s_den / j
@@ -167,7 +158,7 @@ def scaling_ratio(
     )
     ratio_direct = num_direct / den_direct
     rel_gap = max(abs(num_direct - num) / num, abs(den_direct - den) / den)
-    if rel_gap > tol:
+    if rel_gap > 0.01:
         raise MeshError(
             f"analytic and direct quadrature disagree by {rel_gap:.2%} at "
             f"scale {j}, mesh {mesh}"
@@ -630,61 +621,80 @@ def omega_s_scenario(
 # ---------------------------------------------------------------------------
 
 
+def _ints(values) -> list:
+    return [int(j) for j in values]
+
+
+def _complex_pair(pair) -> complex:
+    cr, ci = pair
+    return complex(cr, ci)
+
+
+def _as_given(value):
+    return value
+
+
+# kind -> (scenario function, {param: converter}); params not listed are
+# ignored, and every listed one is converted before the call
+_SCENARIOS = {
+    "scaling": (scaling_scenario, {"j_values": _ints, "center": _complex_pair}),
+    "tube": (tube_scenario, {"m": int, "mc_samples": int, "j_values": _ints}),
+    "gallery": (
+        strip_gallery,
+        {
+            "c": _as_given,
+            "bands": _as_given,
+            "M": _as_given,
+            "window": tuple,
+            "condition_M": _as_given,
+            "condition_delta": _as_given,
+            "symmetry": _as_given,
+        },
+    ),
+    "omega_s": (
+        omega_s_scenario,
+        {
+            "kappa1": _as_given,
+            "j_min": _as_given,
+            "j_max": _as_given,
+            "window": tuple,
+            "condition_M": _as_given,
+            "condition_delta": _as_given,
+            "K": _as_given,
+        },
+    ),
+}
+
+
+def _convert(what: str, convert, value):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"scenario {what}: {exc}") from None
+
+
 def run_scenario(spec: dict) -> dict:
     """Execute a scenario spec {scenario, params, mesh, seed}; deterministic
-    given the spec."""
+    given the spec.  A param, seed or mesh that does not convert raises
+    ScenarioError naming its key."""
     if not isinstance(spec, dict) or "scenario" not in spec:
         raise ScenarioError("scenario spec needs a 'scenario' key")
     kind = spec["scenario"]
-    params = dict(spec.get("params", {}))
-    seed = int(spec.get("seed", 0))
-    mesh = spec.get("mesh")
+    if not isinstance(kind, str) or kind not in _SCENARIOS:
+        raise ScenarioError(f"unknown scenario {kind!r}")
+    fn, converters = _SCENARIOS[kind]
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioError(f"scenario 'params' must be an object, got {params!r}")
+    if kind == "gallery" and "preset" in params:
+        if params["preset"] != "uniform":
+            raise ScenarioError(f"unknown gallery preset {params['preset']!r}")
+        params = {**uniform_gallery_params(), **params}
 
-    if kind == "scaling":
-        kw = {"seed": seed}
-        if mesh is not None:
-            kw["mesh"] = float(mesh)
-        if "j_values" in params:
-            kw["j_values"] = [int(j) for j in params["j_values"]]
-        if "center" in params:
-            cr, ci = params["center"]
-            kw["center"] = complex(cr, ci)
-        return scaling_scenario(**kw)
-    if kind == "tube":
-        kw = {"seed": seed}
-        if mesh is not None:
-            kw["mesh"] = float(mesh)
-        for key in ("m", "mc_samples"):
-            if key in params:
-                kw[key] = int(params[key])
-        if "j_values" in params:
-            kw["j_values"] = [int(j) for j in params["j_values"]]
-        return tube_scenario(**kw)
-    if kind == "gallery":
-        if "preset" in params:
-            preset = params.pop("preset")
-            if preset != "uniform":
-                raise ScenarioError(f"unknown gallery preset {preset!r}")
-            base = uniform_gallery_params()
-            base.update(params)
-            params = base
-        kw = {"seed": seed}
-        if mesh is not None:
-            kw["mesh"] = float(mesh)
-        for key in ("c", "bands", "M", "window", "condition_M", "condition_delta", "symmetry"):
-            if key in params:
-                kw[key] = params[key]
-        if "window" in kw:
-            kw["window"] = tuple(kw["window"])
-        return strip_gallery(**kw)
-    if kind == "omega_s":
-        kw = {"seed": seed}
-        if mesh is not None:
-            kw["mesh"] = float(mesh)
-        for key in ("kappa1", "j_min", "j_max", "condition_M", "condition_delta", "K"):
-            if key in params:
-                kw[key] = params[key]
-        if "window" in params:
-            kw["window"] = tuple(params["window"])
-        return omega_s_scenario(**kw)
-    raise ScenarioError(f"unknown scenario {kind!r}")
+    kw = {"seed": _convert("'seed'", int, spec.get("seed", 0))}
+    if spec.get("mesh") is not None:
+        kw["mesh"] = _convert("'mesh'", float, spec["mesh"])
+    for key, convert in converters.items():
+        if key in params:
+            kw[key] = _convert(f"param {key!r}", convert, params[key])
+    return fn(**kw)

@@ -27,7 +27,6 @@ __all__ = [
     "weight_constants",
     "SeriesWeight",
     "series_weight",
-    "eval_series_weight",
     "series_weight_grid_stats",
     "strip_weight",
     "StripWeightFamily",
@@ -95,44 +94,6 @@ def series_weight(witnesses: LatticeWitnessSet, gamma_max: int = 64) -> SeriesWe
     M = witnesses.M
     tail = 56.0 / M**4 * (1.0 / (2.0 * gamma_max**2))
     return SeriesWeight(witnesses, gamma_max, A, B, tail)
-
-
-def _covering_point(w: SeriesWeight, z: complex) -> tuple[complex, complex]:
-    """Lattice point whose search disc covers z (nearest, first-listed on
-    ties) together with its witness."""
-    pts = w.witnesses.points
-    if len(pts) == 0:
-        raise LatticeVerificationError("empty witness set cannot cover any point")
-    d = np.abs(pts - z)
-    order = int(np.argmin(d))
-    if d[order] >= w.witnesses.M:
-        raise LatticeVerificationError(
-            f"coverage clause violated: {z} lies in no lattice disc"
-        )
-    return complex(pts[order]), complex(w.witnesses.witnesses[order])
-
-
-def eval_series_weight(w: SeriesWeight, z: complex) -> tuple[float, float]:
-    """Evaluate the truncated series weight and a Hessian lower bound at z.
-
-    Returns (phi, phi_zzbar_lower): phi sums |z - w*|^-4 over witnesses
-    within gamma_max annuli of the covering lattice point (the certified
-    tail interval [0, tail_bound] accounts for anything further out);
-    phi_zzbar_lower is the single covering term 4 |z - w*|^-6, a valid
-    lower bound because every summand has nonnegative Hessian.
-    """
-    w0, wstar_cov = _covering_point(w, z)
-    M = w.witnesses.M
-    ws = w.witnesses.witnesses
-    linf = np.maximum(np.abs(ws.real - w0.real), np.abs(ws.imag - w0.imag))
-    gamma = np.ceil(linf / M - 1e-12).astype(int)
-    keep = gamma <= w.gamma_max
-    dz = np.abs(ws[keep] - z)
-    if np.any(dz == 0):
-        raise ValueError(f"series weight evaluated at a witness point {z}")
-    phi = float(np.sum(dz**-4.0))
-    zzbar_lower = 4.0 * abs(z - wstar_cov) ** -6.0
-    return phi, zzbar_lower
 
 
 @dataclass(frozen=True)

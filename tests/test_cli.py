@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -14,8 +16,50 @@ ROOT = Path(__file__).resolve().parent.parent
 SPECS = sorted((ROOT / "scenarios").glob("*.json"))
 
 
-def reports(out: Path) -> dict:
-    return {p.name: p.read_bytes() for p in sorted(out.glob("*_report.json"))}
+def outputs(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of every file each shipped spec writes; refactoring the scenario
+# code must not move a byte of them
+SCENARIO_SHA256 = {
+    "gallery_uniform": {
+        "scenario_gallery_report.json":
+            "63390135e0fa0f0baca3e60566bbe94b9788a568a958b6d1eef9859f19f126e3",
+    },
+    "omega_s": {
+        "scenario_omega_s_report.json":
+            "f247758bb4944de66512566a667912c26479c2af03e7746238e955d785c877c0",
+    },
+    "scaling": {
+        "scenario_scaling_report.json":
+            "9f397415f934623326a2ab2d45c43d6fcd253a7bc3500c1f3e2fb6046306119b",
+        "scenario_scaling_rows.csv":
+            "1de7b74967822c87cb9d0850f8c0a1a32918cb4375d544e5c68e377caa2c974f",
+    },
+    "tube_m3": {
+        "scenario_tube_report.json":
+            "35b225dd095f057725d3ddd7c37022d0f2e9fa82f36cda557b736c9db81543d5",
+        "scenario_tube_rows.csv":
+            "e503819a1a0d2c9742803b7a3c88a86d6c08f8cc233becf70b6a61af0c7fd84a",
+    },
+}
+
+
+def run_cli(*argv):
+    """`python -m dbar_range.cli` in a child whose environment sets no
+    thread variable, so the CLI caps the BLAS pools at one thread before
+    numpy loads; in this process numpy is loaded already, and some
+    reductions (the scaling quadrature norms) round differently with more
+    threads."""
+    return subprocess.run(
+        [sys.executable, "-m", "dbar_range.cli", *map(str, argv)],
+        capture_output=True, text=True, env={"PYTHONPATH": str(ROOT / "src")},
+    )
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=[p.stem for p in SPECS])
@@ -23,21 +67,32 @@ def test_every_shipped_scenario_runs_and_replays(spec, tmp_path):
     runs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert cli.main(["scenario", "--spec", str(spec), "--out", str(out)]) == 0
-        runs.append(reports(out))
-    assert len(runs[0]) == 1
+        child = run_cli("scenario", "--spec", spec, "--out", out)
+        assert child.returncode == 0, child.stderr
+        runs.append(outputs(out))
     assert runs[0] == runs[1]
-    report = json.loads(next(iter(runs[0].values())))
+    assert {k: sha256(v) for k, v in runs[0].items()} == SCENARIO_SHA256[spec.stem]
+    report = json.loads(next(v for k, v in runs[0].items() if k.endswith("_report.json")))
     assert report["checks"] and all(c["passed"] is True for c in report["checks"])
 
 
-def test_certify_gallery_report_bytes_pinned(tmp_path):
-    argv = ["certify", "--domain", str(ROOT / "domains/uniform_gallery.json"),
+def certify_sha256(tmp_path, domain, expect_code):
+    argv = ["certify", "--domain", str(ROOT / "domains" / domain),
             "--M", "2", "--delta", "0.1", "--out", str(tmp_path)]
-    assert cli.main(argv) == 0
-    data = (tmp_path / "certify_report.json").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == (
+    assert cli.main(argv) == expect_code
+    return sha256((tmp_path / "certify_report.json").read_bytes())
+
+
+def test_certify_gallery_report_bytes_pinned(tmp_path):
+    assert certify_sha256(tmp_path, "uniform_gallery.json", 0) == (
         "0ac943fbd0e0790052311f415670095fdb0475da17b47adc276b76779bc55e4a"
+    )
+
+
+def test_certify_whole_plane_report_bytes_pinned(tmp_path):
+    # condition X fails on the plane: exit 2 with the undecided report
+    assert certify_sha256(tmp_path, "whole_plane.json", 2) == (
+        "fbfaad68331c0c06d1160e706d17a8776de7987f2a1e9852fd522dff51c11443"
     )
 
 
@@ -127,13 +182,59 @@ def test_unknown_gallery_preset_exits_1(tmp_path, capsys):
     assert "unknown gallery preset" in capsys.readouterr().err
 
 
-def test_certify_modules_leave_spline_interpolation_unimported():
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"scenario": "tube", "params": {"m": None}}, "param 'm'"),
+        ({"scenario": "scaling", "seed": None}, "'seed'"),
+        ({"scenario": "gallery", "params": {"preset": "uniform", "window": 3}},
+         "param 'window'"),
+        ({"scenario": "scaling", "params": 5}, "'params'"),
+    ],
+    ids=["tube_m_null", "seed_null", "gallery_window_int", "params_int"],
+)
+def test_malformed_scenario_spec_exits_1_naming_the_key(spec, key, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["scenario", "--spec", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario ") and key in err
+
+
+def test_certify_modules_leave_spline_interpolation_unimported(tmp_path):
+    # a certify run needs neither spline interpolation nor the discrete
+    # operator and its sparse solvers
     code = (
-        "import sys, dbar_range.cli, dbar_range.geometry, dbar_range.weights; "
-        "print('scipy.interpolate' in sys.modules)"
+        "import sys, dbar_range.cli, dbar_range.geometry, dbar_range.weights\n"
+        "code = dbar_range.cli.main(['certify', '--domain', sys.argv[1], '--M', '2',"
+        " '--delta', '0.1', '--out', sys.argv[2]])\n"
+        "unused = {'scipy.interpolate', 'dbar_range.discrete', 'scipy.sparse.linalg'}\n"
+        "print(code, sorted(unused & set(sys.modules)))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": str(ROOT / "src")},
+        [sys.executable, "-c", code, str(ROOT / "domains/whole_plane.json"), str(tmp_path)],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": str(ROOT / "src")},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "2 []"
+
+
+def test_every_module_is_reached_from_the_cli():
+    # follow relative imports (lazy ones too) from cli.py; a module no
+    # command reaches is dead code
+    pkg = ROOT / "src" / "dbar_range"
+    reached, todo = set(), ["cli"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(ast.parse((pkg / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                subs = [node.module] if node.module else [a.name for a in node.names]
+                todo += [m for m in subs if (pkg / f"{m}.py").is_file()]
+    modules = {p.stem for p in pkg.glob("*.py")} - {"__init__"}
+    assert modules - reached == set()
+    for name in sorted(modules):
+        mod = importlib.import_module(f"dbar_range.{name}")
+        missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
+        assert missing == [], f"dbar_range.{name}.__all__ names {missing}"

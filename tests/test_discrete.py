@@ -7,8 +7,6 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from dbar_range import discrete
 from dbar_range.discrete import (
-    MeshError,
-    SolverError,
     abs2_field,
     assemble,
     closed_range_constant,
@@ -19,8 +17,7 @@ from dbar_range.discrete import (
     twisted_quadrature_check,
     verify_certificate,
 )
-from dbar_range.forms import FormValue, HermitianField, theta
-from dbar_range.geometry import Disc, PlanarDomain, Rect, Strip, Union
+from dbar_range.geometry import Disc, MeshError, PlanarDomain, Rect, SolverError
 
 
 def stalled_eigsh(A, k, **kw):
@@ -296,9 +293,11 @@ class TestTwistedQuadrature:
                 g,
             )
 
-    def test_theta_factor_agrees_with_form_algebra(self):
-        # dual route: the vectorized integrand against the exact pointwise
-        # algebra on (0,1)-forms in one variable
+    def test_theta_factor_matches_closed_form(self):
+        # the vectorized integrand against its closed form: for
+        # lambda = alpha |z|^2 and tau = exp(-alpha |z|^2),
+        # tau lambda_zzbar - tau_zzbar - |tau_z|^2 / tau
+        #   = 2 alpha (1 - alpha |z|^2) exp(-alpha |z|^2)
         alpha = 0.5
         lam = abs2_field(alpha)
         tau = gaussian_decay_field(alpha)
@@ -311,13 +310,6 @@ class TestTwistedQuadrature:
                 - float(tau.zzbar(za)[0])
                 - abs(complex(tau.dz(za)[0])) ** 2 / float(tau.value(za)[0])
             )
-            lam_f = HermitianField(
-                1, [[float(lam.zzbar(za)[0])]], [complex(lam.dz(za)[0])],
-                float(lam.value(za)[0]),
-            )
-            tau_f = HermitianField(
-                1, [[float(tau.zzbar(za)[0])]], [complex(tau.dz(za)[0])],
-                float(tau.value(za)[0]),
-            )
-            u = FormValue(1, 1, {(1,): 1.0})
-            assert factor == pytest.approx(theta(lam_f, tau_f, u), rel=1e-12)
+            r2 = abs(z) ** 2
+            exact = 2 * alpha * (1 - alpha * r2) * math.exp(-alpha * r2)
+            assert factor == pytest.approx(exact, rel=1e-12)

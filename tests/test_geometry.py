@@ -27,7 +27,6 @@ from dbar_range.geometry import (
     contains,
     domain_from_dict,
     domain_to_dict,
-    exhaust,
     largest_disc_at,
     load_domain,
     plane,
@@ -323,7 +322,7 @@ class TestBuildLattice:
         # meets D(0, 0.4) qualify; corners at distance sqrt(2) > 1.4 don't
         for w in pts:
             assert abs(w) < 1.0 + 0.4
-        for z, w in lat.entries:
+        for z, w in zip(lat.points, lat.witnesses):
             assert abs(z - w) <= 2 * 1.0 + 1e-9
 
     def test_empty_domain(self):
@@ -350,7 +349,7 @@ class TestBuildLattice:
     def test_witness_clearance_and_reach(self):
         dom = uniform_gallery(y_max=5.0, mesh=0.015)
         lat = build_lattice(dom, M=2.0, delta=0.08)
-        for w, ws in lat.entries:
+        for w, ws in zip(lat.points, lat.witnesses):
             assert clearance(dom, ws) > 0.08
             assert abs(w - ws) <= 4.0 + 1e-9
 
@@ -358,50 +357,6 @@ class TestBuildLattice:
         dom = PlanarDomain(plane(), (-4, 4, -4, 4), 0.01)
         with pytest.raises(ConfigurationError):
             build_lattice(dom, M=1.0, delta=0.05)
-
-
-class TestExhaust:
-    def test_plane_window_single_component(self):
-        dom = PlanarDomain(plane(), (-4, 4, -4, 4), 0.05)
-        comps = exhaust(dom, 1)
-        assert len(comps) == 1
-        # component approximates D(0,1)
-        assert comps[0].member(0j)
-        assert not comps[0].member(2 + 0j)
-
-    def test_two_strips_merge_count(self):
-        dom = gallery([(-0.25, 0.25), (4.75, 5.25)], (-12, 12, -12, 12), 0.05,
-                      symmetry="none")
-        assert len(exhaust(dom, 1)) == 1
-        assert len(exhaust(dom, 10)) == 2
-
-    def test_nested_and_union(self):
-        # flood-fill oracle: grid sets are nested, and the union over j
-        # recovers the full rasterized domain
-        dom = PlanarDomain(
-            Union((Disc(-2, 0, 0.8), Disc(2, 0, 0.8))), (-4, 4, -4, 4), 0.05
-        )
-        r = dom.raster()
-        X, Y = np.meshgrid(r.xs, r.ys)
-        prev = np.zeros_like(r.inside)
-        counts = []
-        for j in range(1, 7):
-            comps = exhaust(dom, j)
-            mask = np.zeros_like(r.inside)
-            for c in comps:
-                mask |= np.asarray(c.tree.member(X, Y))
-            assert (prev & ~mask).sum() == 0  # nested
-            counts.append(len(comps))
-            prev = mask
-        assert (prev == r.inside).all()  # union recovers the raster
-        assert counts[0] == 0 or counts[0] <= max(counts)
-
-    def test_component_count_until_merge(self):
-        dom = gallery([(-0.25, 0.25), (4.75, 5.25)], (-12, 12, -12, 12), 0.05,
-                      symmetry="none")
-        counts = [len(exhaust(dom, j)) for j in range(1, 12)]
-        # counts rise from 1 to 2 when the second strip enters, never shrink
-        assert counts == sorted(counts)
 
 
 class TestJsonRoundTrip:

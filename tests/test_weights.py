@@ -21,7 +21,6 @@ from dbar_range.weights import (
     certificate,
     certify_composite,
     composite_weight,
-    eval_series_weight,
     lattice_weight_report,
     series_weight,
     series_weight_grid_stats,
@@ -84,54 +83,57 @@ def single_witness_set():
 
 class TestSeriesWeight:
     def test_single_witness_closed_form(self):
-        sw = series_weight(single_witness_set(), gamma_max=8)
-        phi, zzbar = eval_series_weight(sw, 1.0 + 0j)
-        assert phi == 1.0
-        assert zzbar == 4.0
+        phi = PointSeriesWeight(single_witness_set().witnesses)
+        assert phi.value(1.0 + 0j) == 1.0
+        assert phi.zzbar(1.0 + 0j) == 4.0
 
     def test_zzbar_matches_finite_differences(self):
         # oracle: Laplacian/4 of |z - w|^-4 equals 4 |z - w|^-6
-        sw = series_weight(single_witness_set(), gamma_max=8)
+        w = PointSeriesWeight(single_witness_set().witnesses)
+        phi = w.value
         z = 1.3 + 0.4j
         h = 1e-4
-
-        def phi(zz):
-            return eval_series_weight(sw, zz)[0]
-
         lap = (
             phi(z + h) + phi(z - h) + phi(z + 1j * h) + phi(z - 1j * h) - 4 * phi(z)
         ) / h**2
-        _, zzbar = eval_series_weight(sw, z)
+        zzbar = w.zzbar(z)
         assert lap / 4.0 == pytest.approx(4.0 * abs(z) ** -6, rel=1e-6)
         assert zzbar <= lap / 4.0 * (1 + 1e-6)
 
-    def test_empty_witness_set_errors(self):
+    def test_uncovered_domain_errors(self):
+        # a witness set far from the domain, and an empty one, cover no node
+        dom = PlanarDomain(Rect(9.0, 11.0, -1.0, 1.0), (8, 12, -2, 2), 0.05)
         empty = LatticeWitnessSet(
             1.0, 0.1, np.array([], dtype=complex), np.array([], dtype=complex)
         )
-        sw = series_weight(empty)
-        with pytest.raises(LatticeVerificationError):
-            eval_series_weight(sw, 0j)
-
-    def test_uncovered_point_errors(self):
-        sw = series_weight(single_witness_set())
-        with pytest.raises(LatticeVerificationError):
-            eval_series_weight(sw, 10.0 + 0j)
+        for lat in (single_witness_set(), empty):
+            with pytest.raises(LatticeVerificationError):
+                series_weight_grid_stats(series_weight(lat), dom)
 
     def test_tail_contract(self):
-        # enlarging the truncation moves phi by at most the previous tail
+        # enlarging the truncation moves phi by at most the previous tail;
+        # phi_gamma sums |z - w*|^-4 over the witnesses within gamma
+        # annuli (sup-norm, in units of M) of the lattice point covering z
         dom = make_gallery()
         lat = build_lattice(dom, M=1.0, delta=0.2)
+        ws = lat.witnesses
+
+        def truncated(z, gamma):
+            d = np.abs(lat.points - z)
+            assert d.min() < lat.M
+            w0 = lat.points[int(np.argmin(d))]
+            linf = np.maximum(np.abs(ws.real - w0.real), np.abs(ws.imag - w0.imag))
+            keep = np.ceil(linf / lat.M - 1e-12) <= gamma
+            return float(np.sum(np.abs(ws[keep] - z) ** -4.0))
+
         rng = np.random.default_rng(3)
         zs = lat.points[rng.choice(len(lat.points), 5, replace=False)]
         for g in (1, 2, 4):
-            sw_small = series_weight(lat, gamma_max=g)
-            sw_big = series_weight(lat, gamma_max=g + 1)
+            tail = series_weight(lat, gamma_max=g).tail_bound
             for z in zs:
                 z = complex(z) + 0.05 + 0.05j
-                p_small, _ = eval_series_weight(sw_small, z)
-                p_big, _ = eval_series_weight(sw_big, z)
-                assert 0 <= p_big - p_small <= sw_small.tail_bound + 1e-12
+                p_small, p_big = truncated(z, g), truncated(z, g + 1)
+                assert 0 <= p_big - p_small <= tail + 1e-12
 
     def test_gallery_grid_bounds(self):
         # Lemma-style conclusion on the grid: phi + tail <= A, zzbar >= B
