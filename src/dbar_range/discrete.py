@@ -48,6 +48,7 @@ __all__ = [
     "constant_field",
     "abs2_field",
     "gaussian_decay_field",
+    "theta_factor",
     "radial_bump",
 ]
 
@@ -403,6 +404,22 @@ def gaussian_decay_field(alpha: float) -> WeightField:
     )
 
 
+def theta_factor(lam: WeightField, tau: WeightField, z) -> np.ndarray:
+    """Twisted curvature factor tau lam_zzbar - tau_zzbar - |tau_z|^2 / tau.
+
+    Times |u|^2 it is the curvature term of the twisted estimate for a
+    (0,1)-form u on C.  tau must be positive at every point of z.
+    """
+    tv = np.asarray(tau.value(z), dtype=float)
+    if np.any(tv <= 0):
+        raise ValueError("tau must be positive where the twisted term is evaluated")
+    return (
+        tv * np.asarray(lam.zzbar(z), dtype=float)
+        - np.asarray(tau.zzbar(z), dtype=float)
+        - np.abs(np.asarray(tau.dz(z), dtype=complex)) ** 2 / tv
+    )
+
+
 def twisted_quadrature_check(
     lam: WeightField,
     tau: WeightField,
@@ -439,10 +456,7 @@ def twisted_quadrature_check(
     adj = np.exp(lv) * (g.op.conj().T @ (elam * u))
     lhs = 2.0 * g.h**2 * float(np.sum(tv * np.abs(adj) ** 2 * elam))
 
-    theta_factor = (
-        tv * np.asarray(lam.zzbar(z), dtype=float)
-        - np.asarray(tau.zzbar(z), dtype=float)
-        - np.abs(np.asarray(tau.dz(z), dtype=complex)) ** 2 / tv
-    )
-    rhs = g.h**2 * float(np.sum(theta_factor * np.abs(u) ** 2 * elam))
+    theta = np.zeros(z.shape)
+    theta[supp] = theta_factor(lam, tau, z[supp])
+    rhs = g.h**2 * float(np.sum(theta * np.abs(u) ** 2 * elam))
     return lhs - rhs

@@ -36,6 +36,7 @@ __all__ = [
     "HalfPlane",
     "Rect",
     "Strip",
+    "GridRegion",
     "Union",
     "Intersection",
     "Complement",
@@ -48,6 +49,7 @@ __all__ = [
     "clearance",
     "condition_x",
     "build_lattice",
+    "exhaust",
     "domain_to_dict",
     "domain_from_dict",
     "load_domain",
@@ -177,6 +179,32 @@ class Strip:
 
     def member(self, x, y):
         return (y > self.eta_lo(x)) & (y < self.eta_hi(x))
+
+
+@dataclass(frozen=True, eq=False)
+class GridRegion:
+    """Frozen raster mask; membership snaps to the nearest grid node.
+
+    Produced by `exhaust` for single connected components.  Exact at grid
+    nodes by construction; piecewise constant between them.  Not part of
+    the JSON schema.
+    """
+
+    x0: float
+    y0: float
+    h: float
+    mask: np.ndarray
+
+    def member(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        ix = np.rint((x - self.x0) / self.h).astype(int)
+        iy = np.rint((y - self.y0) / self.h).astype(int)
+        ok = (ix >= 0) & (ix < self.mask.shape[1]) & (iy >= 0) & (iy < self.mask.shape[0])
+        out = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+        sel = np.broadcast_arrays(ix, iy, ok)
+        out[sel[2]] = self.mask[sel[1][sel[2]], sel[0][sel[2]]]
+        return out if out.shape else bool(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -662,6 +690,34 @@ def build_lattice(
         )
 
     return LatticeWitnessSet(M, delta, points_arr, witnesses_arr)
+
+
+# ---------------------------------------------------------------------------
+# Exhaustion by grid components
+# ---------------------------------------------------------------------------
+
+
+def exhaust(dom: PlanarDomain, j: int, h: Optional[float] = None) -> list[PlanarDomain]:
+    """Connected grid components of the domain clipped to |z| < j.
+
+    Flood fill with 4-connectivity; components are returned in scan order.
+    The clipping balls |z| < j replace the smooth sublevel exhaustion of
+    pseudoconvex theory: nested as grid sets, with union the rasterized
+    domain once j passes the window radius.
+    """
+    if j < 1:
+        raise ValueError(f"exhaustion index must be >= 1, got {j}")
+    r = dom.raster(h)
+    X, Y = np.meshgrid(r.xs, r.ys)
+    mask = r.inside & (X**2 + Y**2 < float(j) ** 2)
+    labels, ncomp = ndimage.label(mask)
+    out = []
+    for c in range(1, ncomp + 1):
+        comp = labels == c
+        region = GridRegion(float(r.xs[0]), float(r.ys[0]), r.h, comp)
+        tree = Intersection((dom.tree, Disc(0.0, 0.0, float(j)), region))
+        out.append(PlanarDomain(tree, dom.window, r.h, dom.symmetry))
+    return out
 
 
 # ---------------------------------------------------------------------------

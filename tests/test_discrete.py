@@ -14,6 +14,7 @@ from dbar_range.discrete import (
     gaussian_decay_field,
     least_norm_solve,
     radial_bump,
+    theta_factor,
     twisted_quadrature_check,
     verify_certificate,
 )
@@ -293,9 +294,10 @@ class TestTwistedQuadrature:
                 g,
             )
 
-    def test_theta_factor_matches_closed_form(self):
-        # the vectorized integrand against its closed form: for
-        # lambda = alpha |z|^2 and tau = exp(-alpha |z|^2),
+    def test_theta_factor_agrees_with_form_algebra(self):
+        # the integrand of the twisted check against the (0,1)-form algebra
+        # on C in closed form: for lambda = alpha |z|^2 and
+        # tau = exp(-alpha |z|^2),
         # tau lambda_zzbar - tau_zzbar - |tau_z|^2 / tau
         #   = 2 alpha (1 - alpha |z|^2) exp(-alpha |z|^2)
         alpha = 0.5
@@ -304,12 +306,7 @@ class TestTwistedQuadrature:
         rng = np.random.default_rng(3)
         for _ in range(20):
             z = complex(rng.normal(), rng.normal()) * 0.5
-            za = np.array([z])
-            factor = (
-                float(tau.value(za)[0]) * float(lam.zzbar(za)[0])
-                - float(tau.zzbar(za)[0])
-                - abs(complex(tau.dz(za)[0])) ** 2 / float(tau.value(za)[0])
-            )
+            factor = float(theta_factor(lam, tau, np.array([z]))[0])
             r2 = abs(z) ** 2
             exact = 2 * alpha * (1 - alpha * r2) * math.exp(-alpha * r2)
             assert factor == pytest.approx(exact, rel=1e-12)

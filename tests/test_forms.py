@@ -1,291 +1,65 @@
+"""Pointwise algebra of (0,1)-forms on C: the twisted curvature term.
+
+For a (0,1)-form u on C the curvature term of the twisted estimate is
+theta |u|^2 with theta = tau lam_zzbar - tau_zzbar - |tau_z|^2 / tau, the
+factor `discrete.theta_factor` evaluates for the twisted quadrature check.
+"""
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from dbar_range.forms import (
-    FormValue,
-    HermitianField,
-    MultiIndex,
-    coeff_mH,
-    gradient_pairing_norm_sq,
-    hessian_action,
-    increasing_indices,
-    perm_sign,
-    self_bound_margin,
-    theta,
+from dbar_range.discrete import (
+    abs2_field,
+    constant_field,
+    gaussian_decay_field,
+    theta_factor,
 )
 
 
-def parity_oracle(seq):
-    """Brute-force permutation parity: count inversions."""
-    inv = sum(
-        1
-        for i in range(len(seq))
-        for j in range(i + 1, len(seq))
-        if seq[i] > seq[j]
-    )
-    return -1 if inv % 2 else 1
-
-
-def random_form(rng, n, q):
-    idx = increasing_indices(n, q)
-    return FormValue(
-        n, q, {I: complex(rng.normal(), rng.normal()) for I in idx}
-    )
-
-
-def random_hermitian(rng, n, psd=False):
-    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    if psd:
-        M = G.conj().T @ G
-    else:
-        M = (G + G.conj().T) / 2
-    g = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return HermitianField(n, M, g, float(rng.normal()))
-
-
-class TestMultiIndex:
-    def test_rejects_non_increasing(self):
-        with pytest.raises(ValueError):
-            MultiIndex((2, 1))
-        with pytest.raises(ValueError):
-            MultiIndex((1, 1))
-        with pytest.raises(ValueError):
-            MultiIndex((0, 1))
-
-    def test_equality_is_structural(self):
-        assert MultiIndex((1, 3)) == MultiIndex((1, 3))
-        assert MultiIndex((1, 3)) != MultiIndex((1, 2))
-
-    def test_empty_index_allowed(self):
-        assert len(MultiIndex(())) == 0
-
-
-class TestPermSign:
-    def test_spec_values(self):
-        assert perm_sign(2, MultiIndex((1,))) == -1
-        assert perm_sign(1, MultiIndex((1,))) == 0
-        assert perm_sign(3, MultiIndex((1, 2))) == 1
-
-    def test_axis_out_of_range(self):
-        with pytest.raises(ValueError):
-            perm_sign(0, MultiIndex((1,)))
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_parity_oracle(self, data):
-        n = data.draw(st.integers(1, 5))
-        q = data.draw(st.integers(1, min(4, n)))
-        axes = data.draw(
-            st.sets(st.integers(1, n), min_size=q - 1, max_size=q - 1)
-        )
-        H = MultiIndex(tuple(sorted(axes)))
-        m = data.draw(st.integers(1, n))
-        got = perm_sign(m, H)
-        if m in H.axes:
-            assert got == 0
-        else:
-            assert got == parity_oracle((m,) + H.axes)
-
-    def test_exhaustive_small(self):
-        # every (m, H) combination for n <= 5, q <= 4
-        for n in range(1, 6):
-            for q in range(1, min(n, 4) + 1):
-                for H in increasing_indices(n, q - 1):
-                    for m in range(1, n + 1):
-                        expect = 0 if m in H else parity_oracle((m,) + H.axes)
-                        assert perm_sign(m, H) == expect
-
-
-class TestCoeffMH:
-    def test_spec_values(self):
-        u = FormValue(2, 2, {(1, 2): 1.0})
-        assert coeff_mH(u, 2, MultiIndex((1,))) == -1
-        assert coeff_mH(u, 1, MultiIndex((2,))) == 1
-        assert coeff_mH(u, 1, MultiIndex((1,))) == 0
-
-    def test_degree_mismatch(self):
-        u = FormValue(2, 2, {(1, 2): 1.0})
-        with pytest.raises(ValueError):
-            coeff_mH(u, 1, MultiIndex(()))
-
-    def test_axis_out_of_range(self):
-        u = FormValue(2, 2, {(1, 2): 1.0})
-        with pytest.raises(ValueError):
-            coeff_mH(u, 3, MultiIndex((1,)))
-
-
-class TestHessianAction:
-    def test_identity_q1_gives_norm(self):
-        rng = np.random.default_rng(7)
-        for n in (1, 2, 3):
-            f = HermitianField(n, np.eye(n), np.zeros(n))
-            u = random_form(rng, n, 1)
-            assert hessian_action(f, u) == pytest.approx(u.norm_sq(), rel=1e-13)
-
-    def test_identity_top_degree_example(self):
-        # enumerate the (J, k, l) terms by hand: two J's, each contributing 1
-        f = HermitianField(2, np.eye(2), np.zeros(2))
-        u = FormValue(2, 2, {(1, 2): 1.0})
-        oracle = 0.0
-        for J in increasing_indices(2, 1):
-            for l in range(1, 3):
-                for k in range(1, 3):
-                    delta = 1.0 if l == k else 0.0
-                    oracle += (
-                        delta * coeff_mH(u, l, J) * np.conj(coeff_mH(u, k, J))
-                    ).real
-        assert oracle == 2.0
-        assert hessian_action(f, u) == pytest.approx(2.0, abs=1e-15)
-
-    def test_identity_gives_q_times_norm(self):
-        rng = np.random.default_rng(11)
-        for n in range(1, 5):
-            for q in range(1, n + 1):
-                f = HermitianField(n, np.eye(n), np.zeros(n))
-                u = random_form(rng, n, q)
-                assert hessian_action(f, u) == pytest.approx(
-                    q * u.norm_sq(), rel=1e-12
-                )
-
-    def test_zero_hessian(self):
-        rng = np.random.default_rng(3)
-        u = random_form(rng, 3, 2)
-        assert hessian_action(HermitianField.zero(3), u) == 0.0
-
-    def test_real_and_psd_nonnegative(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = int(rng.integers(1, 4))
-            q = int(rng.integers(1, n + 1))
-            f = random_hermitian(rng, n, psd=True)
-            u = random_form(rng, n, q)
-            val = hessian_action(f, u)
-            assert isinstance(val, float)
-            assert val >= -1e-10 * max(1.0, u.norm_sq())
-
-    def test_dimension_mismatch(self):
-        u = FormValue(2, 1, {(1,): 1.0})
-        with pytest.raises(ValueError):
-            hessian_action(HermitianField.zero(3), u)
-
-    def test_rejects_non_hermitian_matrix(self):
-        with pytest.raises(ValueError):
-            HermitianField(2, np.array([[1.0, 2.0], [3.0, 1.0]]), np.zeros(2))
+def random_points(rng, count, radius=1.0):
+    return radius * (rng.normal(size=count) + 1j * rng.normal(size=count))
 
 
 class TestTheta:
     def test_constant_tau_reduces_to_hessian(self):
+        # tau = 1 has no derivatives: theta is the Hessian lam_zzbar
         rng = np.random.default_rng(17)
+        tau = constant_field(1.0)
         for _ in range(25):
-            n = int(rng.integers(1, 4))
-            q = int(rng.integers(1, n + 1))
-            lam = random_hermitian(rng, n)
-            tau = HermitianField.constant(n, 1.0)
-            u = random_form(rng, n, q)
-            assert theta(lam, tau, u) == pytest.approx(
-                hessian_action(lam, u), rel=1e-12, abs=1e-12
-            )
+            scale = float(rng.normal())
+            z = random_points(rng, 8)
+            for lam in (abs2_field(scale), gaussian_decay_field(abs(scale))):
+                assert theta_factor(lam, tau, z) == pytest.approx(
+                    lam.zzbar(z), rel=1e-12, abs=1e-12
+                )
 
     def test_zero_form(self):
-        lam = HermitianField.zero(2)
-        tau = HermitianField.constant(2, 1.0)
-        u = FormValue(2, 1, {})
-        assert theta(lam, tau, u) == 0.0
+        rng = np.random.default_rng(19)
+        z = random_points(rng, 16)
+        u = np.zeros_like(z)
+        term = theta_factor(abs2_field(0.5), gaussian_decay_field(0.5), z) * np.abs(u) ** 2
+        assert np.all(term == 0.0)
 
     def test_nonpositive_tau_rejected(self):
-        lam = HermitianField.zero(1)
-        tau = HermitianField.constant(1, 0.0)
-        u = FormValue(1, 1, {(1,): 1.0})
+        z = np.array([0j, 1 + 1j])
         with pytest.raises(ValueError):
-            theta(lam, tau, u)
+            theta_factor(constant_field(0.0), constant_field(0.0), z)
+        with pytest.raises(ValueError):
+            theta_factor(constant_field(0.0), constant_field(-1.0), z)
 
     def test_gaussian_twist_lower_bound(self):
-        # lam = a*psi, tau = exp(-a*psi) with psi = |z|^2 on points |z| <= D:
-        # theta >= a exp(-a psi) 2 (1 - a D^2) * hessian_action(psi, u).
+        # lam = a|z|^2, tau = exp(-a|z|^2) on points |z| <= D:
+        # theta |u|^2 >= a exp(-a|z|^2) 2 (1 - a D^2) |u|^2
         rng = np.random.default_rng(23)
         D = 1.5
         alpha = 1.0 / (2 * D * D)
+        lam = abs2_field(alpha)
+        tau = gaussian_decay_field(alpha)
         for _ in range(200):
-            n = int(rng.integers(1, 4))
-            q = int(rng.integers(1, n + 1))
-            z = rng.normal(size=n) + 1j * rng.normal(size=n)
-            z *= D * rng.uniform(0, 1) / max(np.linalg.norm(z), 1e-9)
-            psi_val = float(np.sum(np.abs(z) ** 2))
-            psi = HermitianField(n, np.eye(n), z.conj(), psi_val)
-            t_val = float(np.exp(-alpha * psi_val))
-            lam = HermitianField(
-                n, alpha * np.eye(n), alpha * z.conj(), alpha * psi_val
-            )
-            tau_mat = t_val * (
-                -alpha * np.eye(n)
-                + alpha**2 * np.outer(z.conj(), z)
-            )
-            tau = HermitianField(n, tau_mat, -alpha * t_val * z.conj(), t_val)
-            u = random_form(rng, n, q)
-            lhs = theta(lam, tau, u)
-            rhs = (
-                alpha
-                * t_val
-                * 2
-                * (1 - alpha * D * D)
-                * hessian_action(psi, u)
-            )
-            assert lhs >= rhs - 1e-10 * max(1.0, abs(rhs))
-
-
-class TestSelfBoundMargin:
-    def test_zero_gradient(self):
-        rng = np.random.default_rng(29)
-        psi = HermitianField(2, np.eye(2), np.zeros(2))
-        u = random_form(rng, 2, 1)
-        assert self_bound_margin(psi, u, 2.0) == pytest.approx(
-            4.0 * hessian_action(psi, u)
-        )
-
-    def test_abs_squared_dimension_one(self):
-        # psi = |z|^2 in C: margin = (K^2 - |z|^2) |u|^2, sign flips at |z| = K
-        rng = np.random.default_rng(31)
-        K = 0.8
-        for _ in range(50):
             z = complex(rng.normal(), rng.normal())
-            psi = HermitianField(1, np.eye(1), [np.conj(z)], abs(z) ** 2)
-            u = random_form(rng, 1, 1)
-            margin = self_bound_margin(psi, u, K)
-            oracle = (K * K - abs(z) ** 2) * u.norm_sq()
-            assert margin == pytest.approx(oracle, rel=1e-12, abs=1e-12)
-            if u.norm_sq() > 1e-12:
-                assert (margin >= 0) == (abs(z) <= K)
-
-    def test_zero_form(self):
-        psi = HermitianField(1, np.eye(1), [1.0])
-        assert self_bound_margin(psi, FormValue(1, 1, {}), 1.0) == 0.0
-
-    def test_nonpositive_K_rejected(self):
-        psi = HermitianField(1, np.eye(1), [0.0])
-        with pytest.raises(ValueError):
-            self_bound_margin(psi, FormValue(1, 1, {(1,): 1.0}), 0.0)
-
-
-class TestGradientPairing:
-    def test_q1_matches_direct_sum(self):
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            n = int(rng.integers(1, 5))
-            f = random_hermitian(rng, n)
-            u = random_form(rng, n, 1)
-            direct = abs(
-                sum(f.gradient[j] * u.coeff((j + 1,)) for j in range(n))
-            ) ** 2
-            assert gradient_pairing_norm_sq(f, u) == pytest.approx(
-                direct, rel=1e-12, abs=1e-15
-            )
-
-    def test_purity(self):
-        rng = np.random.default_rng(41)
-        f = random_hermitian(rng, 2)
-        u = random_form(rng, 2, 2)
-        first = (hessian_action(f, u), gradient_pairing_norm_sq(f, u))
-        second = (hessian_action(f, u), gradient_pairing_norm_sq(f, u))
-        assert first == second
+            z *= D * rng.uniform(0, 1) / max(abs(z), 1e-9)
+            u = complex(rng.normal(), rng.normal())
+            t_val = float(np.exp(-alpha * abs(z) ** 2))
+            lhs = float(theta_factor(lam, tau, np.array([z]))[0]) * abs(u) ** 2
+            rhs = alpha * t_val * 2 * (1 - alpha * D * D) * abs(u) ** 2
+            assert lhs >= rhs - 1e-10 * max(1.0, abs(rhs))

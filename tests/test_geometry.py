@@ -27,6 +27,7 @@ from dbar_range.geometry import (
     contains,
     domain_from_dict,
     domain_to_dict,
+    exhaust,
     largest_disc_at,
     load_domain,
     plane,
@@ -357,6 +358,50 @@ class TestBuildLattice:
         dom = PlanarDomain(plane(), (-4, 4, -4, 4), 0.01)
         with pytest.raises(ConfigurationError):
             build_lattice(dom, M=1.0, delta=0.05)
+
+
+class TestExhaust:
+    def test_plane_window_single_component(self):
+        dom = PlanarDomain(plane(), (-4, 4, -4, 4), 0.05)
+        comps = exhaust(dom, 1)
+        assert len(comps) == 1
+        # component approximates D(0,1)
+        assert comps[0].member(0j)
+        assert not comps[0].member(2 + 0j)
+
+    def test_two_strips_merge_count(self):
+        dom = gallery([(-0.25, 0.25), (4.75, 5.25)], (-12, 12, -12, 12), 0.05,
+                      symmetry="none")
+        assert len(exhaust(dom, 1)) == 1
+        assert len(exhaust(dom, 10)) == 2
+
+    def test_nested_and_union(self):
+        # flood-fill oracle: grid sets are nested, and the union over j
+        # recovers the full rasterized domain
+        dom = PlanarDomain(
+            Union((Disc(-2, 0, 0.8), Disc(2, 0, 0.8))), (-4, 4, -4, 4), 0.05
+        )
+        r = dom.raster()
+        X, Y = np.meshgrid(r.xs, r.ys)
+        prev = np.zeros_like(r.inside)
+        counts = []
+        for j in range(1, 7):
+            comps = exhaust(dom, j)
+            mask = np.zeros_like(r.inside)
+            for c in comps:
+                mask |= np.asarray(c.tree.member(X, Y))
+            assert (prev & ~mask).sum() == 0  # nested
+            counts.append(len(comps))
+            prev = mask
+        assert (prev == r.inside).all()  # union recovers the raster
+        assert counts[0] == 0 or counts[0] <= max(counts)
+
+    def test_component_count_until_merge(self):
+        dom = gallery([(-0.25, 0.25), (4.75, 5.25)], (-12, 12, -12, 12), 0.05,
+                      symmetry="none")
+        counts = [len(exhaust(dom, j)) for j in range(1, 12)]
+        # counts rise from 1 to 2 when the second strip enters, never shrink
+        assert counts == sorted(counts)
 
 
 class TestJsonRoundTrip:

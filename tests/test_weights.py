@@ -81,6 +81,10 @@ def single_witness_set():
     )
 
 
+def far_rect_domain():
+    return PlanarDomain(Rect(9.0, 11.0, -1.0, 1.0), (8, 12, -2, 2), 0.05)
+
+
 class TestSeriesWeight:
     def test_single_witness_closed_form(self):
         phi = PointSeriesWeight(single_witness_set().witnesses)
@@ -100,15 +104,20 @@ class TestSeriesWeight:
         assert lap / 4.0 == pytest.approx(4.0 * abs(z) ** -6, rel=1e-6)
         assert zzbar <= lap / 4.0 * (1 + 1e-6)
 
-    def test_uncovered_domain_errors(self):
-        # a witness set far from the domain, and an empty one, cover no node
-        dom = PlanarDomain(Rect(9.0, 11.0, -1.0, 1.0), (8, 12, -2, 2), 0.05)
+    def test_empty_witness_set_errors(self):
+        # an empty witness set covers no node of the domain
         empty = LatticeWitnessSet(
             1.0, 0.1, np.array([], dtype=complex), np.array([], dtype=complex)
         )
-        for lat in (single_witness_set(), empty):
-            with pytest.raises(LatticeVerificationError):
-                series_weight_grid_stats(series_weight(lat), dom)
+        with pytest.raises(LatticeVerificationError):
+            series_weight_grid_stats(series_weight(empty), far_rect_domain())
+
+    def test_uncovered_point_errors(self):
+        # a witness set near 0 leaves the nodes of a domain near 10 uncovered
+        with pytest.raises(LatticeVerificationError):
+            series_weight_grid_stats(
+                series_weight(single_witness_set()), far_rect_domain()
+            )
 
     def test_tail_contract(self):
         # enlarging the truncation moves phi by at most the previous tail;
