@@ -10,7 +10,11 @@ DBAR_RANGE_THREADS caps the linear-algebra thread pools (default 1 so that
 identical configs reproduce byte-identical reports); when set it overrides
 inherited OMP/OPENBLAS/MKL_NUM_THREADS values.  It must be honored
 before the numeric stack loads, which is why the heavy imports live inside
-the command handlers.
+the command handlers.  It only takes effect if numpy is not loaded yet:
+`main` called in a process that already imported numpy runs with that
+process's pools, and with more than one thread some reductions (the
+scaling scenario's quadrature norms) round differently, so the report
+bytes can differ from those of `python -m dbar_range.cli`.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from functools import reduce
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "DomainSpecError",
@@ -36,7 +35,6 @@ __all__ = [
     "HalfPlane",
     "Rect",
     "Strip",
-    "GridRegion",
     "Union",
     "Intersection",
     "Complement",
@@ -49,7 +47,6 @@ __all__ = [
     "clearance",
     "condition_x",
     "build_lattice",
-    "exhaust",
     "domain_to_dict",
     "domain_from_dict",
     "load_domain",
@@ -182,32 +179,6 @@ class Strip:
 
 
 @dataclass(frozen=True, eq=False)
-class GridRegion:
-    """Frozen raster mask; membership snaps to the nearest grid node.
-
-    Produced by `exhaust` for single connected components.  Exact at grid
-    nodes by construction; piecewise constant between them.  Not part of
-    the JSON schema.
-    """
-
-    x0: float
-    y0: float
-    h: float
-    mask: np.ndarray
-
-    def member(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        ix = np.rint((x - self.x0) / self.h).astype(int)
-        iy = np.rint((y - self.y0) / self.h).astype(int)
-        ok = (ix >= 0) & (ix < self.mask.shape[1]) & (iy >= 0) & (iy < self.mask.shape[0])
-        out = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-        sel = np.broadcast_arrays(ix, iy, ok)
-        out[sel[2]] = self.mask[sel[1][sel[2]], sel[0][sel[2]]]
-        return out if out.shape else bool(out)
-
-
-@dataclass(frozen=True, eq=False)
 class Union:
     children: tuple
 
@@ -249,23 +220,10 @@ class Raster:
     """Grid of membership values plus cached distance fields."""
 
     def __init__(self, domain: "PlanarDomain", h: float):
-        x0, x1, y0, y1 = domain.window
         self.h = float(h)
-        nx = int(math.floor((x1 - x0) / h + 1e-9)) + 1
-        ny = int(math.floor((y1 - y0) / h + 1e-9)) + 1
-        self.xs = x0 + h * np.arange(nx)
-        self.ys = y0 + h * np.arange(ny)
-        for strip in _collect_strips(domain.tree):
-            for eta in (strip.eta_lo, strip.eta_hi):
-                if not eta.covers(x0, x1):
-                    raise DomainSpecError(
-                        "strip eta samples do not cover the window x-range "
-                        f"[{x0}, {x1}]"
-                    )
-            lo = strip.eta_lo(self.xs)
-            hi = strip.eta_hi(self.xs)
-            if np.any(lo >= hi):
-                raise DomainSpecError("strip requires eta_lo(x) < eta_hi(x) on the window")
+        self.xs = domain.columns(h)
+        self.ys = _grid_axis(domain.window[2], domain.window[3], h)
+        ny, nx = len(self.ys), len(self.xs)
         # one row of x against one column of y: a primitive that depends on
         # x alone (a graph strip's eta) is evaluated once per column
         member = domain.tree.member(self.xs[None, :], self.ys[:, None])
@@ -284,11 +242,18 @@ class Raster:
 
     def _transform_to_inside(self):
         # one EDT gives both fields: its distances are computed from the
-        # feature transform, so they do not depend on return_indices
+        # feature transform, so they do not depend on return_indices; with
+        # every node inside both are trivial and scipy is never loaded
         if self._dist_in is None:
-            self._dist_in, self._in_indices = ndimage.distance_transform_edt(
-                ~self.inside, sampling=self.h, return_indices=True
-            )
+            if self.inside.all():
+                self._dist_in = np.zeros(self.inside.shape)
+                self._in_indices = np.indices(self.inside.shape, dtype=np.int32)
+            else:
+                from scipy import ndimage
+
+                self._dist_in, self._in_indices = ndimage.distance_transform_edt(
+                    ~self.inside, sampling=self.h, return_indices=True
+                )
 
     def dist_to_domain(self) -> np.ndarray:
         """Distance from each node to the nearest inside node (0 on inside)."""
@@ -303,6 +268,8 @@ class Raster:
             if self.inside.all():
                 self._dist_out = np.full(self.inside.shape, np.inf)
             else:
+                from scipy import ndimage
+
                 self._dist_out = ndimage.distance_transform_edt(
                     self.inside, sampling=self.h
                 )
@@ -314,6 +281,13 @@ class Raster:
             raise ConfigurationError("domain has no rasterized nodes")
         self._transform_to_inside()
         return self._in_indices
+
+
+def _grid_axis(lo: float, hi: float, h: float) -> np.ndarray:
+    """Node coordinates lo, lo + h, ... up to hi (a step short by under
+    1e-9 h still counts)."""
+    n = int(math.floor((hi - lo) / h + 1e-9)) + 1
+    return lo + h * np.arange(n)
 
 
 def _collect_strips(tree):
@@ -358,6 +332,25 @@ class PlanarDomain:
     def member(self, z: complex) -> bool:
         """Exact CSG membership, no window check."""
         return bool(self.tree.member(np.asarray(z.real), np.asarray(z.imag)))
+
+    def columns(self, h: Optional[float] = None) -> np.ndarray:
+        """x coordinates of the raster columns at mesh h (default the
+        domain's mesh), after checking that every strip's eta is defined
+        across the window and keeps eta_lo < eta_hi there.  Gives a
+        strip's eta on the raster columns without building the raster."""
+        h = self.mesh if h is None else h
+        x0, x1 = self.window[:2]
+        xs = _grid_axis(x0, x1, h)
+        for strip in _collect_strips(self.tree):
+            for eta in (strip.eta_lo, strip.eta_hi):
+                if not eta.covers(x0, x1):
+                    raise DomainSpecError(
+                        "strip eta samples do not cover the window x-range "
+                        f"[{x0}, {x1}]"
+                    )
+            if np.any(strip.eta_lo(xs) >= strip.eta_hi(xs)):
+                raise DomainSpecError("strip requires eta_lo(x) < eta_hi(x) on the window")
+        return xs
 
     def raster(self, h: Optional[float] = None) -> Raster:
         h = self.mesh if h is None else float(h)
@@ -501,6 +494,8 @@ def condition_x(
     dist_in = r.dist_to_domain()
     admissible = (~inside) & (dist_in > delta)
     if admissible.any():
+        from scipy import ndimage
+
         dist_adm, adm_idx = ndimage.distance_transform_edt(
             ~admissible, sampling=r.h, return_indices=True
         )
@@ -690,34 +685,6 @@ def build_lattice(
         )
 
     return LatticeWitnessSet(M, delta, points_arr, witnesses_arr)
-
-
-# ---------------------------------------------------------------------------
-# Exhaustion by grid components
-# ---------------------------------------------------------------------------
-
-
-def exhaust(dom: PlanarDomain, j: int, h: Optional[float] = None) -> list[PlanarDomain]:
-    """Connected grid components of the domain clipped to |z| < j.
-
-    Flood fill with 4-connectivity; components are returned in scan order.
-    The clipping balls |z| < j replace the smooth sublevel exhaustion of
-    pseudoconvex theory: nested as grid sets, with union the rasterized
-    domain once j passes the window radius.
-    """
-    if j < 1:
-        raise ValueError(f"exhaustion index must be >= 1, got {j}")
-    r = dom.raster(h)
-    X, Y = np.meshgrid(r.xs, r.ys)
-    mask = r.inside & (X**2 + Y**2 < float(j) ** 2)
-    labels, ncomp = ndimage.label(mask)
-    out = []
-    for c in range(1, ncomp + 1):
-        comp = labels == c
-        region = GridRegion(float(r.xs[0]), float(r.ys[0]), r.h, comp)
-        tree = Intersection((dom.tree, Disc(0.0, 0.0, float(j)), region))
-        out.append(PlanarDomain(tree, dom.window, r.h, dom.symmetry))
-    return out
 
 
 # ---------------------------------------------------------------------------

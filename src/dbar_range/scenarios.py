@@ -367,7 +367,7 @@ def gallery_domain(
         lo_funcs.append(lo)
         hi_funcs.append(hi)
     dom = PlanarDomain(Union(tuple(strips)), window, mesh, symmetry)
-    xs = dom.raster().xs
+    xs = dom.columns()
     spacing = max(b - a for a, b in zip(c, c[1:]))
     min_gap = math.inf
     lo_margin = math.inf
@@ -634,8 +634,8 @@ def _as_given(value):
     return value
 
 
-# kind -> (scenario function, {param: converter}); params not listed are
-# ignored, and every listed one is converted before the call
+# kind -> (scenario function, {param: converter}); a spec param not listed
+# is an error, and every listed one is converted before the call
 _SCENARIOS = {
     "scaling": (scaling_scenario, {"j_values": _ints, "center": _complex_pair}),
     "tube": (tube_scenario, {"m": int, "mc_samples": int, "j_values": _ints}),
@@ -675,8 +675,8 @@ def _convert(what: str, convert, value):
 
 def run_scenario(spec: dict) -> dict:
     """Execute a scenario spec {scenario, params, mesh, seed}; deterministic
-    given the spec.  A param, seed or mesh that does not convert raises
-    ScenarioError naming its key."""
+    given the spec.  A param the scenario does not take, or a param, seed
+    or mesh that does not convert, raises ScenarioError naming its key."""
     if not isinstance(spec, dict) or "scenario" not in spec:
         raise ScenarioError("scenario spec needs a 'scenario' key")
     kind = spec["scenario"]
@@ -691,6 +691,13 @@ def run_scenario(spec: dict) -> dict:
             raise ScenarioError(f"unknown gallery preset {params['preset']!r}")
         params = {**uniform_gallery_params(), **params}
 
+    known = set(converters) | ({"preset"} if kind == "gallery" else set())
+    unknown = sorted(set(params) - known)
+    if unknown:
+        raise ScenarioError(
+            f"scenario param {unknown[0]!r}: {kind} takes no such parameter "
+            f"(it takes {', '.join(sorted(known))})"
+        )
     kw = {"seed": _convert("'seed'", int, spec.get("seed", 0))}
     if spec.get("mesh") is not None:
         kw["mesh"] = _convert("'mesh'", float, spec["mesh"])

@@ -103,15 +103,106 @@ class SeriesGridStats:
     nodes: int
 
 
+# ~1e6 pairwise distances per block bounds the temporaries at ~40 MB
+_BLOCK = 1_000_000
+
+
 def _phi_many(ws: np.ndarray, zs: np.ndarray, power: float, scale: float) -> np.ndarray:
     out = np.zeros(zs.shape, dtype=float)
-    # ~1e6 pairwise distances per block bounds the temporaries at ~40 MB;
     # each row sum is independent of the block size
-    chunk = max(1, 1_000_000 // max(len(ws), 1))
+    chunk = max(1, _BLOCK // max(len(ws), 1))
     for i in range(0, len(zs), chunk):
         d = np.abs(zs[i : i + chunk, None] - ws[None, :])
         out[i : i + chunk] = scale * np.sum(d**power, axis=1)
     return out
+
+
+# _grid_extreme bounds phi on square tiles of _TILE x _TILE raster nodes
+_TILE = 16
+# relative slack on tile-to-witness distances: ~1e7 times the float
+# rounding of a distance, a power and a sum of terms
+_BOUND_SLACK = 1e-9
+# tiles evaluated first, in the order of their bounds, for a first value
+_SEED_TILES = 4
+
+
+def _tile_bounds(ws, xlo, xhi, ylo, yhi, power, scale, largest):
+    """Per tile box, an upper (largest) or lower bound of
+    scale * sum |z - w|^power over the nodes z of the box, power < 0:
+    each term at the box's nearest (largest) or farthest point from w."""
+    out = np.empty(len(xlo))
+    chunk = max(1, _BLOCK // max(len(ws), 1))
+    wx, wy = ws.real[None, :], ws.imag[None, :]
+    for i in range(0, len(xlo), chunk):
+        sl = slice(i, i + chunk)
+        bx0, bx1 = xlo[sl, None] - wx, xhi[sl, None] - wx
+        by0, by1 = ylo[sl, None] - wy, yhi[sl, None] - wy
+        if largest:
+            dx = np.maximum(np.maximum(bx0, -bx1), 0.0)
+            dy = np.maximum(np.maximum(by0, -by1), 0.0)
+            d = np.hypot(dx, dy) * (1.0 - _BOUND_SLACK)
+        else:
+            dx = np.maximum(np.abs(bx0), np.abs(bx1))
+            dy = np.maximum(np.abs(by0), np.abs(by1))
+            d = np.hypot(dx, dy) * (1.0 + _BOUND_SLACK)
+        with np.errstate(divide="ignore", over="ignore"):
+            out[sl] = scale * np.sum(d**power, axis=1)
+    return out
+
+
+def _grid_extreme(ws, raster, iy, ix, power, scale, largest) -> float:
+    """np.max (largest) or np.min of _phi_many(ws, zs, power, scale) over
+    the nodes zs = raster.xs[ix] + 1j raster.ys[iy], for power < 0, with
+    phi evaluated only on the tiles where the extreme can lie.
+
+    The nodes are grouped into _TILE x _TILE raster tiles.  A tile's bound
+    takes each term at the distance from its witness to the nearest (for a
+    max) or farthest (for a min) point of the box around the tile's nodes,
+    shrunk or grown by the relative _BOUND_SLACK, so no node of the tile
+    can reach or pass the bound even after float rounding.  phi is evaluated on the _SEED_TILES best-bounded
+    tiles, then once more on every other tile whose bound reaches that
+    value; the rest cannot hold the extreme.  A _phi_many row sum does not
+    depend on the other rows of its call, so the result is the full-grid
+    extreme bit for bit.  Raises ValueError when there are no nodes.
+    """
+    ny, nx = len(raster.ys), len(raster.xs)
+    ntx, nty = -(-nx // _TILE), -(-ny // _TILE)
+    tid = (iy // _TILE) * ntx + ix // _TILE
+    # the box of each tile's own nodes: its first and last occupied row
+    # and column, so a tile that meets the domain in a corner is bounded
+    # by that corner alone
+    sel = np.zeros((nty * _TILE, ntx * _TILE), dtype=bool)
+    sel[iy, ix] = True
+    blocks = sel.reshape(nty, _TILE, ntx, _TILE)
+    tiles = np.flatnonzero(blocks.any(axis=(1, 3)))
+    ty, tx = tiles // ntx, tiles % ntx
+    rows = blocks.any(axis=3)[ty, :, tx]
+    cols = blocks.any(axis=1)[ty, tx, :]
+    y0 = ty * _TILE + np.argmax(rows, axis=1)
+    y1 = ty * _TILE + _TILE - 1 - np.argmax(rows[:, ::-1], axis=1)
+    x0 = tx * _TILE + np.argmax(cols, axis=1)
+    x1 = tx * _TILE + _TILE - 1 - np.argmax(cols[:, ::-1], axis=1)
+    bound = _tile_bounds(
+        ws, raster.xs[x0], raster.xs[x1], raster.ys[y0], raster.ys[y1],
+        power, scale, largest,
+    )
+    order = np.argsort(-bound if largest else bound, kind="stable")
+    pick = np.zeros(ntx * nty, dtype=bool)
+    extreme = np.max if largest else np.min
+
+    def evaluate(which):
+        pick[:] = False
+        pick[tiles[which]] = True
+        keep = pick[tid]
+        zs = raster.xs[ix[keep]] + 1j * raster.ys[iy[keep]]
+        return extreme(_phi_many(ws, zs, power, scale))
+
+    best = evaluate(order[:_SEED_TILES])
+    rest = order[_SEED_TILES:]
+    live = rest[bound[rest] >= best] if largest else rest[bound[rest] <= best]
+    if len(live):
+        best = extreme([best, evaluate(live)])
+    return float(best)
 
 
 def series_weight_grid_stats(
@@ -120,26 +211,43 @@ def series_weight_grid_stats(
     h: Optional[float] = None,
 ) -> SeriesGridStats:
     """Scan the rasterized domain: max of phi + tail against A and min of
-    the per-term Hessian lower bound against B, one phi evaluation per
-    inside node."""
+    the per-term Hessian lower bound against B.
+
+    Every inside node must lie within M of a lattice point; its covering
+    point is the nearest one (the first in point order on a tie), and the
+    Hessian bound is 4 |z - w*|^-6 for that point's witness w*.  Each
+    point is tested only against the nodes of its 2M square, widened by a
+    node, since no other node can lie within M of it.  The max of phi is
+    `_grid_extreme`'s: phi is summed only on the raster tiles whose bound
+    from the tile-to-witness distances can reach the largest value, which
+    is exactly the max over all inside nodes.
+    """
     r = dom.raster(h)
     iy, ix = np.nonzero(r.inside)
     zs = r.xs[ix] + 1j * r.ys[iy]
     if len(zs) == 0:
         raise ValueError("domain has no rasterized nodes")
     ws = w.witnesses.witnesses
-    phi = _phi_many(ws, zs, -4.0, 1.0)
-
-    # per-node covering witness lower bound: nearest lattice point within M
     pts = w.witnesses.points
     M = w.witnesses.M
-    best = np.full(len(zs), np.inf)
-    cover = np.full(len(zs), -1, dtype=int)
+
+    # per-node covering witness lower bound: nearest lattice point within M
+    best = np.full(r.inside.shape, np.inf)
+    cover = np.full(r.inside.shape, -1, dtype=np.int32)
+    x0, y0, nx, ny = r.xs[0], r.ys[0], len(r.xs), len(r.ys)
     for j, p in enumerate(pts):
-        d = np.abs(zs - p)
-        better = (d < M) & (d < best)
-        best[better] = d[better]
-        cover[better] = j
+        a = max(0, math.floor((p.real - M - x0) / r.h))
+        b = min(nx, math.ceil((p.real + M - x0) / r.h) + 1)
+        c = max(0, math.floor((p.imag - M - y0) / r.h))
+        e = min(ny, math.ceil((p.imag + M - y0) / r.h) + 1)
+        if a >= b or c >= e:
+            continue
+        d = np.abs(r.xs[None, a:b] + 1j * r.ys[c:e, None] - p)
+        sub_best = best[c:e, a:b]
+        better = (d < M) & (d < sub_best)
+        sub_best[better] = d[better]
+        cover[c:e, a:b][better] = j
+    cover = cover[iy, ix]
     if np.any(cover < 0):
         bad = zs[int(np.argmax(cover < 0))]
         raise LatticeVerificationError(
@@ -147,7 +255,7 @@ def series_weight_grid_stats(
         )
     zzbar_lower = 4.0 * np.abs(zs - ws[cover]) ** -6.0
     return SeriesGridStats(
-        grid_max_phi=float(np.max(phi)) + w.tail_bound,
+        grid_max_phi=_grid_extreme(ws, r, iy, ix, -4.0, 1.0, True) + w.tail_bound,
         grid_min_zzbar=float(np.min(zzbar_lower)),
         nodes=len(zs),
     )
@@ -388,8 +496,12 @@ def certify_composite(
 
     b is the grid minimum of the lattice part's Hessian on |Re z| <= chi.hi;
     all regional bounds are re-measured on the grid rather than assumed.
-    When K is omitted a doubling search starts at K = 1 and gives up past
-    2^64 (reported as an uncertified outcome).
+    b and the grid max of phi_lattice (for A) come from `_grid_extreme`:
+    each sum is evaluated only on the raster tiles whose bound, from the
+    tile box's farthest (for b) or nearest (for the max) distance to each
+    witness, can reach the extreme, which is the full-grid min or max bit
+    for bit.  When K is omitted a doubling search starts at K = 1 and
+    gives up past 2^64 (reported as an uncertified outcome).
     """
     r = dom.raster(h)
     iy, ix = np.nonzero(r.inside)
@@ -399,9 +511,12 @@ def certify_composite(
     trans = (ax > chi.lo) & (ax < chi.hi)
     outer = ax >= chi.hi
 
-    zz_lat = phi_lattice.zzbar(zs)
+    ws = phi_lattice.witnesses
     central = ax <= chi.hi
-    b = float(np.min(zz_lat[central])) if central.any() else 0.0
+    b = 0.0
+    if central.any():
+        b = _grid_extreme(ws, r, iy[central], ix[central], -6.0, 4.0, False)
+    lattice_max = _grid_extreme(ws, r, iy, ix, -4.0, 1.0, True)
     # strip Hessian and gradient re-measured where the certificate relies
     # on them: on the composite domain the transition and outer regions lie
     # inside the strips, where the weight is exactly quadratic, so these
@@ -429,7 +544,7 @@ def certify_composite(
         return min(parts) if parts else 0.0
 
     def a_for(Kv: float) -> float:
-        return phi_strip.sup_value + Kv * float(np.max(phi_lattice.value(zs)))
+        return phi_strip.sup_value + Kv * lattice_max
 
     if K is not None:
         B_prime = bound_for(K)

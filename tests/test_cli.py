@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -76,9 +77,9 @@ def test_every_shipped_scenario_runs_and_replays(spec, tmp_path):
     assert report["checks"] and all(c["passed"] is True for c in report["checks"])
 
 
-def certify_sha256(tmp_path, domain, expect_code):
+def certify_sha256(tmp_path, domain, expect_code, *extra):
     argv = ["certify", "--domain", str(ROOT / "domains" / domain),
-            "--M", "2", "--delta", "0.1", "--out", str(tmp_path)]
+            "--M", "2", "--delta", "0.1", "--out", str(tmp_path), *extra]
     assert cli.main(argv) == expect_code
     return sha256((tmp_path / "certify_report.json").read_bytes())
 
@@ -86,6 +87,13 @@ def certify_sha256(tmp_path, domain, expect_code):
 def test_certify_gallery_report_bytes_pinned(tmp_path):
     assert certify_sha256(tmp_path, "uniform_gallery.json", 0) == (
         "0ac943fbd0e0790052311f415670095fdb0475da17b47adc276b76779bc55e4a"
+    )
+
+
+def test_certify_gallery_fine_mesh_report_bytes_pinned(tmp_path):
+    # at h=0.01 the weight scan evaluates phi on the fewest tiles
+    assert certify_sha256(tmp_path, "uniform_gallery.json", 0, "--mesh", "0.01") == (
+        "dbf23b561c1b35136ca8926eec6c5552994e42584f51ab773f1764726a6155ff"
     )
 
 
@@ -190,8 +198,9 @@ def test_unknown_gallery_preset_exits_1(tmp_path, capsys):
         ({"scenario": "gallery", "params": {"preset": "uniform", "window": 3}},
          "param 'window'"),
         ({"scenario": "scaling", "params": 5}, "'params'"),
+        ({"scenario": "scaling", "params": {"j_vals": [1, 2]}}, "param 'j_vals'"),
     ],
-    ids=["tube_m_null", "seed_null", "gallery_window_int", "params_int"],
+    ids=["tube_m_null", "seed_null", "gallery_window_int", "params_int", "unknown_param"],
 )
 def test_malformed_scenario_spec_exits_1_naming_the_key(spec, key, tmp_path, capsys):
     path = tmp_path / "spec.json"
@@ -203,12 +212,14 @@ def test_malformed_scenario_spec_exits_1_naming_the_key(spec, key, tmp_path, cap
 
 def test_certify_modules_leave_spline_interpolation_unimported(tmp_path):
     # a certify run needs neither spline interpolation nor the discrete
-    # operator and its sparse solvers
+    # operator and its sparse solvers; on the whole plane no distance
+    # transform is taken either
     code = (
         "import sys, dbar_range.cli, dbar_range.geometry, dbar_range.weights\n"
         "code = dbar_range.cli.main(['certify', '--domain', sys.argv[1], '--M', '2',"
         " '--delta', '0.1', '--out', sys.argv[2]])\n"
-        "unused = {'scipy.interpolate', 'dbar_range.discrete', 'scipy.sparse.linalg'}\n"
+        "unused = {'scipy.interpolate', 'dbar_range.discrete', 'scipy.sparse.linalg',"
+        " 'scipy.ndimage'}\n"
         "print(code, sorted(unused & set(sys.modules)))"
     )
     out = subprocess.run(
@@ -216,6 +227,39 @@ def test_certify_modules_leave_spline_interpolation_unimported(tmp_path):
         capture_output=True, text=True, check=True, env={"PYTHONPATH": str(ROOT / "src")},
     )
     assert out.stdout.splitlines()[-1] == "2 []"
+
+
+def test_scaling_and_tube_scenarios_leave_ndimage_unimported(tmp_path):
+    # neither scenario has a raster with a node outside the domain, so
+    # neither takes a distance transform
+    code = (
+        "import sys, dbar_range.cli\n"
+        "codes = [dbar_range.cli.main(['scenario', '--spec', spec, '--out', sys.argv[1]])"
+        " for spec in sys.argv[2:]]\n"
+        "print(codes, 'scipy.ndimage' in sys.modules)"
+    )
+    specs = [str(ROOT / "scenarios" / f) for f in ("scaling.json", "tube_m3.json")]
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), *specs],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout.splitlines()[-1] == "[0, 0] False"
+
+
+def test_every_traced_layer_resolves():
+    # bench/spans.py wraps these functions by name; a rename in the package
+    # must update the tracer in the same change
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LAYERS
+    for module, attr, name, _ in spans.LAYERS:
+        assert module.startswith("dbar_range."), name
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"{name}: {module}.{attr} does not resolve"
+            obj = getattr(obj, part)
+        assert callable(obj), name
 
 
 def test_every_module_is_reached_from_the_cli():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from dbar_range.geometry import (
     ConfigurationError,
     Disc,
     DomainSpecError,
+    EtaFunc,
     HalfPlane,
     Intersection,
     PlanarDomain,
@@ -27,7 +29,6 @@ from dbar_range.geometry import (
     contains,
     domain_from_dict,
     domain_to_dict,
-    exhaust,
     largest_disc_at,
     load_domain,
     plane,
@@ -168,6 +169,23 @@ class TestRasterFields:
         r = load_domain(path).raster()  # the other call order
         assert np.array_equal(r.nearest_inside_indices(), idx)
         assert np.array_equal(r.dist_to_domain(), dist)
+
+    @pytest.mark.parametrize("path", DOMAINS, ids=[p.stem for p in DOMAINS])
+    def test_columns_are_the_raster_xs(self, path):
+        dom = load_domain(path)
+        assert np.array_equal(dom.columns(), dom.raster().xs)
+        assert np.array_equal(dom.columns(0.013), dom.raster(0.013).xs)
+
+    def test_columns_check_strips_as_the_raster_does(self, monkeypatch):
+        dom = omega_s_domain(monkeypatch, mesh=0.03)
+        assert np.array_equal(dom.columns(), dom.raster().xs)
+        short = Strip(EtaFunc({"x": [-1.0, 1.0], "y": [0.0, 0.0]}), EtaFunc({"const": 1.0}))
+        crossed = Strip(EtaFunc({"const": 1.0}), EtaFunc({"const": 0.0}))
+        for strip, msg in ((short, "do not cover"), (crossed, "eta_lo(x) < eta_hi(x)")):
+            dom = PlanarDomain(Union((Disc(0, 0, 1.0), strip)), (-2, 2, -2, 2), 0.05)
+            for build in (dom.columns, dom.raster):
+                with pytest.raises(DomainSpecError, match=re.escape(msg)):
+                    build()
 
 
 class TestLargestDisc:
@@ -358,50 +376,6 @@ class TestBuildLattice:
         dom = PlanarDomain(plane(), (-4, 4, -4, 4), 0.01)
         with pytest.raises(ConfigurationError):
             build_lattice(dom, M=1.0, delta=0.05)
-
-
-class TestExhaust:
-    def test_plane_window_single_component(self):
-        dom = PlanarDomain(plane(), (-4, 4, -4, 4), 0.05)
-        comps = exhaust(dom, 1)
-        assert len(comps) == 1
-        # component approximates D(0,1)
-        assert comps[0].member(0j)
-        assert not comps[0].member(2 + 0j)
-
-    def test_two_strips_merge_count(self):
-        dom = gallery([(-0.25, 0.25), (4.75, 5.25)], (-12, 12, -12, 12), 0.05,
-                      symmetry="none")
-        assert len(exhaust(dom, 1)) == 1
-        assert len(exhaust(dom, 10)) == 2
-
-    def test_nested_and_union(self):
-        # flood-fill oracle: grid sets are nested, and the union over j
-        # recovers the full rasterized domain
-        dom = PlanarDomain(
-            Union((Disc(-2, 0, 0.8), Disc(2, 0, 0.8))), (-4, 4, -4, 4), 0.05
-        )
-        r = dom.raster()
-        X, Y = np.meshgrid(r.xs, r.ys)
-        prev = np.zeros_like(r.inside)
-        counts = []
-        for j in range(1, 7):
-            comps = exhaust(dom, j)
-            mask = np.zeros_like(r.inside)
-            for c in comps:
-                mask |= np.asarray(c.tree.member(X, Y))
-            assert (prev & ~mask).sum() == 0  # nested
-            counts.append(len(comps))
-            prev = mask
-        assert (prev == r.inside).all()  # union recovers the raster
-        assert counts[0] == 0 or counts[0] <= max(counts)
-
-    def test_component_count_until_merge(self):
-        dom = gallery([(-0.25, 0.25), (4.75, 5.25)], (-12, 12, -12, 12), 0.05,
-                      symmetry="none")
-        counts = [len(exhaust(dom, j)) for j in range(1, 12)]
-        # counts rise from 1 to 2 when the second strip enters, never shrink
-        assert counts == sorted(counts)
 
 
 class TestJsonRoundTrip:

@@ -1,10 +1,19 @@
 import math
+from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from dbar_range import weights
 from dbar_range.geometry import (
+    Complement,
+    Disc,
+    HalfPlane,
+    Intersection,
     LatticeVerificationError,
     LatticeWitnessSet,
     PlanarDomain,
@@ -12,6 +21,7 @@ from dbar_range.geometry import (
     Strip,
     Union,
     build_lattice,
+    load_domain,
 )
 from dbar_range.weights import (
     CompositeCertification,
@@ -27,6 +37,8 @@ from dbar_range.weights import (
     strip_weight,
     weight_constants,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def series_A_oracle(M, delta):
@@ -119,6 +131,47 @@ class TestSeriesWeight:
                 series_weight(single_witness_set()), far_rect_domain()
             )
 
+    def test_cover_matches_scan_over_all_nodes(self):
+        # reference: test every point against every node in point order,
+        # keeping the first of equally near points; the points here are off
+        # the lattice, repeated and on nodes, so ties and borders occur
+        dom = PlanarDomain(Rect(-1.9, 1.7, -1.3, 1.1), (-2, 2, -1.5, 1.5), 0.05)
+        r = dom.raster()
+        rng = np.random.default_rng(7)
+        gx, gy = np.meshgrid(np.arange(-2.087, 2.1, 0.5), np.arange(-1.513, 1.6, 0.5))
+        grid = (gx + 1j * gy).ravel()
+        free = rng.uniform(-2, 2, 30) + 1j * rng.uniform(-1.5, 1.5, 30)
+        on_nodes = r.xs[[3, 40, 40]] + 1j * r.ys[[5, 20, 20]]
+        pts = np.concatenate([grid, free, on_nodes, free[:5], grid[::3]])
+        self.check_cover(dom, pts, 0.6)
+        # rows of points 1.38 apart: a node between two of them is covered
+        # only by points at nearly M = 0.7 to its left or right
+        gx, gy = np.meshgrid(-2.3 + 1.38 * np.arange(4), -1.5 + 0.2 * np.arange(16))
+        self.check_cover(dom, (gx + 1j * gy).ravel(), 0.7)
+
+    @staticmethod
+    def check_cover(dom, pts, M):
+        r = dom.raster()
+        iy, ix = np.nonzero(r.inside)
+        zs = r.xs[ix] + 1j * r.ys[iy]
+        best = np.full(len(zs), np.inf)
+        cover = np.full(len(zs), -1)
+        for j, p in enumerate(pts):
+            d = np.abs(zs - p)
+            better = (d < M) & (d < best)
+            best[better] = d[better]
+            cover[better] = j
+        assert np.all(cover >= 0)
+        # moving one point's witness far away makes the Hessian minimum
+        # that of the nodes this point covers, so each run checks one
+        # point's share of the cover
+        for j in range(len(pts)):
+            ws = pts + 10.0
+            ws[j] += 1000.0
+            want = float(np.min(4.0 * np.abs(zs - ws[cover]) ** -6.0))
+            lat = LatticeWitnessSet(M, 0.1, pts, ws)
+            assert series_weight_grid_stats(series_weight(lat), dom).grid_min_zzbar == want
+
     def test_tail_contract(self):
         # enlarging the truncation moves phi by at most the previous tail;
         # phi_gamma sums |z - w*|^-4 over the witnesses within gamma
@@ -184,6 +237,164 @@ class TestSeriesWeight:
         assert rep["kind"] == "bounded"
         assert rep["grid_min_zzbar"] >= rep["B"]
         assert rep["grid_max_phi"] <= rep["A"]
+
+
+# (power, scale) of the series weight and of its zzbar
+SUMS = [(-4.0, 1.0), (-6.0, 4.0)]
+
+
+def full_extreme(ws, r, iy, ix, power, scale, largest):
+    vals = weights._phi_many(ws, r.xs[ix] + 1j * r.ys[iy], power, scale)
+    return float(np.max(vals) if largest else np.min(vals))
+
+
+@st.composite
+def primitives(draw):
+    c = st.floats(-2.5, 2.5)
+    kind = draw(st.sampled_from(["disc", "rect", "halfplane"]))
+    if kind == "disc":
+        return Disc(draw(c), draw(c), draw(st.floats(0.2, 2.5)))
+    if kind == "rect":
+        x0, y0 = draw(c), draw(c)
+        return Rect(x0, x0 + draw(st.floats(0.2, 4.0)), y0, y0 + draw(st.floats(0.2, 4.0)))
+    theta = draw(st.floats(0.0, 2 * math.pi))
+    return HalfPlane(complex(math.cos(theta), math.sin(theta)), complex(draw(c), 0.0))
+
+
+@st.composite
+def csg_trees(draw, depth=2):
+    if depth == 0 or draw(st.booleans()):
+        return draw(primitives())
+    op = draw(st.sampled_from([Union, Intersection, Complement]))
+    if op is Complement:
+        return Complement(draw(csg_trees(depth=depth - 1)))
+    return op(tuple(draw(st.lists(csg_trees(depth=depth - 1), min_size=1, max_size=3))))
+
+
+@st.composite
+def witness_sets(draw, r):
+    """Witnesses anywhere near the window, on raster lines, on tile edges
+    (the first or last node line of a tile), midway between two tiles, and
+    on nodes where two such lines meet."""
+    tile = weights._TILE
+
+    def coord(axis):
+        lo, hi = float(axis[0]), float(axis[-1])
+        how = draw(st.sampled_from(["free", "line", "tile_edge", "tile_gap"]))
+        if how == "free":
+            return draw(st.floats(lo - 1.5, hi + 1.5))
+        if how == "line":
+            return float(axis[draw(st.integers(0, len(axis) - 1))])
+        k = draw(st.integers(0, (len(axis) - 1) // tile))
+        i = min(k * tile + draw(st.sampled_from([0, tile - 1])), len(axis) - 1)
+        if how == "tile_edge" or i + 1 >= len(axis):
+            return float(axis[i])
+        return 0.5 * float(axis[i] + axis[i + 1])
+
+    n = draw(st.integers(1, 12))
+    return np.array([complex(coord(r.xs), coord(r.ys)) for _ in range(n)])
+
+
+class TestGridExtreme:
+    @pytest.mark.parametrize("seeds", [1, weights._SEED_TILES])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def test_equals_full_grid_extreme_exactly(self, seeds, data):
+        # the pruned scan must return the very float np.max / np.min of the
+        # full-grid sums returns, in both modes and for both sums, however
+        # few tiles give the first value
+        h = data.draw(st.sampled_from([0.03, 0.05, 0.07]))
+        w, hgt = data.draw(st.floats(0.5, 6.0)), data.draw(st.floats(0.5, 6.0))
+        x0, y0 = data.draw(st.floats(-3.0, 0.0)), data.draw(st.floats(-3.0, 0.0))
+        dom = PlanarDomain(data.draw(csg_trees()), (x0, x0 + w, y0, y0 + hgt), h)
+        r = dom.raster()
+        iy, ix = np.nonzero(r.inside)
+        if data.draw(st.booleans()):  # a column of the nodes, as for b
+            cut = data.draw(st.floats(0.0, 3.0))
+            keep = np.abs(r.xs[ix]) <= cut
+            iy, ix = iy[keep], ix[keep]
+        assume(len(iy) > 0)
+        ws = data.draw(witness_sets(r))
+        # a witness on or next to a node gives inf
+        with np.errstate(divide="ignore", over="ignore"), \
+                mock.patch.object(weights, "_SEED_TILES", seeds):
+            for power, scale in SUMS:
+                for largest in (True, False):
+                    got = weights._grid_extreme(ws, r, iy, ix, power, scale, largest)
+                    assert got == full_extreme(ws, r, iy, ix, power, scale, largest)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        corner=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+        size=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+        wx=st.one_of(st.integers(-30, 30), st.floats(-30, 30)),
+        wy=st.one_of(st.integers(-30, 30), st.floats(-30, 30)),
+        h=st.sampled_from([0.01, 0.03, 0.1]),
+    )
+    def test_tile_bounds_hold_at_every_node(self, corner, size, wx, wy, h):
+        # on a full box of nodes the farthest point is a node, and so is the
+        # nearest one when the witness sits on a node line or off both
+        # ranges: there the bound has only its slack to spare
+        xs = h * np.arange(corner[0], corner[0] + size[0])
+        ys = h * np.arange(corner[1], corner[1] + size[1])
+        ws = np.array([complex(h * wx, h * wy)])
+        zs = (xs[None, :] + 1j * ys[:, None]).ravel()
+        with np.errstate(divide="ignore", over="ignore"):
+            for power, scale in SUMS:
+                vals = weights._phi_many(ws, zs, power, scale)
+                for largest in (True, False):
+                    (bound,) = weights._tile_bounds(
+                        ws, xs[:1], xs[-1:], ys[:1], ys[-1:], power, scale, largest
+                    )
+                    if largest:
+                        assert np.all(vals < bound) or np.isinf(bound)
+                    else:
+                        assert np.all((vals > bound) | (vals == np.inf))
+
+    def test_highest_bound_tile_need_not_hold_the_max(self):
+        # tile (0, 0) holds the nodes 15 and 15j, so its box corner 15 + 15j
+        # lies next to the witness and it has the highest bound; the max is
+        # at the one node 17 of tile (0, 1), whose bound passes the first
+        # value by only 0.3 %
+        inside = np.zeros((16, 32), dtype=bool)
+        inside[0, 15] = inside[15, 0] = inside[0, 17] = True
+
+        class Grid:
+            xs = np.arange(32.0)
+            ys = np.arange(16.0)
+
+        iy, ix = np.nonzero(inside)
+        ws = np.array([16.1 + 16.1j])
+        want = full_extreme(ws, Grid, iy, ix, -4.0, 1.0, True)
+        assert want == full_extreme(ws, Grid, np.array([0]), np.array([17]), -4.0, 1.0, True)
+        assert want < 1.004 * full_extreme(ws, Grid, np.array([0]), np.array([15]), -4.0, 1.0, True)
+        with mock.patch.object(weights, "_SEED_TILES", 1):
+            assert weights._grid_extreme(ws, Grid, iy, ix, -4.0, 1.0, True) == want
+
+    def test_max_evaluates_few_nodes_on_the_gallery(self, monkeypatch):
+        # the certify max of phi: a few percent of the nodes decide it
+        dom = load_domain(ROOT / "domains" / "uniform_gallery.json")
+        lat = build_lattice(dom, M=2.0, delta=0.1)
+        r = dom.raster()
+        iy, ix = np.nonzero(r.inside)
+        want = full_extreme(lat.witnesses, r, iy, ix, -4.0, 1.0, True)
+        evaluated = []
+        phi_many = weights._phi_many
+
+        def counting(ws, zs, power, scale):
+            evaluated.append(len(zs))
+            return phi_many(ws, zs, power, scale)
+
+        monkeypatch.setattr(weights, "_phi_many", counting)
+        assert weights._grid_extreme(lat.witnesses, r, iy, ix, -4.0, 1.0, True) == want
+        assert sum(evaluated) < 0.05 * len(iy)
+
+    def test_no_nodes_raises(self):
+        r = make_gallery().raster()
+        none = np.array([], dtype=int)
+        with pytest.raises(ValueError):
+            weights._grid_extreme(np.array([5j]), r, none, none, -4.0, 1.0, True)
 
 
 class TestStripWeight:
@@ -260,6 +471,18 @@ class TestComposite:
         assert low >= 0.5
         v, low = composite_weight(chi, fam, lattice, cert.K, 0.5 + 0.6j, b)
         assert low == pytest.approx(cert.K * b)
+
+    def test_b_and_A_are_full_grid_extremes(self):
+        # b: min of the lattice zzbar over |Re z| <= chi.hi; A: strip sup
+        # plus K times the max of the lattice value, both over every node
+        dom, chi, fam, lattice = toy_composite()
+        cert = certify_composite(dom, chi, fam, lattice)
+        r = dom.raster()
+        iy, ix = np.nonzero(r.inside)
+        zs = r.xs[ix] + 1j * r.ys[iy]
+        central = np.abs(zs.real) <= chi.hi
+        assert cert.b == float(np.min(lattice.zzbar(zs)[central]))
+        assert cert.A_bound == fam.sup_value + cert.K * float(np.max(lattice.value(zs)))
 
     def test_small_K_reports_failure(self):
         dom, chi, fam, lattice = toy_composite()
