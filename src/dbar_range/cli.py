@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,15 +38,44 @@ def _setup_threads():
             os.environ.setdefault(var, "1")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, like every other usage or configuration
+    error, not with argparse's 2 (which means "condition not satisfied")."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _common(parser, seed_default=0):
     parser.add_argument("--out", default="dbar-range-out", help="output directory")
     parser.add_argument("--seed", type=int, default=seed_default, help="seed recorded in reports")
-    parser.add_argument("--mesh", type=float, default=None, help="mesh override")
+    parser.add_argument("--mesh", type=_positive_float, default=None, help="mesh override")
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="dbar-range",
         description="closed-range certificates and discrete verification "
         "for the Cauchy-Riemann operator on planar domains",
@@ -54,15 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("certify", help="construct a weight certificate for a domain")
     c.add_argument("--domain", required=True, help="domain JSON file")
-    c.add_argument("--M", type=float, required=True, help="witness search radius")
-    c.add_argument("--delta", type=float, required=True, help="witness clearance")
+    c.add_argument("--M", type=_positive_float, required=True, help="witness search radius")
+    c.add_argument("--delta", type=_positive_float, required=True, help="witness clearance")
     c.add_argument("--gamma-max", type=int, default=64, help="series truncation rings")
     _common(c)
 
     v = sub.add_parser("verify", help="check a constant against the discrete operator")
     v.add_argument("--domain", required=True, help="domain JSON file")
-    v.add_argument("--C", type=float, required=True, help="constant to verify")
-    v.add_argument("--trials", type=int, default=20, help="random test forms")
+    v.add_argument("--C", type=_positive_float, required=True, help="constant to verify")
+    v.add_argument("--trials", type=_non_negative_int, default=20, help="random test forms")
     v.add_argument("--dump-field", action="store_true", help="CSV dump of the last solution field")
     _common(v)
 
@@ -143,9 +173,6 @@ def cmd_verify(args) -> int:
     from .geometry import SolverError, domain_from_dict
     from .reporting import stamp, write_csv, write_report
 
-    if args.C <= 0:
-        print("error: --C must be positive", file=sys.stderr)
-        return 1
     config = {
         "command": "verify",
         "domain": _load_json(args.domain),

@@ -61,9 +61,11 @@ class DbarGrid:
     coefficient.  `full_stencil` flags nodes whose four neighbors are all
     inside (centered differences in both directions, exact on quadratics).
     `depth` is the grid distance from each node to the nearest outside
-    node, used for compact-support preconditions.  `adj` maps (0,1)-forms
-    at the nodes to functions on the triangles centred at `tri_z`; `lap` is
-    the 5-point Dirichlet Laplacian and `lap_lu` its sparse LU factor.
+    node, used for compact-support preconditions; it costs a distance
+    transform of the raster, so it is computed when first read.  `adj`
+    maps (0,1)-forms at the nodes to functions on the triangles centred at
+    `tri_z`; `lap` is the 5-point Dirichlet Laplacian and `lap_lu` its
+    sparse LU factor.
     """
 
     domain: PlanarDomain
@@ -71,7 +73,6 @@ class DbarGrid:
     nodes_z: np.ndarray
     op: sp.csr_matrix
     full_stencil: np.ndarray
-    depth: np.ndarray
     adj: sp.csr_matrix
     tri_z: np.ndarray
     lap: sp.csc_matrix
@@ -80,6 +81,11 @@ class DbarGrid:
     @property
     def size(self) -> int:
         return len(self.nodes_z)
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        r = self.domain.raster(self.h)
+        return r.dist_to_complement()[r.inside]
 
     def norm(self, u: np.ndarray) -> float:
         """L^2 norm with midpoint weight h^2 per node."""
@@ -212,7 +218,6 @@ def assemble(dom: PlanarDomain, h: Optional[float] = None) -> DbarGrid:
         dtype=complex,
     )
     full = (left >= 0) & (right >= 0) & (down >= 0) & (up >= 0)
-    depth = r.dist_to_complement()[iy, ix]
     adj, tri_z = _dbar_adjoint(index, r.xs[0], r.ys[0], h)
     # 2 Re(adj^H adj): 4 on the diagonal and -1 per inside neighbour, over
     # h^2.  The imaginary part of adj^H adj is a Jacobian term that sums to
@@ -220,7 +225,7 @@ def assemble(dom: PlanarDomain, h: Optional[float] = None) -> DbarGrid:
     re, im = adj.real, adj.imag
     lap = (2.0 * (re.T @ re + im.T @ im)).tocsc()
     lap.eliminate_zeros()
-    return DbarGrid(dom, h, nodes_z, op, full, depth, adj, tri_z, lap, splu(lap))
+    return DbarGrid(dom, h, nodes_z, op, full, adj, tri_z, lap, splu(lap))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,15 @@
 A domain is a CSG tree of primitives (disc, half-plane, axis rectangle,
 graph strip) clipped to a rectangular window and rasterized at mesh h.
 Every "for all z in the domain" quantifier in this package is discharged
-on that grid; distance-type answers carry an error of at most h*sqrt(2).
+on that grid.  Distance-type answers carry an error of at most h*sqrt(2)
+for features at least h wide; membership is sampled at the nodes only, so
+a thinner part of the domain or of its complement is invisible to the
+raster and the bound does not hold there.
+
+The certify chain works on grid indices: condition X returns a boolean
+grid of witnessed nodes and an int32 (row, column) grid of their
+witnesses, and the lattice reads both at the few nodes it needs.  Complex
+coordinates appear only for the lattice points and their witnesses.
 
 Unbounded domains are handled by the finite window plus an explicitly
 declared translation symmetry; nothing outside the window is ever
@@ -430,28 +438,62 @@ def clearance(dom: PlanarDomain, z: complex, h: Optional[float] = None) -> float
 class ConditionXCertificate:
     """Grid verdict for the exterior-witness condition at parameters (M, delta).
 
-    For every sampled domain node z the search disc of radius M was scanned
-    for a node outside the domain whose clearance exceeds delta.  Witnesses
-    are the nearest admissible nodes (deterministic distance-transform
-    tie-breaking).  `accepted_by_symmetry` flags nodes whose search disc
-    left the window and that were accepted by the domain's declared
-    translation symmetry rather than by an explicit witness.
+    For every domain node z the search disc of radius M was scanned for a
+    node outside the domain whose clearance exceeds delta (an admissible
+    node).  The verdict lives on grid indices of `raster`:
+
+    - `witnessed[iy, ix]` flags the domain nodes that found a witness;
+    - `witness_index[:, iy, ix]` is the (row, column) of that node's
+      witness, the nearest admissible node (deterministic distance-transform
+      tie-breaking).  It is read only where `witnessed` holds, and it is
+      None when no node is admissible.
+
+    When the condition fails no witness is kept, and `failure_points` holds
+    up to 10 000 failing nodes as complex coordinates.  `sample_points` and
+    `witness_points` give the witnessed nodes and their witnesses as
+    complex coordinates; they are computed when read.
+    `accepted_by_symmetry` flags nodes whose search disc left the window
+    and that were accepted by the domain's declared translation symmetry
+    rather than by an explicit witness.
     """
 
     holds: bool
     M: float
     delta: float
-    mesh: float
-    sample_points: np.ndarray
-    witness_points: np.ndarray
+    raster: Raster = field(repr=False)
+    witnessed: np.ndarray = field(repr=False)
+    witness_index: Optional[np.ndarray] = field(repr=False)
     failure_points: np.ndarray
     failure_count: int
     unprovable_count: int
     accepted_by_symmetry: bool
     notes: list
 
+    @property
+    def sample_points(self) -> np.ndarray:
+        """The witnessed nodes as complex coordinates, in row-major order."""
+        iy, ix = np.nonzero(self.witnessed)
+        return self.raster.xs[ix] + 1j * self.raster.ys[iy]
+
+    @property
+    def witness_points(self) -> np.ndarray:
+        """The witness of each of `sample_points`, as complex coordinates."""
+        if self.witness_index is None:
+            return np.array([], dtype=complex)
+        wy, wx = self.witness_index[:, self.witnessed]
+        return self.raster.xs[wx] + 1j * self.raster.ys[wy]
+
 
 _FAILURE_SAMPLE_CAP = 10_000
+
+
+def _fit_slices(r: Raster, window, M: float) -> tuple[slice, slice]:
+    """Rows and columns of the nodes whose search disc of radius M fits the
+    window: x0 + M <= x <= x1 - M and likewise in y."""
+    x0, x1, y0, y1 = window
+    rows = slice(np.searchsorted(r.ys, y0 + M, "left"), np.searchsorted(r.ys, y1 - M, "right"))
+    cols = slice(np.searchsorted(r.xs, x0 + M, "left"), np.searchsorted(r.xs, x1 - M, "right"))
+    return rows, cols
 
 
 def condition_x(
@@ -463,12 +505,19 @@ def condition_x(
     """Decide the exterior-witness condition on the rasterization grid.
 
     Soundness of the grid quantifiers requires h < delta/4; coarser meshes
-    are rejected.  A node with a clipped search disc and no witness is a
-    configuration error unless the domain declares a translation symmetry
-    (then it is accepted by declaration and counted in unprovable_count).
-    Failure points are nodes whose full search disc fits the window yet
-    contains no admissible node: those falsify the condition at grid
-    resolution regardless of clipping elsewhere.
+    are rejected.  The h*sqrt(2) distance bound holds only for features at
+    least h wide: membership is sampled at the nodes, so a thinner part of
+    the domain or of its complement is invisible to the raster.  A node
+    with a clipped search disc and no witness is a configuration error
+    unless the domain declares a translation symmetry (then it is accepted
+    by declaration and counted in unprovable_count).  Failure points are
+    nodes whose full search disc fits the window yet contains no admissible
+    node: those falsify the condition at grid resolution regardless of
+    clipping elsewhere.
+
+    Two distance transforms do the work: the raster's transform to the
+    domain gives each node's clearance, and a transform to the admissible
+    nodes gives each domain node its witness as an index pair.
     """
     if M <= 0 or delta <= 0:
         raise ValueError(f"M and delta must be positive, got M={M}, delta={delta}")
@@ -485,43 +534,35 @@ def condition_x(
         "the window follows the declared symmetry, never inference",
     ]
     inside = r.inside
+    no_witness = np.zeros_like(inside)
     empty = np.array([], dtype=complex)
     if not inside.any():
         return ConditionXCertificate(
-            True, M, delta, r.h, empty, empty, empty, 0, 0, False, notes
+            True, M, delta, r, no_witness, None, empty, 0, 0, False, notes
         )
 
-    dist_in = r.dist_to_domain()
-    admissible = (~inside) & (dist_in > delta)
+    admissible = (~inside) & (r.dist_to_domain() > delta)
+    witnessed, adm_idx = no_witness, None
     if admissible.any():
         from scipy import ndimage
 
         dist_adm, adm_idx = ndimage.distance_transform_edt(
             ~admissible, sampling=r.h, return_indices=True
         )
-        witness_ok = (dist_adm < M) & inside
-    else:
-        witness_ok = np.zeros_like(inside)
+        witnessed = (dist_adm < M) & inside
 
-    x0, x1, y0, y1 = dom.window
-    fits = (
-        (r.xs[None, :] >= x0 + M)
-        & (r.xs[None, :] <= x1 - M)
-        & (r.ys[:, None] >= y0 + M)
-        & (r.ys[:, None] <= y1 - M)
-    )
-    failures = inside & fits & ~witness_ok
-    unprovable = inside & ~fits & ~witness_ok
-    n_fail = int(failures.sum())
-    n_unprov = int(unprovable.sum())
+    rows, cols = _fit_slices(r, dom.window, M)
+    lacking = inside & ~witnessed
+    fit_lacking = lacking[rows, cols]
+    n_fail = int(np.count_nonzero(fit_lacking))
+    n_unprov = int(np.count_nonzero(lacking)) - n_fail
 
     if n_fail:
-        iy, ix = np.nonzero(failures)
-        if len(iy) > _FAILURE_SAMPLE_CAP:
-            iy, ix = iy[:_FAILURE_SAMPLE_CAP], ix[:_FAILURE_SAMPLE_CAP]
-        pts = r.xs[ix] + 1j * r.ys[iy]
+        iy, ix = np.nonzero(fit_lacking)
+        iy, ix = iy[:_FAILURE_SAMPLE_CAP], ix[:_FAILURE_SAMPLE_CAP]
+        pts = r.xs[cols][ix] + 1j * r.ys[rows][iy]
         return ConditionXCertificate(
-            False, M, delta, r.h, empty, empty, pts, n_fail, n_unprov, False, notes
+            False, M, delta, r, no_witness, None, pts, n_fail, n_unprov, False, notes
         )
 
     accepted = False
@@ -538,16 +579,8 @@ def condition_x(
             f"{dom.symmetry!r}"
         )
 
-    sample_points = witness_points = empty
-    if witness_ok.any():
-        iy, ix = np.nonzero(witness_ok)
-        wy, wx = adm_idx[0][iy, ix], adm_idx[1][iy, ix]
-        sample_points = r.xs[ix] + 1j * r.ys[iy]
-        witness_points = r.xs[wx] + 1j * r.ys[wy]
-
     return ConditionXCertificate(
-        True, M, delta, r.h, sample_points, witness_points, empty,
-        0, n_unprov, accepted, notes,
+        True, M, delta, r, witnessed, adm_idx, empty, 0, n_unprov, accepted, notes,
     )
 
 
@@ -570,6 +603,26 @@ class LatticeWitnessSet:
         return len(self.points)
 
 
+def _edt_distance(r: Raster, dy, dx):
+    """Length of the node offset (dy, dx), by the distance transform's own
+    float formula sqrt((dy h)^2 + (dx h)^2)."""
+    dy = np.asarray(dy) * r.h
+    dx = np.asarray(dx) * r.h
+    return np.sqrt(dy * dy + dx * dx)
+
+
+def _distance_to_outside(r: Raster, iy: int, ix: int, reach: int) -> float:
+    """Distance from node (iy, ix) to the nearest node outside the domain,
+    searched in the box of half-width `reach` nodes around it.  Equal to
+    the distance transform of `inside` at that node whenever a node outside
+    lies within `reach` (nearer nodes then lie in the box too), except that
+    offsets of equal integer length can round an ulp apart and the
+    transform keeps one of them, this search the smallest."""
+    top, left = max(iy - reach, 0), max(ix - reach, 0)
+    oy, ox = np.nonzero(~r.inside[top : iy + reach + 1, left : ix + reach + 1])
+    return float(np.min(_edt_distance(r, oy + (top - iy), ox + (left - ix))))
+
+
 def build_lattice(
     dom: PlanarDomain,
     M: float,
@@ -579,12 +632,21 @@ def build_lattice(
 ) -> LatticeWitnessSet:
     """Construct the lattice witness set and re-verify all its clauses.
 
-    Each lattice point w takes its witness from the condition-X witness of
-    a grid sample inside its search disc (w itself when w lies in the
-    domain).  Clauses re-verified before returning: (a) the search disc
-    meets both the domain and its complement, (b) every sampled domain node
-    with a full search disc is covered by some lattice disc, (c) witnesses
-    clear delta and |w - w*| <= 2M.
+    The whole (l, k) lattice is handled as arrays.  Each lattice point w
+    takes its witness from the condition-X index grid at the domain node z
+    nearest to w's nearest grid node n (z = n when n lies in the domain);
+    w is kept when |w - z| < M and z has a witness.  Clauses re-verified
+    before returning:
+
+    (a) the search disc meets the complement: dist_out(n) + |w - n| < M.
+        A domain node n is its own z, and its witness lies outside the
+        domain, so the witness distance bounds dist_out(n); only when that
+        bound does not settle the test are the nodes outside the domain
+        searched, in a box of that radius.
+    (b) every domain node with a full search disc is covered by some
+        lattice disc, tested first against its nearest lattice point;
+    (c) witnesses clear delta (read from the raster's distance to the
+        domain at the witness index) and |w - w*| <= 2M.
     """
     if cert is None:
         cert = condition_x(dom, M, delta, h)
@@ -592,91 +654,89 @@ def build_lattice(
         raise ConfigurationError(
             "condition X does not hold at these parameters; no lattice exists"
         )
-    r = dom.raster(h)
+    r = cert.raster
     empty = np.array([], dtype=complex)
-    if not r.inside.any():
+    if cert.witness_index is None:  # no admissible node, so no witness
         return LatticeWitnessSet(M, delta, empty, empty)
-
-    # grid node -> row of its sample in cert (-1: no witness recorded)
-    sample_row = np.full(r.inside.shape, -1, dtype=np.int32)
-    sx = np.clip(np.rint((cert.sample_points.real - r.xs[0]) / r.h), 0, len(r.xs) - 1)
-    sy = np.clip(np.rint((cert.sample_points.imag - r.ys[0]) / r.h), 0, len(r.ys) - 1)
-    sample_row[sy.astype(np.intp), sx.astype(np.intp)] = np.arange(len(cert.sample_points))
-
-    in_idx = r.nearest_inside_indices()
-    dist_in = r.dist_to_domain()
-    dist_out = r.dist_to_complement()
 
     x0, x1, y0, y1 = dom.window
     lmin = math.floor((x0 - M) / M)
     lmax = math.ceil((x1 + M) / M)
     kmin = math.floor((y0 - M) / M)
     kmax = math.ceil((y1 + M) / M)
+    ls, ks = np.meshgrid(
+        np.arange(lmin, lmax + 1), np.arange(kmin, kmax + 1), indexing="ij"
+    )
+    w = np.empty(ls.size, dtype=complex)
+    w.real, w.imag = ls.ravel() * M, ks.ravel() * M
 
-    points, witnesses = [], []
-    lattice_flag = np.zeros((lmax - lmin + 1, kmax - kmin + 1), dtype=bool)
-    for l in range(lmin, lmax + 1):
-        for k in range(kmin, kmax + 1):
-            w = complex(l * M, k * M)
-            niy = int(np.clip(round((w.imag - r.ys[0]) / r.h), 0, len(r.ys) - 1))
-            nix = int(np.clip(round((w.real - r.xs[0]) / r.h), 0, len(r.xs) - 1))
-            if r.inside[niy, nix]:
-                ziy, zix = niy, nix
-            else:
-                ziy, zix = int(in_idx[0][niy, nix]), int(in_idx[1][niy, nix])
-            z_node = r.node_z(ziy, zix)
-            if abs(w - z_node) >= M:
-                continue  # search disc does not meet the sampled domain
-            row = sample_row[ziy, zix]
-            if row < 0:
-                continue  # edge sample accepted by symmetry, no witness data
-            points.append(w)
-            witnesses.append(complex(cert.witness_points[row]))
-            lattice_flag[l - lmin, k - kmin] = True
+    # n: the node nearest w; z: the domain node nearest n
+    ny, nx = r.inside.shape
+    niy = np.clip(np.rint((w.imag - r.ys[0]) / r.h), 0, ny - 1).astype(np.intp)
+    nix = np.clip(np.rint((w.real - r.xs[0]) / r.h), 0, nx - 1).astype(np.intp)
+    n_in = r.inside[niy, nix]
+    in_idx = r.nearest_inside_indices()
+    ziy = np.where(n_in, niy, in_idx[0][niy, nix])
+    zix = np.where(n_in, nix, in_idx[1][niy, nix])
+    # the search disc meets the sampled domain, and z has a witness (edge
+    # nodes accepted by symmetry have none)
+    keep = (np.abs(w - (r.xs[zix] + 1j * r.ys[ziy])) < M) & cert.witnessed[ziy, zix]
+    lattice_flag = keep.reshape(ls.shape)
+    w, niy, nix, n_in, ziy, zix = (a[keep] for a in (w, niy, nix, n_in, ziy, zix))
+    wy, wx = cert.witness_index[:, ziy, zix]
+    witnesses = r.xs[wx] + 1j * r.ys[wy]
 
-            # clause (a): complement reachable inside the search disc
-            d_out = dist_out[niy, nix] + abs(w - r.node_z(niy, nix))
-            if d_out >= M:
-                raise LatticeVerificationError(
-                    f"clause (a) violated at w={w}: no exterior node within {M}"
-                )
-
-    points_arr = np.asarray(points, dtype=complex)
-    witnesses_arr = np.asarray(witnesses, dtype=complex)
+    # clause (a): complement reachable inside the search disc
+    snap = np.abs(w - (r.xs[nix] + 1j * r.ys[niy]))
+    d_out = np.where(n_in, _edt_distance(r, wy - niy, wx - nix), 0.0) + snap
+    for j in np.flatnonzero(n_in & (d_out >= M)):
+        reach = math.isqrt(int(wy[j] - niy[j]) ** 2 + int(wx[j] - nix[j]) ** 2)
+        d_out[j] = _distance_to_outside(r, int(niy[j]), int(nix[j]), reach) + snap[j]
+    if (d_out >= M).any():
+        bad = complex(w[np.argmax(d_out >= M)])
+        raise LatticeVerificationError(
+            f"clause (a) violated at w={bad}: no exterior node within {M}"
+        )
 
     # clause (c)(i): witness clearance, measured on the grid
-    for w, ws in zip(points_arr, witnesses_arr):
-        iy, ix = r.nearest_index(complex(ws))
-        if dist_in[iy, ix] <= delta:
-            raise LatticeVerificationError(
-                f"clause (c)(i) violated at w={w}: witness {ws} has clearance "
-                f"{dist_in[iy, ix]} <= {delta}"
-            )
+    clear = r.dist_to_domain()[wy, wx]
+    if (clear <= delta).any():
+        j = int(np.argmax(clear <= delta))
+        raise LatticeVerificationError(
+            f"clause (c)(i) violated at w={complex(w[j])}: witness "
+            f"{complex(witnesses[j])} has clearance {clear[j]} <= {delta}"
+        )
     # clause (c)(ii): containment of the search disc in the 3M witness disc
-    gap = np.abs(points_arr - witnesses_arr)
+    gap = np.abs(w - witnesses)
     if gap.size and float(gap.max()) > 2 * M + 1e-12:
-        bad = points_arr[int(np.argmax(gap))]
+        bad = complex(w[int(np.argmax(gap))])
         raise LatticeVerificationError(
             f"clause (c)(ii) violated at w={bad}: |w - w*| = {gap.max()} > 2M"
         )
 
     # clause (b): covered sampled domain (nodes with full search discs; edge
     # nodes under a declared symmetry are covered by translated lattices)
-    iy, ix = np.nonzero(r.inside)
-    zx, zy = r.xs[ix], r.ys[iy]
-    fits = (zx >= x0 + M) & (zx <= x1 - M) & (zy >= y0 + M) & (zy <= y1 - M)
-    zx, zy = zx[fits], zy[fits]
-    covered = np.zeros(zx.shape, dtype=bool)
-    l0 = np.floor(zx / M).astype(int)
-    k0 = np.floor(zy / M).astype(int)
-    for dl in (0, 1, -1, 2):
-        for dk in (0, 1, -1, 2):
-            ll, kk = l0 + dl, k0 + dk
-            okrange = (ll >= lmin) & (ll <= lmax) & (kk >= kmin) & (kk <= kmax)
-            act = np.zeros(zx.shape, dtype=bool)
-            act[okrange] = lattice_flag[ll[okrange] - lmin, kk[okrange] - kmin]
-            d2 = (zx - ll * M) ** 2 + (zy - kk * M) ** 2
-            covered |= act & (d2 < M * M)
+    rows, cols = _fit_slices(r, dom.window, M)
+    iy, ix = np.nonzero(r.inside[rows, cols])
+    zx, zy = r.xs[cols][ix], r.ys[rows][iy]
+
+    def covered_by(zx, zy, ll, kk):
+        ok = (ll >= lmin) & (ll <= lmax) & (kk >= kmin) & (kk <= kmax)
+        act = np.zeros(zx.shape, dtype=bool)
+        act[ok] = lattice_flag[ll[ok] - lmin, kk[ok] - kmin]
+        return act & ((zx - ll * M) ** 2 + (zy - kk * M) ** 2 < M * M)
+
+    covered = covered_by(zx, zy, np.rint(zx / M).astype(int), np.rint(zy / M).astype(int))
+    rest = np.flatnonzero(~covered)
+    if len(rest):
+        # a node its nearest lattice point misses may lie in the disc of
+        # another of the 16 lattice points around its cell
+        rx, ry = zx[rest], zy[rest]
+        l0 = np.floor(rx / M).astype(int)
+        k0 = np.floor(ry / M).astype(int)
+        for dl in (0, 1, -1, 2):
+            for dk in (0, 1, -1, 2):
+                covered[rest] |= covered_by(rx, ry, l0 + dl, k0 + dk)
     if not covered.all():
         miss = np.argmin(covered)
         raise LatticeVerificationError(
@@ -684,7 +744,7 @@ def build_lattice(
             "is not covered by any lattice disc"
         )
 
-    return LatticeWitnessSet(M, delta, points_arr, witnesses_arr)
+    return LatticeWitnessSet(M, delta, w, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -282,3 +282,87 @@ def test_every_module_is_reached_from_the_cli():
         mod = importlib.import_module(f"dbar_range.{name}")
         missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
         assert missing == [], f"dbar_range.{name}.__all__ names {missing}"
+
+
+def test_verify_leaves_ndimage_unimported(tmp_path):
+    # verify never reads the grid depth, so it takes no distance transform
+    code = (
+        "import sys, dbar_range.cli\n"
+        "code = dbar_range.cli.main(['verify', '--domain', sys.argv[1], '--C', '1',"
+        " '--out', sys.argv[2]])\n"
+        "print(code, 'scipy.ndimage' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "domains/unit_disc.json"), str(tmp_path)],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_certify_takes_two_distance_transforms(tmp_path, monkeypatch):
+    # one transform to the domain, one to the admissible nodes; clause (a)
+    # of the lattice needs no transform of the complement
+    from scipy import ndimage
+
+    from dbar_range.geometry import Raster
+
+    calls = []
+    edt = ndimage.distance_transform_edt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return edt(*args, **kwargs)
+
+    def forbidden(self):
+        raise AssertionError("certify took the distance transform of the complement")
+
+    monkeypatch.setattr(ndimage, "distance_transform_edt", counting)
+    monkeypatch.setattr(Raster, "dist_to_complement", forbidden)
+    assert certify_sha256(tmp_path, "uniform_gallery.json", 0) == (
+        "0ac943fbd0e0790052311f415670095fdb0475da17b47adc276b76779bc55e4a"
+    )
+    assert len(calls) == 2
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    # argparse exits 2 on a usage error, the code of "condition not satisfied"
+    domain = str(ROOT / "domains/uniform_gallery.json")
+    for argv in (["certify", "--domain", domain],
+                 ["certify", "--domain", domain, "--M", "abc", "--delta", "0.1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dbar-range certify") and "--M" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("certify", "--mesh", "0"),
+        ("certify", "--mesh", "-0.1"),
+        ("certify", "--mesh", "nan"),
+        ("verify", "--mesh", "0"),
+        ("verify", "--mesh", "-0.1"),
+        ("verify", "--mesh", "nan"),
+        ("certify", "--M", "nan"),
+        ("certify", "--delta", "inf"),
+        ("verify", "--C", "nan"),
+        ("verify", "--C", "inf"),
+        ("verify", "--C", "0"),
+        ("verify", "--trials", "-1"),
+    ],
+)
+def test_bad_numeric_flag_exits_1_naming_it(command, flag, value, tmp_path, capsys):
+    if command == "certify":
+        argv = ["certify", "--domain", str(ROOT / "domains/uniform_gallery.json"),
+                "--M", "2", "--delta", "0.1"]
+    else:
+        argv = ["verify", "--domain", str(ROOT / "domains/unit_disc.json"), "--C", "1"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, value, "--out", str(out)])
+    assert exc.value.code == 1
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()

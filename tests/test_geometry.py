@@ -259,6 +259,15 @@ class TestConditionX:
         # every witness clears delta
         for z, w in zip(cert.sample_points[:50], cert.witness_points[:50]):
             assert clearance(dom, complex(w)) > 0.1
+        # on the index grids: each witnessed domain node has an admissible
+        # witness node closer than M
+        r = cert.raster
+        assert not (cert.witnessed & ~r.inside).any()
+        iy, ix = np.nonzero(cert.witnessed)
+        wy, wx = cert.witness_index[:, iy, ix]
+        assert not r.inside[wy, wx].any()
+        assert (r.dist_to_domain()[wy, wx] > 0.1).all()
+        assert (np.hypot(wy - iy, wx - ix) * r.h < 2.0).all()
 
     def test_full_plane_fails(self):
         dom = PlanarDomain(plane(), (-4, 4, -4, 4), 0.01)

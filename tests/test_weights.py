@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
-from dbar_range import weights
+from dbar_range import geometry, weights
 from dbar_range.geometry import (
     Complement,
+    ConfigurationError,
     Disc,
     HalfPlane,
     Intersection,
@@ -21,6 +23,7 @@ from dbar_range.geometry import (
     Strip,
     Union,
     build_lattice,
+    condition_x,
     load_domain,
 )
 from dbar_range.weights import (
@@ -395,6 +398,145 @@ class TestGridExtreme:
         none = np.array([], dtype=int)
         with pytest.raises(ValueError):
             weights._grid_extreme(np.array([5j]), r, none, none, -4.0, 1.0, True)
+
+
+def loop_lattice(dom, M, delta, cert):
+    """The lattice as one Python loop over (l, k) that snaps the complex
+    witness pairs back to the grid and takes a distance transform of the
+    complement for clause (a): the oracle of the array version."""
+    if not cert.holds:
+        raise ConfigurationError("condition X does not hold")
+    r = cert.raster
+    empty = np.array([], dtype=complex)
+    if not r.inside.any():
+        return LatticeWitnessSet(M, delta, empty, empty)
+    sample_points, witness_points = cert.sample_points, cert.witness_points
+    sample_row = np.full(r.inside.shape, -1, dtype=np.int32)
+    sx = np.clip(np.rint((sample_points.real - r.xs[0]) / r.h), 0, len(r.xs) - 1)
+    sy = np.clip(np.rint((sample_points.imag - r.ys[0]) / r.h), 0, len(r.ys) - 1)
+    sample_row[sy.astype(np.intp), sx.astype(np.intp)] = np.arange(len(sample_points))
+    in_idx = r.nearest_inside_indices()
+    dist_in = r.dist_to_domain()
+    dist_out = r.dist_to_complement()
+
+    x0, x1, y0, y1 = dom.window
+    lmin, lmax = math.floor((x0 - M) / M), math.ceil((x1 + M) / M)
+    kmin, kmax = math.floor((y0 - M) / M), math.ceil((y1 + M) / M)
+    points, witnesses = [], []
+    lattice_flag = np.zeros((lmax - lmin + 1, kmax - kmin + 1), dtype=bool)
+    for l in range(lmin, lmax + 1):
+        for k in range(kmin, kmax + 1):
+            w = complex(l * M, k * M)
+            niy = int(np.clip(round((w.imag - r.ys[0]) / r.h), 0, len(r.ys) - 1))
+            nix = int(np.clip(round((w.real - r.xs[0]) / r.h), 0, len(r.xs) - 1))
+            if r.inside[niy, nix]:
+                ziy, zix = niy, nix
+            else:
+                ziy, zix = int(in_idx[0][niy, nix]), int(in_idx[1][niy, nix])
+            if abs(w - r.node_z(ziy, zix)) >= M:
+                continue
+            row = sample_row[ziy, zix]
+            if row < 0:
+                continue
+            points.append(w)
+            witnesses.append(complex(witness_points[row]))
+            lattice_flag[l - lmin, k - kmin] = True
+            if dist_out[niy, nix] + abs(w - r.node_z(niy, nix)) >= M:
+                raise LatticeVerificationError(f"clause (a) violated at w={w}")
+    points_arr = np.asarray(points, dtype=complex)
+    witnesses_arr = np.asarray(witnesses, dtype=complex)
+    for w, ws in zip(points_arr, witnesses_arr):
+        iy, ix = r.nearest_index(complex(ws))
+        if dist_in[iy, ix] <= delta:
+            raise LatticeVerificationError(f"clause (c)(i) violated at w={w}")
+    gap = np.abs(points_arr - witnesses_arr)
+    if gap.size and float(gap.max()) > 2 * M + 1e-12:
+        raise LatticeVerificationError("clause (c)(ii) violated")
+    iy, ix = np.nonzero(r.inside)
+    zx, zy = r.xs[ix], r.ys[iy]
+    fits = (zx >= x0 + M) & (zx <= x1 - M) & (zy >= y0 + M) & (zy <= y1 - M)
+    zx, zy = zx[fits], zy[fits]
+    covered = np.zeros(zx.shape, dtype=bool)
+    l0, k0 = np.floor(zx / M).astype(int), np.floor(zy / M).astype(int)
+    for dl in (0, 1, -1, 2):
+        for dk in (0, 1, -1, 2):
+            ll, kk = l0 + dl, k0 + dk
+            okrange = (ll >= lmin) & (ll <= lmax) & (kk >= kmin) & (kk <= kmax)
+            act = np.zeros(zx.shape, dtype=bool)
+            act[okrange] = lattice_flag[ll[okrange] - lmin, kk[okrange] - kmin]
+            covered |= act & ((zx - ll * M) ** 2 + (zy - kk * M) ** 2 < M * M)
+    if not covered.all():
+        raise LatticeVerificationError("clause (b) violated")
+    return LatticeWitnessSet(M, delta, points_arr, witnesses_arr)
+
+
+def lattice_outcome(build):
+    """The points and witnesses, or the clause a LatticeVerificationError
+    names."""
+    try:
+        lat = build()
+    except LatticeVerificationError as exc:
+        return ("error", str(exc).split(" violated")[0])
+    return ("ok", lat.points.tolist(), lat.witnesses.tolist())
+
+
+def witness_distance_at_origin(dom, delta):
+    """(|n|, distance from n to the nearest admissible node) for the node n
+    nearest 0, or None when n lies outside the domain or no node is
+    admissible."""
+    r = dom.raster()
+    n = r.nearest_index(0j)
+    admissible = ~r.inside & (r.dist_to_domain() > delta)
+    if not r.inside[n] or not admissible.any():
+        return None
+    dist = ndimage.distance_transform_edt(~admissible, sampling=r.h)
+    return abs(r.node_z(*n)), float(dist[n])
+
+
+class TestVectorisedLattice:
+    def test_box_search_settles_clause_a_at_an_inside_node(self):
+        # the node n nearest w = 0 lies off the lattice point, inside a
+        # disc, and M sits between n's witness distance D and D + |n|: the
+        # witness bound cannot settle clause (a), the box search must
+        dom = PlanarDomain(Disc(0, 0, 1.0), (-3.013, 3.0, -3.007, 3.0), 0.02)
+        gap, dist = witness_distance_at_origin(dom, 0.1)
+        M = dist + gap / 2
+        cert = condition_x(dom, M, 0.1)
+        assert cert.holds
+        with mock.patch.object(
+            geometry, "_distance_to_outside", wraps=geometry._distance_to_outside
+        ) as search:
+            got = lattice_outcome(lambda: build_lattice(dom, M, 0.1, cert=cert))
+        assert search.call_count == 1
+        assert got[0] == "ok" and 0j in got[1]
+        assert got == lattice_outcome(lambda: loop_lattice(dom, M, 0.1, cert))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def test_equals_the_loop(self, data):
+        h = data.draw(st.sampled_from([0.03, 0.045]))
+        delta = data.draw(st.floats(4.5 * h, 0.4))
+        x0, y0 = data.draw(st.floats(-3.0, -0.5)), data.draw(st.floats(-3.0, -0.5))
+        w, hgt = data.draw(st.floats(4.0, 6.5)), data.draw(st.floats(4.0, 6.5))
+        symmetry = data.draw(st.sampled_from(["none", "translation_x"]))
+        dom = PlanarDomain(data.draw(csg_trees()), (x0, x0 + w, y0, y0 + hgt), h, symmetry)
+        at_origin = witness_distance_at_origin(dom, delta)
+        if at_origin is not None and data.draw(st.booleans()):
+            # w = 0 is a lattice point for every M; put M where the node
+            # nearest it needs the box search for clause (a)
+            gap, dist = at_origin
+            M = dist + gap / 2
+        else:
+            M = data.draw(st.floats(0.3, 2.5))
+        try:
+            cert = condition_x(dom, M, delta)
+        except ConfigurationError:  # a clipped search disc with no symmetry
+            assume(False)
+        assume(cert.holds)
+        assert lattice_outcome(lambda: build_lattice(dom, M, delta, cert=cert)) == (
+            lattice_outcome(lambda: loop_lattice(dom, M, delta, cert))
+        )
 
 
 class TestStripWeight:
