@@ -3,8 +3,9 @@
 Subcommands: certify (exterior-witness condition -> lattice -> weight
 report), verify (discrete operator check of a constant), scenario (replay
 an example family from a spec file).  Exit codes are stable: 0 certified
-or passed, 1 usage/configuration error, 2 condition not satisfied, 3
-verification exceeded the supplied constant.
+or passed, 1 usage/configuration error (a lattice that fails its
+re-verification included), 2 condition not satisfied, 3 verification
+exceeded the supplied constant.
 
 DBAR_RANGE_THREADS caps the linear-algebra thread pools (default 1 so that
 identical configs reproduce byte-identical reports); when set it overrides
@@ -57,14 +58,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _common(parser, seed_default=0):
@@ -86,13 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--domain", required=True, help="domain JSON file")
     c.add_argument("--M", type=_positive_float, required=True, help="witness search radius")
     c.add_argument("--delta", type=_positive_float, required=True, help="witness clearance")
-    c.add_argument("--gamma-max", type=int, default=64, help="series truncation rings")
+    c.add_argument(
+        "--gamma-max", type=_int_at_least(1), default=64, help="series truncation rings"
+    )
     _common(c)
 
     v = sub.add_parser("verify", help="check a constant against the discrete operator")
     v.add_argument("--domain", required=True, help="domain JSON file")
     v.add_argument("--C", type=_positive_float, required=True, help="constant to verify")
-    v.add_argument("--trials", type=_non_negative_int, default=20, help="random test forms")
+    v.add_argument("--trials", type=_int_at_least(0), default=20, help="random test forms")
     v.add_argument("--dump-field", action="store_true", help="CSV dump of the last solution field")
     _common(v)
 
@@ -253,6 +259,7 @@ def main(argv=None) -> int:
     from .geometry import (
         ConfigurationError,
         DomainSpecError,
+        LatticeVerificationError,
         MeshError,
         QueryError,
         SolverError,
@@ -269,6 +276,7 @@ def main(argv=None) -> int:
         DomainSpecError,
         QueryError,
         ConfigurationError,
+        LatticeVerificationError,
         MeshError,
         ScenarioError,
         SolverError,

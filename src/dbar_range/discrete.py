@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
 
-from .geometry import MeshError, PlanarDomain, SolverError
+from .geometry import MeshError, PlanarDomain, SolverError, _column_rows, _near
 
 __all__ = [
     "DbarGrid",
@@ -60,12 +60,10 @@ class DbarGrid:
     `op` maps node values of a function to node values of the (0,1)-form
     coefficient.  `full_stencil` flags nodes whose four neighbors are all
     inside (centered differences in both directions, exact on quadratics).
-    `depth` is the grid distance from each node to the nearest outside
-    node, used for compact-support preconditions; it costs a distance
-    transform of the raster, so it is computed when first read.  `adj`
-    maps (0,1)-forms at the nodes to functions on the triangles centred at
-    `tri_z`; `lap` is the 5-point Dirichlet Laplacian and `lap_lu` its
-    sparse LU factor.
+    `adj` maps (0,1)-forms at the nodes to functions on the triangles
+    centred at `tri_z`; `lap` is the 5-point Dirichlet Laplacian and
+    `lap_lu` its sparse LU factor.  Nothing here takes a distance
+    transform.
     """
 
     domain: PlanarDomain
@@ -81,11 +79,6 @@ class DbarGrid:
     @property
     def size(self) -> int:
         return len(self.nodes_z)
-
-    @cached_property
-    def depth(self) -> np.ndarray:
-        r = self.domain.raster(self.h)
-        return r.dist_to_complement()[r.inside]
 
     def norm(self, u: np.ndarray) -> float:
         """L^2 norm with midpoint weight h^2 per node."""
@@ -447,7 +440,9 @@ def twisted_quadrature_check(
     z = g.nodes_z
     u = np.asarray(u_fn(z), dtype=complex)
     supp = np.abs(u) > 0
-    if supp.any() and float(np.min(g.depth[supp])) <= 2 * g.h:
+    r = g.domain.raster(g.h)
+    near_edge = _near(_column_rows(~r.inside), g.h, 2 * g.h, strict=False)[r.inside]
+    if (supp & near_edge).any():
         raise ValueError(
             "test form support reaches within 2h of the boundary; "
             "the formal adjoint identity needs interior support"

@@ -8,10 +8,14 @@ for features at least h wide; membership is sampled at the nodes only, so
 a thinner part of the domain or of its complement is invisible to the
 raster and the bound does not hold there.
 
-The certify chain works on grid indices: condition X returns a boolean
-grid of witnessed nodes and an int32 (row, column) grid of their
-witnesses, and the lattice reads both at the few nodes it needs.  Complex
-coordinates appear only for the lattice points and their witnesses.
+The certify chain works on grid indices and builds no distance field.
+Every distance question is a threshold test or a nearest-node query,
+answered exactly, in the distance transform's own float formula, by a
+column pass and a row pass in numpy (`_near`, `_nearest`).  Condition X
+returns a boolean grid of witnessed nodes plus the column pass of the
+admissible nodes, and the lattice finds the witnesses of the few nodes it
+needs.  Complex coordinates appear only for the lattice points and their
+witnesses.
 
 Unbounded domains are handled by the finite window plus an explicitly
 declared translation symmetry; nothing outside the window is ever
@@ -27,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -225,7 +229,7 @@ def plane():
 
 
 class Raster:
-    """Grid of membership values plus cached distance fields."""
+    """Grid of membership values plus the cached column pass of the domain."""
 
     def __init__(self, domain: "PlanarDomain", h: float):
         self.h = float(h)
@@ -236,9 +240,6 @@ class Raster:
         # x alone (a graph strip's eta) is evaluated once per column
         member = domain.tree.member(self.xs[None, :], self.ys[:, None])
         self.inside = np.broadcast_to(member, (ny, nx)).astype(bool)
-        self._dist_in = None
-        self._dist_out = None
-        self._in_indices = None
 
     def nearest_index(self, z: complex) -> tuple[int, int]:
         ix = int(np.clip(round((z.real - self.xs[0]) / self.h), 0, len(self.xs) - 1))
@@ -248,47 +249,109 @@ class Raster:
     def node_z(self, iy, ix):
         return self.xs[ix] + 1j * self.ys[iy]
 
-    def _transform_to_inside(self):
-        # one EDT gives both fields: its distances are computed from the
-        # feature transform, so they do not depend on return_indices; with
-        # every node inside both are trivial and scipy is never loaded
-        if self._dist_in is None:
-            if self.inside.all():
-                self._dist_in = np.zeros(self.inside.shape)
-                self._in_indices = np.indices(self.inside.shape, dtype=np.int32)
-            else:
-                from scipy import ndimage
+    @cached_property
+    def inside_rows(self) -> np.ndarray:
+        """`_column_rows` of the inside nodes."""
+        return _column_rows(self.inside)
 
-                self._dist_in, self._in_indices = ndimage.distance_transform_edt(
-                    ~self.inside, sampling=self.h, return_indices=True
-                )
 
-    def dist_to_domain(self) -> np.ndarray:
-        """Distance from each node to the nearest inside node (0 on inside)."""
-        if not self.inside.any():
-            return np.full(self.inside.shape, np.inf)
-        self._transform_to_inside()
-        return self._dist_in
+# ---------------------------------------------------------------------------
+# Distance tests on the grid
+#
+# The distance between nodes is the distance transform's own float formula
+# sqrt((dy h)^2 + (dx h)^2), which is monotone in |dy| and in |dx|.  So a
+# column pass (the nearest mask node in each column) followed by a row pass
+# answers a threshold or nearest-node question exactly, in the column-then-
+# row order of the Maurer-Qi-Raghavan transform (IEEE PAMI 25, 2003).
+# ---------------------------------------------------------------------------
 
-    def dist_to_complement(self) -> np.ndarray:
-        """Distance from each node to the nearest non-inside node."""
-        if self._dist_out is None:
-            if self.inside.all():
-                self._dist_out = np.full(self.inside.shape, np.inf)
-            else:
-                from scipy import ndimage
 
-                self._dist_out = ndimage.distance_transform_edt(
-                    self.inside, sampling=self.h
-                )
-        return self._dist_out
+def _edt_distance(h: float, dy, dx):
+    """Length of the node offset (dy, dx), by the distance transform's own
+    float formula sqrt((dy h)^2 + (dx h)^2)."""
+    dy = np.asarray(dy) * h
+    dx = np.asarray(dx) * h
+    return np.sqrt(dy * dy + dx * dx)
 
-    def nearest_inside_indices(self):
-        """For every node, indices of the nearest inside node."""
-        if not self.inside.any():
-            raise ConfigurationError("domain has no rasterized nodes")
-        self._transform_to_inside()
-        return self._in_indices
+
+def _column_rows(mask: np.ndarray) -> np.ndarray:
+    """Column pass: for every node, the row of the nearest mask node in its
+    column, ties to the lower row.  In a column without mask nodes the row
+    lies at least ny rows away from every node."""
+    ny = mask.shape[0]
+    rows = np.arange(ny, dtype=np.int32)[:, None]
+    # column-major, so that the running max and min run along memory
+    mask = np.asfortranarray(mask)
+    up = np.maximum.accumulate(np.where(mask, rows, np.int32(-2 * ny)), axis=0)
+    down = np.minimum.accumulate(np.where(mask, rows, np.int32(3 * ny))[::-1], axis=0)[::-1]
+    return np.ascontiguousarray(np.where(rows - up <= down - rows, up, down))
+
+
+def _near(rows: np.ndarray, h: float, radius: float, strict: bool) -> np.ndarray:
+    """Nodes with a mask node at distance below `radius` (at most `radius`
+    when not strict), given the mask's `_column_rows`.
+
+    A reach table gives, for each row offset v, the largest column offset
+    whose distance passes the test; then a node is near when some column c
+    reaches it, which a running max of c + reach and a running min of
+    c - reach along each row decide."""
+    ny, nx = rows.shape
+    v = np.arange(ny, dtype=np.int32)
+    reach = np.sqrt(np.maximum((radius / h) ** 2 - v.astype(float) ** 2, 0.0))
+    reach = np.minimum(np.floor(reach), nx - 1).astype(np.int32)
+
+    def passes(dx):
+        d = _edt_distance(h, v, dx)
+        return d < radius if strict else d <= radius
+
+    # the float estimate is off by at most a node or two: settle it exactly
+    while (grow := (reach < nx - 1) & passes(reach + 1)).any():
+        reach += grow
+    while (shrink := (reach >= 0) & ~passes(reach)).any():
+        reach -= shrink
+    # row offsets of ny or more (columns without mask nodes) reach nothing
+    reach = np.append(reach, np.int32(-1))[np.minimum(np.abs(rows - v[:, None]), ny)]
+    c = np.arange(nx, dtype=np.int32)
+    near = np.maximum.accumulate(c + reach, axis=1) >= c
+    near |= np.minimum.accumulate((c - reach)[:, ::-1], axis=1)[:, ::-1] <= c
+    return near
+
+
+def _nearest(rows: np.ndarray, h: float, iy, ix) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of the mask node nearest each node (iy, ix), given the
+    mask's `_column_rows`; the mask must have a node.
+
+    Nearest means the least squared distance (dy h)^2 + (dx h)^2, ties to
+    the smaller column and, within a column, to the lower row: the choice
+    of the distance transform's column-then-row order.  Column offsets 0,
+    +-1, +-2, ... are scanned, and a query drops out once the offset alone
+    is farther than its best node."""
+    ny, nx = rows.shape
+    flat = rows.ravel()
+    iy = np.asarray(iy, dtype=np.intp)
+    ix = np.asarray(ix, dtype=np.intp)
+    out_y, out_x = np.empty_like(iy), np.empty_like(ix)
+    # the open queries: their index, node, flat node index and best so far
+    q, y, x, at = np.arange(iy.size), iy, ix, iy * nx + ix
+    by, bx = flat[at], x
+    best = np.where(np.abs(by - y) < ny, ((by - y) * h) ** 2, np.inf)
+    for k in range(1, nx):
+        done = best < (k * h) ** 2
+        if done.any():
+            out_y[q[done]], out_x[q[done]] = by[done], bx[done]
+            q, y, x, at, by, bx, best = (a[~done] for a in (q, y, x, at, by, bx, best))
+        if not q.size:
+            break
+        for s in (-k, k):
+            c = x + s
+            r = flat.take(at + s, mode="clip")
+            ok = (c >= 0) & (c < nx) & (np.abs(r - y) < ny)
+            key = np.where(ok, ((r - y) * h) ** 2 + (k * h) ** 2, np.inf)
+            better = (key < best) | ((key == best) & (c < bx))
+            best = np.where(better, key, best)
+            by, bx = np.where(better, r, by), np.where(better, c, bx)
+    out_y[q], out_x[q] = by, bx
+    return out_y, out_x
 
 
 def _grid_axis(lo: float, hi: float, h: float) -> np.ndarray:
@@ -405,10 +468,11 @@ def largest_disc_at(dom: PlanarDomain, z: complex, cap: float, h: Optional[float
         hi = t.eta_hi.spec["const"]
         return min(cap, z.imag - lo, hi - z.imag)
     r = dom.raster(h)
-    iy, ix = r.nearest_index(z)
-    d = r.dist_to_complement()[iy, ix]
-    if not math.isfinite(d):
+    if r.inside.all():
         return cap
+    iy, ix = r.nearest_index(z)
+    oy, ox = _nearest(_column_rows(~r.inside), r.h, [iy], [ix])
+    d = float(_edt_distance(r.h, oy[0] - iy, ox[0] - ix))
     snap = abs(z - r.node_z(iy, ix))
     return min(cap, max(0.0, d - snap))
 
@@ -424,9 +488,8 @@ def clearance(dom: PlanarDomain, z: complex, h: Optional[float] = None) -> float
     if not r.inside.any():
         return math.inf
     iy, ix = r.nearest_index(z)
-    idx = r.nearest_inside_indices()
-    target = r.node_z(int(idx[0][iy, ix]), int(idx[1][iy, ix]))
-    return abs(z - target)
+    ty, tx = _nearest(r.inside_rows, r.h, [iy], [ix])
+    return abs(z - r.node_z(int(ty[0]), int(tx[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +506,11 @@ class ConditionXCertificate:
     node).  The verdict lives on grid indices of `raster`:
 
     - `witnessed[iy, ix]` flags the domain nodes that found a witness;
-    - `witness_index[:, iy, ix]` is the (row, column) of that node's
-      witness, the nearest admissible node (deterministic distance-transform
-      tie-breaking).  It is read only where `witnessed` holds, and it is
-      None when no node is admissible.
+    - `admissible_rows` is the `_column_rows` of the admissible nodes, or
+      None when no node is admissible;
+    - `witness_of(iy, ix)` gives the (row, column) of the witness of
+      witnessed nodes: the nearest admissible node, with the distance
+      transform's tie-breaking.  Witnesses are found only when asked for.
 
     When the condition fails no witness is kept, and `failure_points` holds
     up to 10 000 failing nodes as complex coordinates.  `sample_points` and
@@ -462,12 +526,16 @@ class ConditionXCertificate:
     delta: float
     raster: Raster = field(repr=False)
     witnessed: np.ndarray = field(repr=False)
-    witness_index: Optional[np.ndarray] = field(repr=False)
+    admissible_rows: Optional[np.ndarray] = field(repr=False)
     failure_points: np.ndarray
     failure_count: int
     unprovable_count: int
     accepted_by_symmetry: bool
     notes: list
+
+    def witness_of(self, iy, ix) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) of the witness of each witnessed node (iy, ix)."""
+        return _nearest(self.admissible_rows, self.raster.h, iy, ix)
 
     @property
     def sample_points(self) -> np.ndarray:
@@ -478,9 +546,9 @@ class ConditionXCertificate:
     @property
     def witness_points(self) -> np.ndarray:
         """The witness of each of `sample_points`, as complex coordinates."""
-        if self.witness_index is None:
+        if self.admissible_rows is None:
             return np.array([], dtype=complex)
-        wy, wx = self.witness_index[:, self.witnessed]
+        wy, wx = self.witness_of(*np.nonzero(self.witnessed))
         return self.raster.xs[wx] + 1j * self.raster.ys[wy]
 
 
@@ -515,9 +583,12 @@ def condition_x(
     node: those falsify the condition at grid resolution regardless of
     clipping elsewhere.
 
-    Two distance transforms do the work: the raster's transform to the
-    domain gives each node's clearance, and a transform to the admissible
-    nodes gives each domain node its witness as an index pair.
+    Two exact distance tests do the work, each a column pass and a row pass
+    (`_near`): the admissible nodes are the nodes outside the domain with no
+    domain node within delta, and the witnessed nodes are the domain nodes
+    with an admissible node closer than M.  No distance field is built; the
+    certificate keeps the admissible column pass, from which `witness_of`
+    finds the witness of any node on demand.
     """
     if M <= 0 or delta <= 0:
         raise ValueError(f"M and delta must be positive, got M={M}, delta={delta}")
@@ -541,15 +612,11 @@ def condition_x(
             True, M, delta, r, no_witness, None, empty, 0, 0, False, notes
         )
 
-    admissible = (~inside) & (r.dist_to_domain() > delta)
-    witnessed, adm_idx = no_witness, None
+    admissible = ~inside & ~_near(r.inside_rows, r.h, delta, strict=False)
+    witnessed, adm_rows = no_witness, None
     if admissible.any():
-        from scipy import ndimage
-
-        dist_adm, adm_idx = ndimage.distance_transform_edt(
-            ~admissible, sampling=r.h, return_indices=True
-        )
-        witnessed = (dist_adm < M) & inside
+        adm_rows = _column_rows(admissible)
+        witnessed = inside & _near(adm_rows, r.h, M, strict=True)
 
     rows, cols = _fit_slices(r, dom.window, M)
     lacking = inside & ~witnessed
@@ -580,7 +647,7 @@ def condition_x(
         )
 
     return ConditionXCertificate(
-        True, M, delta, r, witnessed, adm_idx, empty, 0, n_unprov, accepted, notes,
+        True, M, delta, r, witnessed, adm_rows, empty, 0, n_unprov, accepted, notes,
     )
 
 
@@ -603,24 +670,18 @@ class LatticeWitnessSet:
         return len(self.points)
 
 
-def _edt_distance(r: Raster, dy, dx):
-    """Length of the node offset (dy, dx), by the distance transform's own
-    float formula sqrt((dy h)^2 + (dx h)^2)."""
-    dy = np.asarray(dy) * r.h
-    dx = np.asarray(dx) * r.h
-    return np.sqrt(dy * dy + dx * dx)
-
-
-def _distance_to_outside(r: Raster, iy: int, ix: int, reach: int) -> float:
-    """Distance from node (iy, ix) to the nearest node outside the domain,
-    searched in the box of half-width `reach` nodes around it.  Equal to
-    the distance transform of `inside` at that node whenever a node outside
-    lies within `reach` (nearer nodes then lie in the box too), except that
-    offsets of equal integer length can round an ulp apart and the
-    transform keeps one of them, this search the smallest."""
-    top, left = max(iy - reach, 0), max(ix - reach, 0)
-    oy, ox = np.nonzero(~r.inside[top : iy + reach + 1, left : ix + reach + 1])
-    return float(np.min(_edt_distance(r, oy + (top - iy), ox + (left - ix))))
+def _distance_to_outside(r: Raster, w: complex, reach: float) -> float:
+    """Distance from the point w to the nearest node outside the domain,
+    searched among the nodes within `reach` of w in each coordinate (inf
+    when there is none there).  Exact whenever that distance is below
+    `reach`, since every node that near lies in the box."""
+    x, y = w.real, w.imag
+    rows = slice(np.searchsorted(r.ys, y - reach), np.searchsorted(r.ys, y + reach, "right"))
+    cols = slice(np.searchsorted(r.xs, x - reach), np.searchsorted(r.xs, x + reach, "right"))
+    oy, ox = np.nonzero(~r.inside[rows, cols])
+    if not oy.size:
+        return math.inf
+    return float(np.min(np.abs(w - (r.xs[cols][ox] + 1j * r.ys[rows][oy]))))
 
 
 def build_lattice(
@@ -633,20 +694,19 @@ def build_lattice(
     """Construct the lattice witness set and re-verify all its clauses.
 
     The whole (l, k) lattice is handled as arrays.  Each lattice point w
-    takes its witness from the condition-X index grid at the domain node z
-    nearest to w's nearest grid node n (z = n when n lies in the domain);
-    w is kept when |w - z| < M and z has a witness.  Clauses re-verified
-    before returning:
+    takes as its witness the condition-X witness (`witness_of`) of the
+    domain node z nearest to w's nearest grid node n (z = n when n lies in
+    the domain); w is kept when |w - z| < M and z has a witness.  Clauses
+    re-verified before returning:
 
-    (a) the search disc meets the complement: dist_out(n) + |w - n| < M.
-        A domain node n is its own z, and its witness lies outside the
-        domain, so the witness distance bounds dist_out(n); only when that
-        bound does not settle the test are the nodes outside the domain
-        searched, in a box of that radius.
+    (a) the search disc meets the complement: some node outside the domain
+        lies closer than M to w.  The witness w* is such a node, so
+        |w - w*| < M settles it; only where it does not are the nodes
+        outside the domain within M of w searched.
     (b) every domain node with a full search disc is covered by some
         lattice disc, tested first against its nearest lattice point;
-    (c) witnesses clear delta (read from the raster's distance to the
-        domain at the witness index) and |w - w*| <= 2M.
+    (c) witnesses clear delta (the distance from the witness node to its
+        nearest domain node) and |w - w*| <= 2M.
     """
     if cert is None:
         cert = condition_x(dom, M, delta, h)
@@ -656,7 +716,7 @@ def build_lattice(
         )
     r = cert.raster
     empty = np.array([], dtype=complex)
-    if cert.witness_index is None:  # no admissible node, so no witness
+    if cert.admissible_rows is None:  # no admissible node, so no witness
         return LatticeWitnessSet(M, delta, empty, empty)
 
     x0, x1, y0, y1 = dom.window
@@ -672,26 +732,22 @@ def build_lattice(
 
     # n: the node nearest w; z: the domain node nearest n
     ny, nx = r.inside.shape
-    niy = np.clip(np.rint((w.imag - r.ys[0]) / r.h), 0, ny - 1).astype(np.intp)
-    nix = np.clip(np.rint((w.real - r.xs[0]) / r.h), 0, nx - 1).astype(np.intp)
-    n_in = r.inside[niy, nix]
-    in_idx = r.nearest_inside_indices()
-    ziy = np.where(n_in, niy, in_idx[0][niy, nix])
-    zix = np.where(n_in, nix, in_idx[1][niy, nix])
+    ziy = np.clip(np.rint((w.imag - r.ys[0]) / r.h), 0, ny - 1).astype(np.intp)
+    zix = np.clip(np.rint((w.real - r.xs[0]) / r.h), 0, nx - 1).astype(np.intp)
+    out = ~r.inside[ziy, zix]
+    ziy[out], zix[out] = _nearest(r.inside_rows, r.h, ziy[out], zix[out])
     # the search disc meets the sampled domain, and z has a witness (edge
     # nodes accepted by symmetry have none)
     keep = (np.abs(w - (r.xs[zix] + 1j * r.ys[ziy])) < M) & cert.witnessed[ziy, zix]
     lattice_flag = keep.reshape(ls.shape)
-    w, niy, nix, n_in, ziy, zix = (a[keep] for a in (w, niy, nix, n_in, ziy, zix))
-    wy, wx = cert.witness_index[:, ziy, zix]
+    w, ziy, zix = w[keep], ziy[keep], zix[keep]
+    wy, wx = cert.witness_of(ziy, zix)
     witnesses = r.xs[wx] + 1j * r.ys[wy]
 
     # clause (a): complement reachable inside the search disc
-    snap = np.abs(w - (r.xs[nix] + 1j * r.ys[niy]))
-    d_out = np.where(n_in, _edt_distance(r, wy - niy, wx - nix), 0.0) + snap
-    for j in np.flatnonzero(n_in & (d_out >= M)):
-        reach = math.isqrt(int(wy[j] - niy[j]) ** 2 + int(wx[j] - nix[j]) ** 2)
-        d_out[j] = _distance_to_outside(r, int(niy[j]), int(nix[j]), reach) + snap[j]
+    d_out = np.abs(w - witnesses)
+    for j in np.flatnonzero(d_out >= M):
+        d_out[j] = _distance_to_outside(r, complex(w[j]), M)
     if (d_out >= M).any():
         bad = complex(w[np.argmax(d_out >= M)])
         raise LatticeVerificationError(
@@ -699,7 +755,8 @@ def build_lattice(
         )
 
     # clause (c)(i): witness clearance, measured on the grid
-    clear = r.dist_to_domain()[wy, wx]
+    cy, cx = _nearest(r.inside_rows, r.h, wy, wx)
+    clear = _edt_distance(r.h, cy - wy, cx - wx)
     if (clear <= delta).any():
         j = int(np.argmax(clear <= delta))
         raise LatticeVerificationError(

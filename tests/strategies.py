@@ -1,0 +1,30 @@
+"""Hypothesis strategies shared by the test modules."""
+
+import math
+
+from hypothesis import strategies as st
+
+from dbar_range.geometry import Complement, Disc, HalfPlane, Intersection, Rect, Union
+
+
+@st.composite
+def primitives(draw):
+    c = st.floats(-2.5, 2.5)
+    kind = draw(st.sampled_from(["disc", "rect", "halfplane"]))
+    if kind == "disc":
+        return Disc(draw(c), draw(c), draw(st.floats(0.2, 2.5)))
+    if kind == "rect":
+        x0, y0 = draw(c), draw(c)
+        return Rect(x0, x0 + draw(st.floats(0.2, 4.0)), y0, y0 + draw(st.floats(0.2, 4.0)))
+    theta = draw(st.floats(0.0, 2 * math.pi))
+    return HalfPlane(complex(math.cos(theta), math.sin(theta)), complex(draw(c), 0.0))
+
+
+@st.composite
+def csg_trees(draw, depth=2):
+    if depth == 0 or draw(st.booleans()):
+        return draw(primitives())
+    op = draw(st.sampled_from([Union, Intersection, Complement]))
+    if op is Complement:
+        return Complement(draw(csg_trees(depth=depth - 1)))
+    return op(tuple(draw(st.lists(csg_trees(depth=depth - 1), min_size=1, max_size=3))))

@@ -212,8 +212,7 @@ def test_malformed_scenario_spec_exits_1_naming_the_key(spec, key, tmp_path, cap
 
 def test_certify_modules_leave_spline_interpolation_unimported(tmp_path):
     # a certify run needs neither spline interpolation nor the discrete
-    # operator and its sparse solvers; on the whole plane no distance
-    # transform is taken either
+    # operator and its sparse solvers
     code = (
         "import sys, dbar_range.cli, dbar_range.geometry, dbar_range.weights\n"
         "code = dbar_range.cli.main(['certify', '--domain', sys.argv[1], '--M', '2',"
@@ -230,8 +229,7 @@ def test_certify_modules_leave_spline_interpolation_unimported(tmp_path):
 
 
 def test_scaling_and_tube_scenarios_leave_ndimage_unimported(tmp_path):
-    # neither scenario has a raster with a node outside the domain, so
-    # neither takes a distance transform
+    # the package takes its distance tests in numpy
     code = (
         "import sys, dbar_range.cli\n"
         "codes = [dbar_range.cli.main(['scenario', '--spec', spec, '--out', sys.argv[1]])"
@@ -285,7 +283,7 @@ def test_every_module_is_reached_from_the_cli():
 
 
 def test_verify_leaves_ndimage_unimported(tmp_path):
-    # verify never reads the grid depth, so it takes no distance transform
+    # the package takes its distance tests in numpy
     code = (
         "import sys, dbar_range.cli\n"
         "code = dbar_range.cli.main(['verify', '--domain', sys.argv[1], '--C', '1',"
@@ -299,29 +297,64 @@ def test_verify_leaves_ndimage_unimported(tmp_path):
     assert out.stdout.splitlines()[-1] == "0 False"
 
 
-def test_certify_takes_two_distance_transforms(tmp_path, monkeypatch):
-    # one transform to the domain, one to the admissible nodes; clause (a)
-    # of the lattice needs no transform of the complement
-    from scipy import ndimage
-
-    from dbar_range.geometry import Raster
-
-    calls = []
-    edt = ndimage.distance_transform_edt
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return edt(*args, **kwargs)
-
-    def forbidden(self):
-        raise AssertionError("certify took the distance transform of the complement")
-
-    monkeypatch.setattr(ndimage, "distance_transform_edt", counting)
-    monkeypatch.setattr(Raster, "dist_to_complement", forbidden)
-    assert certify_sha256(tmp_path, "uniform_gallery.json", 0) == (
-        "0ac943fbd0e0790052311f415670095fdb0475da17b47adc276b76779bc55e4a"
+def test_certify_and_gallery_scenario_load_no_scipy(tmp_path):
+    # condition X and the lattice take their distance tests in numpy; only
+    # spline strips (scipy.interpolate) and verify (scipy.sparse) load scipy
+    code = (
+        "import sys, dbar_range.cli\n"
+        "main, out = dbar_range.cli.main, sys.argv[1]\n"
+        "codes = [main(['certify', '--domain', d, '--M', '2', '--delta', '0.1', '--out', out])"
+        " for d in sys.argv[2:4]]\n"
+        "codes.append(main(['scenario', '--spec', sys.argv[4], '--out', out]))\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    assert len(calls) == 2
+    argv = [ROOT / "domains/uniform_gallery.json", ROOT / "domains/whole_plane.json",
+            ROOT / "scenarios/gallery_uniform.json"]
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), *map(str, argv)],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout.splitlines()[-1] == "[0, 2, 0] []"
+
+
+def domain_file(tmp_path, tree, window, mesh):
+    """A translation_x domain document in tmp_path."""
+    x0, x1, y0, y1 = window
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps({
+        "window": {"x0": x0, "x1": x1, "y0": y0, "y1": y1}, "mesh": mesh,
+        "symmetry": "translation_x", "tree": tree,
+    }))
+    return path
+
+
+def test_clause_a_is_measured_from_the_lattice_point(tmp_path):
+    # lattice points at x = +-8 lie 1.8 beyond the window; measured from
+    # their nearest node, clause (a) failed at w = -8-6j although the
+    # exterior gap at y = -5.5 lies within M of w
+    strips = [{"prim": "strip", "params": {"eta_lo": {"const": k - 0.25},
+                                           "eta_hi": {"const": k + 0.25}}}
+              for k in range(-6, 7)]
+    domain = domain_file(tmp_path, {"op": "union", "children": strips},
+                         (-6.2, 6.2, -6.0, 6.0), 0.02)
+    child = run_cli("certify", "--domain", domain, "--M", "2", "--delta", "0.1",
+                    "--out", tmp_path / "out")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith("certified: ")
+
+
+def test_lattice_verification_error_exits_1_without_traceback(tmp_path):
+    # this rect wrongly declares translation_x, and the weight's coverage
+    # re-check catches it
+    rect = {"prim": "rect", "params": {"x0": -2.5, "x1": 0.8339, "y0": 0, "y1": 4}}
+    domain = domain_file(tmp_path, rect, (-1.9446, 2.0554, -2, 2.3056), 0.03)
+    child = run_cli("certify", "--domain", domain, "--M", "1.450574808902904",
+                    "--delta", "0.18370715135139506", "--out", tmp_path / "out")
+    assert child.returncode == 1
+    assert child.stderr == (
+        "error: coverage clause violated at sampled node (-1.9446+1.3899999999999997j)\n"
+    )
+    assert "Traceback" not in child.stderr
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -352,6 +385,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ("verify", "--C", "inf"),
         ("verify", "--C", "0"),
         ("verify", "--trials", "-1"),
+        ("certify", "--gamma-max", "0"),
+        ("certify", "--gamma-max", "-3"),
+        ("certify", "--gamma-max", "2.5"),
     ],
 )
 def test_bad_numeric_flag_exits_1_naming_it(command, flag, value, tmp_path, capsys):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from dbar_range import scenarios
@@ -33,8 +35,11 @@ from dbar_range.geometry import (
     load_domain,
     plane,
 )
+from dbar_range.geometry import _column_rows, _edt_distance, _near, _nearest
+from strategies import csg_trees
 
-DOMAINS = sorted((Path(__file__).resolve().parent.parent / "domains").glob("*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+DOMAINS = sorted((ROOT / "domains").glob("*.json"))
 
 
 def unit_disc(mesh=1 / 64):
@@ -160,17 +165,6 @@ class TestRasterFields:
             assert np.array_equal(r.inside, meshgrid_inside(dom, r))
 
     @pytest.mark.parametrize("path", DOMAINS, ids=[p.stem for p in DOMAINS])
-    def test_one_transform_serves_distances_and_indices(self, path):
-        r = load_domain(path).raster()
-        dist = ndimage.distance_transform_edt(~r.inside, sampling=r.h)
-        _, idx = ndimage.distance_transform_edt(~r.inside, sampling=r.h, return_indices=True)
-        assert np.array_equal(r.dist_to_domain(), dist)
-        assert np.array_equal(r.nearest_inside_indices(), idx)
-        r = load_domain(path).raster()  # the other call order
-        assert np.array_equal(r.nearest_inside_indices(), idx)
-        assert np.array_equal(r.dist_to_domain(), dist)
-
-    @pytest.mark.parametrize("path", DOMAINS, ids=[p.stem for p in DOMAINS])
     def test_columns_are_the_raster_xs(self, path):
         dom = load_domain(path)
         assert np.array_equal(dom.columns(), dom.raster().xs)
@@ -186,6 +180,83 @@ class TestRasterFields:
             for build in (dom.columns, dom.raster):
                 with pytest.raises(DomainSpecError, match=re.escape(msg)):
                     build()
+
+
+class TestGridDistances:
+    """`_near` and `_nearest` against scipy's distance transform, whose
+    float formula and column-then-row tie-breaking they reproduce."""
+
+    @pytest.mark.parametrize("path", DOMAINS, ids=[p.stem for p in DOMAINS])
+    def test_near_and_nearest_match_the_transform(self, path):
+        r = load_domain(path).raster()
+        iy, ix = np.indices(r.inside.shape).reshape(2, -1)
+        for mask in (r.inside, ~r.inside):
+            if not mask.any():
+                continue
+            dist, idx = ndimage.distance_transform_edt(~mask, sampling=r.h, return_indices=True)
+            rows = _column_rows(mask)
+            for radius in (r.h, 2 * r.h, 0.1, 2.0):
+                assert np.array_equal(_near(rows, r.h, radius, strict=True), dist < radius)
+                assert np.array_equal(_near(rows, r.h, radius, strict=False), dist <= radius)
+            assert np.array_equal(_nearest(rows, r.h, iy, ix), idx.reshape(2, -1))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        tree=csg_trees(),
+        h=st.floats(0.02, 0.08),
+        delta=st.floats(0.01, 0.6),
+        M=st.floats(0.05, 3.0),
+    )
+    def test_condition_x_tests_equal_the_transform_thresholds(self, tree, h, delta, M):
+        r = PlanarDomain(tree, (-3.0, 3.0, -2.5, 3.5), h).raster()
+        assume(r.inside.any())
+        dist_in = ndimage.distance_transform_edt(~r.inside, sampling=h)
+        for strict in (True, False):
+            got = _near(r.inside_rows, h, delta, strict)
+            assert np.array_equal(got, dist_in < delta if strict else dist_in <= delta)
+        admissible = ~r.inside & (dist_in > delta)
+        assume(admissible.any())
+        dist_adm = ndimage.distance_transform_edt(~admissible, sampling=h)
+        for strict in (True, False):
+            got = _near(_column_rows(admissible), h, M, strict)
+            assert np.array_equal(got, dist_adm < M if strict else dist_adm <= M)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+        density=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+        h=st.floats(0.003, 0.2),
+    )
+    def test_nearest_is_the_brute_force_choice(self, shape, density, seed, h):
+        mask = np.random.default_rng(seed).random(shape) < density
+        assume(mask.any())
+        iy, ix = np.indices(shape).reshape(2, -1)
+        got = np.array(_nearest(_column_rows(mask), h, iy, ix))
+        # least (dy h)^2 + (dx h)^2, ties to the smaller column, then row
+        my, mx = np.nonzero(mask)
+        order = np.lexsort((my, mx))
+        my, mx = my[order], mx[order]
+        dy, dx = (my - iy[:, None]) * h, (mx - ix[:, None]) * h
+        pick = np.argmin(dy * dy + dx * dx, axis=1)
+        assert np.array_equal(got, [my[pick], mx[pick]])
+        # scipy's transform: never nearer, and the same node wherever the
+        # nearest integer offset is unique
+        dist, idx = ndimage.distance_transform_edt(~mask, sampling=h, return_indices=True)
+        assert (_edt_distance(h, got[0] - iy, got[1] - ix) <= dist.ravel()).all()
+        length = (my - iy[:, None]) ** 2 + (mx - ix[:, None]) ** 2
+        unique = (length == length.min(axis=1, keepdims=True)).sum(axis=1) == 1
+        assert np.array_equal(got[:, unique], idx.reshape(2, -1)[:, unique])
+
+    def test_witness_points_are_the_transform_indices(self):
+        dom = load_domain(ROOT / "domains" / "uniform_gallery.json")
+        cert = condition_x(dom, M=2.0, delta=0.1, h=0.02)
+        r = cert.raster
+        admissible = ~r.inside & (ndimage.distance_transform_edt(~r.inside, sampling=r.h) > 0.1)
+        _, idx = ndimage.distance_transform_edt(~admissible, sampling=r.h, return_indices=True)
+        wy, wx = idx[:, cert.witnessed]
+        assert len(wy) > 100_000
+        assert np.array_equal(cert.witness_points, r.xs[wx] + 1j * r.ys[wy])
 
 
 class TestLargestDisc:
@@ -264,9 +335,9 @@ class TestConditionX:
         r = cert.raster
         assert not (cert.witnessed & ~r.inside).any()
         iy, ix = np.nonzero(cert.witnessed)
-        wy, wx = cert.witness_index[:, iy, ix]
+        wy, wx = cert.witness_of(iy, ix)
         assert not r.inside[wy, wx].any()
-        assert (r.dist_to_domain()[wy, wx] > 0.1).all()
+        assert (ndimage.distance_transform_edt(~r.inside, sampling=r.h)[wy, wx] > 0.1).all()
         assert (np.hypot(wy - iy, wx - ix) * r.h < 2.0).all()
 
     def test_full_plane_fails(self):

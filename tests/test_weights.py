@@ -11,11 +11,8 @@ from scipy import ndimage
 
 from dbar_range import geometry, weights
 from dbar_range.geometry import (
-    Complement,
     ConfigurationError,
     Disc,
-    HalfPlane,
-    Intersection,
     LatticeVerificationError,
     LatticeWitnessSet,
     PlanarDomain,
@@ -40,6 +37,7 @@ from dbar_range.weights import (
     strip_weight,
     weight_constants,
 )
+from strategies import csg_trees
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -252,29 +250,6 @@ def full_extreme(ws, r, iy, ix, power, scale, largest):
 
 
 @st.composite
-def primitives(draw):
-    c = st.floats(-2.5, 2.5)
-    kind = draw(st.sampled_from(["disc", "rect", "halfplane"]))
-    if kind == "disc":
-        return Disc(draw(c), draw(c), draw(st.floats(0.2, 2.5)))
-    if kind == "rect":
-        x0, y0 = draw(c), draw(c)
-        return Rect(x0, x0 + draw(st.floats(0.2, 4.0)), y0, y0 + draw(st.floats(0.2, 4.0)))
-    theta = draw(st.floats(0.0, 2 * math.pi))
-    return HalfPlane(complex(math.cos(theta), math.sin(theta)), complex(draw(c), 0.0))
-
-
-@st.composite
-def csg_trees(draw, depth=2):
-    if depth == 0 or draw(st.booleans()):
-        return draw(primitives())
-    op = draw(st.sampled_from([Union, Intersection, Complement]))
-    if op is Complement:
-        return Complement(draw(csg_trees(depth=depth - 1)))
-    return op(tuple(draw(st.lists(csg_trees(depth=depth - 1), min_size=1, max_size=3))))
-
-
-@st.composite
 def witness_sets(draw, r):
     """Witnesses anywhere near the window, on raster lines, on tile edges
     (the first or last node line of a tile), midway between two tiles, and
@@ -402,8 +377,9 @@ class TestGridExtreme:
 
 def loop_lattice(dom, M, delta, cert):
     """The lattice as one Python loop over (l, k) that snaps the complex
-    witness pairs back to the grid and takes a distance transform of the
-    complement for clause (a): the oracle of the array version."""
+    witness pairs back to the grid, takes its nearest domain nodes and
+    clearances from scipy's distance transform and decides clause (a) over
+    every node outside the domain: the oracle of the array version."""
     if not cert.holds:
         raise ConfigurationError("condition X does not hold")
     r = cert.raster
@@ -415,9 +391,11 @@ def loop_lattice(dom, M, delta, cert):
     sx = np.clip(np.rint((sample_points.real - r.xs[0]) / r.h), 0, len(r.xs) - 1)
     sy = np.clip(np.rint((sample_points.imag - r.ys[0]) / r.h), 0, len(r.ys) - 1)
     sample_row[sy.astype(np.intp), sx.astype(np.intp)] = np.arange(len(sample_points))
-    in_idx = r.nearest_inside_indices()
-    dist_in = r.dist_to_domain()
-    dist_out = r.dist_to_complement()
+    dist_in, in_idx = ndimage.distance_transform_edt(
+        ~r.inside, sampling=r.h, return_indices=True
+    )
+    oy, ox = np.nonzero(~r.inside)
+    outside = r.xs[ox] + 1j * r.ys[oy]
 
     x0, x1, y0, y1 = dom.window
     lmin, lmax = math.floor((x0 - M) / M), math.ceil((x1 + M) / M)
@@ -441,7 +419,7 @@ def loop_lattice(dom, M, delta, cert):
             points.append(w)
             witnesses.append(complex(witness_points[row]))
             lattice_flag[l - lmin, k - kmin] = True
-            if dist_out[niy, nix] + abs(w - r.node_z(niy, nix)) >= M:
+            if not (np.abs(w - outside) < M).any():
                 raise LatticeVerificationError(f"clause (a) violated at w={w}")
     points_arr = np.asarray(points, dtype=complex)
     witnesses_arr = np.asarray(witnesses, dtype=complex)
@@ -480,27 +458,28 @@ def lattice_outcome(build):
     return ("ok", lat.points.tolist(), lat.witnesses.tolist())
 
 
-def witness_distance_at_origin(dom, delta):
-    """(|n|, distance from n to the nearest admissible node) for the node n
-    nearest 0, or None when n lies outside the domain or no node is
+def origin_witness(dom, delta):
+    """(|n - n*|, |n*|) for the node n nearest 0 and its nearest admissible
+    node n*, or None when n lies outside the domain or no node is
     admissible."""
     r = dom.raster()
     n = r.nearest_index(0j)
-    admissible = ~r.inside & (r.dist_to_domain() > delta)
+    admissible = ~r.inside & (ndimage.distance_transform_edt(~r.inside, sampling=r.h) > delta)
     if not r.inside[n] or not admissible.any():
         return None
-    dist = ndimage.distance_transform_edt(~admissible, sampling=r.h)
-    return abs(r.node_z(*n)), float(dist[n])
+    dist, idx = ndimage.distance_transform_edt(~admissible, sampling=r.h, return_indices=True)
+    return float(dist[n]), abs(r.node_z(idx[0][n], idx[1][n]))
 
 
 class TestVectorisedLattice:
     def test_box_search_settles_clause_a_at_an_inside_node(self):
-        # the node n nearest w = 0 lies off the lattice point, inside a
-        # disc, and M sits between n's witness distance D and D + |n|: the
-        # witness bound cannot settle clause (a), the box search must
+        # the node n nearest the lattice point w = 0 lies off it, inside a
+        # disc, and M sits between the distances from n and from w to the
+        # witness: the witness cannot settle clause (a), the box search must
         dom = PlanarDomain(Disc(0, 0, 1.0), (-3.013, 3.0, -3.007, 3.0), 0.02)
-        gap, dist = witness_distance_at_origin(dom, 0.1)
-        M = dist + gap / 2
+        near, far = origin_witness(dom, 0.1)
+        assert near < far
+        M = (near + far) / 2
         cert = condition_x(dom, M, 0.1)
         assert cert.holds
         with mock.patch.object(
@@ -521,12 +500,11 @@ class TestVectorisedLattice:
         w, hgt = data.draw(st.floats(4.0, 6.5)), data.draw(st.floats(4.0, 6.5))
         symmetry = data.draw(st.sampled_from(["none", "translation_x"]))
         dom = PlanarDomain(data.draw(csg_trees()), (x0, x0 + w, y0, y0 + hgt), h, symmetry)
-        at_origin = witness_distance_at_origin(dom, delta)
-        if at_origin is not None and data.draw(st.booleans()):
-            # w = 0 is a lattice point for every M; put M where the node
-            # nearest it needs the box search for clause (a)
-            gap, dist = at_origin
-            M = dist + gap / 2
+        at_origin = origin_witness(dom, delta)
+        if at_origin is not None and at_origin[0] < at_origin[1] and data.draw(st.booleans()):
+            # w = 0 is a lattice point for every M; put M where its witness
+            # cannot settle clause (a), so that the box search runs
+            M = sum(at_origin) / 2
         else:
             M = data.draw(st.floats(0.3, 2.5))
         try:
