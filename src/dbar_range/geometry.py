@@ -21,9 +21,11 @@ Unbounded domains are handled by the finite window plus an explicitly
 declared translation symmetry; nothing outside the window is ever
 inferred.  Each certificate object records how its window was treated.
 
-MeshError and SolverError live here beside the other error classes, so
-that a command that never builds the discrete operator (certify,
-scenario) need not import it to name them.
+Graph strips are numpy natural cubic splines (`EtaFunc`), so nothing here
+loads SciPy: only `dbar_range.discrete`, the discrete operator of the
+verify command, does.  MeshError and SolverError live here beside the
+other error classes, so that a command that never builds the discrete
+operator (certify, scenario) need not import it to name them.
 """
 
 from __future__ import annotations
@@ -95,36 +97,101 @@ class LatticeVerificationError(RuntimeError):
 
 
 class EtaFunc:
-    """Boundary graph for a strip: constant or a cubic spline through samples."""
+    """Boundary graph for a strip: a constant, or the natural cubic spline
+    through samples (x_i, y_i).
+
+    The spline has zero second derivative at both end knots and extends
+    past them by its end pieces.  Its coefficients and values are bit for
+    bit those of SciPy's `CubicSpline(x, y, bc_type="natural")`: the knot
+    slopes s solve SciPy's tridiagonal system by the elimination of LAPACK
+    dgtsv (partial pivoting with row interchanges, then a back solve with
+    the fill of the second superdiagonal), one knot at a time in Python
+    floats, since each step needs the last; each piece is SciPy's Hermite
+    cubic in s = x - x_i, summed in SciPy's order.
+    """
 
     def __init__(self, spec: dict):
         if "const" in spec:
             self.spec = {"const": float(spec["const"])}
-            c = self.spec["const"]
-            self._fn = lambda x: np.full_like(np.asarray(x, dtype=float), c)
             self.x_range = (-math.inf, math.inf)
         elif "x" in spec and "y" in spec:
             xs = [float(v) for v in spec["x"]]
             ys = [float(v) for v in spec["y"]]
             if len(xs) != len(ys) or len(xs) < 2:
                 raise DomainSpecError("eta samples need matching x/y arrays of length >= 2")
+            if not all(map(math.isfinite, xs + ys)):
+                raise DomainSpecError("eta samples must be finite")
             ax = np.asarray(xs)
             if np.any(np.diff(ax) <= 0):
                 raise DomainSpecError("eta sample x values must be strictly increasing")
-            # only spline strips need scipy.interpolate; it is slow to import
-            from scipy.interpolate import CubicSpline
-
             self.spec = {"x": xs, "y": ys}
-            self._fn = CubicSpline(ax, np.asarray(ys), bc_type="natural")
+            self._knots = ax
+            self._coef = _natural_spline(ax, np.asarray(ys))
             self.x_range = (xs[0], xs[-1])
         else:
             raise DomainSpecError(f"eta spec must have 'const' or 'x'/'y', got {sorted(spec)}")
 
     def __call__(self, x):
-        return self._fn(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        if "const" in self.spec:
+            return np.full_like(x, self.spec["const"])
+        # the piece x_i <= x < x_(i+1), closed at the last knot; the end
+        # pieces extend beyond the knots
+        knots = self._knots
+        i = np.clip(np.searchsorted(knots, x, "right") - 1, 0, len(knots) - 2)
+        s = x - knots[i]
+        c0, c1, c2, c3 = self._coef[:, i]
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
 
     def covers(self, x0: float, x1: float) -> bool:
         return self.x_range[0] <= x0 and x1 <= self.x_range[1]
+
+
+def _natural_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(4, n - 1) coefficients of the natural cubic spline through (x, y):
+    row k multiplies s**(3 - k) on each piece, as SciPy's `PPoly.c`."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # SciPy's system for the knot slopes, as its three diagonals
+    d = np.empty(len(x))
+    b = np.empty(len(x))
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d[0], b[0] = 2 * dx[0], 3 * (y[1] - y[0])
+    d[-1], b[-1] = 2 * dx[-1], 3 * (y[-1] - y[-2])
+    upper = np.concatenate((dx[:1], dx[:-1]))
+    lower = np.concatenate((dx[1:], dx[-1:]))
+    s = np.array(_dgtsv(lower.tolist(), d.tolist(), upper.tolist(), b.tolist()))
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _dgtsv(dl: list, d: list, du: list, b: list) -> list:
+    """Solution of the tridiagonal system with subdiagonal dl, diagonal d
+    and superdiagonal du, by LAPACK dgtsv's steps in the same float
+    operations (the lists are overwritten).  The system must be
+    nonsingular, of order 2 or more."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:  # interchange rows i and i + 1; dl[i] keeps the fill
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
 
 
 @dataclass(frozen=True)
@@ -241,10 +308,13 @@ class Raster:
         member = domain.tree.member(self.xs[None, :], self.ys[:, None])
         self.inside = np.broadcast_to(member, (ny, nx)).astype(bool)
 
-    def nearest_index(self, z: complex) -> tuple[int, int]:
-        ix = int(np.clip(round((z.real - self.xs[0]) / self.h), 0, len(self.xs) - 1))
-        iy = int(np.clip(round((z.imag - self.ys[0]) / self.h), 0, len(self.ys) - 1))
-        return iy, ix
+    def nearest_index(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) of the node nearest each point z, clipped to the
+        grid; z is a point or an array of points."""
+        z = np.asarray(z)
+        ix = np.clip(np.rint((z.real - self.xs[0]) / self.h), 0, len(self.xs) - 1)
+        iy = np.clip(np.rint((z.imag - self.ys[0]) / self.h), 0, len(self.ys) - 1)
+        return iy.astype(np.intp), ix.astype(np.intp)
 
     def node_z(self, iy, ix):
         return self.xs[ix] + 1j * self.ys[iy]
@@ -477,19 +547,28 @@ def largest_disc_at(dom: PlanarDomain, z: complex, cap: float, h: Optional[float
     return min(cap, max(0.0, d - snap))
 
 
-def clearance(dom: PlanarDomain, z: complex, h: Optional[float] = None) -> float:
+def clearance(dom: PlanarDomain, z, h: Optional[float] = None):
     """Grid distance from z to the rasterized domain closure (0 if inside).
 
-    Error <= h*sqrt(2); distances are measured against the window content.
+    z is a point, answered as a float, or an array of points, answered as
+    an array by one nearest-node scan.  Error <= h*sqrt(2); distances are
+    measured against the window content.
     """
-    if dom.member(z):
-        return 0.0
-    r = dom.raster(h)
-    if not r.inside.any():
-        return math.inf
-    iy, ix = r.nearest_index(z)
-    ty, tx = _nearest(r.inside_rows, r.h, [iy], [ix])
-    return abs(z - r.node_z(int(ty[0]), int(tx[0])))
+    z = np.asarray(z, dtype=complex)
+    away = ~np.asarray(dom.tree.member(z.real, z.imag))
+    out = np.zeros(z.shape)
+    if away.any():
+        r = dom.raster(h)
+        if not r.inside.any():
+            out[away] = math.inf
+        else:
+            iy, ix = r.nearest_index(z[away])
+            ty, tx = _nearest(r.inside_rows, r.h, iy, ix)
+            # |z - node| as a complex scalar's abs takes it; np.abs of a
+            # complex array may round differently
+            d = z[away] - r.node_z(ty, tx)
+            out[away] = np.hypot(d.real, d.imag)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +781,10 @@ def build_lattice(
     (a) the search disc meets the complement: some node outside the domain
         lies closer than M to w.  The witness w* is such a node, so
         |w - w*| < M settles it; only where it does not are the nodes
-        outside the domain within M of w searched.
+        outside the domain within M of w searched.  With symmetry "none"
+        the domain is its window content, so everything beyond the window
+        is complement too: a w closer than M to the outside of the window
+        (distance 0 when w lies beyond it) passes.
     (b) every domain node with a full search disc is covered by some
         lattice disc, tested first against its nearest lattice point;
     (c) witnesses clear delta (the distance from the witness node to its
@@ -731,9 +813,7 @@ def build_lattice(
     w.real, w.imag = ls.ravel() * M, ks.ravel() * M
 
     # n: the node nearest w; z: the domain node nearest n
-    ny, nx = r.inside.shape
-    ziy = np.clip(np.rint((w.imag - r.ys[0]) / r.h), 0, ny - 1).astype(np.intp)
-    zix = np.clip(np.rint((w.real - r.xs[0]) / r.h), 0, nx - 1).astype(np.intp)
+    ziy, zix = r.nearest_index(w)
     out = ~r.inside[ziy, zix]
     ziy[out], zix[out] = _nearest(r.inside_rows, r.h, ziy[out], zix[out])
     # the search disc meets the sampled domain, and z has a witness (edge
@@ -746,6 +826,10 @@ def build_lattice(
 
     # clause (a): complement reachable inside the search disc
     d_out = np.abs(w - witnesses)
+    if dom.symmetry == "none":
+        # beyond the window lies complement: cap by the distance to it
+        edge = np.minimum.reduce([w.real - x0, x1 - w.real, w.imag - y0, y1 - w.imag])
+        d_out = np.minimum(d_out, np.maximum(edge, 0.0))
     for j in np.flatnonzero(d_out >= M):
         d_out[j] = _distance_to_outside(r, complex(w[j]), M)
     if (d_out >= M).any():

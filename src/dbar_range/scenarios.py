@@ -547,7 +547,7 @@ def omega_s_scenario(
     wit_y = np.array(c[:-1], dtype=float)
     witnesses = np.concatenate([2.5 + 1j * wit_y, -2.5 + 1j * wit_y])
     lattice = PointSeriesWeight(witnesses)
-    wit_clear = min(clearance(dom, complex(w)) for w in witnesses)
+    wit_clear = float(clearance(dom, witnesses).min())
 
     comp = certify_composite(dom, chi, fam, lattice, K=K)
     cert = None

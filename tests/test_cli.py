@@ -298,32 +298,50 @@ def test_verify_leaves_ndimage_unimported(tmp_path):
 
 
 def test_certify_and_gallery_scenario_load_no_scipy(tmp_path):
-    # condition X and the lattice take their distance tests in numpy; only
-    # spline strips (scipy.interpolate) and verify (scipy.sparse) load scipy
+    # condition X and the lattice take their distance tests in numpy and
+    # spline strips are numpy natural splines; only verify (scipy.sparse,
+    # through dbar_range.discrete) loads scipy
     code = (
         "import sys, dbar_range.cli\n"
         "main, out = dbar_range.cli.main, sys.argv[1]\n"
         "codes = [main(['certify', '--domain', d, '--M', '2', '--delta', '0.1', '--out', out])"
         " for d in sys.argv[2:4]]\n"
-        "codes.append(main(['scenario', '--spec', sys.argv[4], '--out', out]))\n"
+        "codes += [main(['scenario', '--spec', s, '--out', out]) for s in sys.argv[4:]]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    argv = [ROOT / "domains/uniform_gallery.json", ROOT / "domains/whole_plane.json",
-            ROOT / "scenarios/gallery_uniform.json"]
+    argv = [ROOT / "domains/uniform_gallery.json", ROOT / "domains/whole_plane.json", *SPECS]
     out = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path), *map(str, argv)],
         capture_output=True, text=True, check=True, env={"PYTHONPATH": str(ROOT / "src")},
     )
-    assert out.stdout.splitlines()[-1] == "[0, 2, 0] []"
+    assert len(SPECS) == 4
+    assert out.stdout.splitlines()[-1] == "[0, 2, 0, 0, 0, 0] []"
 
 
-def domain_file(tmp_path, tree, window, mesh):
-    """A translation_x domain document in tmp_path."""
+def test_only_the_discrete_operator_imports_scipy():
+    # importing scipy costs a child process a large share of a certify or
+    # scenario run; only dbar_range.discrete (verify) may pay it
+    importers = set()
+    for path in (ROOT / "src" / "dbar_range").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] == "scipy" for n in names):
+                importers.add(path.name)
+    assert importers == {"discrete.py"}
+
+
+def domain_file(tmp_path, tree, window, mesh, symmetry="translation_x"):
+    """A domain document in tmp_path."""
     x0, x1, y0, y1 = window
     path = tmp_path / "domain.json"
     path.write_text(json.dumps({
         "window": {"x0": x0, "x1": x1, "y0": y0, "y1": y1}, "mesh": mesh,
-        "symmetry": "translation_x", "tree": tree,
+        "symmetry": symmetry, "tree": tree,
     }))
     return path
 
@@ -338,6 +356,20 @@ def test_clause_a_is_measured_from_the_lattice_point(tmp_path):
     domain = domain_file(tmp_path, {"op": "union", "children": strips},
                          (-6.2, 6.2, -6.0, 6.0), 0.02)
     child = run_cli("certify", "--domain", domain, "--M", "2", "--delta", "0.1",
+                    "--out", tmp_path / "out")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith("certified: ")
+
+
+def test_beyond_the_window_is_complement_without_symmetry(tmp_path):
+    # the plane minus 25 holes, clipped to its window: lattice points beyond
+    # the window lie in the complement, although no node outside the domain
+    # is within M of w = -4.8-4.8j (clause (a) failed there)
+    holes = [{"prim": "disc", "params": {"center": [x, y], "radius": 0.35}}
+             for x in (-3, -1.5, 0, 1.5, 3) for y in (-3, -1.5, 0, 1.5, 3)]
+    tree = {"op": "complement", "children": [{"op": "union", "children": holes}]}
+    domain = domain_file(tmp_path, tree, (-4, 4, -4, 4), 0.02, symmetry="none")
+    child = run_cli("certify", "--domain", domain, "--M", "1.2", "--delta", "0.1",
                     "--out", tmp_path / "out")
     assert child.returncode == 0, child.stderr
     assert child.stdout.startswith("certified: ")

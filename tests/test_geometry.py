@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.interpolate import CubicSpline
 
 from dbar_range import scenarios
 from dbar_range.geometry import (
@@ -319,6 +320,52 @@ class TestClearance:
                       symmetry="none")
         got = clearance(dom, 0j)
         assert got == pytest.approx(g / 2, abs=0.01 * math.sqrt(2))
+
+    def test_points_at_once_equal_one_at_a_time(self):
+        g = 0.5
+        dom = gallery([(-1.0, -g / 2), (g / 2, 1.0)], (-2, 2, -2, 2), 0.01,
+                      symmetry="none")
+        zs = np.array([0j, 0.3 + 0.1j, -1.7 + 0.5j, 0.5 - 0.1j, 2.5 + 2.5j])
+        one = [clearance(dom, complex(z)) for z in zs]
+        assert all(type(v) is float for v in one)
+        assert one[2] == 0.0 and one[0] > 0
+        assert np.array_equal(clearance(dom, zs), one)
+
+
+@st.composite
+def spline_samples(draw):
+    """Knots and values for a natural spline.  Steps of 2**k, k in -8..8,
+    are uneven enough that the tridiagonal solve interchanges rows wherever
+    a step exceeds twice the one before."""
+    n = draw(st.integers(2, 100))
+    steps = draw(st.lists(st.tuples(st.integers(-8, 8), st.floats(1.0, 2.0)),
+                          min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-50.0, 50.0)) + np.cumsum([0.0] + [2.0**k * f for k, f in steps])
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    return x, y
+
+
+class TestEtaSpline:
+    @settings(max_examples=200, deadline=None)
+    @given(spline_samples())
+    # steps 1, 4, 16, ...: a row interchange at every row
+    @example((np.cumsum([0.0] + [4.0**k for k in range(12)]), np.sin(np.arange(13.0))))
+    @example((np.array([0.0, 1.0]), np.array([1.0, -2.0])))
+    def test_equals_scipy_natural_spline(self, samples):
+        x, y = samples
+        eta = EtaFunc({"x": x.tolist(), "y": y.tolist()})
+        want = CubicSpline(x, y, bc_type="natural")
+        q = np.concatenate((
+            x, (x[:-1] + x[1:]) / 2, x[:-1] + 0.1 * np.diff(x),
+            [x[0] - 1.0, np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf), x[-1] + 3.0],
+        ))
+        assert np.array_equal(eta._coef, want.c)
+        assert np.array_equal(eta(q), want(q))
+
+    def test_rejects_non_finite_samples(self):
+        for xs, ys in (([0.0, 1.0], [0.0, math.nan]), ([0.0, math.inf], [0.0, 1.0])):
+            with pytest.raises(DomainSpecError):
+                EtaFunc({"x": xs, "y": ys})
 
 
 class TestConditionX:

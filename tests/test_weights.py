@@ -379,7 +379,8 @@ def loop_lattice(dom, M, delta, cert):
     """The lattice as one Python loop over (l, k) that snaps the complex
     witness pairs back to the grid, takes its nearest domain nodes and
     clearances from scipy's distance transform and decides clause (a) over
-    every node outside the domain: the oracle of the array version."""
+    every node outside the domain and, without a declared symmetry, the
+    outside of the window: the oracle of the array version."""
     if not cert.holds:
         raise ConfigurationError("condition X does not hold")
     r = cert.raster
@@ -419,7 +420,10 @@ def loop_lattice(dom, M, delta, cert):
             points.append(w)
             witnesses.append(complex(witness_points[row]))
             lattice_flag[l - lmin, k - kmin] = True
-            if not (np.abs(w - outside) < M).any():
+            beyond = min(w.real - x0, x1 - w.real, w.imag - y0, y1 - w.imag) < M
+            if not (np.abs(w - outside) < M).any() and not (
+                dom.symmetry == "none" and beyond
+            ):
                 raise LatticeVerificationError(f"clause (a) violated at w={w}")
     points_arr = np.asarray(points, dtype=complex)
     witnesses_arr = np.asarray(witnesses, dtype=complex)
