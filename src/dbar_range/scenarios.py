@@ -50,6 +50,7 @@ __all__ = [
     "gallery_domain",
     "uniform_gallery_params",
     "strip_gallery",
+    "omega_s_composite",
     "omega_s_scenario",
     "scaling_scenario",
     "run_scenario",
@@ -409,7 +410,9 @@ def strip_gallery(
 ) -> dict:
     """Full gallery pipeline: exterior-witness verdict, lattice weight when
     available, and the quadratic band weight with its explicit certificate
-    (bound M^2, Hessian 1/2)."""
+    (bound M^2, Hessian 1/2).  The band weight's finite-difference Hessian
+    and its max are taken per raster row, at the height of each row that
+    holds an inside node."""
     c = [float(v) for v in c]
     spacing = max(b - a for a, b in zip(c, c[1:]))
     if spacing > M + 1e-12:
@@ -429,11 +432,10 @@ def strip_gallery(
     quad_from = [a + 0.9 * meta["lo_margin"] for a in c[:-1]]
     fam = StripWeightFamily(c, quad_from)
     r = dom.raster()
-    iy, ix = np.nonzero(r.inside)
-    zs = r.xs[ix] + 1j * r.ys[iy]
-    vals = fam.value(zs)
+    ys = r.ys[r.inside.any(axis=1)]
+    vals = fam.value(ys)
     d = r.h
-    fd = (fam.value(zs + 1j * d) - 2 * vals + fam.value(zs - 1j * d)) / (d * d) / 4.0
+    fd = (fam.value(ys + d) - 2 * vals + fam.value(ys - d)) / (d * d) / 4.0
     fd_min = float(np.min(fd))
     phi_max = float(np.max(vals))
     strip_ok = fd_min >= 0.5 - 10 * d * d and phi_max <= M * M + 1e-12
@@ -507,23 +509,20 @@ def strip_gallery(
 # ---------------------------------------------------------------------------
 
 
-def omega_s_scenario(
+def omega_s_composite(
     kappa1: float = 0.4,
     j_min: int = -5,
     j_max: int = 6,
     window: tuple = (-10.0, 10.0, -7.0, 8.0),
     mesh: float = 0.012,
-    condition_M: float = 2.0,
-    condition_delta: float = 0.05,
-    K: Optional[float] = None,
-    seed: int = 0,
-) -> dict:
-    """Strips whose gaps stay >= kappa1 near the column but pinch as
-    |Re z| grows, glued to the full column |Re z| < 2.
+) -> tuple:
+    """The omega_s domain and the parts of its composite weight:
+    (domain, cutoff chi, strip weight family, hand-placed series weight).
 
-    The gallery fails the exterior-witness condition on a wide window, yet
-    the composite weight  chi * (strip weight) + K * (hand-placed series
-    weight)  certifies closed range, with K found by doubling search.
+    Strips whose gaps stay >= kappa1 near the column but pinch as |Re z|
+    grows, glued to the full column |Re z| < 2; the series weight has one
+    witness at each height c_j on either side of the column, at |Re z| =
+    2.5.
     """
     c = [float(j) for j in range(j_min, j_max + 1)]
     x0, x1, y0, y1 = window
@@ -539,15 +538,33 @@ def omega_s_scenario(
     tree = Union(tuple(strips_dom.tree.children) + (Rect(-2.0, 2.0, y0, y1),))
     dom = PlanarDomain(tree, window, mesh, "none")
 
-    cx = condition_x(dom, condition_M, condition_delta)
-
     chi = CutoffProfile(2.0, 3.0)
     quad_from = [a + 0.9 * meta["lo_margin"] for a in c[:-1]]
     fam = StripWeightFamily(c, quad_from)
     wit_y = np.array(c[:-1], dtype=float)
-    witnesses = np.concatenate([2.5 + 1j * wit_y, -2.5 + 1j * wit_y])
-    lattice = PointSeriesWeight(witnesses)
-    wit_clear = float(clearance(dom, witnesses).min())
+    lattice = PointSeriesWeight(np.concatenate([2.5 + 1j * wit_y, -2.5 + 1j * wit_y]))
+    return dom, chi, fam, lattice
+
+
+def omega_s_scenario(
+    kappa1: float = 0.4,
+    j_min: int = -5,
+    j_max: int = 6,
+    window: tuple = (-10.0, 10.0, -7.0, 8.0),
+    mesh: float = 0.012,
+    condition_M: float = 2.0,
+    condition_delta: float = 0.05,
+    K: Optional[float] = None,
+    seed: int = 0,
+) -> dict:
+    """`omega_s_composite`'s domain: the gallery fails the exterior-witness
+    condition on a wide window, yet the composite weight  chi * (strip
+    weight) + K * (hand-placed series weight)  certifies closed range, with
+    K found by doubling search.
+    """
+    dom, chi, fam, lattice = omega_s_composite(kappa1, j_min, j_max, window, mesh)
+    cx = condition_x(dom, condition_M, condition_delta)
+    wit_clear = float(clearance(dom, lattice.witnesses).min())
 
     comp = certify_composite(dom, chi, fam, lattice, K=K)
     cert = None

@@ -150,32 +150,34 @@ def _tile_bounds(ws, xlo, xhi, ylo, yhi, power, scale, largest):
     return out
 
 
-def _grid_extreme(ws, raster, iy, ix, power, scale, largest) -> float:
+def _grid_extreme(ws, raster, mask, power, scale, largest) -> float:
     """np.max (largest) or np.min of _phi_many(ws, zs, power, scale) over
-    the nodes zs = raster.xs[ix] + 1j raster.ys[iy], for power < 0, with
-    phi evaluated only on the tiles where the extreme can lie.
+    the nodes zs = raster.xs[ix] + 1j raster.ys[iy] where mask[iy, ix]
+    holds, for power < 0, with phi evaluated only on the tiles where the
+    extreme can lie.
 
-    The nodes are grouped into _TILE x _TILE raster tiles.  A tile's bound
+    The mask is cut into _TILE x _TILE raster tiles.  A tile's bound
     takes each term at the distance from its witness to the nearest (for a
     max) or farthest (for a min) point of the box around the tile's nodes,
     shrunk or grown by the relative _BOUND_SLACK, so no node of the tile
-    can reach or pass the bound even after float rounding.  phi is evaluated on the _SEED_TILES best-bounded
-    tiles, then once more on every other tile whose bound reaches that
-    value; the rest cannot hold the extreme.  A _phi_many row sum does not
-    depend on the other rows of its call, so the result is the full-grid
-    extreme bit for bit.  Raises ValueError when there are no nodes.
+    can reach or pass the bound even after float rounding.  phi is
+    evaluated on the _SEED_TILES best-bounded tiles, then once more on
+    every other tile whose bound reaches that value; the rest cannot hold
+    the extreme.  Node coordinates are formed per evaluated tile only.  A
+    _phi_many row sum does not depend on the other rows of its call, so
+    the result is the full-grid extreme bit for bit.  Raises ValueError
+    when the mask holds no node.
     """
-    ny, nx = len(raster.ys), len(raster.xs)
+    ny, nx = mask.shape
     ntx, nty = -(-nx // _TILE), -(-ny // _TILE)
-    tid = (iy // _TILE) * ntx + ix // _TILE
-    # the box of each tile's own nodes: its first and last occupied row
-    # and column, so a tile that meets the domain in a corner is bounded
-    # by that corner alone
     sel = np.zeros((nty * _TILE, ntx * _TILE), dtype=bool)
-    sel[iy, ix] = True
+    sel[:ny, :nx] = mask
     blocks = sel.reshape(nty, _TILE, ntx, _TILE)
     tiles = np.flatnonzero(blocks.any(axis=(1, 3)))
     ty, tx = tiles // ntx, tiles % ntx
+    # the box of each tile's own nodes: its first and last occupied row
+    # and column, so a tile that meets the domain in a corner is bounded
+    # by that corner alone
     rows = blocks.any(axis=3)[ty, :, tx]
     cols = blocks.any(axis=1)[ty, tx, :]
     y0 = ty * _TILE + np.argmax(rows, axis=1)
@@ -187,14 +189,12 @@ def _grid_extreme(ws, raster, iy, ix, power, scale, largest) -> float:
         power, scale, largest,
     )
     order = np.argsort(-bound if largest else bound, kind="stable")
-    pick = np.zeros(ntx * nty, dtype=bool)
     extreme = np.max if largest else np.min
 
     def evaluate(which):
-        pick[:] = False
-        pick[tiles[which]] = True
-        keep = pick[tid]
-        zs = raster.xs[ix[keep]] + 1j * raster.ys[iy[keep]]
+        wy, wx = ty[which], tx[which]
+        k, iy, ix = np.nonzero(blocks[wy, :, wx, :])
+        zs = raster.xs[wx[k] * _TILE + ix] + 1j * raster.ys[wy[k] * _TILE + iy]
         return extreme(_phi_many(ws, zs, power, scale))
 
     best = evaluate(order[:_SEED_TILES])
@@ -217,10 +217,12 @@ def series_weight_grid_stats(
     point is the nearest one (the first in point order on a tie), and the
     Hessian bound is 4 |z - w*|^-6 for that point's witness w*.  Each
     point is tested only against the nodes of its 2M square, widened by a
-    node, since no other node can lie within M of it.  The max of phi is
-    `_grid_extreme`'s: phi is summed only on the raster tiles whose bound
-    from the tile-to-witness distances can reach the largest value, which
-    is exactly the max over all inside nodes.
+    node, since no other node can lie within M of it.  This covering
+    witness is the one per-node quantity, so it alone takes per-node
+    coordinates.  The max of phi is `_grid_extreme`'s on the inside mask:
+    phi is summed only on the raster tiles whose bound from the
+    tile-to-witness distances can reach the largest value, which is
+    exactly the max over all inside nodes.
     """
     r = dom.raster(h)
     iy, ix = np.nonzero(r.inside)
@@ -255,7 +257,7 @@ def series_weight_grid_stats(
         )
     zzbar_lower = 4.0 * np.abs(zs - ws[cover]) ** -6.0
     return SeriesGridStats(
-        grid_max_phi=_grid_extreme(ws, r, iy, ix, -4.0, 1.0, True) + w.tail_bound,
+        grid_max_phi=_grid_extreme(ws, r, r.inside, -4.0, 1.0, True) + w.tail_bound,
         grid_min_zzbar=float(np.min(zzbar_lower)),
         nodes=len(zs),
     )
@@ -324,8 +326,10 @@ class StripWeightFamily:
     """Sum of band weights over a strictly increasing height sequence.
 
     Band j lives between cs[j] and cs[j+1] and is quadratic from
-    quad_from[j] upward.  The value depends on Im z only; outside
-    [cs[0], cs[-1]] it vanishes.
+    quad_from[j] upward.  The value depends on the height only; outside
+    [cs[0], cs[-1]] it vanishes.  `value` and `zzbar` take points z
+    (complex: the height is Im z) or heights (real), as `strip_weight`
+    does, so a caller can evaluate them once per raster row.
     """
 
     def __init__(self, cs: Sequence[float], quad_from: Optional[Sequence[float]] = None):
@@ -346,14 +350,16 @@ class StripWeightFamily:
         self.sup_value = self.max_gap**2
         self.sup_dy = self._scan_sup_dy()
 
+    @staticmethod
+    def _heights(z) -> np.ndarray:
+        return np.asarray(np.imag(z) if np.iscomplexobj(z) else z, dtype=float)
+
     def _band_index(self, y):
         idx = np.searchsorted(np.asarray(self.cs), y, side="right") - 1
         return np.clip(idx, 0, len(self.cs) - 2)
 
-    def value(self, z):
-        y = np.asarray(getattr(z, "imag", z), dtype=float)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
+    def _at(self, y: np.ndarray) -> np.ndarray:
+        """The weight at the 1-d array of heights y."""
         j = self._band_index(y)
         lo = np.asarray(self.cs)[j]
         hi = np.asarray(self.cs)[j + 1]
@@ -361,14 +367,19 @@ class StripWeightFamily:
         t = (y - lo) / (qf - lo)
         out = (y - hi) ** 2 * _smoothstep(t)
         out[(y < self.cs[0]) | (y > self.cs[-1])] = 0.0
-        return float(out[0]) if scalar else out
+        return out
+
+    def value(self, z):
+        y = self._heights(z)
+        out = self._at(np.atleast_1d(y))
+        return float(out[0]) if y.ndim == 0 else out
 
     def zzbar(self, z):
-        y = np.asarray(getattr(z, "imag", z), dtype=float)
+        y = self._heights(z)
         scalar = y.ndim == 0
         y = np.atleast_1d(y)
         d = 1e-4 * self.max_gap
-        out = (self.value(y + d) - 2 * self.value(y) + self.value(y - d)) / (d * d) / 4.0
+        out = (self._at(y + d) - 2 * self._at(y) + self._at(y - d)) / (d * d) / 4.0
         j = self._band_index(y)
         quad = (y >= np.asarray(self.quad_from)[j]) & (y <= np.asarray(self.cs)[j + 1])
         out[quad] = 0.5
@@ -378,8 +389,7 @@ class StripWeightFamily:
         sup = 0.0
         for a, b in zip(self.cs, self.cs[1:]):
             ys = np.linspace(a, b, 4097)
-            vals = self.value(ys)
-            sup = max(sup, float(np.max(np.abs(np.gradient(vals, ys)))))
+            sup = max(sup, float(np.max(np.abs(np.gradient(self._at(ys), ys)))))
         return 1.05 * sup  # dense-sampling bound, inflated
 
 
@@ -496,75 +506,83 @@ def certify_composite(
 
     b is the grid minimum of the lattice part's Hessian on |Re z| <= chi.hi;
     all regional bounds are re-measured on the grid rather than assumed.
-    b and the grid max of phi_lattice (for A) come from `_grid_extreme`:
-    each sum is evaluated only on the raster tiles whose bound, from the
-    tile box's farthest (for b) or nearest (for the max) distance to each
-    witness, can reach the extreme, which is the full-grid min or max bit
-    for bit.  When K is omitted a doubling search starts at K = 1 and
-    gives up past 2^64 (reported as an uncertified outcome).
+    Each field is evaluated on the raster axis it depends on.  The inner,
+    transition and outer regions are sets of columns, decided from |x|
+    per column and counted from column sums of the inside mask.  The strip
+    weight depends on the height alone, so its Hessian, its y-difference
+    and its max are taken once per row that holds an inside node in those
+    columns.  b and the grid max of phi_lattice (for A) come from
+    `_grid_extreme` on the inside mask (cut to the central columns for b),
+    which forms node coordinates only on the tiles it evaluates: each sum
+    is evaluated only on the raster tiles whose bound, from the tile box's
+    farthest (for b) or nearest (for the max) distance to each witness,
+    can reach the extreme, which is the full-grid min or max bit for bit.
+    When K is omitted a doubling search starts at K = 1 and gives up past
+    2^64 (reported as an uncertified outcome).
     """
     r = dom.raster(h)
-    iy, ix = np.nonzero(r.inside)
-    zs = r.xs[ix] + 1j * r.ys[iy]
-    ax = np.abs(zs.real)
+    ax = np.abs(r.xs)
     inner = ax <= chi.lo
     trans = (ax > chi.lo) & (ax < chi.hi)
     outer = ax >= chi.hi
+    per_column = np.count_nonzero(r.inside, axis=0)
+    regions = {
+        "inner": int(per_column[inner].sum()),
+        "transition": int(per_column[trans].sum()),
+        "outer": int(per_column[outer].sum()),
+    }
+
+    def heights(columns):
+        # the heights of the rows that hold an inside node in these columns
+        return r.ys[r.inside[:, columns].any(axis=1)]
 
     ws = phi_lattice.witnesses
-    central = ax <= chi.hi
     b = 0.0
-    if central.any():
-        b = _grid_extreme(ws, r, iy[central], ix[central], -6.0, 4.0, False)
-    lattice_max = _grid_extreme(ws, r, iy, ix, -4.0, 1.0, True)
+    if regions["inner"] or regions["transition"]:
+        b = _grid_extreme(ws, r, r.inside & (ax <= chi.hi), -6.0, 4.0, False)
+    lattice_max = _grid_extreme(ws, r, r.inside, -4.0, 1.0, True)
     # strip Hessian and gradient re-measured where the certificate relies
     # on them: on the composite domain the transition and outer regions lie
     # inside the strips, where the weight is exactly quadratic, so these
     # grid sups stay tame even when far-away collars are steep
-    s_outer = float(np.min(phi_strip.zzbar(zs[outer]))) if outer.any() else 0.5
-    s_trans = float(np.min(phi_strip.zzbar(zs[trans]))) if trans.any() else 0.0
-    if trans.any():
-        zt = zs[trans]
+    s_outer = float(np.min(phi_strip.zzbar(heights(outer)))) if regions["outer"] else 0.5
+    if regions["transition"]:
+        yt = heights(trans)
+        s_trans = float(np.min(phi_strip.zzbar(yt)))
         d = r.h
-        dy = np.abs(phi_strip.value(zt + 1j * d) - phi_strip.value(zt - 1j * d)) / (2 * d)
+        dy = np.abs(phi_strip.value(yt + d) - phi_strip.value(yt - d)) / (2 * d)
         sup_dy_trans = 1.05 * float(np.max(dy))
-        phi_max_trans = float(np.max(phi_strip.value(zt)))
+        phi_max_trans = float(np.max(phi_strip.value(yt)))
         cross = chi.sup_d1 * sup_dy_trans / 2.0 + chi.sup_d2 * phi_max_trans / 4.0
     else:
+        s_trans = 0.0
         cross = _cross_term_bound(chi, phi_strip)
 
     def bound_for(Kv: float) -> float:
         parts = []
-        if outer.any():
+        if regions["outer"]:
             parts.append(s_outer)
-        if inner.any():
+        if regions["inner"]:
             parts.append(Kv * b)
-        if trans.any():
+        if regions["transition"]:
             parts.append(Kv * b - cross + chi.value(chi.lo) * min(0.0, s_trans))
         return min(parts) if parts else 0.0
 
-    def a_for(Kv: float) -> float:
-        return phi_strip.sup_value + Kv * lattice_max
+    def outcome(Kv: float) -> CompositeCertification:
+        B_prime = bound_for(Kv)
+        return CompositeCertification(
+            bool(B_prime > 0), Kv, B_prime, phi_strip.sup_value + Kv * lattice_max,
+            cross, b, regions,
+        )
 
     if K is not None:
-        B_prime = bound_for(K)
-        return CompositeCertification(
-            bool(B_prime > 0), K, B_prime, a_for(K), cross, b,
-            {"inner": int(inner.sum()), "transition": int(trans.sum()), "outer": int(outer.sum())},
-        )
+        return outcome(K)
     Kv = 1.0
     while Kv <= 2.0**64:
-        B_prime = bound_for(Kv)
-        if B_prime > 0:
-            return CompositeCertification(
-                True, Kv, B_prime, a_for(Kv), cross, b,
-                {"inner": int(inner.sum()), "transition": int(trans.sum()), "outer": int(outer.sum())},
-            )
+        if bound_for(Kv) > 0:
+            return outcome(Kv)
         Kv *= 2.0
-    return CompositeCertification(
-        False, Kv / 2.0, bound_for(Kv / 2.0), a_for(Kv / 2.0), cross, b,
-        {"inner": int(inner.sum()), "transition": int(trans.sum()), "outer": int(outer.sum())},
-    )
+    return outcome(Kv / 2.0)
 
 
 # ---------------------------------------------------------------------------

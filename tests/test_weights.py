@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from dbar_range import geometry, weights
+from dbar_range import geometry, scenarios, weights
 from dbar_range.geometry import (
     ConfigurationError,
     Disc,
@@ -287,11 +288,11 @@ class TestGridExtreme:
         x0, y0 = data.draw(st.floats(-3.0, 0.0)), data.draw(st.floats(-3.0, 0.0))
         dom = PlanarDomain(data.draw(csg_trees()), (x0, x0 + w, y0, y0 + hgt), h)
         r = dom.raster()
-        iy, ix = np.nonzero(r.inside)
+        mask = r.inside
         if data.draw(st.booleans()):  # a column of the nodes, as for b
             cut = data.draw(st.floats(0.0, 3.0))
-            keep = np.abs(r.xs[ix]) <= cut
-            iy, ix = iy[keep], ix[keep]
+            mask = mask & (np.abs(r.xs) <= cut)
+        iy, ix = np.nonzero(mask)
         assume(len(iy) > 0)
         ws = data.draw(witness_sets(r))
         # a witness on or next to a node gives inf
@@ -299,7 +300,7 @@ class TestGridExtreme:
                 mock.patch.object(weights, "_SEED_TILES", seeds):
             for power, scale in SUMS:
                 for largest in (True, False):
-                    got = weights._grid_extreme(ws, r, iy, ix, power, scale, largest)
+                    got = weights._grid_extreme(ws, r, mask, power, scale, largest)
                     assert got == full_extreme(ws, r, iy, ix, power, scale, largest)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -348,7 +349,7 @@ class TestGridExtreme:
         assert want == full_extreme(ws, Grid, np.array([0]), np.array([17]), -4.0, 1.0, True)
         assert want < 1.004 * full_extreme(ws, Grid, np.array([0]), np.array([15]), -4.0, 1.0, True)
         with mock.patch.object(weights, "_SEED_TILES", 1):
-            assert weights._grid_extreme(ws, Grid, iy, ix, -4.0, 1.0, True) == want
+            assert weights._grid_extreme(ws, Grid, inside, -4.0, 1.0, True) == want
 
     def test_max_evaluates_few_nodes_on_the_gallery(self, monkeypatch):
         # the certify max of phi: a few percent of the nodes decide it
@@ -365,14 +366,14 @@ class TestGridExtreme:
             return phi_many(ws, zs, power, scale)
 
         monkeypatch.setattr(weights, "_phi_many", counting)
-        assert weights._grid_extreme(lat.witnesses, r, iy, ix, -4.0, 1.0, True) == want
+        assert weights._grid_extreme(lat.witnesses, r, r.inside, -4.0, 1.0, True) == want
         assert sum(evaluated) < 0.05 * len(iy)
 
     def test_no_nodes_raises(self):
         r = make_gallery().raster()
-        none = np.array([], dtype=int)
+        none = np.zeros_like(r.inside)
         with pytest.raises(ValueError):
-            weights._grid_extreme(np.array([5j]), r, none, none, -4.0, 1.0, True)
+            weights._grid_extreme(np.array([5j]), r, none, -4.0, 1.0, True)
 
 
 def loop_lattice(dom, M, delta, cert):
@@ -557,6 +558,27 @@ class TestStripWeight:
         assert fam.zzbar(1.7j) == pytest.approx(zz)
         assert fam.value(-0.5j) == 0.0
 
+    def test_family_reads_heights_from_real_input(self):
+        # a real argument is a height, as in strip_weight: the collar of
+        # each band has a negative Hessian that a height-0 reading misses
+        fam = StripWeightFamily([0.0, 1.0, 2.0], quad_from=[0.2, 1.2])
+        for lo, hi, qf in ((0.0, 1.0, 0.2), (1.0, 2.0, 1.2)):
+            for y in (lo + 0.03, lo + 0.1, lo + 0.17):
+                v, zz = strip_weight(lo, hi, complex(0, y), quad_from=qf)
+                assert fam.value(y) == fam.value(1j * y) == v
+                assert fam.zzbar(y) == fam.zzbar(1j * y) == zz
+            ys = np.array([lo + 0.05, lo + 0.15])
+            assert np.array_equal(fam.zzbar(ys), fam.zzbar(1j * ys))
+        assert fam.zzbar(0.1j) == pytest.approx(-8.75, rel=1e-5)
+
+    def test_family_sup_dy_bounds_the_dense_gradient(self):
+        fam = StripWeightFamily([0.0, 1.0, 2.0], quad_from=[0.2, 1.2])
+        for lo, hi, qf in ((0.0, 1.0, 0.2), (1.0, 2.0, 1.2)):
+            ys = np.linspace(lo, hi, 20001)
+            vals = [strip_weight(lo, hi, y, quad_from=qf)[0] for y in ys]
+            assert fam.sup_dy >= np.max(np.abs(np.gradient(vals, ys)))
+        assert fam.sup_dy > 7.0
+
 
 class TestPointSeriesWeight:
     def test_zzbar_fd_oracle(self):
@@ -584,7 +606,90 @@ def toy_composite():
     return dom, CutoffProfile(2.0, 3.0), fam, lattice
 
 
+def per_node_composite(dom, chi, fam, lattice, K=None):
+    """certify_composite as one pass over the inside nodes: every field at
+    every node, and b and the lattice max as full-grid extremes."""
+    r = dom.raster()
+    iy, ix = np.nonzero(r.inside)
+    zs = r.xs[ix] + 1j * r.ys[iy]
+    ax = np.abs(zs.real)
+    inner = ax <= chi.lo
+    trans = (ax > chi.lo) & (ax < chi.hi)
+    outer = ax >= chi.hi
+    central = ax <= chi.hi
+    b = float(np.min(lattice.zzbar(zs[central]))) if central.any() else 0.0
+    lattice_max = float(np.max(lattice.value(zs)))
+    s_outer = float(np.min(fam.zzbar(zs[outer]))) if outer.any() else 0.5
+    s_trans = float(np.min(fam.zzbar(zs[trans]))) if trans.any() else 0.0
+    if trans.any():
+        zt = zs[trans]
+        d = r.h
+        dy = np.abs(fam.value(zt + 1j * d) - fam.value(zt - 1j * d)) / (2 * d)
+        sup_dy_trans = 1.05 * float(np.max(dy))
+        phi_max_trans = float(np.max(fam.value(zt)))
+        cross = chi.sup_d1 * sup_dy_trans / 2.0 + chi.sup_d2 * phi_max_trans / 4.0
+    else:
+        cross = chi.sup_d1 * fam.sup_dy / 2.0 + chi.sup_d2 * fam.sup_value / 4.0
+
+    def bound_for(Kv):
+        parts = []
+        if outer.any():
+            parts.append(s_outer)
+        if inner.any():
+            parts.append(Kv * b)
+        if trans.any():
+            parts.append(Kv * b - cross + chi.value(chi.lo) * min(0.0, s_trans))
+        return min(parts) if parts else 0.0
+
+    if K is None:
+        K = 1.0
+        while K <= 2.0**64 and not bound_for(K) > 0:
+            K *= 2.0
+        if K > 2.0**64:
+            K /= 2.0
+    regions = {"inner": int(inner.sum()), "transition": int(trans.sum()),
+               "outer": int(outer.sum())}
+    return {"b": b, "A_bound": fam.sup_value + K * lattice_max, "crossbound": cross,
+            "B_prime": bound_for(K), "K": K, "regions": regions}
+
+
+def collar_composite():
+    # the column reaches into the transition band at every height, so
+    # transition nodes sit on the collars, where the strip Hessian is
+    # negative and its y-difference is steep
+    dom, chi, fam, lattice = toy_composite()
+    strips = tuple(Strip.constant(j - 0.75, j - 0.25) for j in range(-3, 5))
+    tree = Union(strips + (Rect(-2.5, 2.5, -4.0, 4.0),))
+    return PlanarDomain(tree, dom.window, dom.mesh), chi, fam, lattice
+
+
 class TestComposite:
+    @pytest.mark.parametrize("build", [
+        toy_composite,
+        collar_composite,
+        lambda: scenarios.omega_s_composite(mesh=0.05),
+    ], ids=["toy", "collar", "omega_s_spline"])
+    @pytest.mark.parametrize("K", [None, 3.0])
+    def test_equals_the_per_node_computation(self, build, K):
+        dom, chi, fam, lattice = build()
+        cert = certify_composite(dom, chi, fam, lattice, K=K)
+        want = per_node_composite(dom, chi, fam, lattice, K=K)
+        assert want["regions"]["transition"] > 0
+        for key, value in want.items():
+            assert getattr(cert, key) == value, key
+
+    def test_memory_stays_below_16_bytes_per_node_on_omega_s(self):
+        dom, chi, fam, lattice = scenarios.omega_s_composite()
+        nodes = dom.raster().inside.size
+        tracemalloc.start()
+        try:
+            cert = certify_composite(dom, chi, fam, lattice)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.certified
+        assert peak < 16 * nodes
+
     def test_regional_bounds(self):
         dom, chi, fam, lattice = toy_composite()
         cert = certify_composite(dom, chi, fam, lattice)
@@ -621,6 +726,25 @@ class TestComposite:
         auto = certify_composite(dom, chi, fam, lattice)
         below = certify_composite(dom, chi, fam, lattice, K=auto.K / 4)
         assert not below.certified
+
+
+def test_strip_gallery_weight_equals_the_per_node_values():
+    # the uniform preset, with the fd Hessian and the max of the strip
+    # weight taken at every inside node
+    params = scenarios.uniform_gallery_params()
+    got = scenarios.strip_gallery(**params)["measured"]["strip_weight"]
+    c = params["c"]
+    dom, meta = scenarios.gallery_domain(
+        c, params["bands"], (-8.0, 8.0, c[0] - 2.0, c[-1] + 2.0), 0.05
+    )
+    fam = StripWeightFamily(c, [a + 0.9 * meta["lo_margin"] for a in c[:-1]])
+    r = dom.raster()
+    iy, ix = np.nonzero(r.inside)
+    zs = r.xs[ix] + 1j * r.ys[iy]
+    vals = fam.value(zs)
+    d = r.h
+    fd = (fam.value(zs + 1j * d) - 2 * vals + fam.value(zs - 1j * d)) / (d * d) / 4.0
+    assert got == {"fd_min_zzbar": float(np.min(fd)), "phi_max": float(np.max(vals))}
 
 
 class TestCertificate:
