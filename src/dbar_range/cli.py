@@ -5,7 +5,8 @@ report), verify (discrete operator check of a constant), scenario (replay
 an example family from a spec file).  Exit codes are stable: 0 certified
 or passed, 1 usage/configuration error (a lattice that fails its
 re-verification included), 2 condition not satisfied, 3 verification
-exceeded the supplied constant.
+exceeded the supplied constant.  The package needs numpy alone at run
+time; no command imports scipy.
 
 DBAR_RANGE_THREADS caps the linear-algebra thread pools (default 1 so that
 identical configs reproduce byte-identical reports); when set it overrides
@@ -99,7 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--domain", required=True, help="domain JSON file")
     v.add_argument("--C", type=_positive_float, required=True, help="constant to verify")
     v.add_argument("--trials", type=_int_at_least(0), default=20, help="random test forms")
-    v.add_argument("--dump-field", action="store_true", help="CSV dump of the last solution field")
+    v.add_argument(
+        "--dump-field", action="store_true",
+        help="CSV of the canonical solution for a seeded bump, one row per triangle",
+    )
     _common(v)
 
     s = sub.add_parser("scenario", help="run a scenario spec file")
@@ -169,6 +173,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """sigma_min, the seeded trials and the eigenvector witness, checked
+    against --C.  With --dump-field (and trials > 0) verify_field.csv holds,
+    per triangle, the canonical solution for op applied to the radial bump
+    of radius 10h centred at the node that a fresh default_rng(seed) draws
+    first."""
     from .discrete import (
         assemble,
         closed_range_constant,

@@ -18,9 +18,10 @@ v = dbar* N alpha with N = 4 (-Laplacian_D)^(-1).  Discretely, the
 vanish off the inside nodes, `adj` = dbar* = -d/dz maps them to piecewise
 constants on the triangles, and `lap` = 2 Re(adj^H adj) is the P1
 stiffness matrix over the lumped mass h^2, which is exactly the 5-point
-Dirichlet Laplacian.  One sparse LU factor of `lap` serves both the
-eigenvalue and every solve.  Node norms use the weight h^2 per node,
-triangle norms h^2/2 per triangle.
+Dirichlet Laplacian.  One block LDL^T factor of `lap` over raster lines
+(`LineFactor`) serves both the eigenvalue and every solve.  Node norms use
+the weight h^2 per node, triangle norms h^2/2 per triangle.  The module
+needs numpy alone.
 """
 
 from __future__ import annotations
@@ -31,15 +32,16 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
 
 from .geometry import MeshError, PlanarDomain, SolverError, _column_rows, _near
 
 __all__ = [
+    "CooMatrix",
+    "LineFactor",
     "DbarGrid",
     "SolveReport",
     "assemble",
+    "lanczos",
     "least_norm_solve",
     "closed_range_constant",
     "verify_certificate",
@@ -52,6 +54,177 @@ __all__ = [
     "radial_bump",
 ]
 
+# Lanczos stops when the relative residual of its Ritz pair reaches
+# LANCZOS_TOL, or after LANCZOS_STEPS steps.
+LANCZOS_TOL = 1e-10
+LANCZOS_STEPS = 100
+
+
+class CooMatrix:
+    """A sparse matrix as sorted (row, col, value) triplets.
+
+    Entries are sorted by row, then column, and duplicates are summed, so
+    `nnz` counts distinct entries and `A @ x` adds each row's products in
+    column order, as a CSR product does.  `H` is the conjugate transpose.
+    """
+
+    def __init__(self, rows, cols, vals, shape: tuple[int, int]):
+        self.shape = (int(shape[0]), int(shape[1]))
+        key = np.asarray(rows, dtype=np.int64) * self.shape[1] + np.asarray(cols, dtype=np.int64)
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], np.asarray(vals)[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        self.rows, self.cols = np.divmod(key[first], self.shape[1])
+        self.vals = np.add.reduceat(vals, first) if len(first) else vals
+
+    @property
+    def nnz(self) -> int:
+        return len(self.vals)
+
+    @cached_property
+    def H(self) -> CooMatrix:
+        return CooMatrix(self.cols, self.rows, self.vals.conj(), self.shape[::-1])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.vals.dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        prod = self.vals * np.asarray(x)[self.cols]
+        n = self.shape[0]
+        out = np.bincount(self.rows, weights=prod.real, minlength=n)
+        if np.iscomplexobj(prod):
+            out = out + 1j * np.bincount(self.rows, weights=prod.imag, minlength=n)
+        return out
+
+
+class LineFactor:
+    """Block LDL^T factor of the 5-point Dirichlet Laplacian over raster lines.
+
+    Ordered line by line, h^2 `lap` is block tridiagonal: the block D_k of
+    line k holds 4 on the diagonal and -1 between neighbours on the line,
+    and consecutive lines couple through -1 between nodes at the same
+    position.  Elimination line by line (George, SIAM J. Numer. Anal. 10,
+    1973) keeps the dense inverse of each Schur complement
+    S_k = D_k - B_k^T S_{k-1}^{-1} B_k, for O(sum m_k^3) time and
+    O(sum m_k^2) memory with m_k inside nodes on line k.  The lines are the
+    raster rows or its columns, whichever gives the smaller sum of m_k^3.
+
+    A line may be empty or split into runs.  S_k couples two runs only if
+    earlier lines join them, so the runs of a line fall into groups joined
+    that way, and each group is one block with its own dense inverse,
+    coupled to the blocks of the line before that share its positions.
+    Strips cut across thus cost the sum over strips, not the cube of the
+    whole line.  `index` maps grid nodes to unknowns (-1 outside).
+    """
+
+    def __init__(self, index: np.ndarray, h: float):
+        inside = index >= 0
+        by_rows = np.sum(inside.sum(axis=1) ** 3) <= np.sum(inside.sum(axis=0) ** 3)
+        self.axis = 0 if by_rows else 1
+        grid = index if by_rows else index.T
+        line, pos = np.nonzero(grid >= 0)
+        self.order = grid[line, pos]
+        self.scale = h * h
+        # per block: (its nodes in line order, the inverse of its Schur
+        # complement, couplings [(earlier block, its local nodes p, the local
+        # nodes q here at the same positions)])
+        self.blocks = []
+        starts = np.flatnonzero(np.diff(line, prepend=-1))
+        # block and local index of the node at each position of the line before
+        no_line = np.full(grid.shape[1], -1)
+        above_block, above_local, prev_line = no_line, no_line, -2
+        for s, e in zip(starts, np.append(starts[1:], len(line))):
+            here = pos[s:e]
+            up = above_block[here] if prev_line == line[s] - 1 else no_line[here]
+            run = np.cumsum(np.diff(here, prepend=-2) != 1) - 1
+            # runs that share an earlier block fall in one group
+            group = np.arange(run[-1] + 1)
+            for b in np.unique(up[up >= 0]) if run[-1] else ():
+                joined = np.isin(group, group[run[up == b]])
+                group[joined] = group[joined].min()
+            node_group = group[run]
+            block, local = no_line.copy(), no_line.copy()
+            for g in np.unique(group):
+                loc = np.flatnonzero(node_group == g)
+                block[here[loc]], local[here[loc]] = len(self.blocks), np.arange(len(loc))
+                S = 4.0 * np.eye(len(loc))
+                nb = np.flatnonzero(np.diff(here[loc]) == 1)
+                S[nb, nb + 1] = S[nb + 1, nb] = -1.0
+                couplings = []
+                for b in np.unique(up[loc]):
+                    if b >= 0:
+                        at = here[loc[up[loc] == b]]
+                        p, q = above_local[at], local[at]
+                        S[np.ix_(q, q)] -= self.blocks[b][1][np.ix_(p, p)]
+                        couplings.append((b, p, q))
+                nodes = slice(s, e) if len(loc) == e - s else s + loc
+                self.blocks.append((nodes, np.linalg.inv(S), couplings))
+            above_block, above_local, prev_line = block, local, line[s]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """lap^(-1) b for a real vector or a matrix of column vectors."""
+        y = np.asarray(b, dtype=float)[self.order]
+        w = []
+        for nodes, sinv, couplings in self.blocks:
+            z = y[nodes]
+            for k, p, q in couplings:
+                z[q] += w[k][p]
+            w.append(sinv @ z)
+        # back substitution; an earlier block couples to at most one later
+        # block, the group its line's successor joins it into
+        x = np.empty_like(y)
+        pending = [None] * len(w)
+        for k in reversed(range(len(w))):
+            nodes, sinv, couplings = self.blocks[k]
+            xk = w[k] if pending[k] is None else w[k] + sinv @ pending[k]
+            x[nodes] = xk
+            for kb, p, q in couplings:
+                pending[kb] = np.zeros_like(w[kb])
+                pending[kb][p] = xk[q]
+        out = np.empty_like(x)
+        out[self.order] = self.scale * x
+        return out
+
+
+def lanczos(factor: LineFactor, lap: CooMatrix, maxiter: int = LANCZOS_STEPS):
+    """Lowest eigenpair of `lap` by Lanczos on its inverse `factor.solve`.
+
+    The start vector is all ones and every new Krylov vector is
+    orthogonalised twice against all earlier ones.  After each step the
+    largest Ritz pair of the inverse gives x, with lambda the Rayleigh
+    quotient of `lap` at x.  The iteration stops when the relative residual
+    ||lap x - lambda x|| / (lambda ||x||) is at most LANCZOS_TOL, when the
+    Krylov space is invariant, or after `maxiter` steps.  Returns (lambda,
+    x, steps) with ||x|| = 1, the last pair also when the cap stopped it,
+    or None when no finite Ritz pair was formed.
+    """
+    n = lap.shape[0]
+    basis = np.full((1, n), 1.0 / math.sqrt(n))
+    alphas, betas = [], []
+    found = None
+    for step in range(1, min(maxiter, n) + 1):
+        w = factor.solve(basis[-1])
+        alphas.append(float(basis[-1] @ w))
+        for _ in range(2):
+            w -= basis.T @ (basis @ w)
+        beta = float(np.linalg.norm(w))
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        if not (np.isfinite(tri).all() and math.isfinite(beta)):
+            break
+        y = np.linalg.eigh(tri)[1][:, -1]
+        x = y @ basis
+        x /= np.linalg.norm(x)
+        lx = lap @ x
+        lam = float(x @ lx)
+        found = (lam, x, step)
+        if np.linalg.norm(lx - lam * x) <= LANCZOS_TOL * abs(lam) or beta == 0.0:
+            break
+        betas.append(beta)
+        basis = np.vstack([basis, w / beta])
+    return found
+
 
 @dataclass(eq=False)
 class DbarGrid:
@@ -62,19 +235,21 @@ class DbarGrid:
     inside (centered differences in both directions, exact on quadratics).
     `adj` maps (0,1)-forms at the nodes to functions on the triangles
     centred at `tri_z`; `lap` is the 5-point Dirichlet Laplacian and
-    `lap_lu` its sparse LU factor.  Nothing here takes a distance
-    transform.
+    `lap_factor` its block LDL^T factor over raster lines, which costs
+    O(sum m_k^3) time and O(sum m_k^2) memory for m_k inside nodes on line
+    k (see `LineFactor`).
+    Nothing here takes a distance transform.
     """
 
     domain: PlanarDomain
     h: float
     nodes_z: np.ndarray
-    op: sp.csr_matrix
+    op: CooMatrix
     full_stencil: np.ndarray
-    adj: sp.csr_matrix
+    adj: CooMatrix
     tri_z: np.ndarray
-    lap: sp.csc_matrix
-    lap_lu: SuperLU
+    lap: CooMatrix
+    lap_factor: LineFactor
 
     @property
     def size(self) -> int:
@@ -86,27 +261,23 @@ class DbarGrid:
 
     @cached_property
     def ground_state(self) -> tuple[float, np.ndarray]:
-        """(lambda_1, unit eigenvector) of `lap`, by shift-invert Lanczos on
-        the LU factor.  The start vector is all ones, so the result is
-        deterministic; the eigenvector is signed to a positive sum.  A
-        non-converged or inaccurate pair raises SolverError with its
-        relative residual."""
+        """(lambda_1, unit eigenvector) of `lap`, by `lanczos` on the line
+        factor.  The start vector is all ones, so the result is
+        deterministic; the eigenvector is signed to a positive sum.  A pair
+        Lanczos could not form, or one whose relative residual exceeds 1e-8,
+        raises SolverError with its relative residual."""
         n = self.size
-        inv = LinearOperator((n, n), matvec=self.lap_lu.solve, dtype=float)
-        try:
-            lam, vec = eigsh(self.lap, k=1, sigma=0.0, OPinv=inv, v0=np.ones(n))
-        except ArpackNoConvergence as exc:
-            if len(exc.eigenvalues) == 0:
-                raise SolverError(
-                    f"eigsh stopped at its iteration limit on the {n}-node Dirichlet "
-                    "Laplacian with no Ritz pair converged, so no residual exists"
-                ) from None
-            lam, vec = exc.eigenvalues, exc.eigenvectors
-        lam, vec = float(lam[0]), vec[:, 0]
+        found = lanczos(self.lap_factor, self.lap)
+        if found is None:
+            raise SolverError(
+                f"Lanczos formed no Ritz pair on the {n}-node Dirichlet Laplacian "
+                "(the factor's solve is not finite), so no residual exists"
+            )
+        lam, vec, _ = found
         resid = float(np.linalg.norm(self.lap @ vec - lam * vec)) / (abs(lam) * np.linalg.norm(vec))
         if not resid <= 1e-8:
             raise SolverError(
-                f"eigsh did not converge for the {n}-node Dirichlet Laplacian: "
+                f"Lanczos did not converge for the {n}-node Dirichlet Laplacian: "
                 f"lambda_1 ~ {lam:.6g}, relative residual {resid:.3e} > 1e-08"
             )
         vec = vec / np.linalg.norm(vec)
@@ -143,9 +314,9 @@ def _dbar_adjoint(index: np.ndarray, x0: float, y0: float, h: float):
             rows.append(tri[ok])
             cols.append(nid[ok])
             vals.append(np.full(int(ok.sum()), coef / (2 * h)))
-    adj = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_tri, int(index.max()) + 1),
+    adj = CooMatrix(
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+        (n_tri, int(index.max()) + 1),
     )
     return adj, np.concatenate(tri_z)
 
@@ -205,20 +376,23 @@ def assemble(dom: PlanarDomain, h: Optional[float] = None) -> DbarGrid:
     add_direction(left, right, 0.5 + 0j)
     add_direction(down, up, 0.5j)
 
-    op = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_nodes, n_nodes),
-        dtype=complex,
+    op = CooMatrix(
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n_nodes, n_nodes)
     )
     full = (left >= 0) & (right >= 0) & (down >= 0) & (up >= 0)
     adj, tri_z = _dbar_adjoint(index, r.xs[0], r.ys[0], h)
-    # 2 Re(adj^H adj): 4 on the diagonal and -1 per inside neighbour, over
-    # h^2.  The imaginary part of adj^H adj is a Jacobian term that sums to
-    # zero exactly over the triangles.
-    re, im = adj.real, adj.imag
-    lap = (2.0 * (re.T @ re + im.T @ im)).tocsc()
-    lap.eliminate_zeros()
-    return DbarGrid(dom, h, nodes_z, op, full, adj, tri_z, lap, splu(lap))
+    # 2 Re(adj^H adj) is 4 on the diagonal and -1 per inside neighbour, over
+    # h^2: the imaginary part of adj^H adj is a Jacobian term that sums to
+    # zero exactly over the triangles
+    nbr = np.stack([left, right, down, up])
+    has = nbr >= 0
+    lap = CooMatrix(
+        np.concatenate([ids, np.broadcast_to(ids, nbr.shape)[has]]),
+        np.concatenate([ids, nbr[has]]),
+        np.concatenate([np.full(n_nodes, 4.0), np.full(int(has.sum()), -1.0)]) / h**2,
+        (n_nodes, n_nodes),
+    )
+    return DbarGrid(dom, h, nodes_z, op, full, adj, tri_z, lap, LineFactor(index, h))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +412,7 @@ class SolveReport:
 def least_norm_solve(g: DbarGrid, alpha: np.ndarray) -> tuple[np.ndarray, SolveReport]:
     """Canonical solution v = dbar* N alpha of dbar v = alpha.
 
-    N alpha = 4 lap^(-1) alpha comes from the stored LU factor (a direct
+    N alpha = 4 lap^(-1) alpha comes from the stored line factor (a direct
     solve: `iterations` is 0), and v = adj (N alpha) lives on the
     triangles.  v is the minimum-norm solution: it lies in the range of
     dbar*, orthogonal to the kernel of dbar.  Its norm comes from the
@@ -253,10 +427,10 @@ def least_norm_solve(g: DbarGrid, alpha: np.ndarray) -> tuple[np.ndarray, SolveR
     a_norm = g.norm(alpha)
     if a_norm == 0.0:
         return np.zeros(len(g.tri_z), dtype=complex), SolveReport(0.0, 0.0, 0.0, 0, 0.0)
-    re_im = 4.0 * g.lap_lu.solve(np.column_stack([alpha.real, alpha.imag]))
+    re_im = 4.0 * g.lap_factor.solve(np.column_stack([alpha.real, alpha.imag]))
     n_alpha = re_im[:, 0] + 1j * re_im[:, 1]
     v = g.adj @ n_alpha
-    resid = float(np.linalg.norm(0.5 * (g.adj.conj().T @ v) - alpha) / np.linalg.norm(alpha))
+    resid = float(np.linalg.norm(0.5 * (g.adj.H @ v) - alpha) / np.linalg.norm(alpha))
     v_norm = g.h * math.sqrt(np.vdot(alpha, n_alpha).real)
     return v, SolveReport(a_norm, v_norm, v_norm / a_norm, 0, resid)
 
@@ -453,7 +627,7 @@ def twisted_quadrature_check(
     lv = np.asarray(lam.value(z), dtype=float)
     elam = np.exp(-lv)
 
-    adj = np.exp(lv) * (g.op.conj().T @ (elam * u))
+    adj = np.exp(lv) * (g.op.H @ (elam * u))
     lhs = 2.0 * g.h**2 * float(np.sum(tv * np.abs(adj) ** 2 * elam))
 
     theta = np.zeros(z.shape)

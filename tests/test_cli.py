@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from dbar_range import cli, discrete, scenarios
 
@@ -124,10 +123,7 @@ def test_verify_passes_exactly_above_the_discrete_constant(tmp_path):
 
 
 def test_verify_reports_eigensolver_failure(tmp_path, monkeypatch):
-    def stalled(A, k, **kw):
-        raise ArpackNoConvergence("no convergence", np.array([]), np.zeros((A.shape[0], 0)))
-
-    monkeypatch.setattr(discrete, "eigsh", stalled)
+    monkeypatch.setattr(discrete, "lanczos", lambda factor, lap, **kw: None)
     code, rep = verify(tmp_path, 1.0, "--trials", "3")
     assert code == 0
     assert rep["sigma_min"] is None and rep["discrete_constant"] is None
@@ -299,8 +295,7 @@ def test_verify_leaves_ndimage_unimported(tmp_path):
 
 def test_certify_and_gallery_scenario_load_no_scipy(tmp_path):
     # condition X and the lattice take their distance tests in numpy and
-    # spline strips are numpy natural splines; only verify (scipy.sparse,
-    # through dbar_range.discrete) loads scipy
+    # spline strips are numpy natural splines
     code = (
         "import sys, dbar_range.cli\n"
         "main, out = dbar_range.cli.main, sys.argv[1]\n"
@@ -318,9 +313,9 @@ def test_certify_and_gallery_scenario_load_no_scipy(tmp_path):
     assert out.stdout.splitlines()[-1] == "[0, 2, 0, 0, 0, 0] []"
 
 
-def test_only_the_discrete_operator_imports_scipy():
-    # importing scipy costs a child process a large share of a certify or
-    # scenario run; only dbar_range.discrete (verify) may pay it
+def test_no_package_module_imports_scipy():
+    # importing scipy costs a child process a large share of its run; the
+    # package needs numpy alone (tests keep scipy as an oracle)
     importers = set()
     for path in (ROOT / "src" / "dbar_range").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -332,7 +327,40 @@ def test_only_the_discrete_operator_imports_scipy():
                 continue
             if any(n.split(".")[0] == "scipy" for n in names):
                 importers.add(path.name)
-    assert importers == {"discrete.py"}
+    assert importers == set()
+
+
+def test_verify_loads_no_scipy(tmp_path):
+    # `python -m dbar_range.cli verify` as a user runs it: -X importtime
+    # names every module the child imports
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "dbar_range.cli", "verify", "--domain",
+         str(ROOT / "domains/unit_disc.json"), "--C", "1", "--out", str(tmp_path)],
+        capture_output=True, text=True, env={"PYTHONPATH": str(ROOT / "src")},
+    )
+    assert child.returncode == 0, child.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "dbar_range.discrete" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
+def test_verify_dump_field_is_the_seeded_bump_solution(tmp_path):
+    # --dump-field writes, per triangle, the canonical solution for the
+    # bump of radius 10h at the node the seed draws first
+    from dbar_range.discrete import assemble, least_norm_solve, radial_bump
+    from dbar_range.geometry import domain_from_dict
+
+    code, _ = verify(tmp_path, 1.0, "--trials", "2", "--seed", "5", "--dump-field")
+    assert code == 0
+    lines = (tmp_path / "verify_field.csv").read_text().splitlines()
+    assert lines[0] == "x,y,re_u,im_u"
+    got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    g = assemble(domain_from_dict(json.loads((ROOT / "domains/unit_disc.json").read_text())))
+    assert got.shape == (len(g.tri_z), 4)
+    c = g.nodes_z[int(np.random.default_rng(5).integers(0, g.size))]
+    v, _ = least_norm_solve(g, g.op @ radial_bump(g.nodes_z, c, 10 * g.h))
+    assert np.array_equal(got, np.column_stack([g.tri_z.real, g.tri_z.imag, v.real, v.imag]))
 
 
 def domain_file(tmp_path, tree, window, mesh, symmetry="translation_x"):

@@ -1,28 +1,42 @@
 import math
 
+from functools import partial
+
 import numpy as np
 import pytest
-
-from scipy.sparse.linalg import ArpackNoConvergence
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from dbar_range import discrete
 from dbar_range.discrete import (
+    CooMatrix,
     abs2_field,
     assemble,
     closed_range_constant,
     constant_field,
     gaussian_decay_field,
+    lanczos,
     least_norm_solve,
     radial_bump,
     theta_factor,
     twisted_quadrature_check,
     verify_certificate,
 )
-from dbar_range.geometry import Disc, MeshError, PlanarDomain, Rect, SolverError
+from dbar_range.geometry import (
+    Complement,
+    Disc,
+    Intersection,
+    MeshError,
+    PlanarDomain,
+    Rect,
+    SolverError,
+    Union,
+)
+from strategies import csg_trees
 
 
-def stalled_eigsh(A, k, **kw):
-    raise ArpackNoConvergence("no convergence", np.array([]), np.zeros((A.shape[0], 0)))
+def stalled_lanczos(factor, lap, **kw):
+    return None
 
 
 def disc_grid(radius=1.0, h=1 / 16, pad=1.0):
@@ -61,12 +75,13 @@ class TestAssemble:
 
     def test_laplacian_is_five_point_stencil(self):
         g = disc_grid(h=1 / 8)
-        lap = (g.lap * g.h**2).tocoo()
-        assert np.all(lap.diagonal() == 4.0)
-        off = lap.row != lap.col
-        assert np.all(lap.data[off] == -1.0)
+        lap = g.lap.toarray() * g.h**2
+        assert np.all(np.diagonal(lap) == 4.0)
+        row, col = np.nonzero(lap)
+        off = row != col
+        assert np.all(lap[row[off], col[off]] == -1.0)
         # off-diagonal entries are exactly the inside grid neighbours
-        d = g.nodes_z[lap.row[off]] - g.nodes_z[lap.col[off]]
+        d = g.nodes_z[row[off]] - g.nodes_z[col[off]]
         assert np.allclose(np.abs(d), g.h, rtol=1e-12)
 
     def test_mesh_preconditions(self):
@@ -76,6 +91,118 @@ class TestAssemble:
         tiny = PlanarDomain(Disc(0, 0, 0.05), (-1, 1, -1, 1), 1 / 16)
         with pytest.raises(MeshError):
             assemble(tiny, 1 / 16)  # < 16 interior nodes
+
+
+THREE_STRIPS = Union(tuple(Rect(-1.8, 1.8, y - 0.2, y + 0.2) for y in (-1.3, 0.0, 1.3)))
+ARCH = Union((Rect(-1.2, -0.8, -1.5, 0.9), Rect(0.8, 1.2, -1.5, 0.9), Rect(-1.2, 1.2, 0.9, 1.3)))
+
+
+def assert_matches_dense(g, seed=0):
+    """lambda_1 and solves of the line factor against dense numpy."""
+    dense = g.lap.toarray()
+    assert g.ground_state[0] == pytest.approx(np.linalg.eigvalsh(dense)[0], rel=1e-10)
+    b = np.random.default_rng(seed).normal(size=(g.size, 2))
+    ref = np.linalg.solve(dense, b)
+    for x, r in ((g.lap_factor.solve(b), ref), (g.lap_factor.solve(b[:, 0]), ref[:, 0])):
+        assert x.shape == r.shape
+        assert np.linalg.norm(x - r) <= 1e-10 * np.linalg.norm(r)
+
+
+class TestLineFactor:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(tree=csg_trees(), h=st.sampled_from([0.2, 0.25, 0.3]))
+    def test_matches_dense_on_random_rasters(self, tree, h):
+        dom = PlanarDomain(tree, (-3, 3, -2.5, 3.5), h)
+        try:
+            g = assemble(dom, h)
+        except MeshError:
+            assume(False)
+        assert_matches_dense(g)
+
+    @pytest.mark.parametrize(
+        "shape, window, h, axis",
+        [
+            # empty rows between the discs, whose columns overlap
+            (Union((Disc(0, -1, 0.5), Disc(0.2, 1, 0.5))), (-2, 2, -2, 2), 1 / 16, 0),
+            # rows and columns through the hole split into two runs
+            (Intersection((Disc(0, 0, 1), Complement(Disc(0.1, 0, 0.4)))),
+             (-1.5, 1.5, -1.5, 1.5), 1 / 16, 0),
+            # one node per column
+            (Rect(-1.95, 1.95, -0.04, 0.04), (-2, 2, -1, 1), 0.1, 1),
+            (Rect(-1.9, 1.9, -0.3, 0.3), (-2, 2, -1, 1), 0.05, 1),
+            (Rect(-0.3, 0.3, -1.9, 1.9), (-1, 1, -2, 2), 0.05, 0),
+            (THREE_STRIPS, (-2, 2, -2, 2), 1 / 16, 1),
+            (ARCH, (-2, 2, -2, 2), 1 / 16, 0),
+        ],
+        ids=["two_discs", "annulus", "ribbon", "wide_strip", "tall_strip", "three_strips",
+             "arch"],
+    )
+    def test_matches_dense_on_hand_cases(self, shape, window, h, axis):
+        g = assemble(PlanarDomain(shape, window, h), h)
+        assert g.lap_factor.axis == axis
+        assert_matches_dense(g)
+
+    def test_runs_joined_only_later_keep_own_blocks(self):
+        # columns across three strips: three blocks per column, each coupled
+        # to the one before it in its strip
+        g = assemble(PlanarDomain(THREE_STRIPS, (-2, 2, -2, 2), 1 / 16), 1 / 16)
+        columns = int(g.domain.raster(g.h).inside.any(axis=0).sum())
+        sizes = [len(np.arange(g.size)[nodes]) for nodes, _, _ in g.lap_factor.blocks]
+        assert len(sizes) == 3 * columns and max(sizes) == 7
+        assert all(len(c) == 1 for _, _, c in g.lap_factor.blocks[3:])
+        # rows up the arch: the two legs stay apart until the bar, whose
+        # first row couples to both
+        g = assemble(PlanarDomain(ARCH, (-2, 2, -2, 2), 1 / 16), 1 / 16)
+        couplings = [len(c) for _, _, c in g.lap_factor.blocks]
+        assert couplings.count(2) == 1 and couplings.count(0) == 2
+
+    def test_laplacian_is_twice_real_adj_h_adj(self):
+        for h in (1 / 8, 0.1):
+            g = disc_grid(h=h)
+            adj = g.adj.toarray()
+            np.testing.assert_allclose(
+                g.lap.toarray(), 2 * (adj.conj().T @ adj).real, rtol=0, atol=1e-12 / h**2
+            )
+
+    def test_sigma_equals_scipy_shift_invert(self):
+        # scipy stays a test-only oracle: ARPACK shift-invert on a sparse LU
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import LinearOperator, eigsh, splu
+
+        g = disc_grid(h=1 / 32, pad=0.5)
+        lap = sp.csc_matrix(g.lap.toarray())
+        inv = LinearOperator(lap.shape, matvec=splu(lap).solve, dtype=float)
+        lam = eigsh(lap, k=1, sigma=0.0, OPinv=inv, v0=np.ones(g.size))[0][0]
+        assert closed_range_constant(g) == pytest.approx(math.sqrt(lam) / 2, rel=1e-12)
+
+
+class TestCooMatrix:
+    def test_nnz_counts_distinct_entries(self):
+        # duplicates are summed; a sum of zero stays an entry, as in CSR
+        a = CooMatrix([0, 1, 0, 1, 2], [1, 0, 1, 0, 2], [1.0, 2.0, -1.0, 3.0, 4.0], (3, 4))
+        assert a.nnz == 3
+        assert np.array_equal(a.toarray(), [[0, 0, 0, 0], [5, 0, 0, 0], [0, 0, 4, 0]])
+        assert a.H.shape == (4, 3) and a.H.nnz == 3
+        assert np.array_equal(a @ np.arange(4.0), [0.0, 0.0, 8.0])
+
+    def test_disc_operator_entries(self):
+        # the traced discrete.nnz of the unit disc at h = 1/16 and 1/32
+        for h, nnz in ((1 / 16, 3136), (1 / 32, 12748)):
+            g = disc_grid(h=h, pad=0.5)
+            assert g.op.nnz == np.count_nonzero(g.op.toarray()) == nnz
+
+    def test_products_match_dense(self):
+        g = disc_grid(h=1 / 8)
+        rng = np.random.default_rng(5)
+        for mat in (g.op, g.adj, g.lap):
+            dense = mat.toarray()
+            assert np.array_equal(mat.H.toarray(), dense.conj().T)
+            x = rng.normal(size=(mat.shape[1], 2)) @ np.array([1, 1j])
+            for out, ref in ((mat @ x, dense @ x), (mat @ x.real, dense @ x.real),
+                             (mat.H @ (mat @ x), dense.conj().T @ (dense @ x))):
+                assert out.shape == ref.shape
+                assert np.allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 class TestLeastNormSolve:
@@ -91,7 +218,7 @@ class TestLeastNormSolve:
         w = radial_bump(g.nodes_z, 0.2 + 0.1j, 0.5) * (1 + 0.3j)
         alpha = g.op @ w
         v, rep = least_norm_solve(g, alpha)
-        dbar = 0.5 * g.adj.conj().T.toarray()
+        dbar = 0.5 * g.adj.H.toarray()
         v_pinv = np.linalg.pinv(dbar) @ alpha
         assert np.linalg.norm(v - v_pinv) <= 1e-9 * np.linalg.norm(v_pinv)
         v_dense = g.adj @ np.linalg.solve(g.lap.toarray(), 4 * alpha)
@@ -104,7 +231,7 @@ class TestLeastNormSolve:
         # energy identity ||v||^2 = <alpha, N alpha>
         g = disc_grid(h=1 / 8)
         w = radial_bump(g.tri_z, -0.1 + 0.2j, 0.6)
-        alpha = 0.5 * (g.adj.conj().T @ w)
+        alpha = 0.5 * (g.adj.H @ w)
         v, rep = least_norm_solve(g, alpha)
         tri_norm = g.h / math.sqrt(2)
         assert rep.v_norm <= tri_norm * np.linalg.norm(w) + 1e-12
@@ -135,7 +262,7 @@ class TestClosedRangeConstant:
         # dbar in orthonormal coordinates (weights h^2/2 and h^2) is adj^H/sqrt 2
         g = disc_grid(h=1 / 8)
         sigma = closed_range_constant(g)
-        dbar = g.adj.conj().T.toarray() / math.sqrt(2)
+        dbar = g.adj.H.toarray() / math.sqrt(2)
         oracle = 1.0 / np.linalg.norm(np.linalg.pinv(dbar), ord=2)
         assert sigma == pytest.approx(oracle, rel=1e-10)
 
@@ -191,16 +318,29 @@ class TestClosedRangeConstant:
     def test_eigensolver_failure_states_residual(self, monkeypatch):
         g = disc_grid(h=1 / 8)
 
-        def inaccurate(A, k, **kw):
-            return np.array([1.0]), np.ones((A.shape[0], 1))
+        def inaccurate(factor, lap, **kw):
+            return 1.0, np.ones(lap.shape[0]), 1
 
-        monkeypatch.setattr(discrete, "eigsh", inaccurate)
+        monkeypatch.setattr(discrete, "lanczos", inaccurate)
         with pytest.raises(SolverError, match="relative residual"):
             closed_range_constant(g)
 
-        monkeypatch.setattr(discrete, "eigsh", stalled_eigsh)
+        monkeypatch.setattr(discrete, "lanczos", stalled_lanczos)
         with pytest.raises(SolverError, match="no Ritz pair"):
             closed_range_constant(disc_grid(h=1 / 8))
+
+    def test_iteration_cap_stops_lanczos(self, monkeypatch):
+        # the real iteration, capped at 2 steps: the last Ritz pair comes
+        # back with its step count, and the 1e-8 gate rejects it
+        g = disc_grid(h=1 / 8)
+        lam, vec, steps = lanczos(g.lap_factor, g.lap, maxiter=2)
+        assert steps == 2 and np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
+        resid = np.linalg.norm(g.lap @ vec - lam * vec) / lam
+        assert resid > 1e-8
+        assert lanczos(g.lap_factor, g.lap)[2] > 2
+        monkeypatch.setattr(discrete, "lanczos", partial(lanczos, maxiter=2))
+        with pytest.raises(SolverError, match=f"lambda_1 ~ {lam:.6g}, relative residual"):
+            closed_range_constant(g)
 
 
 class TestVerifyCertificate:
@@ -222,7 +362,7 @@ class TestVerifyCertificate:
         assert not below["passed"]
 
     def test_eigensolver_failure_leaves_trials_only(self, monkeypatch):
-        monkeypatch.setattr(discrete, "eigsh", stalled_eigsh)
+        monkeypatch.setattr(discrete, "lanczos", stalled_lanczos)
         g = disc_grid(h=1 / 8)
         rep = verify_certificate(g, 1.0, trials=3, seed=4)
         assert rep["witness_ratio"] is None
