@@ -237,8 +237,7 @@ class DbarGrid:
     centred at `tri_z`; `lap` is the 5-point Dirichlet Laplacian and
     `lap_factor` its block LDL^T factor over raster lines, which costs
     O(sum m_k^3) time and O(sum m_k^2) memory for m_k inside nodes on line
-    k (see `LineFactor`).
-    Nothing here takes a distance transform.
+    k (see `LineFactor`).  Nothing here takes a distance transform.
     """
 
     domain: PlanarDomain
@@ -263,9 +262,9 @@ class DbarGrid:
     def ground_state(self) -> tuple[float, np.ndarray]:
         """(lambda_1, unit eigenvector) of `lap`, by `lanczos` on the line
         factor.  The start vector is all ones, so the result is
-        deterministic; the eigenvector is signed to a positive sum.  A pair
-        Lanczos could not form, or one whose relative residual exceeds 1e-8,
-        raises SolverError with its relative residual."""
+        deterministic; the eigenvector is signed to a positive sum.  A run
+        that forms no Ritz pair, or a pair whose relative residual exceeds
+        1e-8, raises SolverError stating which, with the residual if any."""
         n = self.size
         found = lanczos(self.lap_factor, self.lap)
         if found is None:
