@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: certify (exterior-witness condition -> lattice -> weight
-report), verify (discrete operator check of a constant), scenario (replay
-an example family from a spec file).  Exit codes are stable: 0 certified
-or passed, 1 usage/configuration error (a lattice that fails its
-re-verification included), 2 condition not satisfied, 3 verification
-exceeded the supplied constant.  The package needs numpy alone at run
-time; no command imports scipy.
+report), verify (the discrete closed-range constant, from the lowest
+Dirichlet eigenpair, checked against a supplied constant), scenario
+(replay an example family from a spec file).  Exit codes are stable: 0
+certified or passed, 1 usage/configuration error (a lattice that fails its
+re-verification and an eigensolver that fails included), 2 condition not
+satisfied, 3 verification exceeded the supplied constant.  The package
+needs numpy alone at run time; no command imports scipy.
 
 DBAR_RANGE_THREADS caps the linear-algebra thread pools (default 1 so that
 identical configs reproduce byte-identical reports); when set it overrides
@@ -59,17 +60,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
-        return value
-
-    return parse
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
 
 
 def _common(parser, seed_default=0):
@@ -92,17 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--M", type=_positive_float, required=True, help="witness search radius")
     c.add_argument("--delta", type=_positive_float, required=True, help="witness clearance")
     c.add_argument(
-        "--gamma-max", type=_int_at_least(1), default=64, help="series truncation rings"
+        "--gamma-max", type=_positive_int, default=64, help="series truncation rings"
     )
     _common(c)
 
     v = sub.add_parser("verify", help="check a constant against the discrete operator")
     v.add_argument("--domain", required=True, help="domain JSON file")
     v.add_argument("--C", type=_positive_float, required=True, help="constant to verify")
-    v.add_argument("--trials", type=_int_at_least(0), default=20, help="random test forms")
     v.add_argument(
         "--dump-field", action="store_true",
-        help="CSV of the canonical solution for a seeded bump, one row per triangle",
+        help="CSV of the canonical solution for the lambda_1 eigenvector, one row per triangle",
     )
     _common(v)
 
@@ -173,57 +170,38 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """sigma_min, the seeded trials and the eigenvector witness, checked
-    against --C.  With --dump-field (and trials > 0) verify_field.csv holds,
-    per triangle, the canonical solution for op applied to the radial bump
-    of radius 10h centred at the node that a fresh default_rng(seed) draws
-    first."""
-    from .discrete import (
-        assemble,
-        closed_range_constant,
-        least_norm_solve,
-        radial_bump,
-        verify_certificate,
-    )
-    from .geometry import SolverError, domain_from_dict
+    """sigma_min and the canonical solution for the lambda_1 eigenvector,
+    whose ratio is the discrete constant 1/sigma_min, checked against --C.
+    An eigensolver failure raises SolverError (exit 1, no report).  With
+    --dump-field verify_field.csv holds that solution, the extremal field,
+    per triangle.  --seed is recorded in the report and drives nothing."""
+    from .discrete import assemble, closed_range_constant, least_norm_solve, verify_certificate
+    from .geometry import domain_from_dict
     from .reporting import stamp, write_csv, write_report
 
     config = {
         "command": "verify",
         "domain": _load_json(args.domain),
         "C": args.C,
-        "trials": args.trials,
         "mesh": args.mesh,
         "seed": args.seed,
     }
     dom = domain_from_dict(config["domain"])
     g = assemble(dom, args.mesh)
-    sigma = sigma_error = None
-    try:
-        sigma = closed_range_constant(g)
-    except SolverError as exc:
-        sigma_error = str(exc)
-    rep = verify_certificate(g, args.C, trials=args.trials, seed=args.seed)
+    sigma = closed_range_constant(g)
+    rep = verify_certificate(g, args.C)
     report = {
         "command": "verify",
         "mesh": g.h,
         "seed": args.seed,
         "unknowns": g.size,
         "sigma_min": sigma,
-        "sigma_min_error": sigma_error,
-        "discrete_constant": None if sigma is None else 1.0 / sigma,
+        "discrete_constant": 1.0 / sigma,
         "verification": rep,
     }
     path = write_report(Path(args.out) / "verify_report.json", stamp(report, config))
-    if sigma_error is not None:
-        print(f"warning: sigma_min not computed: {sigma_error}", file=sys.stderr)
-    if args.dump_field and args.trials > 0:
-        import numpy as np
-
-        rng = np.random.default_rng(args.seed)
-        c = g.nodes_z[int(rng.integers(0, g.size))]
-        w = radial_bump(g.nodes_z, c, 10 * g.h)
-        v, _ = least_norm_solve(g, g.op @ w)
+    if args.dump_field:
+        v, _ = least_norm_solve(g, g.ground_state[1])
         write_csv(
             Path(args.out) / "verify_field.csv",
             {
@@ -235,7 +213,7 @@ def cmd_verify(args) -> int:
         )
     status = "passed" if rep["passed"] else "EXCEEDED"
     print(
-        f"verification {status}: max ratio {rep['max_ratio']:.6g} vs "
+        f"verification {status}: witness ratio {rep['witness_ratio']:.6g} vs "
         f"C = {args.C:.6g}; report: {path}"
     )
     return 0 if rep["passed"] else 3

@@ -439,7 +439,7 @@ def strip_gallery(
     fd_min = float(np.min(fd))
     phi_max = float(np.max(vals))
     strip_ok = fd_min >= 0.5 - 10 * d * d and phi_max <= M * M + 1e-12
-    cert = certificate("bounded", {"A": M * M, "B": 0.5})
+    cert = certificate(M * M, 0.5)
 
     if strip_ok:
         verdict = "closed range certified (strip weight)"
@@ -569,7 +569,7 @@ def omega_s_scenario(
     comp = certify_composite(dom, chi, fam, lattice, K=K)
     cert = None
     if comp.certified:
-        cert = certificate("bounded", {"A": comp.A_bound, "B": comp.B_prime})
+        cert = certificate(comp.A_bound, comp.B_prime)
 
     checks = [
         {

@@ -1,11 +1,8 @@
 """Weight functions and closed-range certificate constants.
 
-Three certificate routes are supported, all producing an explicit constant
-C for the lower bound ||u|| <= C ||dbar u||:
-
-  * "hormander"     from a pair (c1, c2):      C = sqrt(2 / (c1 c2))
-  * "bounded"       from a bounded weight (A, B):  C = e^A sqrt(2 / B)
-  * "self-bounded"  from a gradient self-bound (D, E):  C = sqrt(2 D) / E
+Every certificate takes the bounded-weight route: a weight phi with
+0 <= phi <= A and complex Hessian phi_{z zbar} >= B gives the explicit
+constant C = e^A sqrt(2 / B) in the lower bound ||u|| <= C ||dbar u||.
 
 The lattice series weight turns a witness set into explicit (A, B); the
 strip weight realizes the quadratic band construction; the composite weight
@@ -589,49 +586,33 @@ def certify_composite(
 # Certificates
 # ---------------------------------------------------------------------------
 
-_KINDS = ("hormander", "bounded", "self-bounded")
-
 
 @dataclass(frozen=True)
 class WeightCertificate:
-    """Closed-range constant C with the route that produced it."""
+    """Closed-range constant C of a bounded weight, with its log10."""
 
-    kind: str
-    constants: dict
     C: float
     log10_C: float
+    kind = "bounded"  # the route's name in reports; not a field
 
 
-def certificate(kind: str, constants: dict) -> WeightCertificate:
-    """Exact constant for the requested certificate route.
+def certificate(A: float, B: float) -> WeightCertificate:
+    """C = e^A sqrt(2/B) for a weight bounded by A with Hessian bound B.
 
-    hormander: (c1, c2) -> sqrt(2/(c1 c2)); bounded: (A, B) -> e^A sqrt(2/B)
-    (A may be huge, so the log10 value is always carried alongside);
-    self-bounded: (D, E) -> sqrt(2 D)/E.
+    A may be huge, so the log10 value is always carried alongside; C is
+    inf when e^A overflows.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown certificate kind {kind!r}; expected one of {_KINDS}")
-    vals = {k: float(v) for k, v in constants.items()}
-    if any(v <= 0 for k, v in vals.items() if k != "A"):
-        raise ValueError(f"certificate constants must be positive, got {vals}")
-    if kind == "hormander":
-        c1, c2 = vals["c1"], vals["c2"]
-        C = math.sqrt(2.0 / (c1 * c2))
-        log10C = 0.5 * (math.log10(2.0) - math.log10(c1) - math.log10(c2))
-    elif kind == "bounded":
-        A, B = vals["A"], vals["B"]
-        if A < 0:
-            raise ValueError(f"bound A must be nonnegative, got {A}")
-        log10C = A / math.log(10.0) + 0.5 * math.log10(2.0 / B)
-        try:
-            C = math.exp(A) * math.sqrt(2.0 / B)
-        except OverflowError:
-            C = math.inf
-    else:
-        D, E = vals["D"], vals["E"]
-        C = math.sqrt(2.0 * D) / E
-        log10C = 0.5 * math.log10(2.0 * D) - math.log10(E)
-    return WeightCertificate(kind, vals, C, log10C)
+    A, B = float(A), float(B)
+    if B <= 0:
+        raise ValueError(f"certificate constant B must be positive, got {B}")
+    if A < 0:
+        raise ValueError(f"bound A must be nonnegative, got {A}")
+    log10C = A / math.log(10.0) + 0.5 * math.log10(2.0 / B)
+    try:
+        C = math.exp(A) * math.sqrt(2.0 / B)
+    except OverflowError:
+        C = math.inf
+    return WeightCertificate(C, log10C)
 
 
 def lattice_weight_report(
@@ -643,7 +624,7 @@ def lattice_weight_report(
     """Assemble the weight-report payload for a certified lattice."""
     sw = series_weight(lat, gamma_max)
     stats = series_weight_grid_stats(sw, dom, h)
-    cert = certificate("bounded", {"A": sw.A, "B": sw.B})
+    cert = certificate(sw.A, sw.B)
     return {
         "M": lat.M,
         "delta": lat.delta,

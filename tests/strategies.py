@@ -1,7 +1,8 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and test data shared by the test modules."""
 
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
 from dbar_range.geometry import Complement, Disc, HalfPlane, Intersection, Rect, Union
@@ -28,3 +29,19 @@ def csg_trees(draw, depth=2):
     if op is Complement:
         return Complement(draw(csg_trees(depth=depth - 1)))
     return op(tuple(draw(st.lists(csg_trees(depth=depth - 1), min_size=1, max_size=3))))
+
+
+def radial_bump(z, center: complex = 0j, radius: float = 1.0):
+    """exp(-1/(1 - |w|^2)) for w = (z - center)/radius, 0 outside.
+
+    Values within 1e-3 of the support circle are dropped (they are below
+    exp(-500)); this avoids overflow in the inner quotient at a bounded,
+    documented cost.
+    """
+    w2 = np.abs((np.asarray(z, dtype=complex) - center) / radius) ** 2
+    g = 1.0 - w2
+    safe = g > 1e-3
+    out = np.zeros(np.shape(w2))
+    with np.errstate(over="ignore"):
+        out[safe] = np.exp(-1.0 / g[safe])
+    return out

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -115,21 +116,33 @@ def test_verify_passes_exactly_above_the_discrete_constant(tmp_path):
     assert code == 0
     const = rep["discrete_constant"]
     assert rep["sigma_min"] == pytest.approx(2.404825557695773 / 2, rel=0.02)
-    assert rep["sigma_min_error"] is None
-    assert rep["verification"]["max_ratio"] == pytest.approx(const, rel=1e-9)
+    assert rep["verification"]["witness_ratio"] == pytest.approx(const, rel=1e-9)
     assert verify(tmp_path / "b", 1.0)[1] == rep
     assert verify(tmp_path / "c", const)[0] == 0
     assert verify(tmp_path / "d", const * (1 - 1e-5))[0] == 3
 
 
-def test_verify_reports_eigensolver_failure(tmp_path, monkeypatch):
-    monkeypatch.setattr(discrete, "lanczos", lambda factor, lap, **kw: None)
-    code, rep = verify(tmp_path, 1.0, "--trials", "3")
+@pytest.mark.parametrize(
+    "mesh, sigma", [(None, 1.1812982895366577), ("0.03125", 1.1905577831821479)]
+)
+def test_verify_sigma_min_pinned_at_the_bench_meshes(mesh, sigma, tmp_path):
+    # the benchmark's sigma_rel_err reads this key; refactoring the
+    # eigensolver must not move a bit of it
+    code, rep = verify(tmp_path, 1.0, *(["--mesh", mesh] if mesh else []))
     assert code == 0
-    assert rep["sigma_min"] is None and rep["discrete_constant"] is None
-    assert "no Ritz pair" in rep["sigma_min_error"]
-    assert rep["verification"]["witness_ratio"] is None
-    assert len(rep["verification"]["ratios"]) == 3
+    assert rep["sigma_min"] == sigma
+    assert rep["discrete_constant"] == 1.0 / sigma
+
+
+def test_verify_reports_eigensolver_failure(tmp_path, monkeypatch, capsys):
+    # with no Ritz pair there is no evidence: exit 1 with the reason, no report
+    monkeypatch.setattr(discrete, "lanczos", lambda factor, lap, **kw: None)
+    argv = ["verify", "--domain", str(ROOT / "domains/unit_disc.json"), "--C", "1",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no Ritz pair" in err
+    assert not (tmp_path / "verify_report.json").exists()
 
 
 def test_scenario_seed_zero_overrides_spec(tmp_path, monkeypatch):
@@ -278,6 +291,34 @@ def test_every_module_is_reached_from_the_cli():
         assert missing == [], f"dbar_range.{name}.__all__ names {missing}"
 
 
+# exported on purpose although no package module uses them: the scalar
+# oracles of the strip and composite weights, the JSON round trip, the
+# twisted-estimate check and its weight fields (ROADMAP keeps this list)
+KEPT_UNREFERENCED = {
+    "twisted_quadrature_check", "constant_field", "abs2_field", "gaussian_decay_field",
+    "domain_to_dict", "load_domain", "strip_weight", "composite_weight",
+}
+
+
+def test_exported_names_are_used_by_the_package():
+    # a name in some __all__ that no package module reads (as a Name, an
+    # Attribute or an imported name) serves tests only, and belongs there
+    referenced, exported = set(), set()
+    for path in (ROOT / "src" / "dbar_range").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(a.name for a in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+    assert exported - referenced == KEPT_UNREFERENCED
+
+
 def test_verify_leaves_ndimage_unimported(tmp_path):
     # the package takes its distance tests in numpy
     code = (
@@ -345,22 +386,25 @@ def test_verify_loads_no_scipy(tmp_path):
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
-def test_verify_dump_field_is_the_seeded_bump_solution(tmp_path):
+def test_verify_dump_field_is_the_eigenvector_solution(tmp_path):
     # --dump-field writes, per triangle, the canonical solution for the
-    # bump of radius 10h at the node the seed draws first
-    from dbar_range.discrete import assemble, least_norm_solve, radial_bump
+    # lambda_1 eigenvector: the extremal field, whose ratio is the constant
+    from dbar_range.discrete import assemble, least_norm_solve
     from dbar_range.geometry import domain_from_dict
 
-    code, _ = verify(tmp_path, 1.0, "--trials", "2", "--seed", "5", "--dump-field")
+    code, rep = verify(tmp_path, 1.0, "--dump-field")
     assert code == 0
     lines = (tmp_path / "verify_field.csv").read_text().splitlines()
     assert lines[0] == "x,y,re_u,im_u"
     got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     g = assemble(domain_from_dict(json.loads((ROOT / "domains/unit_disc.json").read_text())))
     assert got.shape == (len(g.tri_z), 4)
-    c = g.nodes_z[int(np.random.default_rng(5).integers(0, g.size))]
-    v, _ = least_norm_solve(g, g.op @ radial_bump(g.nodes_z, c, 10 * g.h))
+    alpha = g.ground_state[1]
+    v, _ = least_norm_solve(g, alpha)
     assert np.array_equal(got, np.column_stack([g.tri_z.real, g.tri_z.imag, v.real, v.imag]))
+    # triangle norm: weight h^2/2 per triangle
+    ratio = g.h / math.sqrt(2) * np.linalg.norm(got[:, 2] + 1j * got[:, 3]) / g.norm(alpha)
+    assert ratio == pytest.approx(rep["discrete_constant"], rel=1e-9)
 
 
 def domain_file(tmp_path, tree, window, mesh, symmetry="translation_x"):
@@ -417,6 +461,23 @@ def test_lattice_verification_error_exits_1_without_traceback(tmp_path):
     assert "Traceback" not in child.stderr
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="certify samples membership at nodes only")
+def test_sub_mesh_filaments_fail_condition_x(tmp_path):
+    # 86 filaments h/3 wide, centred between raster columns every 7 columns,
+    # leave no exterior point 0.1 clear of the domain, yet no node sees them
+    doc = json.loads((ROOT / "domains/uniform_gallery.json").read_text())
+    h, x0 = doc["mesh"], doc["window"]["x0"]
+    for c in x0 + h * (np.arange(3, 601, 7) + 0.5):
+        doc["tree"]["children"].append({"prim": "rect", "params": {
+            "x0": c - h / 6, "x1": c + h / 6, "y0": -6.0, "y1": 6.0}})
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps(doc))
+    argv = ["certify", "--domain", str(domain), "--M", "2", "--delta", "0.1",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     # argparse exits 2 on a usage error, the code of "condition not satisfied"
     domain = str(ROOT / "domains/uniform_gallery.json")
@@ -444,7 +505,6 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ("verify", "--C", "nan"),
         ("verify", "--C", "inf"),
         ("verify", "--C", "0"),
-        ("verify", "--trials", "-1"),
         ("certify", "--gamma-max", "0"),
         ("certify", "--gamma-max", "-3"),
         ("certify", "--gamma-max", "2.5"),

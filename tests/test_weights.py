@@ -749,33 +749,28 @@ def test_strip_gallery_weight_equals_the_per_node_values():
 
 class TestCertificate:
     def test_trivial_identities(self):
-        assert certificate("bounded", {"A": 0.0, "B": 2.0}).C == 1.0
-        assert certificate("hormander", {"c1": 2.0, "c2": 1.0}).C == 1.0
+        cert = certificate(0.0, 2.0)
+        assert cert.C == 1.0 and cert.kind == "bounded"
 
     def test_formulas_random(self):
         rng = np.random.default_rng(99)
         for _ in range(1000):
-            c1, c2, A, B, D, E = rng.uniform(0.1, 10.0, size=6)
-            h = certificate("hormander", {"c1": c1, "c2": c2})
-            assert h.C == math.sqrt(2.0 / (c1 * c2))
-            bd = certificate("bounded", {"A": A, "B": B})
-            assert bd.C == math.exp(A) * math.sqrt(2.0 / B)
-            sb = certificate("self-bounded", {"D": D, "E": E})
-            assert sb.C == math.sqrt(2.0 * D) / E
+            A, B = rng.uniform(0.1, 10.0, size=2)
+            assert certificate(A, B).C == math.exp(A) * math.sqrt(2.0 / B)
 
     def test_log_scale_for_huge_constants(self):
         A, B = weight_constants(1.0, 1.0)
-        cert = certificate("bounded", {"A": A, "B": B})
+        cert = certificate(A, B)
         assert cert.log10_C == pytest.approx(
             A / math.log(10) + 0.5 * math.log10(2 / B), rel=1e-12
         )
         # A ~ 141.9 gives log10 C ~ 62.9: finite but astronomically large
         assert 60 < cert.log10_C < 70
-        huge = certificate("bounded", {"A": 1e6, "B": 1.0})
+        huge = certificate(1e6, 1.0)
         assert huge.C == math.inf and math.isfinite(huge.log10_C)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            certificate("bounded", {"A": 1.0, "B": 0.0})
+            certificate(1.0, 0.0)
         with pytest.raises(ValueError):
-            certificate("nope", {"c1": 1.0, "c2": 1.0})
+            certificate(-1.0, 1.0)
