@@ -15,7 +15,10 @@ column pass and a row pass in numpy (`_near`, `_nearest`).  Condition X
 returns a boolean grid of witnessed nodes plus the column pass of the
 admissible nodes, and the lattice finds the witnesses of the few nodes it
 needs.  Complex coordinates appear only for the lattice points and their
-witnesses.
+witnesses.  Every column and every row of a pass is independent of the
+others, so the grid passes stream in blocks of `_LINES` raster lines:
+their temporaries have the size of one block, and only their outputs span
+the grid.
 
 Unbounded domains are handled by the finite window plus an explicitly
 declared translation symmetry; nothing outside the window is ever
@@ -333,7 +336,17 @@ class Raster:
 # column pass (the nearest mask node in each column) followed by a row pass
 # answers a threshold or nearest-node question exactly, in the column-then-
 # row order of the Maurer-Qi-Raghavan transform (IEEE PAMI 25, 2003).
+# Each column of the column pass and each row of the row pass is decided
+# on its own, so both run over blocks of _LINES lines at a time.
 # ---------------------------------------------------------------------------
+
+# raster lines per block of a streamed grid pass
+_LINES = 64
+
+
+def _line_blocks(n: int):
+    """Slices of at most _LINES consecutive lines covering range(n)."""
+    return (slice(i, min(i + _LINES, n)) for i in range(0, n, _LINES))
 
 
 def _edt_distance(h: float, dy, dx):
@@ -347,14 +360,18 @@ def _edt_distance(h: float, dy, dx):
 def _column_rows(mask: np.ndarray) -> np.ndarray:
     """Column pass: for every node, the row of the nearest mask node in its
     column, ties to the lower row.  In a column without mask nodes the row
-    lies at least ny rows away from every node."""
-    ny = mask.shape[0]
+    lies at least ny rows away from every node.  Runs over blocks of
+    _LINES columns, each made column-major so that its running max and
+    min run along memory."""
+    ny, nx = mask.shape
     rows = np.arange(ny, dtype=np.int32)[:, None]
-    # column-major, so that the running max and min run along memory
-    mask = np.asfortranarray(mask)
-    up = np.maximum.accumulate(np.where(mask, rows, np.int32(-2 * ny)), axis=0)
-    down = np.minimum.accumulate(np.where(mask, rows, np.int32(3 * ny))[::-1], axis=0)[::-1]
-    return np.ascontiguousarray(np.where(rows - up <= down - rows, up, down))
+    out = np.empty((ny, nx), dtype=np.int32)
+    for cols in _line_blocks(nx):
+        block = np.asfortranarray(mask[:, cols])
+        up = np.maximum.accumulate(np.where(block, rows, np.int32(-2 * ny)), axis=0)
+        down = np.minimum.accumulate(np.where(block, rows, np.int32(3 * ny))[::-1], axis=0)[::-1]
+        out[:, cols] = np.where(rows - up <= down - rows, up, down)
+    return out
 
 
 def _near(rows: np.ndarray, h: float, radius: float, strict: bool) -> np.ndarray:
@@ -364,7 +381,8 @@ def _near(rows: np.ndarray, h: float, radius: float, strict: bool) -> np.ndarray
     A reach table gives, for each row offset v, the largest column offset
     whose distance passes the test; then a node is near when some column c
     reaches it, which a running max of c + reach and a running min of
-    c - reach along each row decide."""
+    c - reach along each row decide.  The lookup and the running extremes
+    run over blocks of _LINES rows."""
     ny, nx = rows.shape
     v = np.arange(ny, dtype=np.int32)
     reach = np.sqrt(np.maximum((radius / h) ** 2 - v.astype(float) ** 2, 0.0))
@@ -380,10 +398,13 @@ def _near(rows: np.ndarray, h: float, radius: float, strict: bool) -> np.ndarray
     while (shrink := (reach >= 0) & ~passes(reach)).any():
         reach -= shrink
     # row offsets of ny or more (columns without mask nodes) reach nothing
-    reach = np.append(reach, np.int32(-1))[np.minimum(np.abs(rows - v[:, None]), ny)]
+    reach = np.append(reach, np.int32(-1))
     c = np.arange(nx, dtype=np.int32)
-    near = np.maximum.accumulate(c + reach, axis=1) >= c
-    near |= np.minimum.accumulate((c - reach)[:, ::-1], axis=1)[:, ::-1] <= c
+    near = np.empty((ny, nx), dtype=bool)
+    for blk in _line_blocks(ny):
+        span = reach[np.minimum(np.abs(rows[blk] - v[blk, None]), ny)]
+        np.greater_equal(np.maximum.accumulate(c + span, axis=1), c, out=near[blk])
+        near[blk] |= np.minimum.accumulate((c - span)[:, ::-1], axis=1)[:, ::-1] <= c
     return near
 
 
@@ -857,9 +878,10 @@ def build_lattice(
 
     # clause (b): covered sampled domain (nodes with full search discs; edge
     # nodes under a declared symmetry are covered by translated lattices)
+    # nodes, taken a block of rows at a time, so the first miss found is
+    # the first in row-major order
     rows, cols = _fit_slices(r, dom.window, M)
-    iy, ix = np.nonzero(r.inside[rows, cols])
-    zx, zy = r.xs[cols][ix], r.ys[rows][iy]
+    fit, fit_xs, fit_ys = r.inside[rows, cols], r.xs[cols], r.ys[rows]
 
     def covered_by(zx, zy, ll, kk):
         ok = (ll >= lmin) & (ll <= lmax) & (kk >= kmin) & (kk <= kmax)
@@ -867,23 +889,26 @@ def build_lattice(
         act[ok] = lattice_flag[ll[ok] - lmin, kk[ok] - kmin]
         return act & ((zx - ll * M) ** 2 + (zy - kk * M) ** 2 < M * M)
 
-    covered = covered_by(zx, zy, np.rint(zx / M).astype(int), np.rint(zy / M).astype(int))
-    rest = np.flatnonzero(~covered)
-    if len(rest):
-        # a node its nearest lattice point misses may lie in the disc of
-        # another of the 16 lattice points around its cell
-        rx, ry = zx[rest], zy[rest]
-        l0 = np.floor(rx / M).astype(int)
-        k0 = np.floor(ry / M).astype(int)
-        for dl in (0, 1, -1, 2):
-            for dk in (0, 1, -1, 2):
-                covered[rest] |= covered_by(rx, ry, l0 + dl, k0 + dk)
-    if not covered.all():
-        miss = np.argmin(covered)
-        raise LatticeVerificationError(
-            f"clause (b) violated: sampled node {zx[miss] + 1j * zy[miss]} "
-            "is not covered by any lattice disc"
-        )
+    for blk in _line_blocks(fit.shape[0]):
+        iy, ix = np.nonzero(fit[blk])
+        zx, zy = fit_xs[ix], fit_ys[blk][iy]
+        covered = covered_by(zx, zy, np.rint(zx / M).astype(int), np.rint(zy / M).astype(int))
+        rest = np.flatnonzero(~covered)
+        if len(rest):
+            # a node its nearest lattice point misses may lie in the disc
+            # of another of the 16 lattice points around its cell
+            rx, ry = zx[rest], zy[rest]
+            l0 = np.floor(rx / M).astype(int)
+            k0 = np.floor(ry / M).astype(int)
+            for dl in (0, 1, -1, 2):
+                for dk in (0, 1, -1, 2):
+                    covered[rest] |= covered_by(rx, ry, l0 + dl, k0 + dk)
+        if not covered.all():
+            miss = np.argmin(covered)
+            raise LatticeVerificationError(
+                f"clause (b) violated: sampled node {zx[miss] + 1j * zy[miss]} "
+                "is not covered by any lattice disc"
+            )
 
     return LatticeWitnessSet(M, delta, w, witnesses)
 

@@ -235,6 +235,10 @@ def tube_factor(m: int) -> float:
     return math.pi**m / math.factorial(m)
 
 
+# samples per draw of tube_factor_mc
+_MC_BLOCK = 1 << 16
+
+
 def tube_factor_mc(m: int, samples: int = 1_000_000, seed: int = 0) -> float:
     """Monte Carlo cross-check of the ball volume, seeded.
 
@@ -247,13 +251,18 @@ def tube_factor_mc(m: int, samples: int = 1_000_000, seed: int = 0) -> float:
     if m < 1:
         raise ScenarioError(f"fiber dimension must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
+    vals = np.empty(samples)
     vol = 1.0
     for k in range(1, m + 1):
-        xy = rng.uniform(-1.0, 1.0, size=(samples, 2))
-        r2 = xy[:, 0] ** 2 + xy[:, 1] ** 2
-        inside = r2 < 1.0
-        vals = np.zeros(samples)
-        vals[inside] = (1.0 - r2[inside]) ** (k - 1)
+        # drawn _MC_BLOCK samples at a time, from the same stream in the
+        # same order as one draw of them all
+        for i in range(0, samples, _MC_BLOCK):
+            xy = rng.uniform(-1.0, 1.0, size=(min(_MC_BLOCK, samples - i), 2))
+            r2 = xy[:, 0] ** 2 + xy[:, 1] ** 2
+            inside = r2 < 1.0
+            out = vals[i : i + len(xy)]
+            out[:] = 0.0
+            out[inside] = (1.0 - r2[inside]) ** (k - 1)
         vol *= 4.0 * float(np.mean(vals))
     return vol
 

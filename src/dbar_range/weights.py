@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import geometry
 from .geometry import LatticeVerificationError, LatticeWitnessSet, PlanarDomain
 
 __all__ = [
@@ -100,8 +101,9 @@ class SeriesGridStats:
     nodes: int
 
 
-# ~1e6 pairwise distances per block bounds the temporaries at ~40 MB
-_BLOCK = 1_000_000
+# 2^17 pairwise terms per chunk bound the temporaries at ~11 MB: 4 MB in
+# _phi_many, 10-11 MB in _tile_bounds (its float64 box offsets and distances)
+_BLOCK = 1 << 17
 
 
 def _phi_many(ws: np.ndarray, zs: np.ndarray, power: float, scale: float) -> np.ndarray:
@@ -212,51 +214,61 @@ def series_weight_grid_stats(
 
     Every inside node must lie within M of a lattice point; its covering
     point is the nearest one (the first in point order on a tie), and the
-    Hessian bound is 4 |z - w*|^-6 for that point's witness w*.  Each
-    point is tested only against the nodes of its 2M square, widened by a
-    node, since no other node can lie within M of it.  This covering
-    witness is the one per-node quantity, so it alone takes per-node
-    coordinates.  The max of phi is `_grid_extreme`'s on the inside mask:
-    phi is summed only on the raster tiles whose bound from the
-    tile-to-witness distances can reach the largest value, which is
-    exactly the max over all inside nodes.
+    Hessian bound is 4 |z - w*|^-6 for that point's witness w*.  The scan
+    runs over blocks of `geometry._LINES` raster rows, keeping a running
+    min of the bound: in each block every point, in point order, is tested
+    only against the nodes of its 2M square, widened by a node, since no
+    other node can lie within M of it.  So the covering witness, the one
+    per-node quantity, takes node coordinates one block at a time, and the
+    first uncovered node found is the first in row-major order.  The max
+    of phi is `_grid_extreme`'s on the inside mask: phi is summed only on
+    the raster tiles whose bound from the tile-to-witness distances can
+    reach the largest value, which is exactly the max over all inside
+    nodes.
     """
     r = dom.raster(h)
-    iy, ix = np.nonzero(r.inside)
-    zs = r.xs[ix] + 1j * r.ys[iy]
-    if len(zs) == 0:
+    nodes = int(np.count_nonzero(r.inside))
+    if nodes == 0:
         raise ValueError("domain has no rasterized nodes")
     ws = w.witnesses.witnesses
     pts = w.witnesses.points
     M = w.witnesses.M
 
-    # per-node covering witness lower bound: nearest lattice point within M
-    best = np.full(r.inside.shape, np.inf)
-    cover = np.full(r.inside.shape, -1, dtype=np.int32)
+    # each point's 2M square of nodes, widened by a node: columns a:b, rows c:e
     x0, y0, nx, ny = r.xs[0], r.ys[0], len(r.xs), len(r.ys)
-    for j, p in enumerate(pts):
-        a = max(0, math.floor((p.real - M - x0) / r.h))
-        b = min(nx, math.ceil((p.real + M - x0) / r.h) + 1)
-        c = max(0, math.floor((p.imag - M - y0) / r.h))
-        e = min(ny, math.ceil((p.imag + M - y0) / r.h) + 1)
-        if a >= b or c >= e:
+    a = np.maximum(0, np.floor((pts.real - M - x0) / r.h).astype(int))
+    b = np.minimum(nx, np.ceil((pts.real + M - x0) / r.h).astype(int) + 1)
+    c = np.maximum(0, np.floor((pts.imag - M - y0) / r.h).astype(int))
+    e = np.minimum(ny, np.ceil((pts.imag + M - y0) / r.h).astype(int) + 1)
+    zzbar_min = math.inf
+    for blk in geometry._line_blocks(ny):
+        iy, ix = np.nonzero(r.inside[blk])
+        if not iy.size:
             continue
-        d = np.abs(r.xs[None, a:b] + 1j * r.ys[c:e, None] - p)
-        sub_best = best[c:e, a:b]
-        better = (d < M) & (d < sub_best)
-        sub_best[better] = d[better]
-        cover[c:e, a:b][better] = j
-    cover = cover[iy, ix]
-    if np.any(cover < 0):
-        bad = zs[int(np.argmax(cover < 0))]
-        raise LatticeVerificationError(
-            f"coverage clause violated at sampled node {bad}"
-        )
-    zzbar_lower = 4.0 * np.abs(zs - ws[cover]) ** -6.0
+        ys = r.ys[blk]
+        # per-node covering witness lower bound: nearest lattice point within M
+        best = np.full((len(ys), nx), np.inf)
+        cover = np.full(best.shape, -1, dtype=np.int32)
+        lo, hi = c - blk.start, e - blk.start  # rows c:e within the block
+        for j in np.flatnonzero((a < b) & (lo < len(ys)) & (hi > 0)):
+            rows, cols = slice(max(lo[j], 0), hi[j]), slice(a[j], b[j])
+            d = np.abs(r.xs[None, cols] + 1j * ys[rows, None] - pts[j])
+            sub_best = best[rows, cols]
+            better = (d < M) & (d < sub_best)
+            sub_best[better] = d[better]
+            cover[rows, cols][better] = j
+        zs = r.xs[ix] + 1j * ys[iy]
+        cover = cover[iy, ix]
+        if np.any(cover < 0):
+            bad = zs[int(np.argmax(cover < 0))]
+            raise LatticeVerificationError(
+                f"coverage clause violated at sampled node {bad}"
+            )
+        zzbar_min = min(zzbar_min, float(np.min(4.0 * np.abs(zs - ws[cover]) ** -6.0)))
     return SeriesGridStats(
         grid_max_phi=_grid_extreme(ws, r, r.inside, -4.0, 1.0, True) + w.tail_bound,
-        grid_min_zzbar=float(np.min(zzbar_lower)),
-        nodes=len(zs),
+        grid_min_zzbar=zzbar_min,
+        nodes=nodes,
     )
 
 

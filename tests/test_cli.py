@@ -84,6 +84,23 @@ def certify_sha256(tmp_path, domain, expect_code, *extra):
     return sha256((tmp_path / "certify_report.json").read_bytes())
 
 
+@pytest.mark.parametrize("block", [7, 1 << 16, 5000])
+def test_tube_factor_mc_is_one_draw_of_all_samples(block, monkeypatch):
+    # the blocked draws take the stream in order, so they equal one draw
+    m, samples, seed = 3, 5000, 4
+    rng = np.random.default_rng(seed)
+    vol = 1.0
+    for k in range(1, m + 1):
+        xy = rng.uniform(-1.0, 1.0, size=(samples, 2))
+        r2 = xy[:, 0] ** 2 + xy[:, 1] ** 2
+        inside = r2 < 1.0
+        vals = np.zeros(samples)
+        vals[inside] = (1.0 - r2[inside]) ** (k - 1)
+        vol *= 4.0 * float(np.mean(vals))
+    monkeypatch.setattr(scenarios, "_MC_BLOCK", block)
+    assert scenarios.tube_factor_mc(m, samples, seed) == vol
+
+
 def test_certify_gallery_report_bytes_pinned(tmp_path):
     assert certify_sha256(tmp_path, "uniform_gallery.json", 0) == (
         "0ac943fbd0e0790052311f415670095fdb0475da17b47adc276b76779bc55e4a"

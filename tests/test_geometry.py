@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.interpolate import CubicSpline
 
-from dbar_range import scenarios
+from dbar_range import geometry, scenarios
 from dbar_range.geometry import (
     Complement,
     ConditionXCertificate,
@@ -21,6 +21,7 @@ from dbar_range.geometry import (
     EtaFunc,
     HalfPlane,
     Intersection,
+    LatticeVerificationError,
     PlanarDomain,
     QueryError,
     Rect,
@@ -36,7 +37,7 @@ from dbar_range.geometry import (
     load_domain,
     plane,
 )
-from dbar_range.geometry import _column_rows, _edt_distance, _near, _nearest
+from dbar_range.geometry import _column_rows, _edt_distance, _fit_slices, _near, _nearest
 from strategies import csg_trees
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -258,6 +259,80 @@ class TestGridDistances:
         wy, wx = idx[:, cert.witnessed]
         assert len(wy) > 100_000
         assert np.array_equal(cert.witness_points, r.xs[wx] + 1j * r.ys[wy])
+
+
+class TestLineBlocks:
+    """The grid passes stream in blocks of `geometry._LINES` lines; any
+    block size gives the whole-grid results.  The grids here are 101 rows
+    by 122 columns, a multiple of no block size tried."""
+
+    @staticmethod
+    def banded(extra=()):
+        # bands (j - 1/4, j + 1/4): the lattice rows of M = 1 run along them
+        strips = tuple(Strip.constant(j - 0.25, j + 0.25) for j in range(-3, 4))
+        return PlanarDomain(Union(strips + extra), (-3.0, 3.05, -2.5, 2.5), 0.05, "translation_x")
+
+    @staticmethod
+    def passes(mask):
+        rows = _column_rows(mask)
+        return [rows] + [_near(rows, 0.05, radius, strict)
+                         for radius in (0.05, 0.3, 2.0) for strict in (True, False)]
+
+    @staticmethod
+    def chain(dom, M, delta):
+        cert = condition_x(dom, M, delta)
+        out = [cert.holds, cert.failure_count, cert.unprovable_count,
+               cert.accepted_by_symmetry, cert.notes, cert.witnessed, cert.failure_points]
+        if cert.holds:
+            lat = build_lattice(dom, M, delta, cert=cert)
+            out += [cert.admissible_rows, lat.points, lat.witnesses]
+        return out
+
+    @pytest.mark.parametrize("lines", [1, 3, 7])
+    def test_passes_equal_the_default_block(self, lines, monkeypatch):
+        rng = np.random.default_rng(5)
+        masks = [self.banded().raster().inside, rng.random((101, 122)) < 0.02]
+        assert masks[0].shape == (101, 122) and not masks[1].any(axis=0).all()
+        # a band domain that holds condition X and one that fails it
+        cases = [(self.banded(), 1.0, 0.22), (self.banded((Rect(-1, 1, -1, 1),)), 0.5, 0.22)]
+        want = [self.passes(m) for m in masks] + [self.chain(*case) for case in cases]
+        assert want[2][0] and not want[3][0]
+        monkeypatch.setattr(geometry, "_LINES", lines)
+        got = [self.passes(m) for m in masks] + [self.chain(*case) for case in cases]
+        for g, w in zip(got, want):
+            assert len(g) == len(w)
+            for a, b in zip(g, w):
+                assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b)
+
+    def test_clause_b_names_the_first_uncovered_node(self, monkeypatch):
+        # clearing the witness flag of the nodes of the lattice points 0 and
+        # 1 drops both points, which leaves the nodes around 1/2 uncovered
+        dom, M, delta = self.banded(), 1.0, 0.22
+        cert = condition_x(dom, M, delta)
+        r = cert.raster
+        points = build_lattice(dom, M, delta, cert=cert).points
+        ny, nx = r.nearest_index(points)
+        out = ~r.inside[ny, nx]
+        ny[out], nx[out] = _nearest(r.inside_rows, r.h, ny[out], nx[out])
+        dropped = np.isin(points, [0j, 1 + 0j])
+        assert dropped.sum() == 2
+        cert.witnessed = cert.witnessed.copy()
+        cert.witnessed[ny[dropped], nx[dropped]] = False
+        kept = points[~dropped]
+        # the oracle: every fit node against every kept point, row-major
+        rows, cols = _fit_slices(r, dom.window, M)
+        iy, ix = np.nonzero(r.inside[rows, cols])
+        zx, zy = r.xs[cols][ix], r.ys[rows][iy]
+        covered = ((zx[:, None] - kept.real) ** 2 + (zy[:, None] - kept.imag) ** 2 < M * M).any(1)
+        miss = np.argmin(covered)
+        assert not covered[miss] and iy[miss] > 0
+        want = (f"clause (b) violated: sampled node {zx[miss] + 1j * zy[miss]} "
+                "is not covered by any lattice disc")
+        for lines in (geometry._LINES, 1):
+            monkeypatch.setattr(geometry, "_LINES", lines)
+            with pytest.raises(LatticeVerificationError) as err:
+                build_lattice(dom, M, delta, cert=cert)
+            assert str(err.value) == want
 
 
 class TestLargestDisc:

@@ -174,6 +174,46 @@ class TestSeriesWeight:
             lat = LatticeWitnessSet(M, 0.1, pts, ws)
             assert series_weight_grid_stats(series_weight(lat), dom).grid_min_zzbar == want
 
+    @staticmethod
+    def covering_set(hole=None):
+        # points 0.5 apart with M = 0.6 cover the rect; the points within
+        # 0.6 of `hole` are left out.  61 rows: a multiple of no block
+        # size tried
+        dom = PlanarDomain(Rect(-1.9, 1.7, -1.3, 1.1), (-2, 2.05, -1.5, 1.5), 0.05)
+        gx, gy = np.meshgrid(np.arange(-2.087, 2.1, 0.5), np.arange(-1.513, 1.6, 0.5))
+        pts = (gx + 1j * gy).ravel()
+        if hole is not None:
+            pts = pts[np.abs(pts - hole) >= 0.6]
+        ws = pts + 10.0 + np.linspace(0.0, 1.0, len(pts)) * 1j
+        return dom, series_weight(LatticeWitnessSet(0.6, 0.1, pts, ws))
+
+    @pytest.mark.parametrize("lines", [1, 3, 7])
+    def test_stats_equal_the_default_block(self, lines):
+        dom, w = self.covering_set()
+        gal = make_gallery()
+        gal_w = series_weight(build_lattice(gal, M=1.0, delta=0.2))
+        assert len(dom.raster().ys) == 61 and len(gal.raster().ys) == 267
+        want = [series_weight_grid_stats(w, dom), series_weight_grid_stats(gal_w, gal)]
+        with mock.patch.object(geometry, "_LINES", lines):
+            got = [series_weight_grid_stats(w, dom), series_weight_grid_stats(gal_w, gal)]
+        assert got == want
+
+    def test_coverage_error_names_the_first_uncovered_node(self):
+        dom, w = self.covering_set(hole=0.4 + 0.2j)
+        # the oracle: every inside node against every point, row-major
+        r = dom.raster()
+        iy, ix = np.nonzero(r.inside)
+        zs = r.xs[ix] + 1j * r.ys[iy]
+        pts = w.witnesses.points
+        covered = (np.abs(zs[:, None] - pts) < w.witnesses.M).any(axis=1)
+        miss = int(np.argmin(covered))
+        assert not covered[miss] and iy[miss] > 0
+        for lines in (geometry._LINES, 1):
+            with mock.patch.object(geometry, "_LINES", lines):
+                with pytest.raises(LatticeVerificationError) as err:
+                    series_weight_grid_stats(w, dom)
+            assert str(err.value) == f"coverage clause violated at sampled node {zs[miss]}"
+
     def test_tail_contract(self):
         # enlarging the truncation moves phi by at most the previous tail;
         # phi_gamma sums |z - w*|^-4 over the witnesses within gamma
@@ -689,6 +729,22 @@ class TestComposite:
             tracemalloc.stop()
         assert cert.certified
         assert peak < 16 * nodes
+
+    def test_certify_chain_stays_below_32_bytes_per_node(self):
+        # the grid passes stream in line blocks, so only their outputs
+        # (the raster, two column passes and the witnessed grid) span it
+        dom = load_domain(ROOT / "domains" / "uniform_gallery.json")
+        tracemalloc.start()
+        try:
+            cert = condition_x(dom, M=2.0, delta=0.1)
+            lat = build_lattice(dom, M=2.0, delta=0.1, cert=cert)
+            lattice_weight_report(dom, lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nodes = dom.raster().inside.size
+        assert nodes == 361_201
+        assert peak < 32 * nodes
 
     def test_regional_bounds(self):
         dom, chi, fam, lattice = toy_composite()
