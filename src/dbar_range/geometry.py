@@ -877,9 +877,9 @@ def build_lattice(
         )
 
     # clause (b): covered sampled domain (nodes with full search discs; edge
-    # nodes under a declared symmetry are covered by translated lattices)
-    # nodes, taken a block of rows at a time, so the first miss found is
-    # the first in row-major order
+    # nodes under a declared symmetry are covered by translated lattices),
+    # a block of rows at a time, so the first miss found is the first in
+    # row-major order
     rows, cols = _fit_slices(r, dom.window, M)
     fit, fit_xs, fit_ys = r.inside[rows, cols], r.xs[cols], r.ys[rows]
 

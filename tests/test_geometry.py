@@ -311,13 +311,14 @@ class TestLineBlocks:
         cert = condition_x(dom, M, delta)
         r = cert.raster
         points = build_lattice(dom, M, delta, cert=cert).points
-        ny, nx = r.nearest_index(points)
-        out = ~r.inside[ny, nx]
-        ny[out], nx[out] = _nearest(r.inside_rows, r.h, ny[out], nx[out])
+        # z: the domain node nearest the node nearest each point
+        ziy, zix = r.nearest_index(points)
+        out = ~r.inside[ziy, zix]
+        ziy[out], zix[out] = _nearest(r.inside_rows, r.h, ziy[out], zix[out])
         dropped = np.isin(points, [0j, 1 + 0j])
         assert dropped.sum() == 2
         cert.witnessed = cert.witnessed.copy()
-        cert.witnessed[ny[dropped], nx[dropped]] = False
+        cert.witnessed[ziy[dropped], zix[dropped]] = False
         kept = points[~dropped]
         # the oracle: every fit node against every kept point, row-major
         rows, cols = _fit_slices(r, dom.window, M)

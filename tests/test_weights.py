@@ -730,22 +730,6 @@ class TestComposite:
         assert cert.certified
         assert peak < 16 * nodes
 
-    def test_certify_chain_stays_below_32_bytes_per_node(self):
-        # the grid passes stream in line blocks, so only their outputs
-        # (the raster, two column passes and the witnessed grid) span it
-        dom = load_domain(ROOT / "domains" / "uniform_gallery.json")
-        tracemalloc.start()
-        try:
-            cert = condition_x(dom, M=2.0, delta=0.1)
-            lat = build_lattice(dom, M=2.0, delta=0.1, cert=cert)
-            lattice_weight_report(dom, lat)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        nodes = dom.raster().inside.size
-        assert nodes == 361_201
-        assert peak < 32 * nodes
-
     def test_regional_bounds(self):
         dom, chi, fam, lattice = toy_composite()
         cert = certify_composite(dom, chi, fam, lattice)
@@ -782,6 +766,23 @@ class TestComposite:
         auto = certify_composite(dom, chi, fam, lattice)
         below = certify_composite(dom, chi, fam, lattice, K=auto.K / 4)
         assert not below.certified
+
+
+def test_certify_chain_stays_below_32_bytes_per_node():
+    # the grid passes stream in line blocks, so only their outputs (the
+    # raster, two column passes and the witnessed grid) span the grid
+    dom = load_domain(ROOT / "domains" / "uniform_gallery.json")
+    tracemalloc.start()
+    try:
+        cert = condition_x(dom, M=2.0, delta=0.1)
+        lat = build_lattice(dom, M=2.0, delta=0.1, cert=cert)
+        lattice_weight_report(dom, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes = dom.raster().inside.size
+    assert nodes == 361_201
+    assert peak < 32 * nodes
 
 
 def test_strip_gallery_weight_equals_the_per_node_values():
