@@ -243,15 +243,9 @@ def cmd_scenario(args) -> int:
 def main(argv=None) -> int:
     _setup_threads()
     args = build_parser().parse_args(argv)
-    from .geometry import (
-        ConfigurationError,
-        DomainSpecError,
-        LatticeVerificationError,
-        MeshError,
-        QueryError,
-        SolverError,
-    )
-    from .scenarios import ScenarioError
+    # DomainSpecError, QueryError, MeshError and ScenarioError are
+    # ValueErrors, so no command imports a module only to name its error
+    from .geometry import ConfigurationError, LatticeVerificationError, SolverError
 
     handlers = {"certify": cmd_certify, "verify": cmd_verify, "scenario": cmd_scenario}
     try:
@@ -259,16 +253,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        DomainSpecError,
-        QueryError,
-        ConfigurationError,
-        LatticeVerificationError,
-        MeshError,
-        ScenarioError,
-        SolverError,
-        ValueError,
-    ) as exc:
+    except (ConfigurationError, LatticeVerificationError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,10 +15,12 @@ column pass and a row pass in numpy (`_near`, `_nearest`).  Condition X
 returns a boolean grid of witnessed nodes plus the column pass of the
 admissible nodes, and the lattice finds the witnesses of the few nodes it
 needs.  Complex coordinates appear only for the lattice points and their
-witnesses.  Every column and every row of a pass is independent of the
-others, so the grid passes stream in blocks of `_LINES` raster lines:
-their temporaries have the size of one block, and only their outputs span
-the grid.
+witnesses.  A node's membership depends on that node alone, and every
+column and every row of a pass is independent of the others, so the
+raster build and the grid passes stream in blocks of `_LINES` raster
+lines: their temporaries have the size of one block, and only their
+outputs span the grid, at 1 B a node for a mask and 2 B for a column pass
+(int16 on grids of fewer than 10 923 rows).
 
 Unbounded domains are handled by the finite window plus an explicitly
 declared translation symmetry; nothing outside the window is ever
@@ -305,11 +307,13 @@ class Raster:
         self.h = float(h)
         self.xs = domain.columns(h)
         self.ys = _grid_axis(domain.window[2], domain.window[3], h)
-        ny, nx = len(self.ys), len(self.xs)
-        # one row of x against one column of y: a primitive that depends on
-        # x alone (a graph strip's eta) is evaluated once per column
-        member = domain.tree.member(self.xs[None, :], self.ys[:, None])
-        self.inside = np.broadcast_to(member, (ny, nx)).astype(bool)
+        # a block of _LINES columns at a time: its x values as a column
+        # against the y values as a row, so that a primitive that depends
+        # on x alone (a graph strip's eta) is evaluated once per column and
+        # the temporaries run along y
+        self.inside = np.empty((len(self.ys), len(self.xs)), dtype=bool)
+        for cols in _line_blocks(len(self.xs)):
+            self.inside[:, cols] = domain.tree.member(self.xs[cols, None], self.ys[None, :]).T
 
     def nearest_index(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(row, column) of the node nearest each point z, clipped to the
@@ -360,16 +364,18 @@ def _edt_distance(h: float, dy, dx):
 def _column_rows(mask: np.ndarray) -> np.ndarray:
     """Column pass: for every node, the row of the nearest mask node in its
     column, ties to the lower row.  In a column without mask nodes the row
-    lies at least ny rows away from every node.  Runs over blocks of
-    _LINES columns, each made column-major so that its running max and
-    min run along memory."""
+    lies at least ny rows away from every node.  Every value lies in
+    [-2 ny, 3 ny], so the output is int16 while 3 ny < 2^15 (2 B a node)
+    and int32 above.  Runs over blocks of _LINES columns, each made
+    column-major so that its running max and min run along memory."""
     ny, nx = mask.shape
-    rows = np.arange(ny, dtype=np.int32)[:, None]
-    out = np.empty((ny, nx), dtype=np.int32)
+    dtype = np.int16 if 3 * ny < 2**15 else np.int32
+    rows = np.arange(ny, dtype=dtype)[:, None]
+    out = np.empty((ny, nx), dtype=dtype)
     for cols in _line_blocks(nx):
         block = np.asfortranarray(mask[:, cols])
-        up = np.maximum.accumulate(np.where(block, rows, np.int32(-2 * ny)), axis=0)
-        down = np.minimum.accumulate(np.where(block, rows, np.int32(3 * ny))[::-1], axis=0)[::-1]
+        up = np.maximum.accumulate(np.where(block, rows, dtype(-2 * ny)), axis=0)
+        down = np.minimum.accumulate(np.where(block, rows, dtype(3 * ny))[::-1], axis=0)[::-1]
         out[:, cols] = np.where(rows - up <= down - rows, up, down)
     return out
 
@@ -705,31 +711,37 @@ def condition_x(
         "the window follows the declared symmetry, never inference",
     ]
     inside = r.inside
-    no_witness = np.zeros_like(inside)
     empty = np.array([], dtype=complex)
     if not inside.any():
         return ConditionXCertificate(
-            True, M, delta, r, no_witness, None, empty, 0, 0, False, notes
+            True, M, delta, r, np.zeros_like(inside), None, empty, 0, 0, False, notes
         )
 
-    admissible = ~inside & ~_near(r.inside_rows, r.h, delta, strict=False)
-    witnessed, adm_rows = no_witness, None
+    # each mask is formed in place in the output of _near: admissible =
+    # ~(near | inside), then witnessed = near & inside
+    admissible = _near(r.inside_rows, r.h, delta, strict=False)
+    np.logical_not(np.logical_or(admissible, inside, out=admissible), out=admissible)
     if admissible.any():
         adm_rows = _column_rows(admissible)
-        witnessed = inside & _near(adm_rows, r.h, M, strict=True)
+        del admissible  # freed before _near allocates the witnessed grid
+        witnessed = _near(adm_rows, r.h, M, strict=True)
+        witnessed &= inside
+    else:  # no admissible node: the all-False mask is the witnessed grid
+        adm_rows, witnessed = None, admissible
 
+    # witnessed lies in inside, so the nodes lacking a witness are counted
+    # as differences, and formed only on the failing path
     rows, cols = _fit_slices(r, dom.window, M)
-    lacking = inside & ~witnessed
-    fit_lacking = lacking[rows, cols]
-    n_fail = int(np.count_nonzero(fit_lacking))
-    n_unprov = int(np.count_nonzero(lacking)) - n_fail
+    n_fail = int(np.count_nonzero(inside[rows, cols]) - np.count_nonzero(witnessed[rows, cols]))
+    n_unprov = int(np.count_nonzero(inside) - np.count_nonzero(witnessed)) - n_fail
 
     if n_fail:
-        iy, ix = np.nonzero(fit_lacking)
+        iy, ix = np.nonzero(inside[rows, cols] & ~witnessed[rows, cols])
         iy, ix = iy[:_FAILURE_SAMPLE_CAP], ix[:_FAILURE_SAMPLE_CAP]
         pts = r.xs[cols][ix] + 1j * r.ys[rows][iy]
+        witnessed[:] = False  # no witness is kept
         return ConditionXCertificate(
-            False, M, delta, r, no_witness, None, pts, n_fail, n_unprov, False, notes
+            False, M, delta, r, witnessed, None, pts, n_fail, n_unprov, False, notes
         )
 
     accepted = False

@@ -25,6 +25,7 @@ from .geometry import (
     Rect,
     Strip,
     Union,
+    _line_blocks,
     build_lattice,
     clearance,
     condition_x,
@@ -108,8 +109,11 @@ class BumpProfile:
 def _disc_quadrature_norm(fn, center: complex, radius: float, h: float) -> float:
     xs = np.arange(center.real - radius, center.real + radius + h / 2, h)
     ys = np.arange(center.imag - radius, center.imag + radius + h / 2, h)
-    X, Y = np.meshgrid(xs, ys)
-    vals = fn(X + 1j * Y)
+    # the integrand a block of rows at a time, into the one array whose
+    # norm is taken
+    vals = np.empty((len(ys), len(xs)), dtype=complex)
+    for blk in _line_blocks(len(ys)):
+        vals[blk] = fn(xs[None, :] + 1j * ys[blk, None])
     return h * float(np.linalg.norm(vals.ravel()))
 
 

@@ -101,9 +101,9 @@ class SeriesGridStats:
     nodes: int
 
 
-# 2^17 pairwise terms per chunk bound the temporaries at ~11 MB: 4 MB in
-# _phi_many, 10-11 MB in _tile_bounds (its float64 box offsets and distances)
-_BLOCK = 1 << 17
+# 2^15 pairwise terms per chunk bound the temporaries at ~3 MB: 1 MB in
+# _phi_many, 2.6 MB in _tile_bounds (its float64 box offsets and distances)
+_BLOCK = 1 << 15
 
 
 def _phi_many(ws: np.ndarray, zs: np.ndarray, power: float, scale: float) -> np.ndarray:
@@ -169,16 +169,22 @@ def _grid_extreme(ws, raster, mask, power, scale, largest) -> float:
     """
     ny, nx = mask.shape
     ntx, nty = -(-nx // _TILE), -(-ny // _TILE)
-    sel = np.zeros((nty * _TILE, ntx * _TILE), dtype=bool)
-    sel[:ny, :nx] = mask
-    blocks = sel.reshape(nty, _TILE, ntx, _TILE)
-    tiles = np.flatnonzero(blocks.any(axis=(1, 3)))
+    # which rows (row_any[ty, i, tx]) and which columns (col_any[ty, tx, j])
+    # of each tile hold a mask node, reduced from the mask itself over the
+    # tile's columns and rows; only these 1/_TILE-size results are padded
+    row_any = np.zeros((nty * _TILE, ntx), dtype=bool)
+    row_any[:ny] = np.logical_or.reduceat(mask, np.arange(0, nx, _TILE), axis=1)
+    row_any = row_any.reshape(nty, _TILE, ntx)
+    col_any = np.zeros((nty, ntx * _TILE), dtype=bool)
+    col_any[:, :nx] = np.logical_or.reduceat(mask, np.arange(0, ny, _TILE), axis=0)
+    col_any = col_any.reshape(nty, ntx, _TILE)
+    tiles = np.flatnonzero(col_any.any(axis=2))
     ty, tx = tiles // ntx, tiles % ntx
     # the box of each tile's own nodes: its first and last occupied row
     # and column, so a tile that meets the domain in a corner is bounded
     # by that corner alone
-    rows = blocks.any(axis=3)[ty, :, tx]
-    cols = blocks.any(axis=1)[ty, tx, :]
+    rows = row_any[ty, :, tx]
+    cols = col_any[ty, tx, :]
     y0 = ty * _TILE + np.argmax(rows, axis=1)
     y1 = ty * _TILE + _TILE - 1 - np.argmax(rows[:, ::-1], axis=1)
     x0 = tx * _TILE + np.argmax(cols, axis=1)
@@ -191,9 +197,13 @@ def _grid_extreme(ws, raster, mask, power, scale, largest) -> float:
     extreme = np.max if largest else np.min
 
     def evaluate(which):
-        wy, wx = ty[which], tx[which]
-        k, iy, ix = np.nonzero(blocks[wy, :, wx, :])
-        zs = raster.xs[wx[k] * _TILE + ix] + 1j * raster.ys[wy[k] * _TILE + iy]
+        # the (tile, row, column) nodes of these tiles, tile by tile in
+        # row-major order; the part of an edge tile beyond the grid is off
+        iy = ty[which, None, None] * _TILE + np.arange(_TILE)[:, None]
+        ix = tx[which, None, None] * _TILE + np.arange(_TILE)
+        on = mask[np.minimum(iy, ny - 1), np.minimum(ix, nx - 1)] & (iy < ny) & (ix < nx)
+        k, i, j = np.nonzero(on)
+        zs = raster.xs[ix[k, 0, j]] + 1j * raster.ys[iy[k, i, 0]]
         return extreme(_phi_many(ws, zs, power, scale))
 
     best = evaluate(order[:_SEED_TILES])

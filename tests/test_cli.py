@@ -390,19 +390,39 @@ def test_no_package_module_imports_scipy():
     assert importers == set()
 
 
-def test_verify_loads_no_scipy(tmp_path):
-    # `python -m dbar_range.cli verify` as a user runs it: -X importtime
-    # names every module the child imports
+def imported_by_child(code, *argv):
+    """The modules a `python -m dbar_range.cli` child imports, as a user
+    runs it: -X importtime names every one."""
     child = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "dbar_range.cli", "verify", "--domain",
-         str(ROOT / "domains/unit_disc.json"), "--C", "1", "--out", str(tmp_path)],
+        [sys.executable, "-X", "importtime", "-m", "dbar_range.cli", *map(str, argv)],
         capture_output=True, text=True, env={"PYTHONPATH": str(ROOT / "src")},
     )
-    assert child.returncode == 0, child.stderr
-    imported = [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()
-                if line.startswith("import time:")]
+    assert child.returncode == code, child.stderr
+    return [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
+def test_verify_loads_no_scipy(tmp_path):
+    imported = imported_by_child(
+        0, "verify", "--domain", ROOT / "domains/unit_disc.json", "--C", "1", "--out", tmp_path
+    )
     assert "dbar_range.discrete" in imported
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
+def test_commands_load_no_module_only_to_name_its_error(tmp_path):
+    # cli.main catches ValueError, which covers the scenario, domain, query
+    # and mesh errors, so a command loads only the modules it runs
+    certify = imported_by_child(
+        0, "certify", "--domain", ROOT / "domains/uniform_gallery.json",
+        "--M", "2", "--delta", "0.1", "--out", tmp_path,
+    )
+    assert "dbar_range.weights" in certify and "dbar_range.scenarios" not in certify
+    verify = imported_by_child(
+        0, "verify", "--domain", ROOT / "domains/unit_disc.json", "--C", "1", "--out", tmp_path
+    )
+    assert "dbar_range.discrete" in verify
+    assert {"dbar_range.scenarios", "dbar_range.weights"}.isdisjoint(verify)
 
 
 def test_verify_dump_field_is_the_eigenvector_solution(tmp_path):

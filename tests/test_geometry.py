@@ -273,6 +273,15 @@ class TestLineBlocks:
         return PlanarDomain(Union(strips + extra), (-3.0, 3.05, -2.5, 2.5), 0.05, "translation_x")
 
     @staticmethod
+    def mixed():
+        # a spline strip less a disc, or a rectangle, or a half-plane
+        spline = Strip(EtaFunc({"x": [-3.5, -1.0, 0.5, 3.5], "y": [-2.0, -1.2, -1.6, -0.5]}),
+                       EtaFunc({"const": 1.0}))
+        tree = Union((Intersection((spline, Complement(Disc(0.3, 0.1, 0.8)))),
+                      Rect(1.0, 2.5, 1.2, 2.2), HalfPlane(-1 + 0j, 2.6 + 0j)))
+        return PlanarDomain(tree, (-3.0, 3.05, -2.5, 2.5), 0.05)
+
+    @staticmethod
     def passes(mask):
         rows = _column_rows(mask)
         return [rows] + [_near(rows, 0.05, radius, strict)
@@ -303,6 +312,53 @@ class TestLineBlocks:
             assert len(g) == len(w)
             for a, b in zip(g, w):
                 assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("lines", [1, 3, 7])
+    def test_raster_equals_the_default_block(self, lines, monkeypatch):
+        r = self.mixed().raster()
+        want = r.inside
+        assert want.shape == (101, 122) and 0 < want.sum() < want.size
+        whole = self.mixed().tree.member(r.xs[None, :], r.ys[:, None])
+        assert np.array_equal(want, whole)
+        monkeypatch.setattr(geometry, "_LINES", lines)
+        got = self.mixed().raster().inside
+        assert got.dtype == bool and np.array_equal(got, want)
+
+    def test_raster_evaluates_eta_once_per_column(self, monkeypatch):
+        # each bound of a strip sees every column twice: in the check of
+        # PlanarDomain.columns and in the raster
+        seen = []
+        call = EtaFunc.__call__
+
+        def counting(eta, x):
+            seen.append(np.size(x))
+            return call(eta, x)
+
+        monkeypatch.setattr(EtaFunc, "__call__", counting)
+        for dom in (self.mixed(), self.banded(), scenarios.omega_s_composite(mesh=0.05)[0]):
+            seen.clear()
+            r = dom.raster()
+            strips = len(list(geometry._collect_strips(dom.tree)))
+            assert strips and sum(seen) <= 4 * len(r.xs) * strips
+
+    @pytest.mark.parametrize("ny, dtype", [(10_922, np.int16), (10_923, np.int32)])
+    def test_column_rows_take_the_narrowest_type(self, ny, dtype):
+        # int16 while every value, -2 ny to 3 ny, fits it; column 1 has no
+        # mask node, so its values reach both ends
+        mask = np.zeros((ny, 2), dtype=bool)
+        mask[np.random.default_rng(ny).choice(ny, 12, replace=False), 0] = True
+        got = _column_rows(mask)
+        # the int32 reference: the whole-grid column pass
+        rows = np.arange(ny, dtype=np.int32)[:, None]
+        up = np.maximum.accumulate(np.where(mask, rows, np.int32(-2 * ny)), axis=0)
+        down = np.minimum.accumulate(np.where(mask, rows, np.int32(3 * ny))[::-1], axis=0)[::-1]
+        want = np.where(rows - up <= down - rows, up, down)
+        assert want.dtype == np.int32 and got.dtype == dtype and np.array_equal(got, want)
+        assert got.min() == -2 * ny and got.max() == 3 * ny
+        # column 0: the nearest mask row, ties to the lower one
+        hits = np.flatnonzero(mask[:, 0])
+        nearest = hits[np.argmin(np.abs(hits - rows), axis=1)]
+        assert np.array_equal(got[:, 0], nearest)
 
     def test_clause_b_names_the_first_uncovered_node(self, monkeypatch):
         # clearing the witness flag of the nodes of the lattice points 0 and

@@ -785,6 +785,34 @@ def test_certify_chain_stays_below_32_bytes_per_node():
     assert peak < 32 * nodes
 
 
+def test_certify_chain_with_raster_stays_below_10_bytes_per_node():
+    # from a freshly loaded domain, so that the raster build is traced:
+    # every grid the chain builds is an output of at most 2 B a node, and
+    # every temporary has the size of one block
+    dom = load_domain(ROOT / "domains" / "uniform_gallery.json")
+    tracemalloc.start()
+    try:
+        cert = condition_x(dom, M=2.0, delta=0.1, h=0.01)
+        lat = build_lattice(dom, M=2.0, delta=0.1, h=0.01, cert=cert)
+        lattice_weight_report(dom, lat, h=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes = cert.raster.inside.size
+    assert nodes == 1_442_401
+    assert peak < 10 * nodes
+
+
+def test_certificate_grids_total_at_most_6_bytes_per_node():
+    # inside (bool), its column pass (int16), the admissible column pass
+    # (int16) and witnessed (bool)
+    cert = condition_x(load_domain(ROOT / "domains" / "uniform_gallery.json"), M=2.0, delta=0.1)
+    r = cert.raster
+    grids = (r.inside, r.inside_rows, cert.admissible_rows, cert.witnessed)
+    assert all(g.shape == r.inside.shape for g in grids)
+    assert sum(g.nbytes for g in grids) <= 6 * r.inside.size
+
+
 def test_strip_gallery_weight_equals_the_per_node_values():
     # the uniform preset, with the fd Hessian and the max of the strip
     # weight taken at every inside node
