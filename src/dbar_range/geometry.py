@@ -143,7 +143,7 @@ class EtaFunc:
         # the piece x_i <= x < x_(i+1), closed at the last knot; the end
         # pieces extend beyond the knots
         knots = self._knots
-        i = np.clip(np.searchsorted(knots, x, "right") - 1, 0, len(knots) - 2)
+        i = np.searchsorted(knots[1:-1], x, "right")
         s = x - knots[i]
         c0, c1, c2, c3 = self._coef[:, i]
         return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
