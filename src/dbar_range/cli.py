@@ -9,6 +9,10 @@ re-verification and an eigensolver that fails included), 2 condition not
 satisfied, 3 verification exceeded the supplied constant.  The package
 needs numpy alone at run time; no command imports scipy.
 
+--mesh replaces the "mesh" of the domain file (certify, verify) or of the
+scenario spec, so every stage of a command works at that one mesh; a
+certify or verify report records the file's own document and --mesh.
+
 DBAR_RANGE_THREADS caps the linear-algebra thread pools (default 1 so that
 identical configs reproduce byte-identical reports); when set it overrides
 inherited OMP/OPENBLAS/MKL_NUM_THREADS values.  It must be honored
@@ -119,8 +123,17 @@ def _load_json(path: str):
         ) from None
 
 
+def _domain(doc, mesh):
+    """The document's domain, with `mesh` in place of its own when given."""
+    from .geometry import domain_from_dict
+
+    if mesh is not None and isinstance(doc, dict):
+        doc = {**doc, "mesh": mesh}
+    return domain_from_dict(doc)
+
+
 def cmd_certify(args) -> int:
-    from .geometry import build_lattice, condition_x, domain_from_dict
+    from .geometry import build_lattice, condition_x
     from .reporting import stamp, write_report
     from .weights import lattice_weight_report
 
@@ -133,13 +146,13 @@ def cmd_certify(args) -> int:
         "mesh": args.mesh,
         "seed": args.seed,
     }
-    dom = domain_from_dict(config["domain"])
-    cx = condition_x(dom, args.M, args.delta, h=args.mesh)
+    dom = _domain(config["domain"], args.mesh)
+    cx = condition_x(dom, args.M, args.delta)
     report = {
         "command": "certify",
         "M": args.M,
         "delta": args.delta,
-        "mesh": dom.raster(args.mesh).h,
+        "mesh": dom.mesh,
         "seed": args.seed,
         "condition_x": {
             "holds": cx.holds,
@@ -157,8 +170,8 @@ def cmd_certify(args) -> int:
         path = write_report(Path(args.out) / "certify_report.json", stamp(report, config))
         print(f"condition not satisfied; report: {path}")
         return 2
-    lat = build_lattice(dom, args.M, args.delta, h=args.mesh, cert=cx)
-    weight = lattice_weight_report(dom, lat, gamma_max=args.gamma_max, h=args.mesh)
+    lat = build_lattice(cx)
+    weight = lattice_weight_report(dom, lat, gamma_max=args.gamma_max)
     report["weight"] = weight
     report["verdict"] = "closed range certified on the windowed domain"
     path = write_report(Path(args.out) / "certify_report.json", stamp(report, config))
@@ -176,7 +189,6 @@ def cmd_verify(args) -> int:
     --dump-field verify_field.csv holds that solution, the extremal field,
     per triangle.  --seed is recorded in the report and drives nothing."""
     from .discrete import assemble, closed_range_constant, least_norm_solve, verify_certificate
-    from .geometry import domain_from_dict
     from .reporting import stamp, write_csv, write_report
 
     config = {
@@ -186,8 +198,7 @@ def cmd_verify(args) -> int:
         "mesh": args.mesh,
         "seed": args.seed,
     }
-    dom = domain_from_dict(config["domain"])
-    g = assemble(dom, args.mesh)
+    g = assemble(_domain(config["domain"], args.mesh))
     sigma = closed_range_constant(g)
     rep = verify_certificate(g, args.C)
     report = {

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +58,9 @@ __all__ = [
 # LANCZOS_TOL, or after LANCZOS_STEPS steps.
 LANCZOS_TOL = 1e-10
 LANCZOS_STEPS = 100
+# verify_certificate passes a constant C when the discrete constant is at
+# most C (1 + VERIFY_TOL)
+VERIFY_TOL = 1e-6
 
 
 class CooMatrix:
@@ -241,13 +244,16 @@ class DbarGrid:
     """
 
     domain: PlanarDomain
-    h: float
     nodes_z: np.ndarray
     op: CooMatrix
     adj: CooMatrix
     tri_z: np.ndarray
     lap: CooMatrix
     lap_factor: LineFactor
+
+    @property
+    def h(self) -> float:
+        return self.domain.mesh
 
     @property
     def size(self) -> int:
@@ -317,18 +323,18 @@ def _dbar_adjoint(index: np.ndarray, x0: float, y0: float, h: float):
     return adj, np.concatenate(tri_z)
 
 
-def assemble(dom: PlanarDomain, h: Optional[float] = None) -> DbarGrid:
-    """Build both discrete operators at mesh h and factor the Laplacian.
+def assemble(dom: PlanarDomain) -> DbarGrid:
+    """Build both discrete operators at the domain's mesh and factor the Laplacian.
 
     The `op` stencil never reads outside the domain raster: a direction
     with no inside neighbor contributes nothing at that node (degenerate
     for one-node-wide ribbons, documented).
     """
     x0, x1, y0, y1 = dom.window
-    h = dom.mesh if h is None else float(h)
+    h = dom.mesh
     if h > min(x1 - x0, y1 - y0) / 16:
         raise MeshError(f"mesh {h} exceeds window/16")
-    r = dom.raster(h)
+    r = dom.raster
     inside = r.inside
     n_nodes = int(inside.sum())
     if n_nodes < 16:
@@ -387,7 +393,7 @@ def assemble(dom: PlanarDomain, h: Optional[float] = None) -> DbarGrid:
         np.concatenate([np.full(n_nodes, 4.0), np.full(int(has.sum()), -1.0)]) / h**2,
         (n_nodes, n_nodes),
     )
-    return DbarGrid(dom, h, nodes_z, op, adj, tri_z, lap, LineFactor(index, h))
+    return DbarGrid(dom, nodes_z, op, adj, tri_z, lap, LineFactor(index, h))
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +454,8 @@ def closed_range_constant(g: DbarGrid) -> float:
 # ---------------------------------------------------------------------------
 
 
-def verify_certificate(g: DbarGrid, C_cert: float, tol: float = 1e-6) -> dict:
-    """Check ||v|| <= C (1 + tol) ||alpha|| at the lambda_1 eigenvector.
+def verify_certificate(g: DbarGrid, C_cert: float) -> dict:
+    """Check ||v|| <= C (1 + VERIFY_TOL) ||alpha|| at the lambda_1 eigenvector.
 
     The canonical solution for the eigenvector attains the discrete
     constant 1/sigma_min, the largest ratio ||v||/||alpha|| of any alpha,
@@ -463,9 +469,9 @@ def verify_certificate(g: DbarGrid, C_cert: float, tol: float = 1e-6) -> dict:
     witness_ratio = least_norm_solve(g, g.ground_state[1])[1].ratio
     return {
         "C": C_cert,
-        "tol": tol,
-        "margin": C_cert * (1 + tol) - witness_ratio,
-        "passed": witness_ratio <= C_cert * (1 + tol),
+        "tol": VERIFY_TOL,
+        "margin": C_cert * (1 + VERIFY_TOL) - witness_ratio,
+        "passed": witness_ratio <= C_cert * (1 + VERIFY_TOL),
         "witness_ratio": witness_ratio,
         "note": (
             "witness_ratio is the ratio of the lambda_1 eigenvector and equals "
@@ -561,7 +567,7 @@ def twisted_quadrature_check(
     z = g.nodes_z
     u = np.asarray(u_fn(z), dtype=complex)
     supp = np.abs(u) > 0
-    r = g.domain.raster(g.h)
+    r = g.domain.raster
     near_edge = _near(_column_rows(~r.inside), g.h, 2 * g.h, strict=False)[r.inside]
     if (supp & near_edge).any():
         raise ValueError(

@@ -1,14 +1,16 @@
 """Constructive planar domains and the grid machinery built on them.
 
 A domain is a CSG tree of primitives (disc, half-plane, axis rectangle,
-graph strip) clipped to a rectangular window and rasterized at mesh h.
-Every "for all z in the domain" quantifier in this package is discharged
-on that grid.  Distance-type answers carry an error of at most h*sqrt(2)
-for features at least h wide; membership is sampled at the nodes only, so
-a thinner part of the domain or of its complement is invisible to the
-raster and the bound does not hold there.
+graph strip) clipped to a rectangular window, with one mesh h and one
+raster at it.  Every "for all z in the domain" quantifier in this package
+is discharged on that grid.  Distance-type answers carry an error of at
+most h*sqrt(2) for features at least h wide; membership is sampled at the nodes only, so a thinner
+part of the domain or of its complement is invisible to the raster and
+the bound does not hold there.
 
 The certify chain works on grid indices and builds no distance field.
+Each stage takes what the one before returned: condition X the domain,
+the lattice the certificate, which holds the domain and so its raster.
 Every distance question is a threshold test or a nearest-node query,
 answered exactly, in the distance transform's own float formula, by a
 column pass and a row pass in numpy (`_near`, `_nearest`).  Condition X
@@ -101,6 +103,13 @@ class LatticeVerificationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _finite(what: str, *values) -> None:
+    """Reject non-finite parameters: NaN fails every comparison, so it
+    would pass a primitive's own checks and empty that part of the domain."""
+    if not all(map(math.isfinite, values)):
+        raise DomainSpecError(f"{what} must be finite")
+
+
 class EtaFunc:
     """Boundary graph for a strip: a constant, or the natural cubic spline
     through samples (x_i, y_i).
@@ -118,14 +127,14 @@ class EtaFunc:
     def __init__(self, spec: dict):
         if "const" in spec:
             self.spec = {"const": float(spec["const"])}
+            _finite("eta constant", self.spec["const"])
             self.x_range = (-math.inf, math.inf)
         elif "x" in spec and "y" in spec:
             xs = [float(v) for v in spec["x"]]
             ys = [float(v) for v in spec["y"]]
             if len(xs) != len(ys) or len(xs) < 2:
                 raise DomainSpecError("eta samples need matching x/y arrays of length >= 2")
-            if not all(map(math.isfinite, xs + ys)):
-                raise DomainSpecError("eta samples must be finite")
+            _finite("eta samples", *xs, *ys)
             ax = np.asarray(xs)
             if np.any(np.diff(ax) <= 0):
                 raise DomainSpecError("eta sample x values must be strictly increasing")
@@ -206,6 +215,7 @@ class Disc:
     r: float
 
     def __post_init__(self):
+        _finite("disc centre and radius", self.cx, self.cy, self.r)
         if self.r < 0:
             raise DomainSpecError(f"disc radius must be >= 0, got {self.r}")
 
@@ -221,6 +231,7 @@ class HalfPlane:
     b: complex
 
     def __post_init__(self):
+        _finite("half-plane coefficients", self.a.real, self.a.imag, self.b.real, self.b.imag)
         if self.a == 0:
             raise DomainSpecError("half-plane coefficient a must be nonzero")
 
@@ -236,6 +247,7 @@ class Rect:
     y1: float
 
     def __post_init__(self):
+        _finite("rectangle bounds", self.x0, self.x1, self.y0, self.y1)
         if self.x0 >= self.x1 or self.y0 >= self.y1:
             raise DomainSpecError("rectangle bounds must satisfy x0 < x1 and y0 < y1")
 
@@ -296,17 +308,18 @@ def plane():
 
 
 # ---------------------------------------------------------------------------
-# Domain with window and rasterization cache
+# Domain with window, mesh and raster
 # ---------------------------------------------------------------------------
 
 
 class Raster:
-    """Grid of membership values plus the cached column pass of the domain."""
+    """Grid of membership values at the domain's mesh, plus the cached
+    column pass of the domain."""
 
-    def __init__(self, domain: "PlanarDomain", h: float):
-        self.h = float(h)
-        self.xs = domain.columns(h)
-        self.ys = _grid_axis(domain.window[2], domain.window[3], h)
+    def __init__(self, domain: "PlanarDomain"):
+        self.h = domain.mesh
+        self.xs = domain.columns()
+        self.ys = _grid_axis(domain.window[2], domain.window[3], self.h)
         # a block of _LINES columns at a time: its x values as a column
         # against the y values as a row, so that a primitive that depends
         # on x alone (a graph strip's eta) is evaluated once per column and
@@ -468,28 +481,33 @@ def _collect_strips(tree):
         yield from _collect_strips(tree.child)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PlanarDomain:
-    """CSG tree clipped to a window, with a rasterization cache.
+    """CSG tree clipped to a window, with its mesh and its one raster.
 
-    `symmetry="translation_x"` declares that the domain extends outside the
-    window by horizontal translation; condition-X verdicts use it to accept
-    window-edge points whose search discs would otherwise be clipped.
+    A mesh of 0 (the default) is window/512.  The domain is frozen, so its
+    raster, built when first read, cannot go stale; another mesh is another
+    domain.  `symmetry="translation_x"` declares that the domain extends
+    outside the window by horizontal translation; condition-X verdicts use
+    it to accept window-edge points whose search discs would otherwise be
+    clipped.
     """
 
     tree: object
     window: tuple[float, float, float, float]
     mesh: float = 0.0
     symmetry: str = "none"
-    _rasters: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         x0, x1, y0, y1 = (float(v) for v in self.window)
+        _finite("window bounds", x0, x1, y0, y1)
         if x0 >= x1 or y0 >= y1:
             raise DomainSpecError("window must satisfy x0 < x1 and y0 < y1")
-        self.window = (x0, x1, y0, y1)
-        if self.mesh <= 0:
-            self.mesh = max(x1 - x0, y1 - y0) / 512.0
+        mesh = float(self.mesh) or max(x1 - x0, y1 - y0) / 512.0
+        if not (math.isfinite(mesh) and mesh > 0):
+            raise DomainSpecError(f"mesh must be finite and > 0 (0 for window/512), got {mesh}")
+        object.__setattr__(self, "window", (x0, x1, y0, y1))
+        object.__setattr__(self, "mesh", mesh)
         if self.symmetry not in ("none", "translation_x"):
             raise DomainSpecError(f"unknown symmetry {self.symmetry!r}")
 
@@ -501,14 +519,13 @@ class PlanarDomain:
         """Exact CSG membership, no window check."""
         return bool(self.tree.member(np.asarray(z.real), np.asarray(z.imag)))
 
-    def columns(self, h: Optional[float] = None) -> np.ndarray:
-        """x coordinates of the raster columns at mesh h (default the
-        domain's mesh), after checking that every strip's eta is defined
-        across the window and keeps eta_lo < eta_hi there.  Gives a
-        strip's eta on the raster columns without building the raster."""
-        h = self.mesh if h is None else h
+    def columns(self) -> np.ndarray:
+        """x coordinates of the raster columns, after checking that every
+        strip's eta is defined across the window and keeps eta_lo < eta_hi
+        there.  Gives a strip's eta on the raster columns without building
+        the raster."""
         x0, x1 = self.window[:2]
-        xs = _grid_axis(x0, x1, h)
+        xs = _grid_axis(x0, x1, self.mesh)
         for strip in _collect_strips(self.tree):
             for eta in (strip.eta_lo, strip.eta_hi):
                 if not eta.covers(x0, x1):
@@ -520,12 +537,10 @@ class PlanarDomain:
                 raise DomainSpecError("strip requires eta_lo(x) < eta_hi(x) on the window")
         return xs
 
-    def raster(self, h: Optional[float] = None) -> Raster:
-        h = self.mesh if h is None else float(h)
-        key = round(h, 15)
-        if key not in self._rasters:
-            self._rasters[key] = Raster(self, h)
-        return self._rasters[key]
+    @cached_property
+    def raster(self) -> Raster:
+        """The raster at the domain's mesh, built when first read."""
+        return Raster(self)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +555,7 @@ def contains(dom: PlanarDomain, z: complex) -> bool:
     return dom.member(z)
 
 
-def largest_disc_at(dom: PlanarDomain, z: complex, cap: float, h: Optional[float] = None) -> float:
+def largest_disc_at(dom: PlanarDomain, z: complex, cap: float) -> float:
     """Radius of the largest disc around z inside the domain, capped at cap.
 
     Exact for a tree consisting of one disc, half-plane, rectangle or
@@ -564,7 +579,7 @@ def largest_disc_at(dom: PlanarDomain, z: complex, cap: float, h: Optional[float
         lo = t.eta_lo.spec["const"]
         hi = t.eta_hi.spec["const"]
         return min(cap, z.imag - lo, hi - z.imag)
-    r = dom.raster(h)
+    r = dom.raster
     if r.inside.all():
         return cap
     iy, ix = r.nearest_index(z)
@@ -574,7 +589,7 @@ def largest_disc_at(dom: PlanarDomain, z: complex, cap: float, h: Optional[float
     return min(cap, max(0.0, d - snap))
 
 
-def clearance(dom: PlanarDomain, z, h: Optional[float] = None):
+def clearance(dom: PlanarDomain, z):
     """Grid distance from z to the rasterized domain closure (0 if inside).
 
     z is a point, answered as a float, or an array of points, answered as
@@ -585,7 +600,7 @@ def clearance(dom: PlanarDomain, z, h: Optional[float] = None):
     away = ~np.asarray(dom.tree.member(z.real, z.imag))
     out = np.zeros(z.shape)
     if away.any():
-        r = dom.raster(h)
+        r = dom.raster
         if not r.inside.any():
             out[away] = math.inf
         else:
@@ -609,7 +624,8 @@ class ConditionXCertificate:
 
     For every domain node z the search disc of radius M was scanned for a
     node outside the domain whose clearance exceeds delta (an admissible
-    node).  The verdict lives on grid indices of `raster`:
+    node).  The verdict lives on grid indices of `raster`, the raster of
+    `domain`:
 
     - `witnessed[iy, ix]` flags the domain nodes that found a witness;
     - `admissible_rows` is the `_column_rows` of the admissible nodes, or
@@ -630,7 +646,7 @@ class ConditionXCertificate:
     holds: bool
     M: float
     delta: float
-    raster: Raster = field(repr=False)
+    domain: PlanarDomain = field(repr=False)
     witnessed: np.ndarray = field(repr=False)
     admissible_rows: Optional[np.ndarray] = field(repr=False)
     failure_points: np.ndarray
@@ -638,6 +654,10 @@ class ConditionXCertificate:
     unprovable_count: int
     accepted_by_symmetry: bool
     notes: list
+
+    @property
+    def raster(self) -> Raster:
+        return self.domain.raster
 
     def witness_of(self, iy, ix) -> tuple[np.ndarray, np.ndarray]:
         """(row, column) of the witness of each witnessed node (iy, ix)."""
@@ -670,12 +690,7 @@ def _fit_slices(r: Raster, window, M: float) -> tuple[slice, slice]:
     return rows, cols
 
 
-def condition_x(
-    dom: PlanarDomain,
-    M: float,
-    delta: float,
-    h: Optional[float] = None,
-) -> ConditionXCertificate:
+def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertificate:
     """Decide the exterior-witness condition on the rasterization grid.
 
     Soundness of the grid quantifiers requires h < delta/4; coarser meshes
@@ -698,7 +713,7 @@ def condition_x(
     """
     if M <= 0 or delta <= 0:
         raise ValueError(f"M and delta must be positive, got M={M}, delta={delta}")
-    r = dom.raster(h)
+    r = dom.raster
     if r.h >= delta / 4:
         raise ConfigurationError(
             f"mesh {r.h} too coarse for delta={delta}; need h < delta/4 "
@@ -714,7 +729,7 @@ def condition_x(
     empty = np.array([], dtype=complex)
     if not inside.any():
         return ConditionXCertificate(
-            True, M, delta, r, np.zeros_like(inside), None, empty, 0, 0, False, notes
+            True, M, delta, dom, np.zeros_like(inside), None, empty, 0, 0, False, notes
         )
 
     # each mask is formed in place in the output of _near: admissible =
@@ -741,7 +756,7 @@ def condition_x(
         pts = r.xs[cols][ix] + 1j * r.ys[rows][iy]
         witnessed[:] = False  # no witness is kept
         return ConditionXCertificate(
-            False, M, delta, r, witnessed, None, pts, n_fail, n_unprov, False, notes
+            False, M, delta, dom, witnessed, None, pts, n_fail, n_unprov, False, notes
         )
 
     accepted = False
@@ -759,7 +774,7 @@ def condition_x(
         )
 
     return ConditionXCertificate(
-        True, M, delta, r, witnessed, adm_rows, empty, 0, n_unprov, accepted, notes,
+        True, M, delta, dom, witnessed, adm_rows, empty, 0, n_unprov, accepted, notes,
     )
 
 
@@ -796,14 +811,9 @@ def _distance_to_outside(r: Raster, w: complex, reach: float) -> float:
     return float(np.min(np.abs(w - (r.xs[cols][ox] + 1j * r.ys[rows][oy]))))
 
 
-def build_lattice(
-    dom: PlanarDomain,
-    M: float,
-    delta: float,
-    h: Optional[float] = None,
-    cert: Optional[ConditionXCertificate] = None,
-) -> LatticeWitnessSet:
-    """Construct the lattice witness set and re-verify all its clauses.
+def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
+    """Construct the lattice witness set of a condition-X certificate, at
+    its M and delta on its domain, and re-verify all its clauses.
 
     The whole (l, k) lattice is handled as arrays.  Each lattice point w
     takes as its witness the condition-X witness (`witness_of`) of the
@@ -823,13 +833,11 @@ def build_lattice(
     (c) witnesses clear delta (the distance from the witness node to its
         nearest domain node) and |w - w*| <= 2M.
     """
-    if cert is None:
-        cert = condition_x(dom, M, delta, h)
     if not cert.holds:
         raise ConfigurationError(
             "condition X does not hold at these parameters; no lattice exists"
         )
-    r = cert.raster
+    dom, M, delta, r = cert.domain, cert.M, cert.delta, cert.raster
     empty = np.array([], dtype=complex)
     if cert.admissible_rows is None:  # no admissible node, so no witness
         return LatticeWitnessSet(M, delta, empty, empty)
@@ -1013,9 +1021,9 @@ def domain_from_dict(d: dict) -> PlanarDomain:
         w = d["window"]
         window = (float(w["x0"]), float(w["x1"]), float(w["y0"]), float(w["y1"]))
         tree = _tree_from_dict(d["tree"])
+        mesh = float(d.get("mesh", 0.0))
     except (KeyError, TypeError) as exc:
         raise DomainSpecError(f"invalid domain document: {exc}") from None
-    mesh = float(d.get("mesh", 0.0))
     symmetry = d.get("symmetry", "none")
     return PlanarDomain(tree, window, mesh, symmetry)
 

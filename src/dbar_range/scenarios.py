@@ -30,6 +30,7 @@ from .geometry import (
     clearance,
     condition_x,
     largest_disc_at,
+    plane,
 )
 from .weights import (
     CutoffProfile,
@@ -272,7 +273,6 @@ def tube_factor_mc(m: int, samples: int = 1_000_000, seed: int = 0) -> float:
 
 
 def tube_scenario(
-    dom: Optional[PlanarDomain] = None,
     m: int = 1,
     j_values: Sequence[int] = (1, 2, 4, 8),
     mesh: float = 1 / 16,
@@ -280,14 +280,11 @@ def tube_scenario(
     seed: int = 0,
 ) -> dict:
     """Tube over a base with large discs: the fiber volume cancels from the
-    test ratio, so the tube inherits the planar growth exactly."""
-    if dom is None:
-        from .geometry import plane
-
-        jmax = max(j_values)
-        w = jmax + 1.0
-        dom = PlanarDomain(plane(), (-w, w, -w, w), mesh)
+    test ratio, so the tube inherits the planar growth exactly.  The base
+    is the plane on the window [-(jmax + 1), jmax + 1]^2."""
     jmax = max(j_values)
+    w = jmax + 1.0
+    dom = PlanarDomain(plane(), (-w, w, -w, w), mesh)
     reach = largest_disc_at(dom, 0j, cap=jmax + 1.0)
     if reach < jmax:
         raise ScenarioError(
@@ -439,12 +436,12 @@ def strip_gallery(
     cx = condition_x(dom, Mx, delta)
     lattice_report = None
     if cx.holds:
-        lat = build_lattice(dom, Mx, delta, cert=cx)
+        lat = build_lattice(cx)
         lattice_report = lattice_weight_report(dom, lat)
 
     quad_from = [a + 0.9 * meta["lo_margin"] for a in c[:-1]]
     fam = StripWeightFamily(c, quad_from)
-    r = dom.raster()
+    r = dom.raster
     ys = r.ys[r.inside.any(axis=1)]
     vals = fam.value(ys)
     d = r.h

@@ -98,7 +98,6 @@ def series_weight(witnesses: LatticeWitnessSet, gamma_max: int = 64) -> SeriesWe
 class SeriesGridStats:
     grid_max_phi: float
     grid_min_zzbar: float
-    nodes: int
 
 
 # 2^15 pairwise terms per chunk bound the temporaries at ~3 MB: 1 MB in
@@ -214,11 +213,7 @@ def _grid_extreme(ws, raster, mask, power, scale, largest) -> float:
     return float(best)
 
 
-def series_weight_grid_stats(
-    w: SeriesWeight,
-    dom: PlanarDomain,
-    h: Optional[float] = None,
-) -> SeriesGridStats:
+def series_weight_grid_stats(w: SeriesWeight, dom: PlanarDomain) -> SeriesGridStats:
     """Scan the rasterized domain: max of phi + tail against A and min of
     the per-term Hessian lower bound against B.
 
@@ -236,9 +231,8 @@ def series_weight_grid_stats(
     reach the largest value, which is exactly the max over all inside
     nodes.
     """
-    r = dom.raster(h)
-    nodes = int(np.count_nonzero(r.inside))
-    if nodes == 0:
+    r = dom.raster
+    if not r.inside.any():
         raise ValueError("domain has no rasterized nodes")
     ws = w.witnesses.witnesses
     pts = w.witnesses.points
@@ -278,7 +272,6 @@ def series_weight_grid_stats(
     return SeriesGridStats(
         grid_max_phi=_grid_extreme(ws, r, r.inside, -4.0, 1.0, True) + w.tail_bound,
         grid_min_zzbar=zzbar_min,
-        nodes=nodes,
     )
 
 
@@ -519,7 +512,6 @@ def certify_composite(
     phi_strip: StripWeightFamily,
     phi_lattice: PointSeriesWeight,
     K: Optional[float] = None,
-    h: Optional[float] = None,
 ) -> CompositeCertification:
     """Certify psi = chi*phi_strip + K*phi_lattice over the rasterized domain.
 
@@ -539,7 +531,7 @@ def certify_composite(
     When K is omitted a doubling search starts at K = 1 and gives up past
     2^64 (reported as an uncertified outcome).
     """
-    r = dom.raster(h)
+    r = dom.raster
     ax = np.abs(r.xs)
     inner = ax <= chi.lo
     trans = (ax > chi.lo) & (ax < chi.hi)
@@ -637,15 +629,10 @@ def certificate(A: float, B: float) -> WeightCertificate:
     return WeightCertificate(C, log10C)
 
 
-def lattice_weight_report(
-    dom: PlanarDomain,
-    lat: LatticeWitnessSet,
-    gamma_max: int = 64,
-    h: Optional[float] = None,
-) -> dict:
+def lattice_weight_report(dom: PlanarDomain, lat: LatticeWitnessSet, gamma_max: int = 64) -> dict:
     """Assemble the weight-report payload for a certified lattice."""
     sw = series_weight(lat, gamma_max)
-    stats = series_weight_grid_stats(sw, dom, h)
+    stats = series_weight_grid_stats(sw, dom)
     cert = certificate(sw.A, sw.B)
     return {
         "M": lat.M,

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dbar_range import cli, discrete, scenarios
+from dbar_range import cli, discrete, geometry, scenarios, weights
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -338,6 +339,21 @@ def test_exported_names_are_used_by_the_package():
     assert exported - referenced == KEPT_UNREFERENCED
 
 
+def test_no_exported_callable_takes_a_mesh():
+    # the mesh belongs to the domain, and every stage works on its raster;
+    # LineFactor factors an index grid, not a domain, so it takes the step
+    takes_h = set()
+    for module in (geometry, weights, discrete):
+        for name in module.__all__:
+            try:
+                params = inspect.signature(getattr(module, name)).parameters
+            except ValueError:  # the error classes have no signature
+                continue
+            if "h" in params:
+                takes_h.add(name)
+    assert takes_h == {"LineFactor"}
+
+
 def test_verify_leaves_ndimage_unimported(tmp_path):
     # the package takes its distance tests in numpy
     code = (
@@ -561,3 +577,50 @@ def test_bad_numeric_flag_exits_1_naming_it(command, flag, value, tmp_path, caps
     assert exc.value.code == 1
     assert f"argument {flag}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "domain, mesh, argv",
+    [
+        ("uniform_gallery.json", 0.01, ["certify", "--M", "2", "--delta", "0.1"]),
+        ("unit_disc.json", 0.03125, ["verify", "--C", "1"]),
+    ],
+)
+def test_mesh_flag_is_the_documents_mesh(domain, mesh, argv, tmp_path):
+    # --mesh replaces the domain document's mesh: the report equals that of
+    # a copy of the document with that mesh, but for the config hash
+    doc = json.loads((ROOT / "domains" / domain).read_text())
+    assert doc["mesh"] != mesh
+    copy = tmp_path / domain
+    copy.write_text(json.dumps({**doc, "mesh": mesh}))
+    reports = []
+    for name, path, extra in (("flag", ROOT / "domains" / domain, ["--mesh", str(mesh)]),
+                              ("copy", copy, [])):
+        out = tmp_path / name
+        assert cli.main([argv[0], "--domain", str(path), *argv[1:], "--out", str(out), *extra]) == 0
+        reports.append(json.loads((out / f"{argv[0]}_report.json").read_text()))
+    assert reports[0]["mesh"] == mesh
+    assert reports[0].pop("config_hash") != reports[1].pop("config_hash")
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", ["certify", "verify"])
+@pytest.mark.parametrize(
+    "key, value, names",
+    [("mesh", -0.05, "mesh"), ("mesh", math.nan, "mesh"), ("x1", math.inf, "window")],
+)
+def test_bad_mesh_or_window_exits_1_naming_it(command, key, value, names, tmp_path):
+    doc = json.loads((ROOT / "domains/unit_disc.json").read_text())
+    if key == "mesh":
+        doc["mesh"] = value
+    else:
+        doc["window"][key] = value
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps(doc))
+    flags = ["--M", "2", "--delta", "0.1"] if command == "certify" else ["--C", "1"]
+    child = run_cli(command, "--domain", domain, *flags, "--out", tmp_path / "out")
+    assert child.returncode == 1
+    lines = child.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0]
+    assert "Traceback" not in child.stderr
+    assert not (tmp_path / "out").exists()

@@ -41,18 +41,18 @@ def stalled_lanczos(factor, lap, **kw):
 def disc_grid(radius=1.0, h=1 / 16, pad=1.0):
     w = radius + pad
     dom = PlanarDomain(Disc(0, 0, radius), (-w, w, -w, w), h)
-    return assemble(dom, h)
+    return assemble(dom)
 
 
 def square_grid(h=1 / 16):
     dom = PlanarDomain(Rect(0, 1, 0, 1), (-0.5, 1.5, -0.5, 1.5), h)
-    return assemble(dom, h)
+    return assemble(dom)
 
 
 def full_stencil(g):
     """Unknowns whose four raster neighbours are inside too, where `op`
     takes centred differences in both directions (exact on quadratics)."""
-    inside = np.pad(g.domain.raster(g.h).inside, 1)
+    inside = np.pad(g.domain.raster.inside, 1)
     core = inside[1:-1, 1:-1]
     full = core & inside[:-2, 1:-1] & inside[2:, 1:-1] & inside[1:-1, :-2] & inside[1:-1, 2:]
     return full[core]
@@ -75,7 +75,7 @@ class TestAssemble:
     def test_unit_square_coarse_interior_count(self):
         # closed unit square on the grid: nodes at 0 and 1 included
         dom = PlanarDomain(Rect(-0.01, 1.01, -0.01, 1.01), (-2, 3, -2, 3), 1 / 4)
-        g = assemble(dom, 1 / 4)
+        g = assemble(dom)
         # 3x3 fully interior nodes at h = 1/4
         full = full_stencil(g)
         assert int(full.sum()) == 9
@@ -96,10 +96,10 @@ class TestAssemble:
     def test_mesh_preconditions(self):
         dom = PlanarDomain(Rect(0, 1, 0, 1), (-0.5, 1.5, -0.5, 1.5), 0.2)
         with pytest.raises(MeshError):
-            assemble(dom, 0.2)  # > window/16
+            assemble(dom)  # > window/16
         tiny = PlanarDomain(Disc(0, 0, 0.05), (-1, 1, -1, 1), 1 / 16)
         with pytest.raises(MeshError):
-            assemble(tiny, 1 / 16)  # < 16 interior nodes
+            assemble(tiny)  # < 16 interior nodes
 
 
 THREE_STRIPS = Union(tuple(Rect(-1.8, 1.8, y - 0.2, y + 0.2) for y in (-1.3, 0.0, 1.3)))
@@ -124,7 +124,7 @@ class TestLineFactor:
     def test_matches_dense_on_random_rasters(self, tree, h):
         dom = PlanarDomain(tree, (-3, 3, -2.5, 3.5), h)
         try:
-            g = assemble(dom, h)
+            g = assemble(dom)
         except MeshError:
             assume(False)
         assert_matches_dense(g)
@@ -148,21 +148,21 @@ class TestLineFactor:
              "arch"],
     )
     def test_matches_dense_on_hand_cases(self, shape, window, h, axis):
-        g = assemble(PlanarDomain(shape, window, h), h)
+        g = assemble(PlanarDomain(shape, window, h))
         assert g.lap_factor.axis == axis
         assert_matches_dense(g)
 
     def test_runs_joined_only_later_keep_own_blocks(self):
         # columns across three strips: three blocks per column, each coupled
         # to the one before it in its strip
-        g = assemble(PlanarDomain(THREE_STRIPS, (-2, 2, -2, 2), 1 / 16), 1 / 16)
-        columns = int(g.domain.raster(g.h).inside.any(axis=0).sum())
+        g = assemble(PlanarDomain(THREE_STRIPS, (-2, 2, -2, 2), 1 / 16))
+        columns = int(g.domain.raster.inside.any(axis=0).sum())
         sizes = [len(np.arange(g.size)[nodes]) for nodes, _, _ in g.lap_factor.blocks]
         assert len(sizes) == 3 * columns and max(sizes) == 7
         assert all(len(c) == 1 for _, _, c in g.lap_factor.blocks[3:])
         # rows up the arch: the two legs stay apart until the bar, whose
         # first row couples to both
-        g = assemble(PlanarDomain(ARCH, (-2, 2, -2, 2), 1 / 16), 1 / 16)
+        g = assemble(PlanarDomain(ARCH, (-2, 2, -2, 2), 1 / 16))
         couplings = [len(c) for _, _, c in g.lap_factor.blocks]
         assert couplings.count(2) == 1 and couplings.count(0) == 2
 
@@ -290,7 +290,7 @@ class TestClosedRangeConstant:
         # two vertical Dirichlet neighbours, lambda_1 = (2 + 4 sin^2(pi/80))/h^2
         h = 0.1
         dom = PlanarDomain(Rect(-1.95, 1.95, -0.04, 0.04), (-2, 2, -1, 1), h)
-        g = assemble(dom, h)
+        g = assemble(dom)
         assert g.size == 39
         lam = (2 + 4 * math.sin(math.pi / 80) ** 2) / h**2
         assert g.ground_state[0] == pytest.approx(lam, rel=1e-10)
@@ -321,7 +321,7 @@ class TestClosedRangeConstant:
         values = []
         for R in (1.0, 2.0, 4.0, 8.0):
             dom = PlanarDomain(Disc(0, 0, R), window, h)
-            values.append(closed_range_constant(assemble(dom, h)))
+            values.append(closed_range_constant(assemble(dom)))
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_eigensolver_failure_states_residual(self, monkeypatch):

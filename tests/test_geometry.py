@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +106,7 @@ class TestContains:
 
     def test_rasterization_matches_membership_at_nodes(self):
         dom = unit_disc(mesh=0.1)
-        r = dom.raster()
+        r = dom.raster
         for iy in range(0, len(r.ys), 7):
             for ix in range(0, len(r.xs), 7):
                 z = r.node_z(iy, ix)
@@ -150,36 +150,37 @@ class TestRasterFields:
     @pytest.mark.parametrize("path", DOMAINS, ids=[p.stem for p in DOMAINS])
     def test_inside_matches_meshgrid_membership(self, path):
         dom = load_domain(path)
-        r = dom.raster()
+        r = dom.raster
         assert r.inside.dtype == bool and r.inside.shape == (len(r.ys), len(r.xs))
         assert np.array_equal(r.inside, meshgrid_inside(dom, r))
 
     def test_spline_strips_match_meshgrid_membership(self, monkeypatch):
         dom = omega_s_domain(monkeypatch, mesh=0.03)
-        r = dom.raster()
+        r = dom.raster
         assert np.array_equal(r.inside, meshgrid_inside(dom, r))
 
     def test_member_ignoring_y_fills_every_row(self):
         for tree in (LeftOf(0.3), Intersection((LeftOf(0.3), Disc(0, 0, 1.0)))):
             dom = PlanarDomain(tree, (-2, 2, -1.5, 1.5), 0.05)
-            r = dom.raster()
+            r = dom.raster
             assert r.inside.shape == (len(r.ys), len(r.xs)) and r.inside.flags.writeable
             assert np.array_equal(r.inside, meshgrid_inside(dom, r))
 
     @pytest.mark.parametrize("path", DOMAINS, ids=[p.stem for p in DOMAINS])
     def test_columns_are_the_raster_xs(self, path):
         dom = load_domain(path)
-        assert np.array_equal(dom.columns(), dom.raster().xs)
-        assert np.array_equal(dom.columns(0.013), dom.raster(0.013).xs)
+        assert np.array_equal(dom.columns(), dom.raster.xs)
+        fine = replace(dom, mesh=0.013)
+        assert np.array_equal(fine.columns(), fine.raster.xs)
 
     def test_columns_check_strips_as_the_raster_does(self, monkeypatch):
         dom = omega_s_domain(monkeypatch, mesh=0.03)
-        assert np.array_equal(dom.columns(), dom.raster().xs)
+        assert np.array_equal(dom.columns(), dom.raster.xs)
         short = Strip(EtaFunc({"x": [-1.0, 1.0], "y": [0.0, 0.0]}), EtaFunc({"const": 1.0}))
         crossed = Strip(EtaFunc({"const": 1.0}), EtaFunc({"const": 0.0}))
         for strip, msg in ((short, "do not cover"), (crossed, "eta_lo(x) < eta_hi(x)")):
             dom = PlanarDomain(Union((Disc(0, 0, 1.0), strip)), (-2, 2, -2, 2), 0.05)
-            for build in (dom.columns, dom.raster):
+            for build in (dom.columns, lambda: dom.raster):
                 with pytest.raises(DomainSpecError, match=re.escape(msg)):
                     build()
 
@@ -190,7 +191,7 @@ class TestGridDistances:
 
     @pytest.mark.parametrize("path", DOMAINS, ids=[p.stem for p in DOMAINS])
     def test_near_and_nearest_match_the_transform(self, path):
-        r = load_domain(path).raster()
+        r = load_domain(path).raster
         iy, ix = np.indices(r.inside.shape).reshape(2, -1)
         for mask in (r.inside, ~r.inside):
             if not mask.any():
@@ -210,7 +211,7 @@ class TestGridDistances:
         M=st.floats(0.05, 3.0),
     )
     def test_condition_x_tests_equal_the_transform_thresholds(self, tree, h, delta, M):
-        r = PlanarDomain(tree, (-3.0, 3.0, -2.5, 3.5), h).raster()
+        r = PlanarDomain(tree, (-3.0, 3.0, -2.5, 3.5), h).raster
         assume(r.inside.any())
         dist_in = ndimage.distance_transform_edt(~r.inside, sampling=h)
         for strict in (True, False):
@@ -252,7 +253,7 @@ class TestGridDistances:
 
     def test_witness_points_are_the_transform_indices(self):
         dom = load_domain(ROOT / "domains" / "uniform_gallery.json")
-        cert = condition_x(dom, M=2.0, delta=0.1, h=0.02)
+        cert = condition_x(dom, M=2.0, delta=0.1)
         r = cert.raster
         admissible = ~r.inside & (ndimage.distance_transform_edt(~r.inside, sampling=r.h) > 0.1)
         _, idx = ndimage.distance_transform_edt(~admissible, sampling=r.h, return_indices=True)
@@ -293,14 +294,14 @@ class TestLineBlocks:
         out = [cert.holds, cert.failure_count, cert.unprovable_count,
                cert.accepted_by_symmetry, cert.notes, cert.witnessed, cert.failure_points]
         if cert.holds:
-            lat = build_lattice(dom, M, delta, cert=cert)
+            lat = build_lattice(cert)
             out += [cert.admissible_rows, lat.points, lat.witnesses]
         return out
 
     @pytest.mark.parametrize("lines", [1, 3, 7])
     def test_passes_equal_the_default_block(self, lines, monkeypatch):
         rng = np.random.default_rng(5)
-        masks = [self.banded().raster().inside, rng.random((101, 122)) < 0.02]
+        masks = [self.banded().raster.inside, rng.random((101, 122)) < 0.02]
         assert masks[0].shape == (101, 122) and not masks[1].any(axis=0).all()
         # a band domain that holds condition X and one that fails it
         cases = [(self.banded(), 1.0, 0.22), (self.banded((Rect(-1, 1, -1, 1),)), 0.5, 0.22)]
@@ -315,13 +316,13 @@ class TestLineBlocks:
 
     @pytest.mark.parametrize("lines", [1, 3, 7])
     def test_raster_equals_the_default_block(self, lines, monkeypatch):
-        r = self.mixed().raster()
+        r = self.mixed().raster
         want = r.inside
         assert want.shape == (101, 122) and 0 < want.sum() < want.size
         whole = self.mixed().tree.member(r.xs[None, :], r.ys[:, None])
         assert np.array_equal(want, whole)
         monkeypatch.setattr(geometry, "_LINES", lines)
-        got = self.mixed().raster().inside
+        got = self.mixed().raster.inside
         assert got.dtype == bool and np.array_equal(got, want)
 
     def test_raster_evaluates_eta_once_per_column(self, monkeypatch):
@@ -337,7 +338,7 @@ class TestLineBlocks:
         monkeypatch.setattr(EtaFunc, "__call__", counting)
         for dom in (self.mixed(), self.banded(), scenarios.omega_s_composite(mesh=0.05)[0]):
             seen.clear()
-            r = dom.raster()
+            r = dom.raster
             strips = len(list(geometry._collect_strips(dom.tree)))
             assert strips and sum(seen) <= 4 * len(r.xs) * strips
 
@@ -366,7 +367,7 @@ class TestLineBlocks:
         dom, M, delta = self.banded(), 1.0, 0.22
         cert = condition_x(dom, M, delta)
         r = cert.raster
-        points = build_lattice(dom, M, delta, cert=cert).points
+        points = build_lattice(cert).points
         # z: the domain node nearest the node nearest each point
         ziy, zix = r.nearest_index(points)
         out = ~r.inside[ziy, zix]
@@ -388,7 +389,7 @@ class TestLineBlocks:
         for lines in (geometry._LINES, 1):
             monkeypatch.setattr(geometry, "_LINES", lines)
             with pytest.raises(LatticeVerificationError) as err:
-                build_lattice(dom, M, delta, cert=cert)
+                build_lattice(cert)
             assert str(err.value) == want
 
 
@@ -593,7 +594,7 @@ class TestBuildLattice:
     def test_small_disc(self):
         # Omega = D(0, 0.4): lattice (Z)^2 points with discs meeting it
         dom = PlanarDomain(Disc(0, 0, 0.4), (-3, 3, -3, 3), 0.02)
-        lat = build_lattice(dom, M=1.0, delta=0.1)  # h=0.02 < 0.025
+        lat = build_lattice(condition_x(dom, M=1.0, delta=0.1))  # h=0.02 < 0.025
         pts = set(lat.points.tolist())
         assert 0j in pts
         # enumerate the 3x3 neighborhood: only points whose open unit disc
@@ -605,15 +606,15 @@ class TestBuildLattice:
 
     def test_empty_domain(self):
         dom = PlanarDomain(Union(()), (-2, 2, -2, 2), 0.01)
-        lat = build_lattice(dom, M=1.0, delta=0.05)
+        lat = build_lattice(condition_x(dom, M=1.0, delta=0.05))
         assert len(lat) == 0
 
     def test_gallery_coverage(self):
         # clause (b) oracle: every sampled core node within M of a lattice pt
         dom = uniform_gallery(y_max=5.0, mesh=0.015)
         M = 2.0
-        lat = build_lattice(dom, M=M, delta=0.08)
-        r = dom.raster()
+        lat = build_lattice(condition_x(dom, M=M, delta=0.08))
+        r = dom.raster
         iy, ix = np.nonzero(r.inside)
         xs, ys = r.xs[ix], r.ys[iy]
         x0, x1, y0, y1 = dom.window
@@ -626,7 +627,7 @@ class TestBuildLattice:
 
     def test_witness_clearance_and_reach(self):
         dom = uniform_gallery(y_max=5.0, mesh=0.015)
-        lat = build_lattice(dom, M=2.0, delta=0.08)
+        lat = build_lattice(condition_x(dom, M=2.0, delta=0.08))
         for w, ws in zip(lat.points, lat.witnesses):
             assert clearance(dom, ws) > 0.08
             assert abs(w - ws) <= 4.0 + 1e-9
@@ -634,7 +635,67 @@ class TestBuildLattice:
     def test_requires_condition_x(self):
         dom = PlanarDomain(plane(), (-4, 4, -4, 4), 0.01)
         with pytest.raises(ConfigurationError):
-            build_lattice(dom, M=1.0, delta=0.05)
+            build_lattice(condition_x(dom, M=1.0, delta=0.05))
+
+
+class TestOneMesh:
+    def test_domain_is_frozen_with_one_raster(self):
+        dom = unit_disc()
+        with pytest.raises(FrozenInstanceError):
+            dom.mesh = 0.01
+        assert dom.raster is dom.raster and dom.raster.h == dom.mesh == 1 / 64
+        coarse = replace(dom, mesh=0.1)
+        assert coarse.raster is not dom.raster and coarse.raster.h == 0.1
+
+    def test_condition_x_certificate_carries_its_domain(self):
+        dom = uniform_gallery(y_max=4.0, mesh=0.02)
+        cert = condition_x(dom, M=2.0, delta=0.1)
+        assert cert.domain is dom and cert.raster is dom.raster
+        lat = build_lattice(cert)
+        assert (lat.M, lat.delta) == (2.0, 0.1) and len(lat) > 0
+
+    @pytest.mark.parametrize("mesh", [0.0, None])
+    def test_no_mesh_is_window_over_512(self, mesh):
+        doc = {"window": {"x0": -2, "x1": 2, "y0": -1, "y1": 1},
+               "tree": {"prim": "disc", "params": {"center": [0, 0], "radius": 1}}}
+        if mesh is not None:
+            doc["mesh"] = mesh
+        assert domain_from_dict(doc).mesh == 4 / 512
+
+    @pytest.mark.parametrize(
+        "window, mesh",
+        [((-2, 2, -2, 2), -0.05), ((-2, 2, -2, 2), math.nan), ((-2, 2, -2, 2), math.inf),
+         # window/512 overflows
+         ((-1e308, 1e308, -2, 2), 0.0)],
+    )
+    def test_bad_mesh_rejected(self, window, mesh):
+        with pytest.raises(DomainSpecError, match="mesh must be finite and > 0"):
+            PlanarDomain(Disc(0, 0, 1.0), window, mesh)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_non_finite_window_rejected(self, bound):
+        with pytest.raises(DomainSpecError, match="window bounds must be finite"):
+            PlanarDomain(Disc(0, 0, 1.0), (-2, bound, -2, 2), 0.05)
+
+
+@pytest.mark.parametrize(
+    "prim, params, what",
+    [
+        ("disc", {"center": [math.nan, 0], "radius": 1}, "disc centre and radius"),
+        ("disc", {"center": [0, 0], "radius": math.nan}, "disc centre and radius"),
+        ("rect", {"x0": -1, "x1": 1, "y0": math.nan, "y1": 1}, "rectangle bounds"),
+        ("halfplane", {"a": [1, math.nan], "b": [0, 0]}, "half-plane coefficients"),
+        ("halfplane", {"a": [1, 0], "b": [math.nan, 0]}, "half-plane coefficients"),
+        ("strip", {"eta_lo": {"const": math.nan}, "eta_hi": {"const": 1}}, "eta constant"),
+    ],
+)
+def test_primitive_rejects_nan(prim, params, what):
+    # NaN fails every comparison, so a primitive's own checks let it through
+    # and that part of the domain disappears
+    doc = {"window": {"x0": -2, "x1": 2, "y0": -2, "y1": 2}, "mesh": 0.05,
+           "tree": {"prim": prim, "params": params}}
+    with pytest.raises(DomainSpecError, match=f"^{re.escape(what)} must be finite$"):
+        domain_from_dict(json.loads(json.dumps(doc)))
 
 
 class TestJsonRoundTrip:
@@ -693,7 +754,7 @@ class TestJsonRoundTrip:
     def test_strip_requires_order(self):
         dom = PlanarDomain(Strip.constant(1.0, 0.5), (-1, 1, -1, 1), 0.05)
         with pytest.raises(DomainSpecError):
-            dom.raster()
+            dom.raster
 
     def test_strip_samples_must_cover_window(self):
         strip = Strip(
@@ -706,4 +767,4 @@ class TestJsonRoundTrip:
         )
         dom = PlanarDomain(strip, (-4, 4, -4, 4), 0.05)
         with pytest.raises(DomainSpecError):
-            dom.raster()
+            dom.raster

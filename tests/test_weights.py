@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -138,7 +139,7 @@ class TestSeriesWeight:
         # keeping the first of equally near points; the points here are off
         # the lattice, repeated and on nodes, so ties and borders occur
         dom = PlanarDomain(Rect(-1.9, 1.7, -1.3, 1.1), (-2, 2, -1.5, 1.5), 0.05)
-        r = dom.raster()
+        r = dom.raster
         rng = np.random.default_rng(7)
         gx, gy = np.meshgrid(np.arange(-2.087, 2.1, 0.5), np.arange(-1.513, 1.6, 0.5))
         grid = (gx + 1j * gy).ravel()
@@ -153,7 +154,7 @@ class TestSeriesWeight:
 
     @staticmethod
     def check_cover(dom, pts, M):
-        r = dom.raster()
+        r = dom.raster
         iy, ix = np.nonzero(r.inside)
         zs = r.xs[ix] + 1j * r.ys[iy]
         best = np.full(len(zs), np.inf)
@@ -191,8 +192,8 @@ class TestSeriesWeight:
     def test_stats_equal_the_default_block(self, lines):
         dom, w = self.covering_set()
         gal = make_gallery()
-        gal_w = series_weight(build_lattice(gal, M=1.0, delta=0.2))
-        assert len(dom.raster().ys) == 61 and len(gal.raster().ys) == 267
+        gal_w = series_weight(build_lattice(condition_x(gal, M=1.0, delta=0.2)))
+        assert len(dom.raster.ys) == 61 and len(gal.raster.ys) == 267
         want = [series_weight_grid_stats(w, dom), series_weight_grid_stats(gal_w, gal)]
         with mock.patch.object(geometry, "_LINES", lines):
             got = [series_weight_grid_stats(w, dom), series_weight_grid_stats(gal_w, gal)]
@@ -201,7 +202,7 @@ class TestSeriesWeight:
     def test_coverage_error_names_the_first_uncovered_node(self):
         dom, w = self.covering_set(hole=0.4 + 0.2j)
         # the oracle: every inside node against every point, row-major
-        r = dom.raster()
+        r = dom.raster
         iy, ix = np.nonzero(r.inside)
         zs = r.xs[ix] + 1j * r.ys[iy]
         pts = w.witnesses.points
@@ -219,7 +220,7 @@ class TestSeriesWeight:
         # phi_gamma sums |z - w*|^-4 over the witnesses within gamma
         # annuli (sup-norm, in units of M) of the lattice point covering z
         dom = make_gallery()
-        lat = build_lattice(dom, M=1.0, delta=0.2)
+        lat = build_lattice(condition_x(dom, M=1.0, delta=0.2))
         ws = lat.witnesses
 
         def truncated(z, gamma):
@@ -242,14 +243,14 @@ class TestSeriesWeight:
     def test_gallery_grid_bounds(self):
         # Lemma-style conclusion on the grid: phi + tail <= A, zzbar >= B
         dom = make_gallery()
-        lat = build_lattice(dom, M=1.0, delta=0.2)
+        lat = build_lattice(condition_x(dom, M=1.0, delta=0.2))
         sw = series_weight(lat)
         stats = series_weight_grid_stats(sw, dom)
         assert stats.grid_max_phi <= sw.A
         assert stats.grid_min_zzbar >= sw.B
         # 5-point Laplacian/4 of the series over all witnesses at the inside
         # nodes: it agrees with the analytic bound direction up to O(h^2)
-        r = dom.raster()
+        r = dom.raster
         h = r.h
         iy, ix = np.nonzero(r.inside)
         zs = r.xs[ix] + 1j * r.ys[iy]
@@ -270,7 +271,7 @@ class TestSeriesWeight:
 
     def test_report_payload(self):
         dom = make_gallery()
-        lat = build_lattice(dom, M=1.0, delta=0.2)
+        lat = build_lattice(condition_x(dom, M=1.0, delta=0.2))
         rep = lattice_weight_report(dom, lat)
         assert set(rep) == {
             "M", "delta", "gamma_max", "A", "B", "tail_bound", "C",
@@ -327,7 +328,7 @@ class TestGridExtreme:
         w, hgt = data.draw(st.floats(0.5, 6.0)), data.draw(st.floats(0.5, 6.0))
         x0, y0 = data.draw(st.floats(-3.0, 0.0)), data.draw(st.floats(-3.0, 0.0))
         dom = PlanarDomain(data.draw(csg_trees()), (x0, x0 + w, y0, y0 + hgt), h)
-        r = dom.raster()
+        r = dom.raster
         mask = r.inside
         if data.draw(st.booleans()):  # a column of the nodes, as for b
             cut = data.draw(st.floats(0.0, 3.0))
@@ -394,8 +395,8 @@ class TestGridExtreme:
     def test_max_evaluates_few_nodes_on_the_gallery(self, monkeypatch):
         # the certify max of phi: a few percent of the nodes decide it
         dom = load_domain(ROOT / "domains" / "uniform_gallery.json")
-        lat = build_lattice(dom, M=2.0, delta=0.1)
-        r = dom.raster()
+        lat = build_lattice(condition_x(dom, M=2.0, delta=0.1))
+        r = dom.raster
         iy, ix = np.nonzero(r.inside)
         want = full_extreme(lat.witnesses, r, iy, ix, -4.0, 1.0, True)
         evaluated = []
@@ -410,7 +411,7 @@ class TestGridExtreme:
         assert sum(evaluated) < 0.05 * len(iy)
 
     def test_no_nodes_raises(self):
-        r = make_gallery().raster()
+        r = make_gallery().raster
         none = np.zeros_like(r.inside)
         with pytest.raises(ValueError):
             weights._grid_extreme(np.array([5j]), r, none, -4.0, 1.0, True)
@@ -507,7 +508,7 @@ def origin_witness(dom, delta):
     """(|n - n*|, |n*|) for the node n nearest 0 and its nearest admissible
     node n*, or None when n lies outside the domain or no node is
     admissible."""
-    r = dom.raster()
+    r = dom.raster
     n = r.nearest_index(0j)
     admissible = ~r.inside & (ndimage.distance_transform_edt(~r.inside, sampling=r.h) > delta)
     if not r.inside[n] or not admissible.any():
@@ -530,7 +531,7 @@ class TestVectorisedLattice:
         with mock.patch.object(
             geometry, "_distance_to_outside", wraps=geometry._distance_to_outside
         ) as search:
-            got = lattice_outcome(lambda: build_lattice(dom, M, 0.1, cert=cert))
+            got = lattice_outcome(lambda: build_lattice(cert))
         assert search.call_count == 1
         assert got[0] == "ok" and 0j in got[1]
         assert got == lattice_outcome(lambda: loop_lattice(dom, M, 0.1, cert))
@@ -557,7 +558,7 @@ class TestVectorisedLattice:
         except ConfigurationError:  # a clipped search disc with no symmetry
             assume(False)
         assume(cert.holds)
-        assert lattice_outcome(lambda: build_lattice(dom, M, delta, cert=cert)) == (
+        assert lattice_outcome(lambda: build_lattice(cert)) == (
             lattice_outcome(lambda: loop_lattice(dom, M, delta, cert))
         )
 
@@ -649,7 +650,7 @@ def toy_composite():
 def per_node_composite(dom, chi, fam, lattice, K=None):
     """certify_composite as one pass over the inside nodes: every field at
     every node, and b and the lattice max as full-grid extremes."""
-    r = dom.raster()
+    r = dom.raster
     iy, ix = np.nonzero(r.inside)
     zs = r.xs[ix] + 1j * r.ys[iy]
     ax = np.abs(zs.real)
@@ -720,7 +721,7 @@ class TestComposite:
 
     def test_memory_stays_below_16_bytes_per_node_on_omega_s(self):
         dom, chi, fam, lattice = scenarios.omega_s_composite()
-        nodes = dom.raster().inside.size
+        nodes = dom.raster.inside.size
         tracemalloc.start()
         try:
             cert = certify_composite(dom, chi, fam, lattice)
@@ -746,7 +747,7 @@ class TestComposite:
         # plus K times the max of the lattice value, both over every node
         dom, chi, fam, lattice = toy_composite()
         cert = certify_composite(dom, chi, fam, lattice)
-        r = dom.raster()
+        r = dom.raster
         iy, ix = np.nonzero(r.inside)
         zs = r.xs[ix] + 1j * r.ys[iy]
         central = np.abs(zs.real) <= chi.hi
@@ -775,12 +776,12 @@ def test_certify_chain_stays_below_32_bytes_per_node():
     tracemalloc.start()
     try:
         cert = condition_x(dom, M=2.0, delta=0.1)
-        lat = build_lattice(dom, M=2.0, delta=0.1, cert=cert)
+        lat = build_lattice(cert)
         lattice_weight_report(dom, lat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    nodes = dom.raster().inside.size
+    nodes = dom.raster.inside.size
     assert nodes == 361_201
     assert peak < 32 * nodes
 
@@ -789,12 +790,12 @@ def test_certify_chain_with_raster_stays_below_10_bytes_per_node():
     # from a freshly loaded domain, so that the raster build is traced:
     # every grid the chain builds is an output of at most 2 B a node, and
     # every temporary has the size of one block
-    dom = load_domain(ROOT / "domains" / "uniform_gallery.json")
+    dom = replace(load_domain(ROOT / "domains" / "uniform_gallery.json"), mesh=0.01)
     tracemalloc.start()
     try:
-        cert = condition_x(dom, M=2.0, delta=0.1, h=0.01)
-        lat = build_lattice(dom, M=2.0, delta=0.1, h=0.01, cert=cert)
-        lattice_weight_report(dom, lat, h=0.01)
+        cert = condition_x(dom, M=2.0, delta=0.1)
+        lat = build_lattice(cert)
+        lattice_weight_report(dom, lat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -823,7 +824,7 @@ def test_strip_gallery_weight_equals_the_per_node_values():
         c, params["bands"], (-8.0, 8.0, c[0] - 2.0, c[-1] + 2.0), 0.05
     )
     fam = StripWeightFamily(c, [a + 0.9 * meta["lo_margin"] for a in c[:-1]])
-    r = dom.raster()
+    r = dom.raster
     iy, ix = np.nonzero(r.inside)
     zs = r.xs[ix] + 1j * r.ys[iy]
     vals = fam.value(zs)
