@@ -64,16 +64,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
-
-
 def _common(parser, seed_default=0):
     parser.add_argument("--out", default="dbar-range-out", help="output directory")
     parser.add_argument("--seed", type=int, default=seed_default, help="seed recorded in reports")
@@ -93,9 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--domain", required=True, help="domain JSON file")
     c.add_argument("--M", type=_positive_float, required=True, help="witness search radius")
     c.add_argument("--delta", type=_positive_float, required=True, help="witness clearance")
-    c.add_argument(
-        "--gamma-max", type=_positive_int, default=64, help="series truncation rings"
-    )
     _common(c)
 
     v = sub.add_parser("verify", help="check a constant against the discrete operator")
@@ -135,14 +122,14 @@ def _domain(doc, mesh):
 def cmd_certify(args) -> int:
     from .geometry import build_lattice, condition_x
     from .reporting import stamp, write_report
-    from .weights import lattice_weight_report
+    from .weights import _GAMMA_MAX, lattice_weight_report
 
     config = {
         "command": "certify",
         "domain": _load_json(args.domain),
         "M": args.M,
         "delta": args.delta,
-        "gamma_max": args.gamma_max,
+        "gamma_max": _GAMMA_MAX,
         "mesh": args.mesh,
         "seed": args.seed,
     }
@@ -171,7 +158,7 @@ def cmd_certify(args) -> int:
         print(f"condition not satisfied; report: {path}")
         return 2
     lat = build_lattice(cx)
-    weight = lattice_weight_report(dom, lat, gamma_max=args.gamma_max)
+    weight = lattice_weight_report(lat)
     report["weight"] = weight
     report["verdict"] = "closed range certified on the windowed domain"
     path = write_report(Path(args.out) / "certify_report.json", stamp(report, config))

@@ -10,7 +10,9 @@ the bound does not hold there.
 
 The certify chain works on grid indices and builds no distance field.
 Each stage takes what the one before returned: condition X the domain,
-the lattice the certificate, which holds the domain and so its raster.
+the lattice the certificate, which holds the domain and so its raster, and
+the weight report (`weights.lattice_weight_report`) the lattice, which
+holds the domain in turn.
 Every distance question is a threshold test or a nearest-node query,
 answered exactly, in the distance transform's own float formula, by a
 column pass and a row pass in numpy (`_near`, `_nearest`).  Condition X
@@ -788,6 +790,7 @@ class LatticeWitnessSet:
     """Lattice points w on (M Z)^2 meeting the domain, each with an exterior
     witness w* of clearance > delta and |w - w*| <= 2M."""
 
+    domain: PlanarDomain = field(repr=False)
     M: float
     delta: float
     points: np.ndarray
@@ -818,8 +821,11 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
     The whole (l, k) lattice is handled as arrays.  Each lattice point w
     takes as its witness the condition-X witness (`witness_of`) of the
     domain node z nearest to w's nearest grid node n (z = n when n lies in
-    the domain); w is kept when |w - z| < M and z has a witness.  Clauses
-    re-verified before returning:
+    the domain); w is kept when |w - z| < M (1 - 1e-12) and z has a
+    witness.  The relative margin drops a point whose z lies M away up to
+    rounding: its disc touches the domain only at its rim and may hold no
+    exterior node (clause (a)).  Dropping a point can only make clause (b)
+    fail, never pass a bad set.  Clauses re-verified before returning:
 
     (a) the search disc meets the complement: some node outside the domain
         lies closer than M to w.  The witness w* is such a node, so
@@ -840,7 +846,7 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
     dom, M, delta, r = cert.domain, cert.M, cert.delta, cert.raster
     empty = np.array([], dtype=complex)
     if cert.admissible_rows is None:  # no admissible node, so no witness
-        return LatticeWitnessSet(M, delta, empty, empty)
+        return LatticeWitnessSet(dom, M, delta, empty, empty)
 
     x0, x1, y0, y1 = dom.window
     lmin = math.floor((x0 - M) / M)
@@ -859,7 +865,7 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
     ziy[out], zix[out] = _nearest(r.inside_rows, r.h, ziy[out], zix[out])
     # the search disc meets the sampled domain, and z has a witness (edge
     # nodes accepted by symmetry have none)
-    keep = (np.abs(w - (r.xs[zix] + 1j * r.ys[ziy])) < M) & cert.witnessed[ziy, zix]
+    keep = (np.abs(w - (r.xs[zix] + 1j * r.ys[ziy])) < M * (1 - 1e-12)) & cert.witnessed[ziy, zix]
     lattice_flag = keep.reshape(ls.shape)
     w, ziy, zix = w[keep], ziy[keep], zix[keep]
     wy, wx = cert.witness_of(ziy, zix)
@@ -930,7 +936,7 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
                 "is not covered by any lattice disc"
             )
 
-    return LatticeWitnessSet(M, delta, w, witnesses)
+    return LatticeWitnessSet(dom, M, delta, w, witnesses)
 
 
 # ---------------------------------------------------------------------------

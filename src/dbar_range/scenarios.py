@@ -437,7 +437,7 @@ def strip_gallery(
     lattice_report = None
     if cx.holds:
         lat = build_lattice(cx)
-        lattice_report = lattice_weight_report(dom, lat)
+        lattice_report = lattice_weight_report(lat)
 
     quad_from = [a + 0.9 * meta["lo_margin"] for a in c[:-1]]
     fam = StripWeightFamily(c, quad_from)

@@ -8,6 +8,12 @@ The lattice series weight turns a witness set into explicit (A, B); the
 strip weight realizes the quadratic band construction; the composite weight
 glues the two with a cutoff for domains that fail the exterior-witness
 condition but carry strip structure away from a central column.
+
+`lattice_weight_report` weighs a lattice on the raster of its own domain.
+Its grid scan sums phi = sum |z - w*|^-4 over every witness of the finite
+lattice, truncating nothing; the tail term of gamma_max = 64 annuli is only
+added to the reported `grid_max_phi`.  A and B, and so C, are the closed
+forms of `weight_constants`.
 """
 
 from __future__ import annotations
@@ -23,9 +29,6 @@ from .geometry import LatticeVerificationError, LatticeWitnessSet, PlanarDomain
 
 __all__ = [
     "weight_constants",
-    "SeriesWeight",
-    "series_weight",
-    "series_weight_grid_stats",
     "strip_weight",
     "StripWeightFamily",
     "PointSeriesWeight",
@@ -69,35 +72,8 @@ def weight_constants(M: float, delta: float) -> tuple[float, float]:
     return A, B
 
 
-@dataclass(frozen=True, eq=False)
-class SeriesWeight:
-    """Truncated lattice series weight with certified tail interval.
-
-    `tail_bound` dominates the contribution of every witness beyond
-    `gamma_max` annuli of the covering lattice point, so the true weight
-    lies in [phi, phi + tail_bound] whenever phi is the truncated value.
-    """
-
-    witnesses: LatticeWitnessSet
-    gamma_max: int
-    A: float
-    B: float
-    tail_bound: float
-
-
-def series_weight(witnesses: LatticeWitnessSet, gamma_max: int = 64) -> SeriesWeight:
-    if gamma_max < 1:
-        raise ValueError(f"gamma_max must be >= 1, got {gamma_max}")
-    A, B = weight_constants(witnesses.M, witnesses.delta)
-    M = witnesses.M
-    tail = 56.0 / M**4 * (1.0 / (2.0 * gamma_max**2))
-    return SeriesWeight(witnesses, gamma_max, A, B, tail)
-
-
-@dataclass(frozen=True)
-class SeriesGridStats:
-    grid_max_phi: float
-    grid_min_zzbar: float
+# annuli of the lattice tail term added to the reported grid max of phi
+_GAMMA_MAX = 64
 
 
 # 2^15 pairwise terms per chunk bound the temporaries at ~3 MB: 1 MB in
@@ -213,9 +189,9 @@ def _grid_extreme(ws, raster, mask, power, scale, largest) -> float:
     return float(best)
 
 
-def series_weight_grid_stats(w: SeriesWeight, dom: PlanarDomain) -> SeriesGridStats:
-    """Scan the rasterized domain: max of phi + tail against A and min of
-    the per-term Hessian lower bound against B.
+def _cover_scan(lat: LatticeWitnessSet) -> tuple[float, float]:
+    """(max of phi, min of the per-term Hessian lower bound) over the
+    raster of the lattice's domain, phi summed over every witness.
 
     Every inside node must lie within M of a lattice point; its covering
     point is the nearest one (the first in point order on a tie), and the
@@ -231,12 +207,10 @@ def series_weight_grid_stats(w: SeriesWeight, dom: PlanarDomain) -> SeriesGridSt
     reach the largest value, which is exactly the max over all inside
     nodes.
     """
-    r = dom.raster
+    r = lat.domain.raster
     if not r.inside.any():
         raise ValueError("domain has no rasterized nodes")
-    ws = w.witnesses.witnesses
-    pts = w.witnesses.points
-    M = w.witnesses.M
+    ws, pts, M = lat.witnesses, lat.points, lat.M
 
     # each point's 2M square of nodes, widened by a node: columns a:b, rows c:e
     x0, y0, nx, ny = r.xs[0], r.ys[0], len(r.xs), len(r.ys)
@@ -269,10 +243,7 @@ def series_weight_grid_stats(w: SeriesWeight, dom: PlanarDomain) -> SeriesGridSt
                 f"coverage clause violated at sampled node {bad}"
             )
         zzbar_min = min(zzbar_min, float(np.min(4.0 * np.abs(zs - ws[cover]) ** -6.0)))
-    return SeriesGridStats(
-        grid_max_phi=_grid_extreme(ws, r, r.inside, -4.0, 1.0, True) + w.tail_bound,
-        grid_min_zzbar=zzbar_min,
-    )
+    return _grid_extreme(ws, r, r.inside, -4.0, 1.0, True), zzbar_min
 
 
 # ---------------------------------------------------------------------------
@@ -629,21 +600,29 @@ def certificate(A: float, B: float) -> WeightCertificate:
     return WeightCertificate(C, log10C)
 
 
-def lattice_weight_report(dom: PlanarDomain, lat: LatticeWitnessSet, gamma_max: int = 64) -> dict:
-    """Assemble the weight-report payload for a certified lattice."""
-    sw = series_weight(lat, gamma_max)
-    stats = series_weight_grid_stats(sw, dom)
-    cert = certificate(sw.A, sw.B)
+def lattice_weight_report(lat: LatticeWitnessSet) -> dict:
+    """The weight-report payload of a certified lattice, on its domain.
+
+    A and B are `weight_constants` at the lattice's M and delta.  The scan
+    sums phi over every witness of the finite lattice and truncates
+    nothing; `tail_bound`, the part of the series beyond _GAMMA_MAX annuli
+    of the covering lattice point, is only added to the reported
+    `grid_max_phi`.  No verdict reads that field.
+    """
+    A, B = weight_constants(lat.M, lat.delta)
+    tail = 56.0 / lat.M**4 * (1.0 / (2.0 * _GAMMA_MAX**2))
+    max_phi, min_zzbar = _cover_scan(lat)
+    cert = certificate(A, B)
     return {
         "M": lat.M,
         "delta": lat.delta,
-        "gamma_max": gamma_max,
-        "A": sw.A,
-        "B": sw.B,
-        "tail_bound": sw.tail_bound,
+        "gamma_max": _GAMMA_MAX,
+        "A": A,
+        "B": B,
+        "tail_bound": tail,
         "C": cert.C if math.isfinite(cert.C) else None,
         "log10_C": cert.log10_C,
         "kind": cert.kind,
-        "grid_min_zzbar": stats.grid_min_zzbar,
-        "grid_max_phi": stats.grid_max_phi,
+        "grid_min_zzbar": min_zzbar,
+        "grid_max_phi": max_phi + tail,
     }

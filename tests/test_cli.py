@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import importlib
@@ -120,6 +121,32 @@ def test_certify_whole_plane_report_bytes_pinned(tmp_path):
     assert certify_sha256(tmp_path, "whole_plane.json", 2) == (
         "fbfaad68331c0c06d1160e706d17a8776de7987f2a1e9852fd522dff51c11443"
     )
+
+
+@pytest.mark.parametrize("M", ["0.6", "1.2"])
+def test_certify_gallery_where_a_lattice_point_lies_M_from_the_domain(M, tmp_path):
+    # at these M some lattice point's nearest domain node lies M away up to
+    # rounding; build_lattice must drop it rather than fail clause (a)
+    argv = ["certify", "--domain", str(ROOT / "domains/uniform_gallery.json"),
+            "--M", M, "--delta", "0.2", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "certify_report.json").read_text())
+    assert report["weight"]["M"] == float(M)
+
+
+def test_cli_surface_is_the_listed_options():
+    # every option of every subcommand; a new knob must be added here
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    common = {"-h", "--help", "--out", "--seed", "--mesh", "-v", "--verbose"}
+    got = {name: {o for a in p._actions for o in a.option_strings}
+           for name, p in sub.choices.items()}
+    assert {o for a in parser._actions for o in a.option_strings} == {"-h", "--help"}
+    assert got == {
+        "certify": common | {"--domain", "--M", "--delta"},
+        "verify": common | {"--domain", "--C", "--dump-field"},
+        "scenario": common | {"--spec"},
+    }
 
 
 def verify(tmp_path, C, *extra):
@@ -560,9 +587,6 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ("verify", "--C", "nan"),
         ("verify", "--C", "inf"),
         ("verify", "--C", "0"),
-        ("certify", "--gamma-max", "0"),
-        ("certify", "--gamma-max", "-3"),
-        ("certify", "--gamma-max", "2.5"),
     ],
 )
 def test_bad_numeric_flag_exits_1_naming_it(command, flag, value, tmp_path, capsys):

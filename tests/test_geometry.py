@@ -609,6 +609,17 @@ class TestBuildLattice:
         lat = build_lattice(condition_x(dom, M=1.0, delta=0.05))
         assert len(lat) == 0
 
+    def test_lattice_carries_its_domain(self):
+        # the witnessed path and the early return of a domain with no node
+        for dom in (
+            PlanarDomain(Disc(0, 0, 0.4), (-3, 3, -3, 3), 0.02),
+            PlanarDomain(Union(()), (-2, 2, -2, 2), 0.01),
+        ):
+            cert = condition_x(dom, M=1.0, delta=0.1)
+            lat = build_lattice(cert)
+            assert lat.domain is cert.domain is dom
+        assert len(lat) == 0 and cert.admissible_rows is None
+
     def test_gallery_coverage(self):
         # clause (b) oracle: every sampled core node within M of a lattice pt
         dom = uniform_gallery(y_max=5.0, mesh=0.015)

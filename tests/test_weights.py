@@ -34,8 +34,6 @@ from dbar_range.weights import (
     certify_composite,
     composite_weight,
     lattice_weight_report,
-    series_weight,
-    series_weight_grid_stats,
     strip_weight,
     weight_constants,
 )
@@ -89,6 +87,7 @@ class TestWeightConstants:
 
 def single_witness_set():
     return LatticeWitnessSet(
+        domain=far_rect_domain(),
         M=2.0,
         delta=0.5,
         points=np.array([1.0 + 0j]),
@@ -122,17 +121,15 @@ class TestSeriesWeight:
     def test_empty_witness_set_errors(self):
         # an empty witness set covers no node of the domain
         empty = LatticeWitnessSet(
-            1.0, 0.1, np.array([], dtype=complex), np.array([], dtype=complex)
+            far_rect_domain(), 1.0, 0.1, np.array([], dtype=complex), np.array([], dtype=complex)
         )
         with pytest.raises(LatticeVerificationError):
-            series_weight_grid_stats(series_weight(empty), far_rect_domain())
+            lattice_weight_report(empty)
 
     def test_uncovered_point_errors(self):
         # a witness set near 0 leaves the nodes of a domain near 10 uncovered
         with pytest.raises(LatticeVerificationError):
-            series_weight_grid_stats(
-                series_weight(single_witness_set()), far_rect_domain()
-            )
+            lattice_weight_report(single_witness_set())
 
     def test_cover_matches_scan_over_all_nodes(self):
         # reference: test every point against every node in point order,
@@ -172,8 +169,8 @@ class TestSeriesWeight:
             ws = pts + 10.0
             ws[j] += 1000.0
             want = float(np.min(4.0 * np.abs(zs - ws[cover]) ** -6.0))
-            lat = LatticeWitnessSet(M, 0.1, pts, ws)
-            assert series_weight_grid_stats(series_weight(lat), dom).grid_min_zzbar == want
+            lat = LatticeWitnessSet(dom, M, 0.1, pts, ws)
+            assert lattice_weight_report(lat)["grid_min_zzbar"] == want
 
     @staticmethod
     def covering_set(hole=None):
@@ -186,33 +183,31 @@ class TestSeriesWeight:
         if hole is not None:
             pts = pts[np.abs(pts - hole) >= 0.6]
         ws = pts + 10.0 + np.linspace(0.0, 1.0, len(pts)) * 1j
-        return dom, series_weight(LatticeWitnessSet(0.6, 0.1, pts, ws))
+        return LatticeWitnessSet(dom, 0.6, 0.1, pts, ws)
 
     @pytest.mark.parametrize("lines", [1, 3, 7])
     def test_stats_equal_the_default_block(self, lines):
-        dom, w = self.covering_set()
-        gal = make_gallery()
-        gal_w = series_weight(build_lattice(condition_x(gal, M=1.0, delta=0.2)))
-        assert len(dom.raster.ys) == 61 and len(gal.raster.ys) == 267
-        want = [series_weight_grid_stats(w, dom), series_weight_grid_stats(gal_w, gal)]
+        lat = self.covering_set()
+        gal_lat = build_lattice(condition_x(make_gallery(), M=1.0, delta=0.2))
+        assert len(lat.domain.raster.ys) == 61 and len(gal_lat.domain.raster.ys) == 267
+        want = [lattice_weight_report(lat), lattice_weight_report(gal_lat)]
         with mock.patch.object(geometry, "_LINES", lines):
-            got = [series_weight_grid_stats(w, dom), series_weight_grid_stats(gal_w, gal)]
+            got = [lattice_weight_report(lat), lattice_weight_report(gal_lat)]
         assert got == want
 
     def test_coverage_error_names_the_first_uncovered_node(self):
-        dom, w = self.covering_set(hole=0.4 + 0.2j)
+        lat = self.covering_set(hole=0.4 + 0.2j)
         # the oracle: every inside node against every point, row-major
-        r = dom.raster
+        r = lat.domain.raster
         iy, ix = np.nonzero(r.inside)
         zs = r.xs[ix] + 1j * r.ys[iy]
-        pts = w.witnesses.points
-        covered = (np.abs(zs[:, None] - pts) < w.witnesses.M).any(axis=1)
+        covered = (np.abs(zs[:, None] - lat.points) < lat.M).any(axis=1)
         miss = int(np.argmin(covered))
         assert not covered[miss] and iy[miss] > 0
         for lines in (geometry._LINES, 1):
             with mock.patch.object(geometry, "_LINES", lines):
                 with pytest.raises(LatticeVerificationError) as err:
-                    series_weight_grid_stats(w, dom)
+                    lattice_weight_report(lat)
             assert str(err.value) == f"coverage clause violated at sampled node {zs[miss]}"
 
     def test_tail_contract(self):
@@ -234,7 +229,8 @@ class TestSeriesWeight:
         rng = np.random.default_rng(3)
         zs = lat.points[rng.choice(len(lat.points), 5, replace=False)]
         for g in (1, 2, 4):
-            tail = series_weight(lat, gamma_max=g).tail_bound
+            with mock.patch.object(weights, "_GAMMA_MAX", g):
+                tail = lattice_weight_report(lat)["tail_bound"]
             for z in zs:
                 z = complex(z) + 0.05 + 0.05j
                 p_small, p_big = truncated(z, g), truncated(z, g + 1)
@@ -244,10 +240,9 @@ class TestSeriesWeight:
         # Lemma-style conclusion on the grid: phi + tail <= A, zzbar >= B
         dom = make_gallery()
         lat = build_lattice(condition_x(dom, M=1.0, delta=0.2))
-        sw = series_weight(lat)
-        stats = series_weight_grid_stats(sw, dom)
-        assert stats.grid_max_phi <= sw.A
-        assert stats.grid_min_zzbar >= sw.B
+        rep = lattice_weight_report(lat)
+        assert rep["grid_max_phi"] <= rep["A"]
+        assert rep["grid_min_zzbar"] >= rep["B"]
         # 5-point Laplacian/4 of the series over all witnesses at the inside
         # nodes: it agrees with the analytic bound direction up to O(h^2)
         r = dom.raster
@@ -259,7 +254,7 @@ class TestSeriesWeight:
             phi.value(zs + h) + phi.value(zs - h) + phi.value(zs + 1j * h)
             + phi.value(zs - 1j * h) - 4.0 * phi.value(zs)
         ) / (4.0 * h * h)
-        assert fd.min() >= sw.B - 10 * h**2
+        assert fd.min() >= rep["B"] - 10 * h**2
         # and it is the analytic zzbar to O(h^2): each second difference is
         # off by h^2/12 times a 4th derivative of |z - w|^-4, which is at
         # most 840 |z - w|^-8 (Gegenbauer bound), taken within h of z
@@ -272,7 +267,7 @@ class TestSeriesWeight:
     def test_report_payload(self):
         dom = make_gallery()
         lat = build_lattice(condition_x(dom, M=1.0, delta=0.2))
-        rep = lattice_weight_report(dom, lat)
+        rep = lattice_weight_report(lat)
         assert set(rep) == {
             "M", "delta", "gamma_max", "A", "B", "tail_bound", "C",
             "log10_C", "kind", "grid_min_zzbar", "grid_max_phi",
@@ -428,7 +423,7 @@ def loop_lattice(dom, M, delta, cert):
     r = cert.raster
     empty = np.array([], dtype=complex)
     if not r.inside.any():
-        return LatticeWitnessSet(M, delta, empty, empty)
+        return LatticeWitnessSet(dom, M, delta, empty, empty)
     sample_points, witness_points = cert.sample_points, cert.witness_points
     sample_row = np.full(r.inside.shape, -1, dtype=np.int32)
     sx = np.clip(np.rint((sample_points.real - r.xs[0]) / r.h), 0, len(r.xs) - 1)
@@ -454,7 +449,7 @@ def loop_lattice(dom, M, delta, cert):
                 ziy, zix = niy, nix
             else:
                 ziy, zix = int(in_idx[0][niy, nix]), int(in_idx[1][niy, nix])
-            if abs(w - r.node_z(ziy, zix)) >= M:
+            if abs(w - r.node_z(ziy, zix)) >= M * (1 - 1e-12):
                 continue
             row = sample_row[ziy, zix]
             if row < 0:
@@ -491,7 +486,7 @@ def loop_lattice(dom, M, delta, cert):
             covered |= act & ((zx - ll * M) ** 2 + (zy - kk * M) ** 2 < M * M)
     if not covered.all():
         raise LatticeVerificationError("clause (b) violated")
-    return LatticeWitnessSet(M, delta, points_arr, witnesses_arr)
+    return LatticeWitnessSet(dom, M, delta, points_arr, witnesses_arr)
 
 
 def lattice_outcome(build):
@@ -777,7 +772,7 @@ def test_certify_chain_stays_below_32_bytes_per_node():
     try:
         cert = condition_x(dom, M=2.0, delta=0.1)
         lat = build_lattice(cert)
-        lattice_weight_report(dom, lat)
+        lattice_weight_report(lat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -795,7 +790,7 @@ def test_certify_chain_with_raster_stays_below_10_bytes_per_node():
     try:
         cert = condition_x(dom, M=2.0, delta=0.1)
         lat = build_lattice(cert)
-        lattice_weight_report(dom, lat)
+        lattice_weight_report(lat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
