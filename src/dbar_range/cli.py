@@ -6,7 +6,9 @@ Dirichlet eigenpair, checked against a supplied constant), scenario
 (replay an example family from a spec file).  Exit codes are stable: 0
 certified or passed, 1 usage/configuration error (a lattice that fails its
 re-verification and an eigensolver that fails included), 2 condition not
-satisfied, 3 verification exceeded the supplied constant.  The package
+satisfied, 3 verification exceeded the supplied constant, 4 internal
+error (any other exception, a MemoryError included: one "error: internal:"
+line on stderr, and the traceback too under -v).  The package
 needs numpy alone at run time; no command imports scipy.
 
 --mesh replaces the "mesh" of the domain file (certify, verify) or of the
@@ -158,6 +160,7 @@ def cmd_certify(args) -> int:
         print(f"condition not satisfied; report: {path}")
         return 2
     lat = build_lattice(cx)
+    del cx  # the weight stage reads the domain, so free the witnessed grids now
     weight = lattice_weight_report(lat)
     report["weight"] = weight
     report["verdict"] = "closed range certified on the windowed domain"
@@ -254,6 +257,13 @@ def main(argv=None) -> int:
     except (ConfigurationError, LatticeVerificationError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        if args.verbose:
+            import traceback
+
+            traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -643,6 +643,10 @@ class ConditionXCertificate:
     `accepted_by_symmetry` flags nodes whose search disc left the window
     and that were accepted by the domain's declared translation symmetry
     rather than by an explicit witness.
+
+    `build_lattice` reads the witnesses it needs and keeps the domain, not
+    the certificate, so once the lattice is built the certificate and its
+    grids can be dropped.
     """
 
     holds: bool
@@ -753,9 +757,19 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
     n_unprov = int(np.count_nonzero(inside) - np.count_nonzero(witnessed)) - n_fail
 
     if n_fail:
-        iy, ix = np.nonzero(inside[rows, cols] & ~witnessed[rows, cols])
-        iy, ix = iy[:_FAILURE_SAMPLE_CAP], ix[:_FAILURE_SAMPLE_CAP]
-        pts = r.xs[cols][ix] + 1j * r.ys[rows][iy]
+        # the first failing nodes in row-major order, a block of fit rows
+        # at a time, stopping at the cap
+        fit_in, fit_wit = inside[rows, cols], witnessed[rows, cols]
+        fit_xs, fit_ys = r.xs[cols], r.ys[rows]
+        pts, left = [], _FAILURE_SAMPLE_CAP
+        for blk in _line_blocks(fit_in.shape[0]):
+            iy, ix = np.nonzero(fit_in[blk] & ~fit_wit[blk])
+            iy, ix = iy[:left], ix[:left]
+            pts.append(fit_xs[ix] + 1j * fit_ys[blk][iy])
+            left -= len(iy)
+            if not left:
+                break
+        pts = np.concatenate(pts)
         witnessed[:] = False  # no witness is kept
         return ConditionXCertificate(
             False, M, delta, dom, witnessed, None, pts, n_fail, n_unprov, False, notes

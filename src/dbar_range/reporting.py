@@ -3,17 +3,31 @@
 Reports are JSON with sorted keys and repr-exact floats, so a re-run from
 the same config and seed is byte-identical.  CSV dumps always use '.' as
 the decimal separator and '\\n' line endings regardless of locale.
+
+The config digest takes SHA-256 from CPython's built-in module, not from
+`hashlib`: importing `hashlib` loads OpenSSL's libcrypto, about 3.6 MB
+resident, into every command for one 16-hex digest.  The digest is the
+same SHA-256 either way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+
+# the built-in SHA-256 that hashlib falls back to without OpenSSL: the same
+# digest, without mapping libcrypto into the process
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "canonical_json",
@@ -46,7 +60,7 @@ def canonical_json(obj) -> str:
 
 def config_hash(config: dict) -> str:
     payload = json.dumps(_plain(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return _sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def stamp(report: dict, config: dict) -> dict:

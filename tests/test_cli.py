@@ -8,12 +8,16 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dbar_range import cli, discrete, geometry, scenarios, weights
+from dbar_range.reporting import config_hash
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -282,6 +286,69 @@ def test_certify_modules_leave_spline_interpolation_unimported(tmp_path):
         capture_output=True, text=True, check=True, env={"PYTHONPATH": str(ROOT / "src")},
     )
     assert out.stdout.splitlines()[-1] == "2 []"
+
+
+def test_certify_and_verify_leave_openssl_unloaded(tmp_path):
+    # the config digest is the built-in SHA-256: importing hashlib would map
+    # OpenSSL's libcrypto (about 3.6 MB resident) into every child
+    code = (
+        "import sys, dbar_range.cli\n"
+        "main, out = dbar_range.cli.main, sys.argv[1]\n"
+        "codes = [main(['certify', '--domain', sys.argv[2], '--M', '2', '--delta', '0.1',"
+        " '--out', out]), main(['verify', '--domain', sys.argv[3], '--C', '1', '--out', out])]\n"
+        "print(codes, '_hashlib' in sys.modules)"
+    )
+    domains = [str(ROOT / "domains" / d) for d in ("uniform_gallery.json", "unit_disc.json")]
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), *domains],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout.splitlines()[-1] == "[0, 0] False"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(st.dictionaries(st.text(), _json_values, max_size=6))
+def test_config_hash_is_the_sha256_of_the_canonical_config(config):
+    payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    assert config_hash(config) == sha256(payload.encode("utf-8"))[:16]
+
+
+def test_certify_fine_mesh_stays_below_8_5_bytes_per_node(tmp_path):
+    # certify drops its condition-X certificate once the lattice is built,
+    # so the weight stage runs beside the raster alone: the whole command
+    # peaked at 9.3 B a node while the certificate's grids stayed alive
+    argv = ["certify", "--domain", str(ROOT / "domains/uniform_gallery.json"),
+            "--M", "2", "--delta", "0.1", "--mesh", "0.01", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * 1_442_401
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_unexpected_exception_exits_4_with_one_line(verbose, tmp_path, monkeypatch, capsys):
+    def out_of_memory(args):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr(cli, "cmd_certify", out_of_memory)
+    argv = ["certify", "--domain", str(ROOT / "domains/uniform_gallery.json"),
+            "--M", "2", "--delta", "0.1", "--out", str(tmp_path)]
+    assert cli.main([*argv, *(["-v"] if verbose else [])]) == 4
+    err = capsys.readouterr().err
+    line = "error: internal: MemoryError: Unable to allocate 8.00 GiB\n"
+    if verbose:
+        assert err.startswith("Traceback") and err.endswith(line)
+    else:
+        assert err == line
 
 
 def test_scaling_and_tube_scenarios_leave_ndimage_unimported(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import weakref
 from dataclasses import FrozenInstanceError, dataclass, replace
 from pathlib import Path
 
@@ -527,6 +528,37 @@ class TestConditionX:
         assert cert.failure_count > 0
         assert len(cert.failure_points) > 0
 
+    @pytest.mark.parametrize(
+        "case, lines, cap, over_cap",
+        [("whole_plane", 64, 10_000, True), ("disc", 64, 10_000, False),
+         ("disc", 3, 10_000, False), ("disc", 3, 100, True)],
+    )
+    def test_failure_points_are_the_first_failing_nodes(
+        self, case, lines, cap, over_cap, monkeypatch
+    ):
+        # the blocked scan stops at the cap and keeps the one-shot sample:
+        # the first failing nodes of the fit slice in row-major order
+        if case == "whole_plane":
+            dom, M, delta = load_domain(ROOT / "domains" / "whole_plane.json"), 2.0, 0.1
+        else:  # about 2 000 failing nodes around the centre, the rest witnessed
+            dom, M, delta = PlanarDomain(Disc(0, 0, 1.5), (-2.5, 2.5, -2.5, 2.5), 0.02), 1.0, 0.1
+        monkeypatch.setattr(geometry, "_LINES", lines)
+        monkeypatch.setattr(geometry, "_FAILURE_SAMPLE_CAP", cap)
+        cert = condition_x(dom, M, delta)
+        r = dom.raster
+        admissible = ~(_near(r.inside_rows, r.h, delta, strict=False) | r.inside)
+        witnessed = r.inside & (
+            _near(_column_rows(admissible), r.h, M, strict=True) if admissible.any()
+            else False
+        )
+        rows, cols = _fit_slices(r, dom.window, M)
+        iy, ix = np.nonzero(r.inside[rows, cols] & ~witnessed[rows, cols])
+        assert not cert.holds and cert.failure_count == len(iy)
+        iy, ix = iy[:cap], ix[:cap]
+        expect = r.xs[cols][ix] + 1j * r.ys[rows][iy]
+        assert (cert.failure_count > cap) == over_cap
+        assert np.array_equal(cert.failure_points, expect)
+
     def test_shrinking_gaps_fail_on_large_window(self):
         # gaps ~ 1/|j| around integer heights: high strips see no clearance
         heights = []
@@ -619,6 +651,15 @@ class TestBuildLattice:
             lat = build_lattice(cert)
             assert lat.domain is cert.domain is dom
         assert len(lat) == 0 and cert.admissible_rows is None
+
+    def test_lattice_does_not_keep_its_certificate(self):
+        # a command can drop the certificate's grids before weighing the lattice
+        cert = condition_x(uniform_gallery(y_max=4.0), M=2.0, delta=0.1)
+        ref = weakref.ref(cert)
+        lat = build_lattice(cert)
+        del cert
+        assert ref() is None
+        assert len(lat) > 0
 
     def test_gallery_coverage(self):
         # clause (b) oracle: every sampled core node within M of a lattice pt
