@@ -225,10 +225,11 @@ def cmd_scenario(args) -> int:
     from .scenarios import run_scenario
 
     spec = _load_json(args.spec)
-    if args.mesh is not None:
-        spec["mesh"] = args.mesh
-    if args.seed is not None:
-        spec["seed"] = args.seed
+    if isinstance(spec, dict):  # run_scenario refuses any other spec
+        if args.mesh is not None:
+            spec["mesh"] = args.mesh
+        if args.seed is not None:
+            spec["seed"] = args.seed
     report = run_scenario(spec)
     name = report["scenario"]
     path = write_report(Path(args.out) / f"scenario_{name}_report.json", stamp(report, spec))
@@ -251,10 +252,8 @@ def main(argv=None) -> int:
     handlers = {"certify": cmd_certify, "verify": cmd_verify, "scenario": cmd_scenario}
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigurationError, LatticeVerificationError, SolverError, ValueError) as exc:
+    except (FileNotFoundError, ConfigurationError, LatticeVerificationError, SolverError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

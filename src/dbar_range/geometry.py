@@ -18,23 +18,24 @@ answered exactly, in the distance transform's own float formula, by a
 column pass and a row pass in numpy (`_near`, `_nearest`).  Condition X
 returns a boolean grid of witnessed nodes plus the column pass of the
 admissible nodes, and the lattice finds the witnesses of the few nodes it
-needs.  Complex coordinates appear only for the lattice points and their
-witnesses.  A node's membership depends on that node alone, and every
-column and every row of a pass is independent of the others, so the
-raster build and the grid passes stream in blocks of `_LINES` raster
-lines: their temporaries have the size of one block, and only their
-outputs span the grid, at 1 B a node for a mask and 2 B for a column pass
-(int16 on grids of fewer than 10 923 rows).
+needs.  The lattice makes the chain's one covering pass (`_cover`), which
+keeps of the cover only what the weight report reads (`cover_gap`).
+Complex coordinates appear only for the lattice points, their witnesses
+and one chunk of that pass.  A node's membership depends on that node
+alone, and every column and every row of a pass is independent of the
+others, so the raster build and the grid passes stream in blocks of
+`_LINES` raster lines: their temporaries have the size of one block, and
+only their outputs span the grid, at 1 B a node for a mask and 2 B for a
+column pass (int16 on grids of fewer than 10 923 rows).
 
 Unbounded domains are handled by the finite window plus an explicitly
 declared translation symmetry; nothing outside the window is ever
 inferred.  Each certificate object records how its window was treated.
 
-Graph strips are numpy natural cubic splines (`EtaFunc`), so nothing here
-loads SciPy: only `dbar_range.discrete`, the discrete operator of the
-verify command, does.  MeshError and SolverError live here beside the
-other error classes, so that a command that never builds the discrete
-operator (certify, scenario) need not import it to name them.
+Graph strips are numpy natural cubic splines (`EtaFunc`).  MeshError and
+SolverError live here beside the other error classes, so that a command
+that never builds the discrete operator (certify, scenario) need not
+import it to name them.
 """
 
 from __future__ import annotations
@@ -802,13 +803,16 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
 @dataclass(frozen=True, eq=False)
 class LatticeWitnessSet:
     """Lattice points w on (M Z)^2 meeting the domain, each with an exterior
-    witness w* of clearance > delta and |w - w*| <= 2M."""
+    witness w* of clearance > delta and |w - w*| <= 2M.  `cover_gap` is the
+    largest |z - w*| over the inside nodes z, w* the witness of z's covering
+    point (None without inside nodes); B = 4/(3M)^6 assumes it at most 3M."""
 
     domain: PlanarDomain = field(repr=False)
     M: float
     delta: float
     points: np.ndarray
     witnesses: np.ndarray
+    cover_gap: Optional[float]
 
     def __len__(self):
         return len(self.points)
@@ -826,6 +830,58 @@ def _distance_to_outside(r: Raster, w: complex, reach: float) -> float:
     if not oy.size:
         return math.inf
     return float(np.min(np.abs(w - (r.xs[cols][ox] + 1j * r.ys[rows][oy]))))
+
+
+# inside nodes per chunk of the covering pass
+_CHUNK = 1 << 13
+# a node coordinate over M within this of a half-integer lies on a bisector
+_BISECTOR = 1e-9
+
+
+def _cover(r: Raster, M: float, points: np.ndarray):
+    """The covering point of every inside node, in row-major order: yields
+    (z, cover) per chunk of at most _CHUNK inside nodes of a block of
+    _LINES rows, cover[i] the index in `points` (on (M Z)^2, in (l, k)
+    order, each within M of an inside node) of the point w nearest z[i]
+    with np.abs(z[i] - w) < M, the first on a tie, or -1.
+
+    Only the 3 x 3 points around a node's rint point (rint(x/M), rint(y/M))
+    M can lie within M of it.  Off the bisectors of the lattice the rint
+    point is the nearest by a margin far above rounding, so a node there
+    that it covers takes it; every other node scans its 3 x 3 points in
+    (l, k) order, taking a point only when strictly nearer."""
+    xl, yk = np.rint(r.xs / M), np.rint(r.ys / M)
+    # point (l, k) at index[l - l0, k - k0], -1 when not listed; the grid
+    # holds the 3 x 3 points around every node's rint point
+    l0, k0 = int(xl.min()) - 1, int(yk.min()) - 1
+    index = np.full((int(xl.max()) - l0 + 2, int(yk.max()) - k0 + 2), -1, dtype=np.int32)
+    pl, pk = np.rint(points.real / M).astype(int), np.rint(points.imag / M).astype(int)
+    index[pl - l0, pk - k0] = np.arange(len(points))
+    pts = np.append(points, complex(math.inf))  # index -1: a point covering nothing
+    col_l, row_k = (xl - l0).astype(np.int32), (yk - k0).astype(np.int32)
+    col_off = np.abs(r.xs / M - xl) >= 0.5 - _BISECTOR
+    row_off = np.abs(r.ys / M - yk) >= 0.5 - _BISECTOR
+    for blk in _line_blocks(len(r.ys)):
+        block_iy, block_ix = np.nonzero(r.inside[blk])
+        block_iy += blk.start
+        for part in range(0, block_iy.size, _CHUNK):
+            iy, ix = block_iy[part : part + _CHUNK], block_ix[part : part + _CHUNK]
+            z = r.xs[ix] + 1j * r.ys[iy]
+            l, k = col_l[ix], row_k[iy]
+            cover = index[l, k]
+            rest = np.flatnonzero((np.abs(z - pts[cover]) >= M) | col_off[ix] | row_off[iy])
+            if rest.size:
+                zr, l, k = z[rest], l[rest], k[rest]
+                best = np.full(rest.size, math.inf)
+                got = np.full(rest.size, -1, dtype=np.int32)
+                for dl in (-1, 0, 1):
+                    for dk in (-1, 0, 1):
+                        c = index[l + dl, k + dk]
+                        d = np.abs(zr - pts[c])
+                        better = (d < M) & (d < best)
+                        best[better], got[better] = d[better], c[better]
+                cover[rest] = got
+            yield z, cover
 
 
 def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
@@ -848,8 +904,11 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
         the domain is its window content, so everything beyond the window
         is complement too: a w closer than M to the outside of the window
         (distance 0 when w lies beyond it) passes.
-    (b) every domain node with a full search disc is covered by some
-        lattice disc, tested first against its nearest lattice point;
+    (b) every inside node is covered, by one pass (`_cover`) that also
+        measures `cover_gap`.  The first uncovered node with a full search
+        disc, in row-major order, violates clause (b); failing that, the
+        first uncovered node (an edge node a declared symmetry was trusted
+        to cover) violates the coverage clause the weight needs;
     (c) witnesses clear delta (the distance from the witness node to its
         nearest domain node) and |w - w*| <= 2M.
     """
@@ -858,99 +917,79 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
             "condition X does not hold at these parameters; no lattice exists"
         )
     dom, M, delta, r = cert.domain, cert.M, cert.delta, cert.raster
-    empty = np.array([], dtype=complex)
-    if cert.admissible_rows is None:  # no admissible node, so no witness
-        return LatticeWitnessSet(dom, M, delta, empty, empty)
-
     x0, x1, y0, y1 = dom.window
-    lmin = math.floor((x0 - M) / M)
-    lmax = math.ceil((x1 + M) / M)
-    kmin = math.floor((y0 - M) / M)
-    kmax = math.ceil((y1 + M) / M)
-    ls, ks = np.meshgrid(
-        np.arange(lmin, lmax + 1), np.arange(kmin, kmax + 1), indexing="ij"
-    )
-    w = np.empty(ls.size, dtype=complex)
-    w.real, w.imag = ls.ravel() * M, ks.ravel() * M
-
-    # n: the node nearest w; z: the domain node nearest n
-    ziy, zix = r.nearest_index(w)
-    out = ~r.inside[ziy, zix]
-    ziy[out], zix[out] = _nearest(r.inside_rows, r.h, ziy[out], zix[out])
-    # the search disc meets the sampled domain, and z has a witness (edge
-    # nodes accepted by symmetry have none)
-    keep = (np.abs(w - (r.xs[zix] + 1j * r.ys[ziy])) < M * (1 - 1e-12)) & cert.witnessed[ziy, zix]
-    lattice_flag = keep.reshape(ls.shape)
-    w, ziy, zix = w[keep], ziy[keep], zix[keep]
-    wy, wx = cert.witness_of(ziy, zix)
-    witnesses = r.xs[wx] + 1j * r.ys[wy]
-
-    # clause (a): complement reachable inside the search disc
-    d_out = np.abs(w - witnesses)
-    if dom.symmetry == "none":
-        # beyond the window lies complement: cap by the distance to it
-        edge = np.minimum.reduce([w.real - x0, x1 - w.real, w.imag - y0, y1 - w.imag])
-        d_out = np.minimum(d_out, np.maximum(edge, 0.0))
-    for j in np.flatnonzero(d_out >= M):
-        d_out[j] = _distance_to_outside(r, complex(w[j]), M)
-    if (d_out >= M).any():
-        bad = complex(w[np.argmax(d_out >= M)])
-        raise LatticeVerificationError(
-            f"clause (a) violated at w={bad}: no exterior node within {M}"
+    w = witnesses = np.array([], dtype=complex)
+    if cert.admissible_rows is not None:  # else no witness, so no point
+        ls, ks = np.meshgrid(
+            np.arange(math.floor((x0 - M) / M), math.ceil((x1 + M) / M) + 1),
+            np.arange(math.floor((y0 - M) / M), math.ceil((y1 + M) / M) + 1),
+            indexing="ij",
         )
+        w = np.empty(ls.size, dtype=complex)
+        w.real, w.imag = ls.ravel() * M, ks.ravel() * M
 
-    # clause (c)(i): witness clearance, measured on the grid
-    cy, cx = _nearest(r.inside_rows, r.h, wy, wx)
-    clear = _edt_distance(r.h, cy - wy, cx - wx)
-    if (clear <= delta).any():
-        j = int(np.argmax(clear <= delta))
-        raise LatticeVerificationError(
-            f"clause (c)(i) violated at w={complex(w[j])}: witness "
-            f"{complex(witnesses[j])} has clearance {clear[j]} <= {delta}"
-        )
-    # clause (c)(ii): containment of the search disc in the 3M witness disc
-    gap = np.abs(w - witnesses)
-    if gap.size and float(gap.max()) > 2 * M + 1e-12:
-        bad = complex(w[int(np.argmax(gap))])
-        raise LatticeVerificationError(
-            f"clause (c)(ii) violated at w={bad}: |w - w*| = {gap.max()} > 2M"
-        )
+        # n: the node nearest w; z: the domain node nearest n
+        ziy, zix = r.nearest_index(w)
+        out = ~r.inside[ziy, zix]
+        ziy[out], zix[out] = _nearest(r.inside_rows, r.h, ziy[out], zix[out])
+        # the search disc meets the sampled domain, and z has a witness
+        # (edge nodes accepted by symmetry have none)
+        keep = np.abs(w - (r.xs[zix] + 1j * r.ys[ziy])) < M * (1 - 1e-12)
+        keep &= cert.witnessed[ziy, zix]
+        w, ziy, zix = w[keep], ziy[keep], zix[keep]
+        wy, wx = cert.witness_of(ziy, zix)
+        witnesses = r.xs[wx] + 1j * r.ys[wy]
 
-    # clause (b): covered sampled domain (nodes with full search discs; edge
-    # nodes under a declared symmetry are covered by translated lattices),
-    # a block of rows at a time, so the first miss found is the first in
-    # row-major order
-    rows, cols = _fit_slices(r, dom.window, M)
-    fit, fit_xs, fit_ys = r.inside[rows, cols], r.xs[cols], r.ys[rows]
-
-    def covered_by(zx, zy, ll, kk):
-        ok = (ll >= lmin) & (ll <= lmax) & (kk >= kmin) & (kk <= kmax)
-        act = np.zeros(zx.shape, dtype=bool)
-        act[ok] = lattice_flag[ll[ok] - lmin, kk[ok] - kmin]
-        return act & ((zx - ll * M) ** 2 + (zy - kk * M) ** 2 < M * M)
-
-    for blk in _line_blocks(fit.shape[0]):
-        iy, ix = np.nonzero(fit[blk])
-        zx, zy = fit_xs[ix], fit_ys[blk][iy]
-        covered = covered_by(zx, zy, np.rint(zx / M).astype(int), np.rint(zy / M).astype(int))
-        rest = np.flatnonzero(~covered)
-        if len(rest):
-            # a node its nearest lattice point misses may lie in the disc
-            # of another of the 16 lattice points around its cell
-            rx, ry = zx[rest], zy[rest]
-            l0 = np.floor(rx / M).astype(int)
-            k0 = np.floor(ry / M).astype(int)
-            for dl in (0, 1, -1, 2):
-                for dk in (0, 1, -1, 2):
-                    covered[rest] |= covered_by(rx, ry, l0 + dl, k0 + dk)
-        if not covered.all():
-            miss = np.argmin(covered)
+        # clause (a): complement reachable inside the search disc
+        d_out = np.abs(w - witnesses)
+        if dom.symmetry == "none":
+            # beyond the window lies complement: cap by the distance to it
+            edge = np.minimum.reduce([w.real - x0, x1 - w.real, w.imag - y0, y1 - w.imag])
+            d_out = np.minimum(d_out, np.maximum(edge, 0.0))
+        for j in np.flatnonzero(d_out >= M):
+            d_out[j] = _distance_to_outside(r, complex(w[j]), M)
+        if (d_out >= M).any():
+            bad = complex(w[np.argmax(d_out >= M)])
             raise LatticeVerificationError(
-                f"clause (b) violated: sampled node {zx[miss] + 1j * zy[miss]} "
-                "is not covered by any lattice disc"
+                f"clause (a) violated at w={bad}: no exterior node within {M}"
             )
 
-    return LatticeWitnessSet(dom, M, delta, w, witnesses)
+        # clause (c)(i): witness clearance, measured on the grid
+        cy, cx = _nearest(r.inside_rows, r.h, wy, wx)
+        clear = _edt_distance(r.h, cy - wy, cx - wx)
+        if (clear <= delta).any():
+            j = int(np.argmax(clear <= delta))
+            raise LatticeVerificationError(
+                f"clause (c)(i) violated at w={complex(w[j])}: witness "
+                f"{complex(witnesses[j])} has clearance {clear[j]} <= {delta}"
+            )
+        # clause (c)(ii): containment of the search disc in the 3M witness disc
+        gap = np.abs(w - witnesses)
+        if gap.size and float(gap.max()) > 2 * M + 1e-12:
+            bad = complex(w[int(np.argmax(gap))])
+            raise LatticeVerificationError(
+                f"clause (c)(ii) violated at w={bad}: |w - w*| = {gap.max()} > 2M"
+            )
+
+    # clause (b), and the largest distance from a node to its covering witness
+    gaps, stray = [], None
+    for z, cover in _cover(r, M, w):
+        miss = cover < 0
+        if not miss.any():
+            gaps.append(float(np.max(np.abs(z - witnesses[cover]))))
+            continue
+        fit = miss & (z.real >= x0 + M) & (z.real <= x1 - M)
+        fit &= (z.imag >= y0 + M) & (z.imag <= y1 - M)
+        if fit.any():
+            raise LatticeVerificationError(
+                f"clause (b) violated: sampled node {z[np.argmax(fit)]} "
+                "is not covered by any lattice disc"
+            )
+        if stray is None:
+            stray = z[np.argmax(miss)]
+    if stray is not None:
+        raise LatticeVerificationError(f"coverage clause violated at sampled node {stray}")
+    return LatticeWitnessSet(dom, M, delta, w, witnesses, max(gaps, default=None))
 
 
 # ---------------------------------------------------------------------------

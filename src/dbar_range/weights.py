@@ -12,20 +12,21 @@ condition but carry strip structure away from a central column.
 `lattice_weight_report` weighs a lattice on the raster of its own domain.
 Its grid scan sums phi = sum |z - w*|^-4 over every witness of the finite
 lattice, truncating nothing; the tail term of gamma_max = 64 annuli is only
-added to the reported `grid_max_phi`.  A and B, and so C, are the closed
-forms of `weight_constants`.
+added to the reported `grid_max_phi`.  The grid minimum of the Hessian
+bound 4 |z - w*|^-6 comes from the lattice's own cover (`cover_gap`).
+A and B, and so C, are the closed forms of `weight_constants`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import geometry
-from .geometry import LatticeVerificationError, LatticeWitnessSet, PlanarDomain
+from .geometry import LatticeWitnessSet, PlanarDomain
 
 __all__ = [
     "weight_constants",
@@ -189,63 +190,6 @@ def _grid_extreme(ws, raster, mask, power, scale, largest) -> float:
     return float(best)
 
 
-def _cover_scan(lat: LatticeWitnessSet) -> tuple[float, float]:
-    """(max of phi, min of the per-term Hessian lower bound) over the
-    raster of the lattice's domain, phi summed over every witness.
-
-    Every inside node must lie within M of a lattice point; its covering
-    point is the nearest one (the first in point order on a tie), and the
-    Hessian bound is 4 |z - w*|^-6 for that point's witness w*.  The scan
-    runs over blocks of `geometry._LINES` raster rows, keeping a running
-    min of the bound: in each block every point, in point order, is tested
-    only against the nodes of its 2M square, widened by a node, since no
-    other node can lie within M of it.  So the covering witness, the one
-    per-node quantity, takes node coordinates one block at a time, and the
-    first uncovered node found is the first in row-major order.  The max
-    of phi is `_grid_extreme`'s on the inside mask: phi is summed only on
-    the raster tiles whose bound from the tile-to-witness distances can
-    reach the largest value, which is exactly the max over all inside
-    nodes.
-    """
-    r = lat.domain.raster
-    if not r.inside.any():
-        raise ValueError("domain has no rasterized nodes")
-    ws, pts, M = lat.witnesses, lat.points, lat.M
-
-    # each point's 2M square of nodes, widened by a node: columns a:b, rows c:e
-    x0, y0, nx, ny = r.xs[0], r.ys[0], len(r.xs), len(r.ys)
-    a = np.maximum(0, np.floor((pts.real - M - x0) / r.h).astype(int))
-    b = np.minimum(nx, np.ceil((pts.real + M - x0) / r.h).astype(int) + 1)
-    c = np.maximum(0, np.floor((pts.imag - M - y0) / r.h).astype(int))
-    e = np.minimum(ny, np.ceil((pts.imag + M - y0) / r.h).astype(int) + 1)
-    zzbar_min = math.inf
-    for blk in geometry._line_blocks(ny):
-        iy, ix = np.nonzero(r.inside[blk])
-        if not iy.size:
-            continue
-        ys = r.ys[blk]
-        # per-node covering witness lower bound: nearest lattice point within M
-        best = np.full((len(ys), nx), np.inf)
-        cover = np.full(best.shape, -1, dtype=np.int32)
-        lo, hi = c - blk.start, e - blk.start  # rows c:e within the block
-        for j in np.flatnonzero((a < b) & (lo < len(ys)) & (hi > 0)):
-            rows, cols = slice(max(lo[j], 0), hi[j]), slice(a[j], b[j])
-            d = np.abs(r.xs[None, cols] + 1j * ys[rows, None] - pts[j])
-            sub_best = best[rows, cols]
-            better = (d < M) & (d < sub_best)
-            sub_best[better] = d[better]
-            cover[rows, cols][better] = j
-        zs = r.xs[ix] + 1j * ys[iy]
-        cover = cover[iy, ix]
-        if np.any(cover < 0):
-            bad = zs[int(np.argmax(cover < 0))]
-            raise LatticeVerificationError(
-                f"coverage clause violated at sampled node {bad}"
-            )
-        zzbar_min = min(zzbar_min, float(np.min(4.0 * np.abs(zs - ws[cover]) ** -6.0)))
-    return _grid_extreme(ws, r, r.inside, -4.0, 1.0, True), zzbar_min
-
-
 # ---------------------------------------------------------------------------
 # Strip weights
 # ---------------------------------------------------------------------------
@@ -331,7 +275,6 @@ class StripWeightFamily:
         self.quad_from = quad_from
         self.max_gap = max(b - a for a, b in zip(cs, cs[1:]))
         self.sup_value = self.max_gap**2
-        self.sup_dy = self._scan_sup_dy()
 
     @staticmethod
     def _heights(z) -> np.ndarray:
@@ -368,7 +311,10 @@ class StripWeightFamily:
         out[quad] = 0.5
         return float(out[0]) if scalar else out
 
-    def _scan_sup_dy(self) -> float:
+    @cached_property
+    def sup_dy(self) -> float:
+        """Sup of |d phi / dy|, sampled densely on each band; read only by
+        the composite's cross-term bound without a transition region."""
         sup = 0.0
         for a, b in zip(self.cs, self.cs[1:]):
             ys = np.linspace(a, b, 4097)
@@ -603,15 +549,24 @@ def certificate(A: float, B: float) -> WeightCertificate:
 def lattice_weight_report(lat: LatticeWitnessSet) -> dict:
     """The weight-report payload of a certified lattice, on its domain.
 
-    A and B are `weight_constants` at the lattice's M and delta.  The scan
-    sums phi over every witness of the finite lattice and truncates
-    nothing; `tail_bound`, the part of the series beyond _GAMMA_MAX annuli
-    of the covering lattice point, is only added to the reported
-    `grid_max_phi`.  No verdict reads that field.
+    A and B are `weight_constants` at the lattice's M and delta.
+    `grid_max_phi` is `_grid_extreme`'s max of phi over the inside nodes,
+    summed over every witness of the finite lattice, truncating nothing;
+    `tail_bound`, the part of the series beyond _GAMMA_MAX annuli of the
+    covering lattice point, is only added to it, and no verdict reads that
+    field.  `grid_min_zzbar` is 4 cover_gap^-6, the least of the per-node
+    bounds 4 |z - w*|^-6.  Raises ValueError when the domain has no inside
+    node.
     """
+    if lat.cover_gap is None:
+        raise ValueError("domain has no rasterized nodes")
     A, B = weight_constants(lat.M, lat.delta)
     tail = 56.0 / lat.M**4 * (1.0 / (2.0 * _GAMMA_MAX**2))
-    max_phi, min_zzbar = _cover_scan(lat)
+    r = lat.domain.raster
+    max_phi = _grid_extreme(lat.witnesses, r, r.inside, -4.0, 1.0, True)
+    # numpy's array power, which may round apart from a float's, as the
+    # per-node bounds were taken
+    min_zzbar = 4.0 * np.array([lat.cover_gap]) ** -6.0
     cert = certificate(A, B)
     return {
         "M": lat.M,
@@ -623,6 +578,6 @@ def lattice_weight_report(lat: LatticeWitnessSet) -> dict:
         "C": cert.C if math.isfinite(cert.C) else None,
         "log10_C": cert.log10_C,
         "kind": cert.kind,
-        "grid_min_zzbar": min_zzbar,
+        "grid_min_zzbar": float(min_zzbar[0]),
         "grid_max_phi": max_phi + tail,
     }

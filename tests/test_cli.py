@@ -270,6 +270,18 @@ def test_malformed_scenario_spec_exits_1_naming_the_key(spec, key, tmp_path, cap
     assert err.startswith("error: scenario ") and key in err
 
 
+@pytest.mark.parametrize("doc", [[], "x"], ids=["list", "string"])
+@pytest.mark.parametrize("extra", [[], ["--mesh", "0.05"], ["--seed", "3"]],
+                         ids=["plain", "mesh", "seed"])
+def test_scenario_spec_that_is_no_object_exits_1(doc, extra, tmp_path, capsys):
+    # --mesh and --seed go into the spec only when it is an object
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    argv = ["scenario", "--spec", str(path), "--out", str(tmp_path), *extra]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: scenario spec needs a 'scenario' key\n"
+
+
 def test_certify_modules_leave_spline_interpolation_unimported(tmp_path):
     # a certify run needs neither spline interpolation nor the discrete
     # operator and its sparse solvers

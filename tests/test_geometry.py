@@ -381,12 +381,11 @@ class TestLineBlocks:
         # the oracle: every fit node against every kept point, row-major
         rows, cols = _fit_slices(r, dom.window, M)
         iy, ix = np.nonzero(r.inside[rows, cols])
-        zx, zy = r.xs[cols][ix], r.ys[rows][iy]
-        covered = ((zx[:, None] - kept.real) ** 2 + (zy[:, None] - kept.imag) ** 2 < M * M).any(1)
+        zs = r.xs[cols][ix] + 1j * r.ys[rows][iy]
+        covered = (np.abs(zs[:, None] - kept) < M).any(1)
         miss = np.argmin(covered)
         assert not covered[miss] and iy[miss] > 0
-        want = (f"clause (b) violated: sampled node {zx[miss] + 1j * zy[miss]} "
-                "is not covered by any lattice disc")
+        want = f"clause (b) violated: sampled node {zs[miss]} is not covered by any lattice disc"
         for lines in (geometry._LINES, 1):
             monkeypatch.setattr(geometry, "_LINES", lines)
             with pytest.raises(LatticeVerificationError) as err:

@@ -24,6 +24,7 @@ from dbar_range.geometry import (
     build_lattice,
     condition_x,
     load_domain,
+    plane,
 )
 from dbar_range.weights import (
     CompositeCertification,
@@ -85,29 +86,45 @@ class TestWeightConstants:
             weight_constants(1.0, -1.0)
 
 
-def single_witness_set():
-    return LatticeWitnessSet(
-        domain=far_rect_domain(),
-        M=2.0,
-        delta=0.5,
-        points=np.array([1.0 + 0j]),
-        witnesses=np.array([0j]),
-    )
+def cover_oracle(r, M, points):
+    """(z, cover) of every inside node in row-major order: each node against
+    every point, in point order, keeping a point only when np.abs puts it
+    within M and strictly nearer than the best so far."""
+    iy, ix = np.nonzero(r.inside)
+    zs = r.xs[ix] + 1j * r.ys[iy]
+    best = np.full(len(zs), np.inf)
+    cover = np.full(len(zs), -1)
+    for j, p in enumerate(points):
+        d = np.abs(zs - p)
+        better = (d < M) & (d < best)
+        best[better] = d[better]
+        cover[better] = j
+    return zs, cover
 
 
-def far_rect_domain():
-    return PlanarDomain(Rect(9.0, 11.0, -1.0, 1.0), (8, 12, -2, 2), 0.05)
+def binary_gallery():
+    # nodes k/32 apart, all exact, so with M = 1 every node at x or y = 1/2
+    # mod 1 lies on a bisector of the lattice and ties exactly
+    return replace(make_gallery(), mesh=1 / 32)
+
+
+def miscovered_rect():
+    # this rect wrongly declares translation_x: edge nodes accepted by the
+    # symmetry lie beyond the reach of every lattice point
+    rect = Rect(-2.5, 0.8339, 0.0, 4.0)
+    dom = PlanarDomain(rect, (-1.9446, 2.0554, -2.0, 2.3056), 0.03, "translation_x")
+    return condition_x(dom, 1.450574808902904, 0.18370715135139506)
 
 
 class TestSeriesWeight:
     def test_single_witness_closed_form(self):
-        phi = PointSeriesWeight(single_witness_set().witnesses)
+        phi = PointSeriesWeight(np.array([0j]))
         assert phi.value(1.0 + 0j) == 1.0
         assert phi.zzbar(1.0 + 0j) == 4.0
 
     def test_zzbar_matches_finite_differences(self):
         # oracle: Laplacian/4 of |z - w|^-4 equals 4 |z - w|^-6
-        w = PointSeriesWeight(single_witness_set().witnesses)
+        w = PointSeriesWeight(np.array([0j]))
         phi = w.value
         z = 1.3 + 0.4j
         h = 1e-4
@@ -119,95 +136,122 @@ class TestSeriesWeight:
         assert zzbar <= lap / 4.0 * (1 + 1e-6)
 
     def test_empty_witness_set_errors(self):
-        # an empty witness set covers no node of the domain
-        empty = LatticeWitnessSet(
-            far_rect_domain(), 1.0, 0.1, np.array([], dtype=complex), np.array([], dtype=complex)
-        )
-        with pytest.raises(LatticeVerificationError):
-            lattice_weight_report(empty)
+        # the plane fills its window, so no node is admissible and no point
+        # is kept; every node is an edge node accepted by the symmetry, and
+        # the first one is the first left uncovered
+        dom = PlanarDomain(plane(), (-1.0, 1.0, -1.0, 1.0), 0.05, "translation_x")
+        cert = condition_x(dom, M=1.5, delta=0.3)
+        assert cert.holds and cert.admissible_rows is None
+        with pytest.raises(LatticeVerificationError) as err:
+            build_lattice(cert)
+        assert str(err.value) == f"coverage clause violated at sampled node {-1.0 - 1.0j}"
 
     def test_uncovered_point_errors(self):
-        # a witness set near 0 leaves the nodes of a domain near 10 uncovered
-        with pytest.raises(LatticeVerificationError):
-            lattice_weight_report(single_witness_set())
+        # without the points of its two lowest rows the lattice leaves the
+        # lowest strip uncovered: those nodes come first in row-major order
+        # but lie within M of the window's edge; without 0 and i too it
+        # leaves nodes near i/2 uncovered, and clause (b) names the first
+        cert = condition_x(make_gallery(), M=1.0, delta=0.2)
+        r, M = cert.raster, cert.M
+        points = build_lattice(cert).points
+        # z: the domain node nearest the node nearest each point
+        ziy, zix = r.nearest_index(points)
+        out = ~r.inside[ziy, zix]
+        ziy[out], zix[out] = geometry._nearest(r.inside_rows, r.h, ziy[out], zix[out])
+        cert.witnessed = cert.witnessed.copy()
+        for drop, clause in ((points.imag <= -5, "coverage clause"),
+                             (np.isin(points, [0j, 1j]), "clause (b)")):
+            cert.witnessed[ziy[drop], zix[drop]] = False
+            with mock.patch.object(geometry, "_cover", wraps=geometry._cover) as cover_pass:
+                with pytest.raises(LatticeVerificationError) as err:
+                    build_lattice(cert)
+            assert str(err.value).startswith(f"{clause} violated")
+        zs, cover = cover_oracle(r, M, cover_pass.call_args.args[2])
+        x0, x1, y0, y1 = cert.domain.window
+        fit = (zs.real >= x0 + M) & (zs.real <= x1 - M) & (zs.imag >= y0 + M) & (zs.imag <= y1 - M)
+        first, first_fit = np.argmax(cover < 0), np.argmax((cover < 0) & fit)
+        assert first < first_fit and abs(zs[first_fit] - 0.5j) < 0.5
+        assert str(err.value) == (f"clause (b) violated: sampled node {zs[first_fit]} "
+                                  "is not covered by any lattice disc")
+
+    def test_empty_raster_has_no_weight(self):
+        dom = PlanarDomain(Union(()), (-2, 2, -2, 2), 0.01)
+        lat = build_lattice(condition_x(dom, M=1.0, delta=0.05))
+        assert len(lat) == 0 and lat.cover_gap is None
+        with pytest.raises(ValueError, match="^domain has no rasterized nodes$"):
+            lattice_weight_report(lat)
 
     def test_cover_matches_scan_over_all_nodes(self):
-        # reference: test every point against every node in point order,
-        # keeping the first of equally near points; the points here are off
-        # the lattice, repeated and on nodes, so ties and borders occur
-        dom = PlanarDomain(Rect(-1.9, 1.7, -1.3, 1.1), (-2, 2, -1.5, 1.5), 0.05)
-        r = dom.raster
-        rng = np.random.default_rng(7)
-        gx, gy = np.meshgrid(np.arange(-2.087, 2.1, 0.5), np.arange(-1.513, 1.6, 0.5))
-        grid = (gx + 1j * gy).ravel()
-        free = rng.uniform(-2, 2, 30) + 1j * rng.uniform(-1.5, 1.5, 30)
-        on_nodes = r.xs[[3, 40, 40]] + 1j * r.ys[[5, 20, 20]]
-        pts = np.concatenate([grid, free, on_nodes, free[:5], grid[::3]])
-        self.check_cover(dom, pts, 0.6)
-        # rows of points 1.38 apart: a node between two of them is covered
-        # only by points at nearly M = 0.7 to its left or right
-        gx, gy = np.meshgrid(-2.3 + 1.38 * np.arange(4), -1.5 + 0.2 * np.arange(16))
-        self.check_cover(dom, (gx + 1j * gy).ravel(), 0.7)
+        # real lattices, each with nodes on the bisectors of the lattice that
+        # two points cover exactly as near (x = odd integers on the shipped
+        # gallery at M = 2)
+        for dom, M, delta in [
+            (binary_gallery(), 1.0, 0.2),
+            (load_domain(ROOT / "domains" / "uniform_gallery.json"), 2.0, 0.1),
+            (make_gallery(), 0.6, 0.2),
+        ]:
+            self.check_cover(dom, M, delta)
 
     @staticmethod
-    def check_cover(dom, pts, M):
+    def check_cover(dom, M, delta):
+        lat = build_lattice(condition_x(dom, M, delta))
         r = dom.raster
-        iy, ix = np.nonzero(r.inside)
-        zs = r.xs[ix] + 1j * r.ys[iy]
-        best = np.full(len(zs), np.inf)
-        cover = np.full(len(zs), -1)
-        for j, p in enumerate(pts):
-            d = np.abs(zs - p)
-            better = (d < M) & (d < best)
-            best[better] = d[better]
-            cover[better] = j
-        assert np.all(cover >= 0)
-        # moving one point's witness far away makes the Hessian minimum
-        # that of the nodes this point covers, so each run checks one
-        # point's share of the cover
-        for j in range(len(pts)):
-            ws = pts + 10.0
-            ws[j] += 1000.0
-            want = float(np.min(4.0 * np.abs(zs - ws[cover]) ** -6.0))
-            lat = LatticeWitnessSet(dom, M, 0.1, pts, ws)
-            assert lattice_weight_report(lat)["grid_min_zzbar"] == want
-
-    @staticmethod
-    def covering_set(hole=None):
-        # points 0.5 apart with M = 0.6 cover the rect; the points within
-        # 0.6 of `hole` are left out.  61 rows: a multiple of no block
-        # size tried
-        dom = PlanarDomain(Rect(-1.9, 1.7, -1.3, 1.1), (-2, 2.05, -1.5, 1.5), 0.05)
-        gx, gy = np.meshgrid(np.arange(-2.087, 2.1, 0.5), np.arange(-1.513, 1.6, 0.5))
-        pts = (gx + 1j * gy).ravel()
-        if hole is not None:
-            pts = pts[np.abs(pts - hole) >= 0.6]
-        ws = pts + 10.0 + np.linspace(0.0, 1.0, len(pts)) * 1j
-        return LatticeWitnessSet(dom, 0.6, 0.1, pts, ws)
+        zs, cover = cover_oracle(r, M, lat.points)
+        got = list(geometry._cover(r, M, lat.points))
+        assert np.array_equal(np.concatenate([z for z, _ in got]), zs)
+        assert np.array_equal(np.concatenate([c for _, c in got]), cover)
+        assert cover.min() >= 0
+        d = np.abs(zs - lat.witnesses[cover])
+        assert lat.cover_gap == float(np.max(d))
+        # the report's bound is the per-node minimum of 4 |z - w*|^-6
+        assert lattice_weight_report(lat)["grid_min_zzbar"] == float(np.min(4.0 * d**-6.0))
+        # exact ties: another point as near as the covering one
+        near = np.abs(zs - lat.points[cover])
+        tie = np.zeros(len(zs), dtype=bool)
+        for j, p in enumerate(lat.points):
+            tie |= (np.abs(zs - p) == near) & (cover != j)
+        assert tie.sum() >= 100
 
     @pytest.mark.parametrize("lines", [1, 3, 7])
     def test_stats_equal_the_default_block(self, lines):
-        lat = self.covering_set()
-        gal_lat = build_lattice(condition_x(make_gallery(), M=1.0, delta=0.2))
-        assert len(lat.domain.raster.ys) == 61 and len(gal_lat.domain.raster.ys) == 267
-        want = [lattice_weight_report(lat), lattice_weight_report(gal_lat)]
-        with mock.patch.object(geometry, "_LINES", lines):
-            got = [lattice_weight_report(lat), lattice_weight_report(gal_lat)]
-        assert got == want
+        # two lattices of 267 and 385 raster rows: multiples of no block
+        # size tried; the chunks of inside nodes shrink too
+        doms = [(make_gallery(), 1.0, 0.2), (binary_gallery(), 1.0, 0.2)]
+
+        def run():
+            out = []
+            for dom, M, delta in doms:
+                lat = build_lattice(condition_x(replace(dom), M, delta))
+                out.append((lat.points.tolist(), lat.witnesses.tolist(), lat.cover_gap,
+                            lattice_weight_report(lat)))
+            return out
+
+        want = run()
+        assert [len(d.raster.ys) for d, _, _ in doms] == [267, 385]
+        with mock.patch.object(geometry, "_LINES", lines), \
+                mock.patch.object(geometry, "_CHUNK", 37 * lines):
+            assert run() == want
 
     def test_coverage_error_names_the_first_uncovered_node(self):
-        lat = self.covering_set(hole=0.4 + 0.2j)
-        # the oracle: every inside node against every point, row-major
-        r = lat.domain.raster
-        iy, ix = np.nonzero(r.inside)
-        zs = r.xs[ix] + 1j * r.ys[iy]
-        covered = (np.abs(zs[:, None] - lat.points) < lat.M).any(axis=1)
-        miss = int(np.argmin(covered))
-        assert not covered[miss] and iy[miss] > 0
+        cert = miscovered_rect()
+        r, M = cert.raster, cert.M
+        with mock.patch.object(geometry, "_cover", wraps=geometry._cover) as cover_pass:
+            with pytest.raises(LatticeVerificationError):
+                build_lattice(cert)
+        # the oracle: every inside node against every kept point, row-major
+        zs, cover = cover_oracle(r, M, cover_pass.call_args.args[2])
+        miss = int(np.argmax(cover < 0))
+        assert cover[miss] < 0 and zs[miss].imag > r.ys[0]
+        # no miss has a full search disc, so none violates clause (b)
+        x0, x1, y0, y1 = cert.domain.window
+        z = zs[cover < 0]
+        assert not np.any((z.real >= x0 + M) & (z.real <= x1 - M)
+                          & (z.imag >= y0 + M) & (z.imag <= y1 - M))
         for lines in (geometry._LINES, 1):
-            with mock.patch.object(geometry, "_LINES", lines):
+            with mock.patch.object(geometry, "_LINES", lines), \
+                    mock.patch.object(geometry, "_CHUNK", 7):
                 with pytest.raises(LatticeVerificationError) as err:
-                    lattice_weight_report(lat)
+                    build_lattice(cert)
             assert str(err.value) == f"coverage clause violated at sampled node {zs[miss]}"
 
     def test_tail_contract(self):
@@ -415,15 +459,16 @@ class TestGridExtreme:
 def loop_lattice(dom, M, delta, cert):
     """The lattice as one Python loop over (l, k) that snaps the complex
     witness pairs back to the grid, takes its nearest domain nodes and
-    clearances from scipy's distance transform and decides clause (a) over
+    clearances from scipy's distance transform, decides clause (a) over
     every node outside the domain and, without a declared symmetry, the
-    outside of the window: the oracle of the array version."""
+    outside of the window, and covers every inside node by `cover_oracle`:
+    the oracle of the array version."""
     if not cert.holds:
         raise ConfigurationError("condition X does not hold")
     r = cert.raster
     empty = np.array([], dtype=complex)
     if not r.inside.any():
-        return LatticeWitnessSet(dom, M, delta, empty, empty)
+        return LatticeWitnessSet(dom, M, delta, empty, empty, None)
     sample_points, witness_points = cert.sample_points, cert.witness_points
     sample_row = np.full(r.inside.shape, -1, dtype=np.int32)
     sx = np.clip(np.rint((sample_points.real - r.xs[0]) / r.h), 0, len(r.xs) - 1)
@@ -439,7 +484,6 @@ def loop_lattice(dom, M, delta, cert):
     lmin, lmax = math.floor((x0 - M) / M), math.ceil((x1 + M) / M)
     kmin, kmax = math.floor((y0 - M) / M), math.ceil((y1 + M) / M)
     points, witnesses = [], []
-    lattice_flag = np.zeros((lmax - lmin + 1, kmax - kmin + 1), dtype=bool)
     for l in range(lmin, lmax + 1):
         for k in range(kmin, kmax + 1):
             w = complex(l * M, k * M)
@@ -456,7 +500,6 @@ def loop_lattice(dom, M, delta, cert):
                 continue
             points.append(w)
             witnesses.append(complex(witness_points[row]))
-            lattice_flag[l - lmin, k - kmin] = True
             beyond = min(w.real - x0, x1 - w.real, w.imag - y0, y1 - w.imag) < M
             if not (np.abs(w - outside) < M).any() and not (
                 dom.symmetry == "none" and beyond
@@ -471,32 +514,26 @@ def loop_lattice(dom, M, delta, cert):
     gap = np.abs(points_arr - witnesses_arr)
     if gap.size and float(gap.max()) > 2 * M + 1e-12:
         raise LatticeVerificationError("clause (c)(ii) violated")
-    iy, ix = np.nonzero(r.inside)
-    zx, zy = r.xs[ix], r.ys[iy]
-    fits = (zx >= x0 + M) & (zx <= x1 - M) & (zy >= y0 + M) & (zy <= y1 - M)
-    zx, zy = zx[fits], zy[fits]
-    covered = np.zeros(zx.shape, dtype=bool)
-    l0, k0 = np.floor(zx / M).astype(int), np.floor(zy / M).astype(int)
-    for dl in (0, 1, -1, 2):
-        for dk in (0, 1, -1, 2):
-            ll, kk = l0 + dl, k0 + dk
-            okrange = (ll >= lmin) & (ll <= lmax) & (kk >= kmin) & (kk <= kmax)
-            act = np.zeros(zx.shape, dtype=bool)
-            act[okrange] = lattice_flag[ll[okrange] - lmin, kk[okrange] - kmin]
-            covered |= act & ((zx - ll * M) ** 2 + (zy - kk * M) ** 2 < M * M)
-    if not covered.all():
+    zs, cover = cover_oracle(r, M, points_arr)
+    miss = zs[cover < 0]
+    fits = (miss.real >= x0 + M) & (miss.real <= x1 - M)
+    fits &= (miss.imag >= y0 + M) & (miss.imag <= y1 - M)
+    if fits.any():
         raise LatticeVerificationError("clause (b) violated")
-    return LatticeWitnessSet(dom, M, delta, points_arr, witnesses_arr)
+    if miss.size:
+        raise LatticeVerificationError("coverage clause violated")
+    cover_gap = float(np.max(np.abs(zs - witnesses_arr[cover])))
+    return LatticeWitnessSet(dom, M, delta, points_arr, witnesses_arr, cover_gap)
 
 
 def lattice_outcome(build):
-    """The points and witnesses, or the clause a LatticeVerificationError
-    names."""
+    """The points, witnesses and cover gap, or the clause a
+    LatticeVerificationError names."""
     try:
         lat = build()
     except LatticeVerificationError as exc:
         return ("error", str(exc).split(" violated")[0])
-    return ("ok", lat.points.tolist(), lat.witnesses.tolist())
+    return ("ok", lat.points.tolist(), lat.witnesses.tolist(), lat.cover_gap)
 
 
 def origin_witness(dom, delta):
@@ -609,6 +646,7 @@ class TestStripWeight:
 
     def test_family_sup_dy_bounds_the_dense_gradient(self):
         fam = StripWeightFamily([0.0, 1.0, 2.0], quad_from=[0.2, 1.2])
+        assert "sup_dy" not in vars(fam)  # sampled when first read
         for lo, hi, qf in ((0.0, 1.0, 0.2), (1.0, 2.0, 1.2)):
             ys = np.linspace(lo, hi, 20001)
             vals = [strip_weight(lo, hi, y, quad_from=qf)[0] for y in ys]
