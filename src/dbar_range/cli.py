@@ -177,8 +177,9 @@ def cmd_verify(args) -> int:
     whose ratio is the discrete constant 1/sigma_min, checked against --C.
     An eigensolver failure raises SolverError (exit 1, no report).  With
     --dump-field verify_field.csv holds that solution, the extremal field,
-    per triangle.  --seed is recorded in the report and drives nothing."""
-    from .discrete import assemble, closed_range_constant, least_norm_solve, verify_certificate
+    per triangle, from the one solve the check made.  --seed is recorded in
+    the report and drives nothing."""
+    from .discrete import assemble, closed_range_constant, verify_certificate
     from .reporting import stamp, write_csv, write_report
 
     config = {
@@ -202,7 +203,7 @@ def cmd_verify(args) -> int:
     }
     path = write_report(Path(args.out) / "verify_report.json", stamp(report, config))
     if args.dump_field:
-        v, _ = least_norm_solve(g, g.ground_state[1])
+        v = g.ground_solve[0]  # the solve verify_certificate made
         write_csv(
             Path(args.out) / "verify_field.csv",
             {

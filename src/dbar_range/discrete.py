@@ -5,7 +5,8 @@ Two discretizations live on the raster's inside nodes.
 `op` maps node values of a function to node values of its dzbar
 derivative (du/dx + i du/dy)/2, with centered differences where both
 neighbors are inside and one-sided differences toward the boundary.  It
-imposes no boundary condition; it serves the twisted quadrature check.
+imposes no boundary condition; it serves the twisted quadrature check, and
+`DbarGrid` builds it only when first read.
 
 The closed-range constant and the canonical solution go through the
 dbar-Neumann operator.  In one variable, box = dbar dbar* on (0,1)-forms is
@@ -22,7 +23,13 @@ Dirichlet Laplacian.  One block LDL^T factor of `lap` over raster lines
 is verified by one solve: the canonical solution for the lambda_1
 eigenvector attains 1/sigma_min, so no other data can exceed its ratio.
 Node norms use the weight h^2 per node, triangle norms h^2/2 per
-triangle.  The module needs numpy alone.
+triangle.
+
+What is built when: `assemble` builds `adj`, `lap` and its factor, which
+is all verify reads; the lambda_1 eigenpair and its canonical solution are
+built on first read and kept on the grid.  No step of verify builds `op`
+or a transposed copy of `adj`.  The module needs numpy alone, and not
+numpy.ma either (see `_distinct`).
 """
 
 from __future__ import annotations
@@ -94,12 +101,32 @@ class CooMatrix:
         return out
 
     def __matmul__(self, x) -> np.ndarray:
-        prod = self.vals * np.asarray(x)[self.cols]
-        n = self.shape[0]
-        out = np.bincount(self.rows, weights=prod.real, minlength=n)
-        if np.iscomplexobj(prod):
-            out = out + 1j * np.bincount(self.rows, weights=prod.imag, minlength=n)
-        return out
+        return _scatter(self.rows, self.vals * np.asarray(x)[self.cols], self.shape[0])
+
+    def rmatvec(self, x) -> np.ndarray:
+        """A^H x from the stored triplets, without building `H`.
+
+        The entries are sorted by row, so each column's products are summed
+        in row order, as `H @ x` sums them: the two agree bit for bit.
+        """
+        return _scatter(self.cols, self.vals.conj() * np.asarray(x)[self.rows], self.shape[1])
+
+
+def _scatter(bins, prod, n) -> np.ndarray:
+    """Sums of `prod` per bin, each in the order the products come."""
+    out = np.bincount(bins, weights=prod.real, minlength=n)
+    if np.iscomplexobj(prod):
+        out = out + 1j * np.bincount(bins, weights=prod.imag, minlength=n)
+    return out
+
+
+def _distinct(a) -> np.ndarray:
+    """The sorted distinct values of `a`.  Plain `np.unique(a)` imports
+    numpy.ma (numpy 2.x checks for a masked array), about 1 MB resident."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 class LineFactor:
@@ -144,19 +171,20 @@ class LineFactor:
             run = np.cumsum(np.diff(here, prepend=-2) != 1) - 1
             # runs that share an earlier block fall in one group
             group = np.arange(run[-1] + 1)
-            for b in np.unique(up[up >= 0]) if run[-1] else ():
+            for b in _distinct(up[up >= 0]) if run[-1] else ():
                 joined = np.isin(group, group[run[up == b]])
                 group[joined] = group[joined].min()
             node_group = group[run]
             block, local = no_line.copy(), no_line.copy()
-            for g in np.unique(group):
+            # each group is labelled by its first run
+            for g in np.flatnonzero(group == np.arange(len(group))):
                 loc = np.flatnonzero(node_group == g)
                 block[here[loc]], local[here[loc]] = len(self.blocks), np.arange(len(loc))
                 S = 4.0 * np.eye(len(loc))
                 nb = np.flatnonzero(np.diff(here[loc]) == 1)
                 S[nb, nb + 1] = S[nb + 1, nb] = -1.0
                 couplings = []
-                for b in np.unique(up[loc]):
+                for b in _distinct(up[loc]):
                     if b >= 0:
                         at = here[loc[up[loc] == b]]
                         p, q = above_local[at], local[at]
@@ -203,31 +231,37 @@ def lanczos(factor: LineFactor, lap: CooMatrix, maxiter: int = LANCZOS_STEPS):
     x, steps, residual) with ||x|| = 1 and that relative residual, the last
     pair also when the cap stopped it, or None when no finite Ritz pair was
     formed.
+
+    The Krylov vectors fill the rows of one array of min(maxiter, n) rows
+    in place; its rows not yet written take no resident memory.
     """
     n = lap.shape[0]
-    basis = np.full((1, n), 1.0 / math.sqrt(n))
+    steps = min(maxiter, n)
+    basis = np.empty((steps, n))
+    basis[0] = 1.0 / math.sqrt(n)
     alphas, betas = [], []
     found = None
-    for step in range(1, min(maxiter, n) + 1):
-        w = factor.solve(basis[-1])
-        alphas.append(float(basis[-1] @ w))
+    for step in range(1, steps + 1):
+        q = basis[:step]
+        w = factor.solve(q[-1])
+        alphas.append(float(q[-1] @ w))
         for _ in range(2):
-            w -= basis.T @ (basis @ w)
+            w -= q.T @ (q @ w)
         beta = float(np.linalg.norm(w))
         tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         if not (np.isfinite(tri).all() and math.isfinite(beta)):
             break
         y = np.linalg.eigh(tri)[1][:, -1]
-        x = y @ basis
+        x = y @ q
         x /= np.linalg.norm(x)
         lx = lap @ x
         lam = float(x @ lx)
         resid = float(np.linalg.norm(lx - lam * x) / abs(lam))
         found = (lam, x, step, resid)
-        if resid <= LANCZOS_TOL or beta == 0.0:
+        if resid <= LANCZOS_TOL or beta == 0.0 or step == steps:
             break
         betas.append(beta)
-        basis = np.vstack([basis, w / beta])
+        basis[step] = w / beta
     return found
 
 
@@ -235,17 +269,19 @@ def lanczos(factor: LineFactor, lap: CooMatrix, maxiter: int = LANCZOS_STEPS):
 class DbarGrid:
     """Discrete dbar on the rasterized domain, in both discretizations.
 
-    `op` maps node values of a function to node values of the (0,1)-form
-    coefficient.  `adj` maps (0,1)-forms at the nodes to functions on the
-    triangles centred at `tri_z`; `lap` is the 5-point Dirichlet Laplacian
-    and `lap_factor` its block LDL^T factor over raster lines, which costs
-    O(sum m_k^3) time and O(sum m_k^2) memory for m_k inside nodes on line
-    k (see `LineFactor`).  Nothing here takes a distance transform.
+    `assemble` builds what verify reads: `adj` maps (0,1)-forms at the
+    nodes to functions on the triangles centred at `tri_z`, `lap` is the
+    5-point Dirichlet Laplacian and `lap_factor` its block LDL^T factor over
+    raster lines, which costs O(sum m_k^3) time and O(sum m_k^2) memory for
+    m_k inside nodes on line k (see `LineFactor`).  The rest is built when
+    first read and then kept: `ground_state` and `ground_solve` by verify,
+    `op`, which maps node values of a function to node values of the
+    (0,1)-form coefficient, only by the twisted check and the tests.
+    Nothing here takes a distance transform.
     """
 
     domain: PlanarDomain
     nodes_z: np.ndarray
-    op: CooMatrix
     adj: CooMatrix
     tri_z: np.ndarray
     lap: CooMatrix
@@ -284,6 +320,68 @@ class DbarGrid:
                 f"lambda_1 ~ {lam:.6g}, relative residual {resid:.3e} > 1e-08"
             )
         return lam, vec if vec.sum() >= 0 else -vec
+
+    @cached_property
+    def ground_solve(self) -> tuple[np.ndarray, SolveReport]:
+        """`least_norm_solve` of the `ground_state` eigenvector: the extremal
+        field on the triangles and its report, whose ratio is 1/sigma_min.
+        `verify_certificate` reads the ratio and `verify --dump-field`
+        writes the field, so verify solves once."""
+        return least_norm_solve(self, self.ground_state[1])
+
+    @cached_property
+    def op(self) -> CooMatrix:
+        """Node values of a function to node values of its dzbar derivative.
+
+        Centred differences where both neighbours in a direction are
+        inside, one-sided ones toward the boundary.  The stencil never
+        reads outside the domain raster: a direction with no inside
+        neighbour contributes nothing at that node (degenerate for
+        one-node-wide ribbons, documented).
+        """
+        left, right, down, up = _neighbours(_node_index(self.domain.raster.inside))
+        h = self.h
+        ids = np.arange(self.size)
+        rows, cols, vals = [], [], []
+
+        def add(r_, c_, v_):
+            rows.append(r_)
+            cols.append(c_)
+            vals.append(v_)
+
+        def add_direction(minus, plus, coef):
+            both = (minus >= 0) & (plus >= 0)
+            add(ids[both], plus[both], np.full(both.sum(), coef / (2 * h)))
+            add(ids[both], minus[both], np.full(both.sum(), -coef / (2 * h)))
+            fwd = (minus < 0) & (plus >= 0)
+            add(ids[fwd], plus[fwd], np.full(fwd.sum(), coef / h))
+            add(ids[fwd], ids[fwd], np.full(fwd.sum(), -coef / h))
+            bwd = (minus >= 0) & (plus < 0)
+            add(ids[bwd], ids[bwd], np.full(bwd.sum(), coef / h))
+            add(ids[bwd], minus[bwd], np.full(bwd.sum(), -coef / h))
+            # neither neighbor: the direction is degenerate and contributes 0
+
+        add_direction(left, right, 0.5 + 0j)
+        add_direction(down, up, 0.5j)
+        return CooMatrix(
+            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+            (self.size, self.size),
+        )
+
+
+def _node_index(inside: np.ndarray) -> np.ndarray:
+    """Grid of unknown numbers, row-major over the inside nodes, -1 outside."""
+    index = np.full(inside.shape, -1, dtype=np.int64)
+    index[inside] = np.arange(int(inside.sum()))
+    return index
+
+
+def _neighbours(index: np.ndarray) -> np.ndarray:
+    """The unknowns left of, right of, below and above each unknown, as the
+    rows of a (4, n) array, -1 where that neighbour is outside."""
+    iy, ix = np.nonzero(index >= 0)
+    p = np.pad(index, 1, constant_values=-1)
+    return np.stack([p[iy + 1, ix], p[iy + 1, ix + 2], p[iy, ix + 1], p[iy + 2, ix + 1]])
 
 
 def _dbar_adjoint(index: np.ndarray, x0: float, y0: float, h: float):
@@ -324,68 +422,28 @@ def _dbar_adjoint(index: np.ndarray, x0: float, y0: float, h: float):
 
 
 def assemble(dom: PlanarDomain) -> DbarGrid:
-    """Build both discrete operators at the domain's mesh and factor the Laplacian.
+    """Build `adj` and `lap` at the domain's mesh and factor the Laplacian.
 
-    The `op` stencil never reads outside the domain raster: a direction
-    with no inside neighbor contributes nothing at that node (degenerate
-    for one-node-wide ribbons, documented).
+    These are all that verify reads; `DbarGrid.op` is built when first read.
     """
     x0, x1, y0, y1 = dom.window
     h = dom.mesh
     if h > min(x1 - x0, y1 - y0) / 16:
         raise MeshError(f"mesh {h} exceeds window/16")
     r = dom.raster
-    inside = r.inside
-    n_nodes = int(inside.sum())
+    n_nodes = int(r.inside.sum())
     if n_nodes < 16:
         raise MeshError(f"only {n_nodes} interior nodes at mesh {h}; need >= 16")
 
-    index = np.full(inside.shape, -1, dtype=np.int64)
-    iy, ix = np.nonzero(inside)
-    ids = np.arange(n_nodes)
-    index[iy, ix] = ids
+    index = _node_index(r.inside)
+    iy, ix = np.nonzero(r.inside)
     nodes_z = r.xs[ix] + 1j * r.ys[iy]
-
-    def neighbor(dy, dx):
-        jy, jx = iy + dy, ix + dx
-        ok = (jy >= 0) & (jy < inside.shape[0]) & (jx >= 0) & (jx < inside.shape[1])
-        nid = np.full(n_nodes, -1, dtype=np.int64)
-        nid[ok] = index[jy[ok], jx[ok]]
-        return nid
-
-    left, right = neighbor(0, -1), neighbor(0, 1)
-    down, up = neighbor(-1, 0), neighbor(1, 0)
-
-    rows, cols, vals = [], [], []
-
-    def add(r_, c_, v_):
-        rows.append(r_)
-        cols.append(c_)
-        vals.append(v_)
-
-    def add_direction(minus, plus, coef):
-        both = (minus >= 0) & (plus >= 0)
-        add(ids[both], plus[both], np.full(both.sum(), coef / (2 * h)))
-        add(ids[both], minus[both], np.full(both.sum(), -coef / (2 * h)))
-        fwd = (minus < 0) & (plus >= 0)
-        add(ids[fwd], plus[fwd], np.full(fwd.sum(), coef / h))
-        add(ids[fwd], ids[fwd], np.full(fwd.sum(), -coef / h))
-        bwd = (minus >= 0) & (plus < 0)
-        add(ids[bwd], ids[bwd], np.full(bwd.sum(), coef / h))
-        add(ids[bwd], minus[bwd], np.full(bwd.sum(), -coef / h))
-        # neither neighbor: the direction is degenerate and contributes 0
-
-    add_direction(left, right, 0.5 + 0j)
-    add_direction(down, up, 0.5j)
-
-    op = CooMatrix(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n_nodes, n_nodes)
-    )
     adj, tri_z = _dbar_adjoint(index, r.xs[0], r.ys[0], h)
     # 2 Re(adj^H adj) is 4 on the diagonal and -1 per inside neighbour, over
     # h^2: the imaginary part of adj^H adj is a Jacobian term that sums to
     # zero exactly over the triangles
-    nbr = np.stack([left, right, down, up])
+    ids = np.arange(n_nodes)
+    nbr = _neighbours(index)
     has = nbr >= 0
     lap = CooMatrix(
         np.concatenate([ids, np.broadcast_to(ids, nbr.shape)[has]]),
@@ -393,7 +451,7 @@ def assemble(dom: PlanarDomain) -> DbarGrid:
         np.concatenate([np.full(n_nodes, 4.0), np.full(int(has.sum()), -1.0)]) / h**2,
         (n_nodes, n_nodes),
     )
-    return DbarGrid(dom, nodes_z, op, adj, tri_z, lap, LineFactor(index, h))
+    return DbarGrid(dom, nodes_z, adj, tri_z, lap, LineFactor(index, h))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +478,8 @@ def least_norm_solve(g: DbarGrid, alpha: np.ndarray) -> tuple[np.ndarray, SolveR
     energy identity ||v||^2 = <alpha, N alpha>, so the ratio ||v||/||alpha||
     never exceeds 1/sigma_min.  `residual` is the relative residual of
     dbar v = alpha, with dbar = adj^H / 2 the adjoint of dbar* in the node
-    and triangle norms.
+    and triangle norms; adj^H v comes from `adj`'s own triplets
+    (`CooMatrix.rmatvec`), so no transposed copy of `adj` is built.
     """
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (g.size,):
@@ -431,7 +490,7 @@ def least_norm_solve(g: DbarGrid, alpha: np.ndarray) -> tuple[np.ndarray, SolveR
     re_im = 4.0 * g.lap_factor.solve(np.column_stack([alpha.real, alpha.imag]))
     n_alpha = re_im[:, 0] + 1j * re_im[:, 1]
     v = g.adj @ n_alpha
-    resid = float(np.linalg.norm(0.5 * (g.adj.H @ v) - alpha) / np.linalg.norm(alpha))
+    resid = float(np.linalg.norm(0.5 * g.adj.rmatvec(v) - alpha) / np.linalg.norm(alpha))
     v_norm = g.h * math.sqrt(np.vdot(alpha, n_alpha).real)
     return v, SolveReport(a_norm, v_norm, v_norm / a_norm, 0, resid)
 
@@ -466,7 +525,7 @@ def verify_certificate(g: DbarGrid, C_cert: float) -> dict:
     """
     if C_cert <= 0:
         raise ValueError(f"certificate constant must be positive, got {C_cert}")
-    witness_ratio = least_norm_solve(g, g.ground_state[1])[1].ratio
+    witness_ratio = g.ground_solve[1].ratio
     return {
         "C": C_cert,
         "tol": VERIFY_TOL,

@@ -185,6 +185,18 @@ def test_verify_sigma_min_pinned_at_the_bench_meshes(mesh, sigma, tmp_path):
     assert rep["discrete_constant"] == 1.0 / sigma
 
 
+def test_verify_sigma_min_pinned_on_a_long_lanczos_run(tmp_path):
+    # 7 260 unknowns on the gallery's near-degenerate strips take 27 Lanczos
+    # steps, against 9 at both bench meshes, so the Krylov basis is filled
+    # well past where the bench pins reach
+    child = run_cli("verify", "--domain", ROOT / "domains/uniform_gallery.json", "--C", "1",
+                    "--mesh", "0.1", "--out", tmp_path)
+    assert child.returncode == 0, child.stderr
+    rep = json.loads((tmp_path / "verify_report.json").read_text())
+    assert rep["unknowns"] == 7260
+    assert rep["sigma_min"] == 2.591390830242017
+
+
 def test_verify_reports_eigensolver_failure(tmp_path, monkeypatch, capsys):
     # with no Ritz pair there is no evidence: exit 1 with the reason, no report
     monkeypatch.setattr(discrete, "lanczos", lambda factor, lap, **kw: None)
@@ -566,6 +578,43 @@ def test_verify_dump_field_is_the_eigenvector_solution(tmp_path):
     # triangle norm: weight h^2/2 per triangle
     ratio = g.h / math.sqrt(2) * np.linalg.norm(got[:, 2] + 1j * got[:, 3]) / g.norm(alpha)
     assert ratio == pytest.approx(rep["discrete_constant"], rel=1e-9)
+
+
+def test_verify_dump_field_reuses_the_checked_solve(tmp_path, monkeypatch):
+    # the field is the solve verify_certificate made, not a second one
+    calls = []
+    solve = discrete.least_norm_solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(discrete, "least_norm_solve", counted)
+    for extra in ((), ("--dump-field",)):
+        calls.clear()
+        assert verify(tmp_path, 1.0, *extra)[0] == 0
+        assert len(calls) == 1, extra
+
+
+def test_verify_dump_field_bytes_pinned(tmp_path):
+    child = run_cli("verify", "--domain", ROOT / "domains/unit_disc.json", "--C", "1",
+                    "--out", tmp_path, "--dump-field")
+    assert child.returncode == 0, child.stderr
+    assert sha256((tmp_path / "verify_field.csv").read_bytes()) == (
+        "52897e9553cb6955d1af4a02a338ad96e6343c18c462e5eaa56768f8774e11f7"
+    )
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # plain np.unique(a) imports numpy.ma (numpy 2.x checks for a masked
+    # array): about 1 MB resident in a child that never masks an array
+    runs = [
+        ("certify", "--domain", ROOT / "domains/uniform_gallery.json", "--M", "2", "--delta", "0.1"),
+        ("verify", "--domain", ROOT / "domains/unit_disc.json", "--C", "1"),
+        *(("scenario", "--spec", spec) for spec in SPECS),
+    ]
+    for argv in runs:
+        assert "numpy.ma" not in imported_by_child(0, *argv, "--out", tmp_path), argv[:2]
 
 
 def domain_file(tmp_path, tree, window, mesh, symmetry="translation_x"):

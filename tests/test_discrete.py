@@ -117,16 +117,26 @@ def assert_matches_dense(g, seed=0):
         assert np.linalg.norm(x - r) <= 1e-10 * np.linalg.norm(r)
 
 
-class TestLineFactor:
+def on_random_rasters(test):
+    """Run `test(self, g)` on 60 derandomized CSG rasters."""
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
     @given(tree=csg_trees(), h=st.sampled_from([0.2, 0.25, 0.3]))
-    def test_matches_dense_on_random_rasters(self, tree, h):
-        dom = PlanarDomain(tree, (-3, 3, -2.5, 3.5), h)
+    def run(self, tree, h):
         try:
-            g = assemble(dom)
+            g = assemble(PlanarDomain(tree, (-3, 3, -2.5, 3.5), h))
         except MeshError:
             assume(False)
+        test(self, g)
+
+    run.__name__ = test.__name__
+    return run
+
+
+class TestLineFactor:
+    @on_random_rasters
+    def test_matches_dense_on_random_rasters(self, g):
         assert_matches_dense(g)
 
     @pytest.mark.parametrize(
@@ -209,9 +219,70 @@ class TestCooMatrix:
             assert np.array_equal(mat.H.toarray(), dense.conj().T)
             x = rng.normal(size=(mat.shape[1], 2)) @ np.array([1, 1j])
             for out, ref in ((mat @ x, dense @ x), (mat @ x.real, dense @ x.real),
-                             (mat.H @ (mat @ x), dense.conj().T @ (dense @ x))):
+                             (mat.H @ (mat @ x), dense.conj().T @ (dense @ x)),
+                             (mat.rmatvec(mat @ x), dense.conj().T @ (dense @ x))):
                 assert out.shape == ref.shape
                 assert np.allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def stencil_oracle(g):
+    """`op` entry by entry: per direction, a centred difference where both
+    neighbours are inside, else a one-sided one toward the inside
+    neighbour, else nothing."""
+    inside = np.pad(g.domain.raster.inside, 1)
+    index = np.full(inside.shape, -1)
+    index[inside] = np.arange(g.size)
+    out = np.zeros((g.size, g.size), dtype=complex)
+    for (iy, ix), k in np.ndenumerate(index):
+        if k < 0:
+            continue
+        for (dy, dx), coef in (((0, 1), 0.5), ((1, 0), 0.5j)):
+            plus, minus = index[iy + dy, ix + dx], index[iy - dy, ix - dx]
+            if plus >= 0 and minus >= 0:
+                out[k, plus] += coef / (2 * g.h)
+                out[k, minus] -= coef / (2 * g.h)
+            elif plus >= 0:
+                out[k, plus] += coef / g.h
+                out[k, k] -= coef / g.h
+            elif minus >= 0:
+                out[k, k] += coef / g.h
+                out[k, minus] -= coef / g.h
+    return out
+
+
+class TestBuiltWhenRead:
+    def test_verify_builds_neither_op_nor_a_transposed_adj(self):
+        g = disc_grid(h=1 / 8)
+        verify_certificate(g, 1.0)
+        least_norm_solve(g, g.nodes_z)
+        assert "ground_solve" in vars(g)
+        assert "op" not in vars(g) and "H" not in vars(g.adj)
+
+    @pytest.mark.parametrize(
+        "shape, window, h",
+        [
+            (Disc(0, 0, 1), (-1.5, 1.5, -1.5, 1.5), 1 / 8),
+            (Rect(-1.95, 1.95, -0.04, 0.04), (-2, 2, -1, 1), 0.1),  # one node per column
+            (THREE_STRIPS, (-2, 2, -2, 2), 1 / 8),
+        ],
+        ids=["disc", "ribbon", "three_strips"],
+    )
+    def test_op_read_later_is_the_stencil(self, shape, window, h):
+        g = assemble(PlanarDomain(shape, window, h))
+        least_norm_solve(g, g.nodes_z)
+        dense = stencil_oracle(g)
+        assert g.op is g.op
+        assert g.op.nnz == np.count_nonzero(dense)
+        assert np.array_equal(g.op.toarray(), dense)
+
+    @on_random_rasters
+    def test_residual_from_triplets_is_the_transpose_product(self, g):
+        alpha = np.random.default_rng(g.size).normal(size=(g.size, 2)) @ np.array([1, 1j])
+        v, rep = least_norm_solve(g, alpha)
+        assert "H" not in vars(g.adj)
+        via_h = 0.5 * (g.adj.H @ v)
+        assert np.array_equal(0.5 * g.adj.rmatvec(v), via_h)
+        assert rep.residual == float(np.linalg.norm(via_h - alpha) / np.linalg.norm(alpha))
 
 
 class TestLeastNormSolve:
