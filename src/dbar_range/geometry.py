@@ -16,17 +16,23 @@ holds the domain in turn.
 Every distance question is a threshold test or a nearest-node query,
 answered exactly, in the distance transform's own float formula, by a
 column pass and a row pass in numpy (`_near`, `_nearest`).  Condition X
-returns a boolean grid of witnessed nodes plus the column pass of the
-admissible nodes, and the lattice finds the witnesses of the few nodes it
-needs.  The lattice makes the chain's one covering pass (`_cover`), which
-keeps of the cover only what the weight report reads (`cover_gap`).
-Complex coordinates appear only for the lattice points, their witnesses
-and one chunk of that pass.  A node's membership depends on that node
-alone, and every column and every row of a pass is independent of the
-others, so the raster build and the grid passes stream in blocks of
-`_LINES` raster lines: their temporaries have the size of one block, and
-only their outputs span the grid, at 1 B a node for a mask and 2 B for a
-column pass (int16 on grids of fewer than 10 923 rows).
+keeps one grid, the column pass of the admissible nodes, and the lattice
+finds the witnesses of the few nodes it needs.  The lattice makes the
+chain's one covering pass (`_cover`), which keeps of the cover only what
+the weight report reads (`cover_gap`).  Complex coordinates appear only
+for the lattice points, their witnesses and one chunk of that pass.
+
+No grid-sized array outlives the pass that reads it.  A node's
+membership depends on that node alone, every column and every row of a
+pass is independent of the others, and a threshold test at a node reads
+only the columns within its radius, so the raster build and the grid
+passes stream in blocks of `_LINES` raster lines (the delta test of
+condition X in column blocks widened by its reach): their temporaries
+have the size of one block, and only their outputs span the grid, at 1 B
+a node for the raster and 2 B for a column pass (int16 on grids of fewer
+than 10 923 rows).  The raster keeps no column pass; a point query
+(`clearance`, `build_lattice`) builds the one it reads and frees it on
+return.
 
 Unbounded domains are handled by the finite window plus an explicitly
 declared translation symmetry; nothing outside the window is ever
@@ -316,8 +322,8 @@ def plane():
 
 
 class Raster:
-    """Grid of membership values at the domain's mesh, plus the cached
-    column pass of the domain."""
+    """Grid of membership values at the domain's mesh, 1 B a node: the
+    one grid that lives as long as its domain."""
 
     def __init__(self, domain: "PlanarDomain"):
         self.h = domain.mesh
@@ -341,11 +347,6 @@ class Raster:
 
     def node_z(self, iy, ix):
         return self.xs[ix] + 1j * self.ys[iy]
-
-    @cached_property
-    def inside_rows(self) -> np.ndarray:
-        """`_column_rows` of the inside nodes."""
-        return _column_rows(self.inside)
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +397,12 @@ def _column_rows(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _near(rows: np.ndarray, h: float, radius: float, strict: bool) -> np.ndarray:
-    """Nodes with a mask node at distance below `radius` (at most `radius`
-    when not strict), given the mask's `_column_rows`.
-
-    A reach table gives, for each row offset v, the largest column offset
-    whose distance passes the test; then a node is near when some column c
-    reaches it, which a running max of c + reach and a running min of
-    c - reach along each row decide.  The lookup and the running extremes
-    run over blocks of _LINES rows."""
-    ny, nx = rows.shape
+def _reach(h: float, radius: float, strict: bool, ny: int, nx: int) -> np.ndarray:
+    """The reach table of a distance test on a grid of ny rows and nx
+    columns: for each row offset v below ny, the largest column offset
+    below nx whose node offset (v, dx) lies at distance below `radius` (at
+    most `radius` when not strict), -1 when none; then -1 for the offset
+    ny, which the column pass gives columns without mask nodes."""
     v = np.arange(ny, dtype=np.int32)
     reach = np.sqrt(np.maximum((radius / h) ** 2 - v.astype(float) ** 2, 0.0))
     reach = np.minimum(np.floor(reach), nx - 1).astype(np.int32)
@@ -419,14 +416,42 @@ def _near(rows: np.ndarray, h: float, radius: float, strict: bool) -> np.ndarray
         reach += grow
     while (shrink := (reach >= 0) & ~passes(reach)).any():
         reach -= shrink
-    # row offsets of ny or more (columns without mask nodes) reach nothing
-    reach = np.append(reach, np.int32(-1))
+    return np.append(reach, np.int32(-1))
+
+
+def _near_rows(rows: np.ndarray, reach: np.ndarray, blk: slice) -> np.ndarray:
+    """The rows `blk` of `_near`, given the mask's `_column_rows` and the
+    test's `_reach` table.
+
+    A node is near when some column c reaches it: a running max of
+    c + reach and a running min of c - reach along each row decide that.
+    The table may be that of a wider grid: an offset past the block's last
+    column reaches no farther within it."""
+    ny, nx = rows.shape
+    v = np.arange(ny, dtype=np.int32)[blk, None]
     c = np.arange(nx, dtype=np.int32)
+    # one work array holds the row offsets, then c + reach, then c - reach:
+    # a block leaves few temporaries behind, so few fresh pages to fault in
+    work = np.subtract(rows[blk], v, dtype=np.int32)
+    np.minimum(np.abs(work, out=work), ny, out=work)
+    span = reach[work]
+    np.maximum.accumulate(np.add(c, span, out=work), axis=1, out=work)
+    near = work >= c
+    back = np.subtract(c, span, out=work)[:, ::-1]
+    np.minimum.accumulate(back, axis=1, out=back)
+    near |= work <= c
+    return near
+
+
+def _near(rows: np.ndarray, h: float, radius: float, strict: bool) -> np.ndarray:
+    """Nodes with a mask node at distance below `radius` (at most `radius`
+    when not strict), given the mask's `_column_rows`, a block of _LINES
+    rows at a time."""
+    ny, nx = rows.shape
+    reach = _reach(h, radius, strict, ny, nx)
     near = np.empty((ny, nx), dtype=bool)
     for blk in _line_blocks(ny):
-        span = reach[np.minimum(np.abs(rows[blk] - v[blk, None]), ny)]
-        np.greater_equal(np.maximum.accumulate(c + span, axis=1), c, out=near[blk])
-        near[blk] |= np.minimum.accumulate((c - span)[:, ::-1], axis=1)[:, ::-1] <= c
+        near[blk] = _near_rows(rows, reach, blk)
     return near
 
 
@@ -596,8 +621,9 @@ def clearance(dom: PlanarDomain, z):
     """Grid distance from z to the rasterized domain closure (0 if inside).
 
     z is a point, answered as a float, or an array of points, answered as
-    an array by one nearest-node scan.  Error <= h*sqrt(2); distances are
-    measured against the window content.
+    an array by one nearest-node scan, against a column pass of the inside
+    nodes built for the call.  Error <= h*sqrt(2); distances are measured
+    against the window content.
     """
     z = np.asarray(z, dtype=complex)
     away = ~np.asarray(dom.tree.member(z.real, z.imag))
@@ -608,7 +634,7 @@ def clearance(dom: PlanarDomain, z):
             out[away] = math.inf
         else:
             iy, ix = r.nearest_index(z[away])
-            ty, tx = _nearest(r.inside_rows, r.h, iy, ix)
+            ty, tx = _nearest(_column_rows(r.inside), r.h, iy, ix)
             # |z - node| as a complex scalar's abs takes it; np.abs of a
             # complex array may round differently
             d = z[away] - r.node_z(ty, tx)
@@ -630,31 +656,33 @@ class ConditionXCertificate:
     node).  The verdict lives on grid indices of `raster`, the raster of
     `domain`:
 
-    - `witnessed[iy, ix]` flags the domain nodes that found a witness;
     - `admissible_rows` is the `_column_rows` of the admissible nodes, or
-      None when no node is admissible;
-    - `witness_of(iy, ix)` gives the (row, column) of the witness of
-      witnessed nodes: the nearest admissible node, with the distance
-      transform's tie-breaking.  Witnesses are found only when asked for.
+      None when no node is admissible or the condition fails; it is the
+      one grid the certificate keeps;
+    - `witness_of(iy, ix)` gives the (row, column) of the nearest admissible
+      node, with the distance transform's tie-breaking: the witness of a
+      witnessed node, one closer than M.  Witnesses are found only when
+      asked for.
 
     When the condition fails no witness is kept, and `failure_points` holds
-    up to 10 000 failing nodes as complex coordinates.  `sample_points` and
-    `witness_points` give the witnessed nodes and their witnesses as
-    complex coordinates; they are computed when read.
+    up to 10 000 failing nodes as complex coordinates.  `witnessed` (the
+    boolean grid of the domain nodes that found a witness), `sample_points`
+    and `witness_points` (the witnessed nodes and their witnesses as
+    complex coordinates) are computed when read, by another pass over the
+    grid.
     `accepted_by_symmetry` flags nodes whose search disc left the window
     and that were accepted by the domain's declared translation symmetry
     rather than by an explicit witness.
 
     `build_lattice` reads the witnesses it needs and keeps the domain, not
     the certificate, so once the lattice is built the certificate and its
-    grids can be dropped.
+    grid can be dropped.
     """
 
     holds: bool
     M: float
     delta: float
     domain: PlanarDomain = field(repr=False)
-    witnessed: np.ndarray = field(repr=False)
     admissible_rows: Optional[np.ndarray] = field(repr=False)
     failure_points: np.ndarray
     failure_count: int
@@ -667,8 +695,18 @@ class ConditionXCertificate:
         return self.domain.raster
 
     def witness_of(self, iy, ix) -> tuple[np.ndarray, np.ndarray]:
-        """(row, column) of the witness of each witnessed node (iy, ix)."""
+        """(row, column) of the admissible node nearest each node (iy, ix)."""
         return _nearest(self.admissible_rows, self.raster.h, iy, ix)
+
+    @property
+    def witnessed(self) -> np.ndarray:
+        """The domain nodes with an admissible node closer than M."""
+        r = self.raster
+        if self.admissible_rows is None:
+            return np.zeros_like(r.inside)
+        witnessed = _near(self.admissible_rows, r.h, self.M, strict=True)
+        witnessed &= r.inside
+        return witnessed
 
     @property
     def sample_points(self) -> np.ndarray:
@@ -697,6 +735,39 @@ def _fit_slices(r: Raster, window, M: float) -> tuple[slice, slice]:
     return rows, cols
 
 
+def _admissible_rows(r: Raster, delta: float) -> Optional[np.ndarray]:
+    """`_column_rows` of the admissible nodes (outside the domain, with no
+    domain node within delta), or None when there is none.
+
+    The delta test at a node reads only the columns within delta of it,
+    so each block of _LINES columns is decided from the inside column pass
+    of the block widened on each side by the test's reach along a row, and
+    its admissible column pass is written straight into the output: no
+    other grid-sized array is formed."""
+    inside = r.inside
+    ny, nx = inside.shape
+    reach = _reach(r.h, delta, False, ny, nx)
+    halo = int(reach[0])
+    # the column pass of a column without mask nodes
+    blank = _column_rows(np.zeros((ny, 1), dtype=bool))
+    out = np.empty((ny, nx), dtype=blank.dtype)
+    found = False
+    for cols in _line_blocks(nx):
+        if inside[:, cols].all():  # no node outside the domain to admit
+            out[:, cols] = blank
+            continue
+        lo, hi = max(cols.start - halo, 0), min(cols.stop + halo, nx)
+        near = _near_rows(_column_rows(inside[:, lo:hi]), reach, slice(None))
+        admissible = near[:, cols.start - lo : cols.stop - lo]
+        np.logical_not(np.logical_or(admissible, inside[:, cols], out=admissible), out=admissible)
+        if admissible.any():
+            out[:, cols] = _column_rows(admissible)
+            found = True
+        else:
+            out[:, cols] = blank
+    return out if found else None
+
+
 def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertificate:
     """Decide the exterior-witness condition on the rasterization grid.
 
@@ -713,10 +784,12 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
 
     Two exact distance tests do the work, each a column pass and a row pass
     (`_near`): the admissible nodes are the nodes outside the domain with no
-    domain node within delta, and the witnessed nodes are the domain nodes
-    with an admissible node closer than M.  No distance field is built; the
-    certificate keeps the admissible column pass, from which `witness_of`
-    finds the witness of any node on demand.
+    domain node within delta (`_admissible_rows`, by column blocks), and
+    the witnessed nodes are the domain nodes with an admissible node closer
+    than M (by row blocks, each counted and dropped).  No distance field
+    and no mask of the grid is built; the certificate keeps the admissible
+    column pass, from which `witness_of` finds the witness of any node on
+    demand.
     """
     if M <= 0 or delta <= 0:
         raise ValueError(f"M and delta must be positive, got M={M}, delta={delta}")
@@ -735,45 +808,36 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
     inside = r.inside
     empty = np.array([], dtype=complex)
     if not inside.any():
-        return ConditionXCertificate(
-            True, M, delta, dom, np.zeros_like(inside), None, empty, 0, 0, False, notes
-        )
+        return ConditionXCertificate(True, M, delta, dom, None, empty, 0, 0, False, notes)
 
-    # each mask is formed in place in the output of _near: admissible =
-    # ~(near | inside), then witnessed = near & inside
-    admissible = _near(r.inside_rows, r.h, delta, strict=False)
-    np.logical_not(np.logical_or(admissible, inside, out=admissible), out=admissible)
-    if admissible.any():
-        adm_rows = _column_rows(admissible)
-        del admissible  # freed before _near allocates the witnessed grid
-        witnessed = _near(adm_rows, r.h, M, strict=True)
-        witnessed &= inside
-    else:  # no admissible node: the all-False mask is the witnessed grid
-        adm_rows, witnessed = None, admissible
-
-    # witnessed lies in inside, so the nodes lacking a witness are counted
-    # as differences, and formed only on the failing path
+    adm_rows = _admissible_rows(r, delta)
+    ny, nx = inside.shape
+    reach = None if adm_rows is None else _reach(r.h, M, True, ny, nx)
+    # the domain nodes lacking a witness, a block of rows at a time: all of
+    # them counted, those with a full search disc (the fit slices) counted
+    # apart, and the first of these in row-major order kept up to the cap
     rows, cols = _fit_slices(r, dom.window, M)
-    n_fail = int(np.count_nonzero(inside[rows, cols]) - np.count_nonzero(witnessed[rows, cols]))
-    n_unprov = int(np.count_nonzero(inside) - np.count_nonzero(witnessed)) - n_fail
-
-    if n_fail:
-        # the first failing nodes in row-major order, a block of fit rows
-        # at a time, stopping at the cap
-        fit_in, fit_wit = inside[rows, cols], witnessed[rows, cols]
-        fit_xs, fit_ys = r.xs[cols], r.ys[rows]
-        pts, left = [], _FAILURE_SAMPLE_CAP
-        for blk in _line_blocks(fit_in.shape[0]):
-            iy, ix = np.nonzero(fit_in[blk] & ~fit_wit[blk])
+    n_miss = n_fail = 0
+    pts, left = [], _FAILURE_SAMPLE_CAP
+    for blk in _line_blocks(ny):
+        miss = inside[blk].copy()
+        if adm_rows is not None:
+            miss &= ~_near_rows(adm_rows, reach, blk)
+        n_miss += int(np.count_nonzero(miss))
+        fit_rows = slice(max(rows.start - blk.start, 0), max(rows.stop - blk.start, 0))
+        fit = miss[fit_rows, cols]
+        n_fit = int(np.count_nonzero(fit))
+        n_fail += n_fit
+        if n_fit and left:
+            iy, ix = np.nonzero(fit)
             iy, ix = iy[:left], ix[:left]
-            pts.append(fit_xs[ix] + 1j * fit_ys[blk][iy])
+            pts.append(r.xs[cols][ix] + 1j * r.ys[blk][fit_rows][iy])
             left -= len(iy)
-            if not left:
-                break
-        pts = np.concatenate(pts)
-        witnessed[:] = False  # no witness is kept
+    n_unprov = n_miss - n_fail
+
+    if n_fail:  # no witness is kept
         return ConditionXCertificate(
-            False, M, delta, dom, witnessed, None, pts, n_fail, n_unprov, False, notes
+            False, M, delta, dom, None, np.concatenate(pts), n_fail, n_unprov, False, notes
         )
 
     accepted = False
@@ -791,7 +855,7 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
         )
 
     return ConditionXCertificate(
-        True, M, delta, dom, witnessed, adm_rows, empty, 0, n_unprov, accepted, notes,
+        True, M, delta, dom, adm_rows, empty, 0, n_unprov, accepted, notes,
     )
 
 
@@ -892,10 +956,14 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
     takes as its witness the condition-X witness (`witness_of`) of the
     domain node z nearest to w's nearest grid node n (z = n when n lies in
     the domain); w is kept when |w - z| < M (1 - 1e-12) and z has a
-    witness.  The relative margin drops a point whose z lies M away up to
-    rounding: its disc touches the domain only at its rim and may hold no
-    exterior node (clause (a)).  Dropping a point can only make clause (b)
-    fail, never pass a bad set.  Clauses re-verified before returning:
+    witness: its nearest admissible node lies closer than M by the float
+    distance of condition X's strict test, which `_nearest` minimises.
+    The relative margin drops a point whose z lies M away up to rounding:
+    its disc touches the domain only at its rim and may hold no exterior
+    node (clause (a)).  Dropping a point can only make clause (b) fail,
+    never pass a bad set.  The nearest-node queries against the domain
+    read a column pass of the inside nodes built here and freed before
+    the covering pass.  Clauses re-verified before returning:
 
     (a) the search disc meets the complement: some node outside the domain
         lies closer than M to w.  The witness w* is such a node, so
@@ -929,15 +997,19 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
         w.real, w.imag = ls.ravel() * M, ks.ravel() * M
 
         # n: the node nearest w; z: the domain node nearest n
+        inside_rows = _column_rows(r.inside)
         ziy, zix = r.nearest_index(w)
         out = ~r.inside[ziy, zix]
-        ziy[out], zix[out] = _nearest(r.inside_rows, r.h, ziy[out], zix[out])
-        # the search disc meets the sampled domain, and z has a witness
-        # (edge nodes accepted by symmetry have none)
+        ziy[out], zix[out] = _nearest(inside_rows, r.h, ziy[out], zix[out])
+        # the search disc meets the sampled domain
         keep = np.abs(w - (r.xs[zix] + 1j * r.ys[ziy])) < M * (1 - 1e-12)
-        keep &= cert.witnessed[ziy, zix]
         w, ziy, zix = w[keep], ziy[keep], zix[keep]
+        # and z has a witness: its nearest admissible node lies closer than
+        # M by condition X's own test (edge nodes accepted by symmetry have
+        # none)
         wy, wx = cert.witness_of(ziy, zix)
+        keep = _edt_distance(r.h, wy - ziy, wx - zix) < M
+        w, wy, wx = w[keep], wy[keep], wx[keep]
         witnesses = r.xs[wx] + 1j * r.ys[wy]
 
         # clause (a): complement reachable inside the search disc
@@ -955,7 +1027,8 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
             )
 
         # clause (c)(i): witness clearance, measured on the grid
-        cy, cx = _nearest(r.inside_rows, r.h, wy, wx)
+        cy, cx = _nearest(inside_rows, r.h, wy, wx)
+        del inside_rows
         clear = _edt_distance(r.h, cy - wy, cx - wx)
         if (clear <= delta).any():
             j = int(np.argmax(clear <= delta))

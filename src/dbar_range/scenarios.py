@@ -240,8 +240,29 @@ def tube_factor(m: int) -> float:
     return math.pi**m / math.factorial(m)
 
 
-# samples per draw of tube_factor_mc
-_MC_BLOCK = 1 << 16
+# samples per draw of tube_factor_mc at the most; numpy sums up to 128
+# values unsplit, so a draw may hold that many
+_MC_BLOCK = 1 << 14
+
+
+def _pairwise_parts(n: int, leaf: int) -> list:
+    """The sizes of the parts np.add.reduce sums n contiguous values in, in
+    order: numpy's pairwise summation splits n into h = n // 2 - (n // 2) %
+    8 and n - h while n exceeds `leaf` (128 in numpy), and sums each part
+    left in one piece."""
+    if n <= leaf:
+        return [n]
+    h = n // 2 - (n // 2) % 8
+    return _pairwise_parts(h, leaf) + _pairwise_parts(n - h, leaf)
+
+
+def _pairwise_total(n: int, leaf: int, sums) -> float:
+    """The sum of n values as np.add.reduce takes it, from the sums of
+    their `_pairwise_parts` (an iterator, in order)."""
+    if n <= leaf:
+        return next(sums)
+    h = n // 2 - (n // 2) % 8
+    return _pairwise_total(h, leaf, sums) + _pairwise_total(n - h, leaf, sums)
 
 
 def tube_factor_mc(m: int, samples: int = 1_000_000, seed: int = 0) -> float:
@@ -252,23 +273,36 @@ def tube_factor_mc(m: int, samples: int = 1_000_000, seed: int = 0) -> float:
     bounding square.  Plain hit-or-miss in 2m dimensions would need far
     more than 1e6 samples for a 1% answer at m = 6; the slice product
     keeps every factor's variance small.
+
+    Each slice's mean is np.mean of all its samples, bit for bit, without
+    holding them: the samples are drawn part by part from the stream, in
+    order, where numpy's pairwise summation splits them with parts of up
+    to max(_MC_BLOCK, 128), each part summed by one np.add.reduce in a
+    reused buffer and the part sums added as numpy adds them.
     """
     if m < 1:
         raise ScenarioError(f"fiber dimension must be >= 1, got {m}")
+    if samples < 1:
+        raise ScenarioError(f"mc_samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    vals = np.empty(samples)
+    leaf = max(_MC_BLOCK, 128)
+    parts = _pairwise_parts(samples, leaf)
+    buf = np.empty(max(parts))
     vol = 1.0
     for k in range(1, m + 1):
-        # drawn _MC_BLOCK samples at a time, from the same stream in the
-        # same order as one draw of them all
-        for i in range(0, samples, _MC_BLOCK):
-            xy = rng.uniform(-1.0, 1.0, size=(min(_MC_BLOCK, samples - i), 2))
+        sums = []
+        # a loop, not a call per part: a part's temporaries live on while
+        # the next part is drawn, so the allocator reuses their pages
+        # instead of handing them back and faulting them in again
+        for n in parts:
+            xy = rng.uniform(-1.0, 1.0, size=(n, 2))
             r2 = xy[:, 0] ** 2 + xy[:, 1] ** 2
             inside = r2 < 1.0
-            out = vals[i : i + len(xy)]
-            out[:] = 0.0
-            out[inside] = (1.0 - r2[inside]) ** (k - 1)
-        vol *= 4.0 * float(np.mean(vals))
+            vals = buf[:n]
+            vals[:] = 0.0
+            vals[inside] = (1.0 - r2[inside]) ** (k - 1)
+            sums.append(float(np.add.reduce(vals)))
+        vol *= 4.0 * (_pairwise_total(samples, leaf, iter(sums)) / samples)
     return vol
 
 

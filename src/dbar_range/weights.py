@@ -125,11 +125,12 @@ def _tile_bounds(ws, xlo, xhi, ylo, yhi, power, scale, largest):
     return out
 
 
-def _grid_extreme(ws, raster, mask, power, scale, largest) -> float:
+def _grid_extreme(ws, xs, ys, mask, power, scale, largest) -> float:
     """np.max (largest) or np.min of _phi_many(ws, zs, power, scale) over
-    the nodes zs = raster.xs[ix] + 1j raster.ys[iy] where mask[iy, ix]
-    holds, for power < 0, with phi evaluated only on the tiles where the
-    extreme can lie.
+    the nodes zs = xs[ix] + 1j ys[iy] where mask[iy, ix] holds, for
+    power < 0, with phi evaluated only on the tiles where the extreme can
+    lie.  The mask may be a view of a block of raster columns, with xs
+    the axis of those columns.
 
     The mask is cut into _TILE x _TILE raster tiles.  A tile's bound
     takes each term at the distance from its witness to the nearest (for a
@@ -165,10 +166,7 @@ def _grid_extreme(ws, raster, mask, power, scale, largest) -> float:
     y1 = ty * _TILE + _TILE - 1 - np.argmax(rows[:, ::-1], axis=1)
     x0 = tx * _TILE + np.argmax(cols, axis=1)
     x1 = tx * _TILE + _TILE - 1 - np.argmax(cols[:, ::-1], axis=1)
-    bound = _tile_bounds(
-        ws, raster.xs[x0], raster.xs[x1], raster.ys[y0], raster.ys[y1],
-        power, scale, largest,
-    )
+    bound = _tile_bounds(ws, xs[x0], xs[x1], ys[y0], ys[y1], power, scale, largest)
     order = np.argsort(-bound if largest else bound, kind="stable")
     extreme = np.max if largest else np.min
 
@@ -179,7 +177,7 @@ def _grid_extreme(ws, raster, mask, power, scale, largest) -> float:
         ix = tx[which, None, None] * _TILE + np.arange(_TILE)
         on = mask[np.minimum(iy, ny - 1), np.minimum(ix, nx - 1)] & (iy < ny) & (ix < nx)
         k, i, j = np.nonzero(on)
-        zs = raster.xs[ix[k, 0, j]] + 1j * raster.ys[iy[k, i, 0]]
+        zs = xs[ix[k, 0, j]] + 1j * ys[iy[k, i, 0]]
         return extreme(_phi_many(ws, zs, power, scale))
 
     best = evaluate(order[:_SEED_TILES])
@@ -423,6 +421,13 @@ class CompositeCertification:
     regions: dict
 
 
+def _runs(flags: np.ndarray) -> list:
+    """The runs of consecutive True entries of a 1-d boolean array, as
+    slices."""
+    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False))
+    return [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
+
+
 def certify_composite(
     dom: PlanarDomain,
     chi: CutoffProfile,
@@ -434,14 +439,16 @@ def certify_composite(
 
     b is the grid minimum of the lattice part's Hessian on |Re z| <= chi.hi;
     all regional bounds are re-measured on the grid rather than assumed.
-    Each field is evaluated on the raster axis it depends on.  The inner,
-    transition and outer regions are sets of columns, decided from |x|
-    per column and counted from column sums of the inside mask.  The strip
-    weight depends on the height alone, so its Hessian, its y-difference
-    and its max are taken once per row that holds an inside node in those
-    columns.  b and the grid max of phi_lattice (for A) come from
-    `_grid_extreme` on the inside mask (cut to the central columns for b),
-    which forms node coordinates only on the tiles it evaluates: each sum
+    Each field is evaluated on the raster axis it depends on, and no
+    grid-sized mask is formed.  The inner, transition and outer regions
+    are sets of columns, decided from |x| per column and counted from
+    column sums of the inside mask.  The strip weight depends on the
+    height alone, so its Hessian, its y-difference and its max are taken
+    once per row that holds an inside node in those columns, found one
+    run of consecutive columns at a time.  b and the grid max of
+    phi_lattice (for A) come from `_grid_extreme` on the inside mask (for
+    b its view of the central columns |x| <= chi.hi), which forms node
+    coordinates only on the tiles it evaluates: each sum
     is evaluated only on the raster tiles whose bound, from the tile box's
     farthest (for b) or nearest (for the max) distance to each witness,
     can reach the extreme, which is the full-grid min or max bit for bit.
@@ -461,14 +468,20 @@ def certify_composite(
     }
 
     def heights(columns):
-        # the heights of the rows that hold an inside node in these columns
-        return r.ys[r.inside[:, columns].any(axis=1)]
+        # the heights of the rows that hold an inside node in these columns,
+        # one run of consecutive columns at a time
+        rows = np.zeros(len(r.ys), dtype=bool)
+        for run in _runs(columns):
+            rows |= r.inside[:, run].any(axis=1)
+        return r.ys[rows]
 
     ws = phi_lattice.witnesses
     b = 0.0
     if regions["inner"] or regions["transition"]:
-        b = _grid_extreme(ws, r, r.inside & (ax <= chi.hi), -6.0, 4.0, False)
-    lattice_max = _grid_extreme(ws, r, r.inside, -4.0, 1.0, True)
+        # |x| <= chi.hi is one run of columns, so its mask is a view
+        (run,) = _runs(ax <= chi.hi)
+        b = _grid_extreme(ws, r.xs[run], r.ys, r.inside[:, run], -6.0, 4.0, False)
+    lattice_max = _grid_extreme(ws, r.xs, r.ys, r.inside, -4.0, 1.0, True)
     # strip Hessian and gradient re-measured where the certificate relies
     # on them: on the composite domain the transition and outer regions lie
     # inside the strips, where the weight is exactly quadratic, so these
@@ -563,7 +576,7 @@ def lattice_weight_report(lat: LatticeWitnessSet) -> dict:
     A, B = weight_constants(lat.M, lat.delta)
     tail = 56.0 / lat.M**4 * (1.0 / (2.0 * _GAMMA_MAX**2))
     r = lat.domain.raster
-    max_phi = _grid_extreme(lat.witnesses, r, r.inside, -4.0, 1.0, True)
+    max_phi = _grid_extreme(lat.witnesses, r.xs, r.ys, r.inside, -4.0, 1.0, True)
     # numpy's array power, which may round apart from a float's, as the
     # per-node bounds were taken
     min_zzbar = 4.0 * np.array([lat.cover_gap]) ** -6.0

@@ -45,3 +45,20 @@ def radial_bump(z, center: complex = 0j, radius: float = 1.0):
     with np.errstate(over="ignore"):
         out[safe] = np.exp(-1.0 / g[safe])
     return out
+
+
+def drop_witnesses(cert, iy, ix):
+    """Take the witness from the certificate's nodes (iy, ix): its
+    `witness_of` answers them with a node half the grid height away, which
+    lies at least M away.  Disjoint calls accumulate."""
+    ny, nx = cert.raster.inside.shape
+    assert (ny // 2) * cert.raster.h >= cert.M
+    gone = np.asarray(iy) * nx + np.asarray(ix)
+    witness_of = cert.witness_of
+
+    def without(qy, qx):
+        wy, wx = witness_of(qy, qx)
+        far = np.isin(np.asarray(qy) * nx + np.asarray(qx), gone)
+        return np.where(far, (np.asarray(qy) + ny // 2) % ny, wy), wx
+
+    cert.witness_of = without

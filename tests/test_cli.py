@@ -10,10 +10,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbar_range import cli, discrete, geometry, scenarios, weights
@@ -90,10 +91,8 @@ def certify_sha256(tmp_path, domain, expect_code, *extra):
     return sha256((tmp_path / "certify_report.json").read_bytes())
 
 
-@pytest.mark.parametrize("block", [7, 1 << 16, 5000])
-def test_tube_factor_mc_is_one_draw_of_all_samples(block, monkeypatch):
-    # the blocked draws take the stream in order, so they equal one draw
-    m, samples, seed = 3, 5000, 4
+def one_draw_mc(m, samples, seed):
+    """tube_factor_mc as one draw of all samples per slice and np.mean."""
     rng = np.random.default_rng(seed)
     vol = 1.0
     for k in range(1, m + 1):
@@ -103,8 +102,41 @@ def test_tube_factor_mc_is_one_draw_of_all_samples(block, monkeypatch):
         vals = np.zeros(samples)
         vals[inside] = (1.0 - r2[inside]) ** (k - 1)
         vol *= 4.0 * float(np.mean(vals))
+    return vol
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16, 5000])
+def test_tube_factor_mc_is_one_draw_of_all_samples(block, monkeypatch):
+    # the blocked draws take the stream in order, so they equal one draw
+    m, samples, seed = 3, 5000, 4
+    vol = one_draw_mc(m, samples, seed)
     monkeypatch.setattr(scenarios, "_MC_BLOCK", block)
     assert scenarios.tube_factor_mc(m, samples, seed) == vol
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    samples=st.sampled_from([1, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1,
+                             2**17 + 24, 10**6 + 3]),
+    block=st.sampled_from([7, 128, 1000, 1 << 16]),
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tube_factor_mc_sums_as_np_mean_at_the_split_points(samples, block, m, seed):
+    # the leaves of numpy's pairwise split, summed as it sums them, give
+    # np.mean's very float around every split point of the recursion
+    with mock.patch.object(scenarios, "_MC_BLOCK", block):
+        assert scenarios.tube_factor_mc(m, samples, seed) == one_draw_mc(m, samples, seed)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_tube_mc_samples_below_1_exit_1_naming_the_param(samples, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    params = {"m": 1, "j_values": [1], "mc_samples": samples}
+    path.write_text(json.dumps({"scenario": "tube", "params": params}))
+    assert cli.main(["scenario", "--spec", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: mc_samples must be >= 1, got {samples}\n"
+    assert not (tmp_path / "scenario_tube_report.json").exists()
 
 
 def test_certify_gallery_report_bytes_pinned(tmp_path):
@@ -343,10 +375,12 @@ def test_config_hash_is_the_sha256_of_the_canonical_config(config):
     assert config_hash(config) == sha256(payload.encode("utf-8"))[:16]
 
 
-def test_certify_fine_mesh_stays_below_8_5_bytes_per_node(tmp_path):
-    # certify drops its condition-X certificate once the lattice is built,
-    # so the weight stage runs beside the raster alone: the whole command
-    # peaked at 9.3 B a node while the certificate's grids stayed alive
+def test_certify_fine_mesh_stays_below_6_3_bytes_per_node(tmp_path):
+    # no grid outlives the pass that reads it: beside the raster (1 B a
+    # node) condition X keeps the admissible column pass (2 B) and the
+    # lattice builds the inside one (2 B) for its nearest-node queries;
+    # the command peaked at 7.35 B a node with the witnessed grid and a
+    # cached inside column pass, 5.70 B without them
     argv = ["certify", "--domain", str(ROOT / "domains/uniform_gallery.json"),
             "--M", "2", "--delta", "0.1", "--mesh", "0.01", "--out", str(tmp_path)]
     tracemalloc.start()
@@ -355,7 +389,37 @@ def test_certify_fine_mesh_stays_below_8_5_bytes_per_node(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8.5 * 1_442_401
+    assert peak < 6.3 * 1_442_401
+
+
+def test_omega_s_scenario_stays_below_4_35_bytes_per_node(tmp_path):
+    # condition X fails on omega_s, so its certificate keeps no grid, and
+    # clearance and the composite weight form none beside the raster; the
+    # command peaked at 6.79 B a node before they streamed, 3.94 B after
+    argv = ["scenario", "--spec", str(ROOT / "scenarios" / "omega_s.json"),
+            "--out", str(tmp_path)]
+    nodes = scenarios.omega_s_composite()[0].raster.inside.size
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nodes == 2_085_417
+    assert peak < 4.35 * nodes
+
+
+def test_tube_monte_carlo_stays_below_1_85_mb():
+    # one part of at most 2^14 samples at a time: the 8 MB of all samples
+    # held for np.mean peaked at 11.4 MB; 1.65 MB is the peak of a first
+    # call in a fresh process, 0.90 MB of a later one
+    tracemalloc.start()
+    try:
+        scenarios.tube_factor_mc(3, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.85e6
 
 
 @pytest.mark.parametrize("verbose", [False, True])

@@ -1,3 +1,4 @@
+import copy
 import math
 
 from functools import partial
@@ -223,6 +224,25 @@ class TestCooMatrix:
                              (mat.rmatvec(mat @ x), dense.conj().T @ (dense @ x))):
                 assert out.shape == ref.shape
                 assert np.allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+    def test_int32_indices_give_the_int64_products(self):
+        # the stored indices take the narrowest type that holds the shape;
+        # every product is the one int64 indices give, bit for bit
+        g = disc_grid(h=1 / 16)
+        rng = np.random.default_rng(7)
+        for mat in (g.op, g.adj, g.lap):
+            assert mat.rows.dtype == mat.cols.dtype == np.int32
+            wide = copy.copy(mat)
+            wide.rows, wide.cols = mat.rows.astype(np.int64), mat.cols.astype(np.int64)
+            x = rng.normal(size=(mat.shape[1], 2)) @ np.array([1, 1j])
+            y = rng.normal(size=(mat.shape[0], 2)) @ np.array([1, 1j])
+            assert np.array_equal(mat @ x, wide @ x)
+            assert np.array_equal(mat.rmatvec(y), wide.rmatvec(y))
+            assert np.array_equal(mat.H.toarray(), wide.H.toarray())
+        big = CooMatrix([0, 2**31], [1, 0], [1.0, 2.0], (2**31 + 1, 2))
+        assert big.rows.dtype == big.cols.dtype == np.int64
+        assert big.rows.tolist() == [0, 2**31] and big.cols.tolist() == [1, 0]
 
 
 def stencil_oracle(g):

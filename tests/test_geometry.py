@@ -4,6 +4,7 @@ import re
 import weakref
 from dataclasses import FrozenInstanceError, dataclass, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from dbar_range.geometry import (
     plane,
 )
 from dbar_range.geometry import _column_rows, _edt_distance, _fit_slices, _near, _nearest
-from strategies import csg_trees
+from strategies import csg_trees, drop_witnesses
 
 ROOT = Path(__file__).resolve().parent.parent
 DOMAINS = sorted((ROOT / "domains").glob("*.json"))
@@ -216,7 +217,7 @@ class TestGridDistances:
         assume(r.inside.any())
         dist_in = ndimage.distance_transform_edt(~r.inside, sampling=h)
         for strict in (True, False):
-            got = _near(r.inside_rows, h, delta, strict)
+            got = _near(_column_rows(r.inside), h, delta, strict)
             assert np.array_equal(got, dist_in < delta if strict else dist_in <= delta)
         admissible = ~r.inside & (dist_in > delta)
         assume(admissible.any())
@@ -261,6 +262,96 @@ class TestGridDistances:
         wy, wx = idx[:, cert.witnessed]
         assert len(wy) > 100_000
         assert np.array_equal(cert.witness_points, r.xs[wx] + 1j * r.ys[wy])
+
+
+def condition_x_oracle(dom, M, delta, cap):
+    """Condition X by whole-grid passes: the admissible mask, its column
+    pass and the witnessed grid built whole, then counted.  Returns the
+    admissible column pass (None without admissible nodes), the failure
+    and unprovable counts and the first `cap` failing nodes."""
+    r = dom.raster
+    admissible = ~(_near(_column_rows(r.inside), r.h, delta, strict=False) | r.inside)
+    adm_rows, witnessed = None, np.zeros_like(r.inside)
+    if admissible.any():
+        adm_rows = _column_rows(admissible)
+        witnessed = _near(adm_rows, r.h, M, strict=True) & r.inside
+    miss = r.inside & ~witnessed
+    rows, cols = _fit_slices(r, dom.window, M)
+    iy, ix = np.nonzero(miss[rows, cols])
+    n_fail = len(iy)
+    pts = r.xs[cols][ix[:cap]] + 1j * r.ys[rows][iy[:cap]]
+    return adm_rows, n_fail, int(miss.sum()) - n_fail, pts
+
+
+class TestStreamedPasses:
+    """Condition X streams its delta test in column blocks, each widened
+    by the test's reach, and its M test in row blocks that are counted
+    and dropped; the lattice tests a witness by the distance to the
+    nearest admissible node.  Each equals the whole-grid computation."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        tree=csg_trees(),
+        h=st.floats(0.02, 0.08),
+        k=st.integers(5, 16),
+        off=st.sampled_from([0, -1, 1, 0.5]),
+        M=st.floats(0.05, 3.0),
+        lines=st.sampled_from([3, geometry._LINES]),
+        cap=st.sampled_from([7, 10_000]),
+    )
+    def test_condition_x_equals_the_whole_grid_oracle(self, tree, h, k, off, M, lines, cap):
+        # delta/h an integer, a float step either side of it, or midway
+        delta = k * h
+        if off == 0.5:
+            delta += 0.5 * h
+        elif off:
+            delta = math.nextafter(delta, off * math.inf)
+        dom = PlanarDomain(tree, (-3.0, 3.0, -2.5, 3.5), h, "translation_x")
+        r = dom.raster
+        assume(r.inside.any())
+        adm_rows, n_fail, n_unprov, pts = condition_x_oracle(dom, M, delta, cap)
+        with mock.patch.object(geometry, "_LINES", lines), \
+                mock.patch.object(geometry, "_FAILURE_SAMPLE_CAP", cap):
+            got_rows = geometry._admissible_rows(r, delta)
+            cert = condition_x(dom, M, delta)
+
+        def same(a, b):
+            if a is None or b is None:
+                return a is b
+            return a.dtype == b.dtype and np.array_equal(a, b)
+
+        assert same(got_rows, adm_rows)
+        assert (cert.failure_count, cert.holds) == (n_fail, n_fail == 0)
+        assert cert.unprovable_count == n_unprov
+        assert np.array_equal(cert.failure_points, pts if n_fail else [])
+        # a failing certificate keeps no grid
+        assert same(cert.admissible_rows, adm_rows if cert.holds else None)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+        density=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+        h=st.floats(0.003, 0.2),
+        offset=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        off=st.sampled_from([0, -1, 1]),
+    )
+    def test_lattice_witness_test_equals_the_near_test(self, shape, density, seed, h,
+                                                       offset, off):
+        # build_lattice takes a node as witnessed when its nearest
+        # admissible node lies closer than M: _near's strict test there,
+        # for M at a node distance or a float step either side of one
+        mask = np.random.default_rng(seed).random(shape) < density
+        assume(mask.any())
+        M = float(_edt_distance(h, *offset))
+        if off or not M:
+            M = math.nextafter(M, math.inf if off >= 0 else -math.inf)
+        assume(M > 0)
+        rows = _column_rows(mask)
+        iy, ix = np.indices(shape).reshape(2, -1)
+        wy, wx = _nearest(rows, h, iy, ix)
+        got = _edt_distance(h, wy - iy, wx - ix) < M
+        assert np.array_equal(got, _near(rows, h, M, strict=True)[iy, ix])
 
 
 class TestLineBlocks:
@@ -363,8 +454,8 @@ class TestLineBlocks:
         assert np.array_equal(got[:, 0], nearest)
 
     def test_clause_b_names_the_first_uncovered_node(self, monkeypatch):
-        # clearing the witness flag of the nodes of the lattice points 0 and
-        # 1 drops both points, which leaves the nodes around 1/2 uncovered
+        # taking the witness from the nodes of the lattice points 0 and 1
+        # drops both points, which leaves the nodes around 1/2 uncovered
         dom, M, delta = self.banded(), 1.0, 0.22
         cert = condition_x(dom, M, delta)
         r = cert.raster
@@ -372,11 +463,10 @@ class TestLineBlocks:
         # z: the domain node nearest the node nearest each point
         ziy, zix = r.nearest_index(points)
         out = ~r.inside[ziy, zix]
-        ziy[out], zix[out] = _nearest(r.inside_rows, r.h, ziy[out], zix[out])
+        ziy[out], zix[out] = _nearest(_column_rows(r.inside), r.h, ziy[out], zix[out])
         dropped = np.isin(points, [0j, 1 + 0j])
         assert dropped.sum() == 2
-        cert.witnessed = cert.witnessed.copy()
-        cert.witnessed[ziy[dropped], zix[dropped]] = False
+        drop_witnesses(cert, ziy[dropped], zix[dropped])
         kept = points[~dropped]
         # the oracle: every fit node against every kept point, row-major
         rows, cols = _fit_slices(r, dom.window, M)
@@ -545,7 +635,7 @@ class TestConditionX:
         monkeypatch.setattr(geometry, "_FAILURE_SAMPLE_CAP", cap)
         cert = condition_x(dom, M, delta)
         r = dom.raster
-        admissible = ~(_near(r.inside_rows, r.h, delta, strict=False) | r.inside)
+        admissible = ~(_near(_column_rows(r.inside), r.h, delta, strict=False) | r.inside)
         witnessed = r.inside & (
             _near(_column_rows(admissible), r.h, M, strict=True) if admissible.any()
             else False

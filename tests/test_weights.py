@@ -38,7 +38,7 @@ from dbar_range.weights import (
     strip_weight,
     weight_constants,
 )
-from strategies import csg_trees
+from strategies import csg_trees, drop_witnesses
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -157,11 +157,12 @@ class TestSeriesWeight:
         # z: the domain node nearest the node nearest each point
         ziy, zix = r.nearest_index(points)
         out = ~r.inside[ziy, zix]
-        ziy[out], zix[out] = geometry._nearest(r.inside_rows, r.h, ziy[out], zix[out])
-        cert.witnessed = cert.witnessed.copy()
+        ziy[out], zix[out] = geometry._nearest(
+            geometry._column_rows(r.inside), r.h, ziy[out], zix[out]
+        )
         for drop, clause in ((points.imag <= -5, "coverage clause"),
                              (np.isin(points, [0j, 1j]), "clause (b)")):
-            cert.witnessed[ziy[drop], zix[drop]] = False
+            drop_witnesses(cert, ziy[drop], zix[drop])
             with mock.patch.object(geometry, "_cover", wraps=geometry._cover) as cover_pass:
                 with pytest.raises(LatticeVerificationError) as err:
                     build_lattice(cert)
@@ -368,10 +369,16 @@ class TestGridExtreme:
         x0, y0 = data.draw(st.floats(-3.0, 0.0)), data.draw(st.floats(-3.0, 0.0))
         dom = PlanarDomain(data.draw(csg_trees()), (x0, x0 + w, y0, y0 + hgt), h)
         r = dom.raster
-        mask = r.inside
+        xs, mask = r.xs, r.inside
         if data.draw(st.booleans()):  # a column of the nodes, as for b
             cut = data.draw(st.floats(0.0, 3.0))
-            mask = mask & (np.abs(r.xs) <= cut)
+            central = np.abs(r.xs) <= cut
+            if data.draw(st.booleans()):
+                mask = mask & central
+            else:  # the view of those columns, as certify_composite takes it
+                assume(central.any())
+                (run,) = weights._runs(central)
+                xs, mask = r.xs[run], r.inside[:, run]
         iy, ix = np.nonzero(mask)
         assume(len(iy) > 0)
         ws = data.draw(witness_sets(r))
@@ -380,8 +387,9 @@ class TestGridExtreme:
                 mock.patch.object(weights, "_SEED_TILES", seeds):
             for power, scale in SUMS:
                 for largest in (True, False):
-                    got = weights._grid_extreme(ws, r, mask, power, scale, largest)
-                    assert got == full_extreme(ws, r, iy, ix, power, scale, largest)
+                    got = weights._grid_extreme(ws, xs, r.ys, mask, power, scale, largest)
+                    want = weights._phi_many(ws, xs[ix] + 1j * r.ys[iy], power, scale)
+                    assert got == float(np.max(want) if largest else np.min(want))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -429,7 +437,7 @@ class TestGridExtreme:
         assert want == full_extreme(ws, Grid, np.array([0]), np.array([17]), -4.0, 1.0, True)
         assert want < 1.004 * full_extreme(ws, Grid, np.array([0]), np.array([15]), -4.0, 1.0, True)
         with mock.patch.object(weights, "_SEED_TILES", 1):
-            assert weights._grid_extreme(ws, Grid, inside, -4.0, 1.0, True) == want
+            assert weights._grid_extreme(ws, Grid.xs, Grid.ys, inside, -4.0, 1.0, True) == want
 
     def test_max_evaluates_few_nodes_on_the_gallery(self, monkeypatch):
         # the certify max of phi: a few percent of the nodes decide it
@@ -446,14 +454,14 @@ class TestGridExtreme:
             return phi_many(ws, zs, power, scale)
 
         monkeypatch.setattr(weights, "_phi_many", counting)
-        assert weights._grid_extreme(lat.witnesses, r, r.inside, -4.0, 1.0, True) == want
+        assert weights._grid_extreme(lat.witnesses, r.xs, r.ys, r.inside, -4.0, 1.0, True) == want
         assert sum(evaluated) < 0.05 * len(iy)
 
     def test_no_nodes_raises(self):
         r = make_gallery().raster
         none = np.zeros_like(r.inside)
         with pytest.raises(ValueError):
-            weights._grid_extreme(np.array([5j]), r, none, -4.0, 1.0, True)
+            weights._grid_extreme(np.array([5j]), r.xs, r.ys, none, -4.0, 1.0, True)
 
 
 def loop_lattice(dom, M, delta, cert):
@@ -752,7 +760,9 @@ class TestComposite:
         for key, value in want.items():
             assert getattr(cert, key) == value, key
 
-    def test_memory_stays_below_16_bytes_per_node_on_omega_s(self):
+    def test_memory_stays_below_1_9_bytes_per_node_on_omega_s(self):
+        # no grid-sized mask: 2.34 B a node with the central columns' mask
+        # and fancy-indexed column copies, 1.73 B without them
         dom, chi, fam, lattice = scenarios.omega_s_composite()
         nodes = dom.raster.inside.size
         tracemalloc.start()
@@ -762,7 +772,7 @@ class TestComposite:
         finally:
             tracemalloc.stop()
         assert cert.certified
-        assert peak < 16 * nodes
+        assert peak < 1.9 * nodes
 
     def test_regional_bounds(self):
         dom, chi, fam, lattice = toy_composite()
@@ -819,10 +829,13 @@ def test_certify_chain_stays_below_32_bytes_per_node():
     assert peak < 32 * nodes
 
 
-def test_certify_chain_with_raster_stays_below_10_bytes_per_node():
+def test_certify_chain_with_raster_stays_below_6_1_bytes_per_node():
     # from a freshly loaded domain, so that the raster build is traced:
-    # every grid the chain builds is an output of at most 2 B a node, and
-    # every temporary has the size of one block
+    # every grid the chain builds is an output of at most 2 B a node, at
+    # most three of them (raster, admissible and inside column passes)
+    # live at once, and every temporary has the size of one block; 8.2 B
+    # a node with the witnessed grid and the cached inside column pass,
+    # 5.56 B without
     dom = replace(load_domain(ROOT / "domains" / "uniform_gallery.json"), mesh=0.01)
     tracemalloc.start()
     try:
@@ -834,17 +847,17 @@ def test_certify_chain_with_raster_stays_below_10_bytes_per_node():
         tracemalloc.stop()
     nodes = cert.raster.inside.size
     assert nodes == 1_442_401
-    assert peak < 10 * nodes
+    assert peak < 6.1 * nodes
 
 
-def test_certificate_grids_total_at_most_6_bytes_per_node():
-    # inside (bool), its column pass (int16), the admissible column pass
-    # (int16) and witnessed (bool)
+def test_raster_and_certificate_hold_at_most_3_bytes_per_node():
+    # inside (bool) and the admissible column pass (int16); the rest are
+    # the raster's axes
     cert = condition_x(load_domain(ROOT / "domains" / "uniform_gallery.json"), M=2.0, delta=0.1)
     r = cert.raster
-    grids = (r.inside, r.inside_rows, cert.admissible_rows, cert.witnessed)
-    assert all(g.shape == r.inside.shape for g in grids)
-    assert sum(g.nbytes for g in grids) <= 6 * r.inside.size
+    assert cert.admissible_rows.shape == r.inside.shape
+    arrays = [v for obj in (r, cert) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 3 * r.inside.size + 8 * sum(r.inside.shape)
 
 
 def test_strip_gallery_weight_equals_the_per_node_values():
