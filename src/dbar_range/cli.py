@@ -160,7 +160,7 @@ def cmd_certify(args) -> int:
         print(f"condition not satisfied; report: {path}")
         return 2
     lat = build_lattice(cx)
-    del cx  # the weight stage reads the domain: free the admissible column pass now
+    del cx  # the weight stage reads the domain: free the admissible bit mask now
     weight = lattice_weight_report(lat)
     report["weight"] = weight
     report["verdict"] = "closed range certified on the windowed domain"

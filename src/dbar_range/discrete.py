@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import MeshError, PlanarDomain, SolverError, _column_rows, _near
+from .geometry import MeshError, PlanarDomain, SolverError, _ColumnPass, _near
 
 __all__ = [
     "CooMatrix",
@@ -630,7 +630,7 @@ def twisted_quadrature_check(
     u = np.asarray(u_fn(z), dtype=complex)
     supp = np.abs(u) > 0
     r = g.domain.raster
-    near_edge = _near(_column_rows(~r.inside), g.h, 2 * g.h, strict=False)[r.inside]
+    near_edge = _near(_ColumnPass(r.inside, invert=True), g.h, 2 * g.h, strict=False)[r.inside]
     if (supp & near_edge).any():
         raise ValueError(
             "test form support reaches within 2h of the boundary; "

@@ -16,23 +16,24 @@ holds the domain in turn.
 Every distance question is a threshold test or a nearest-node query,
 answered exactly, in the distance transform's own float formula, by a
 column pass and a row pass in numpy (`_near`, `_nearest`).  Condition X
-keeps one grid, the column pass of the admissible nodes, and the lattice
-finds the witnesses of the few nodes it needs.  The lattice makes the
-chain's one covering pass (`_cover`), which keeps of the cover only what
-the weight report reads (`cover_gap`).  Complex coordinates appear only
-for the lattice points, their witnesses and one chunk of that pass.
+keeps the admissible nodes as a bit mask, and the lattice finds the
+witnesses of the few nodes it needs.  The lattice makes the chain's one
+covering pass (`_cover`), which keeps of the cover only what the weight
+report reads (`cover_gap`).  Complex coordinates appear only for the
+lattice points, their witnesses and one group of rows of that pass.
 
-No grid-sized array outlives the pass that reads it.  A node's
-membership depends on that node alone, every column and every row of a
-pass is independent of the others, and a threshold test at a node reads
-only the columns within its radius, so the raster build and the grid
-passes stream in blocks of `_LINES` raster lines (the delta test of
-condition X in column blocks widened by its reach): their temporaries
-have the size of one block, and only their outputs span the grid, at 1 B
-a node for the raster and 2 B for a column pass (int16 on grids of fewer
-than 10 923 rows).  The raster keeps no column pass; a point query
-(`clearance`, `build_lattice`) builds the one it reads and frees it on
-return.
+No grid-sized array outlives the pass that reads it, and no column pass
+is stored.  A node's membership depends on that node alone and every
+row of a row pass is independent of the others, so the raster build and
+the grid passes stream in blocks of `_LINES` raster lines: their
+temporaries have the size of one block, and only their outputs span the
+grid.  A column pass (`_ColumnPass`) reads its mask a block of rows at a
+time: it keeps, at each block boundary, the nearest mask row above and
+below in each column (1/16 B a node in int16, the type on grids of fewer
+than 10 923 rows), from which a block's rows follow.  So the raster
+holds 1 B a node and the certificate 1/8 B, its admissible nodes packed
+8 to a byte; a point query (`clearance`, `largest_disc_at`,
+`build_lattice`) builds the inside column pass at its query rows alone.
 
 Unbounded domains are handled by the finite window plus an explicitly
 declared translation symmetry; nothing outside the window is ever
@@ -357,8 +358,9 @@ class Raster:
 # column pass (the nearest mask node in each column) followed by a row pass
 # answers a threshold or nearest-node question exactly, in the column-then-
 # row order of the Maurer-Qi-Raghavan transform (IEEE PAMI 25, 2003).
-# Each column of the column pass and each row of the row pass is decided
-# on its own, so both run over blocks of _LINES lines at a time.
+# Each row of the row pass is decided on its own, and the column pass at a
+# block of rows follows from the block and the nearest mask rows beyond
+# it, so both run over blocks of _LINES rows at a time.
 # ---------------------------------------------------------------------------
 
 # raster lines per block of a streamed grid pass
@@ -378,23 +380,73 @@ def _edt_distance(h: float, dy, dx):
     return np.sqrt(dy * dy + dx * dx)
 
 
-def _column_rows(mask: np.ndarray) -> np.ndarray:
-    """Column pass: for every node, the row of the nearest mask node in its
-    column, ties to the lower row.  In a column without mask nodes the row
-    lies at least ny rows away from every node.  Every value lies in
-    [-2 ny, 3 ny], so the output is int16 while 3 ny < 2^15 (2 B a node)
-    and int32 above.  Runs over blocks of _LINES columns, each made
-    column-major so that its running max and min run along memory."""
-    ny, nx = mask.shape
-    dtype = np.int16 if 3 * ny < 2**15 else np.int32
-    rows = np.arange(ny, dtype=dtype)[:, None]
-    out = np.empty((ny, nx), dtype=dtype)
-    for cols in _line_blocks(nx):
-        block = np.asfortranarray(mask[:, cols])
-        up = np.maximum.accumulate(np.where(block, rows, dtype(-2 * ny)), axis=0)
-        down = np.minimum.accumulate(np.where(block, rows, dtype(3 * ny))[::-1], axis=0)[::-1]
-        out[:, cols] = np.where(rows - up <= down - rows, up, down)
-    return out
+class _ColumnPass:
+    """The column pass of a mask, built a block of rows at a time.
+
+    `rows(blk)` gives, for every node of the rows `blk`, the row of the
+    nearest mask node in its column, ties to the lower row.  In a column
+    without mask nodes the row lies at least ny rows away from every node
+    (-2 ny or 3 ny).  Every value lies in [-2 ny, 3 ny], so the rows are
+    int16 while 3 ny < 2^15 and int32 above (`dtype`).
+
+    No pass is stored.  The mask is read a block at a time: a bool grid,
+    its complement (`invert`), or, given `nx`, a grid packed 8 nodes to a
+    byte along x (`np.packbits(mask, axis=1)`).  At each boundary of the
+    blocks of _LINES rows the pass keeps the nearest mask row above and
+    below it in each column, 2 x ny/_LINES x nx values, from which a
+    block's rows follow by a running max and min within the block."""
+
+    def __init__(self, mask: np.ndarray, invert: bool = False, nx: Optional[int] = None):
+        ny = mask.shape[0]
+        self.mask, self.invert, self.packed = mask, invert, nx is not None
+        self.shape = (ny, mask.shape[1] if nx is None else nx)
+        self.dtype = np.dtype(np.int16 if 3 * ny < 2**15 else np.int32)
+        self.lines = _LINES
+        # per column, up[b]: the last mask row above row b * _LINES, and
+        # down[b]: the first at or below it
+        n = -(-ny // _LINES) + 1
+        self._up = np.full((n, self.shape[1]), -2 * ny, dtype=self.dtype)
+        self._down = np.full((n, self.shape[1]), 3 * ny, dtype=self.dtype)
+        for b, blk in enumerate(_line_blocks(ny)):
+            m = self._mask(blk)
+            hit = m.any(axis=0)
+            last = blk.stop - 1 - m[::-1].argmax(axis=0)
+            self._up[b + 1] = np.where(hit, last, self._up[b])
+            self._down[b] = np.where(hit, blk.start + m.argmax(axis=0), 3 * ny)
+        for b in range(n - 2, -1, -1):
+            np.minimum(self._down[b], self._down[b + 1], out=self._down[b])
+
+    def _mask(self, blk: slice) -> np.ndarray:
+        if self.packed:
+            return np.unpackbits(self.mask[blk], axis=1, count=self.shape[1]).view(bool)
+        return ~self.mask[blk] if self.invert else self.mask[blk]
+
+    def rows(self, blk: slice) -> np.ndarray:
+        """The column pass at the rows `blk`, a nonempty slice of
+        consecutive rows; the blocks of _LINES rows that hold them are
+        computed."""
+        ny = self.shape[0]
+        a, b, _ = blk.indices(ny)
+        s, e = a - a % self.lines, min(b + -b % self.lines, ny)
+        m = self._mask(slice(s, e))
+        rows = np.arange(s, e, dtype=self.dtype)[:, None]
+        # a mask node's row, else the sentinel, as m * (row - sentinel) +
+        # sentinel (several times faster than np.where); the nearest mask
+        # rows beyond the block enter at its ends
+        lo, hi = -2 * ny, 3 * ny
+        up = np.multiply(m, rows - lo, dtype=self.dtype)
+        up += self.dtype.type(lo)
+        np.maximum(up[0], self._up[s // self.lines], out=up[0])
+        down = np.multiply(m, rows - hi, dtype=self.dtype)
+        down += self.dtype.type(hi)
+        np.minimum(down[-1], self._down[-(-e // self.lines)], out=down[-1])
+        # the running extremes a row at a time: along axis 0 of a C-ordered
+        # block numpy's accumulate is several times slower
+        for i in range(1, e - s):
+            np.maximum(up[i - 1], up[i], out=up[i])
+        for i in range(e - s - 2, -1, -1):
+            np.minimum(down[i + 1], down[i], out=down[i])
+        return np.where(rows - up <= down - rows, up, down)[a - s : b - s]
 
 
 def _reach(h: float, radius: float, strict: bool, ny: int, nx: int) -> np.ndarray:
@@ -420,19 +472,17 @@ def _reach(h: float, radius: float, strict: bool, ny: int, nx: int) -> np.ndarra
 
 
 def _near_rows(rows: np.ndarray, reach: np.ndarray, blk: slice) -> np.ndarray:
-    """The rows `blk` of `_near`, given the mask's `_column_rows` and the
-    test's `_reach` table.
+    """The rows `blk` of `_near`, given the mask's column pass at those
+    rows (`_ColumnPass.rows(blk)`) and the test's `_reach` table.
 
     A node is near when some column c reaches it: a running max of
-    c + reach and a running min of c - reach along each row decide that.
-    The table may be that of a wider grid: an offset past the block's last
-    column reaches no farther within it."""
-    ny, nx = rows.shape
+    c + reach and a running min of c - reach along each row decide that."""
+    ny, nx = len(reach) - 1, rows.shape[1]
     v = np.arange(ny, dtype=np.int32)[blk, None]
     c = np.arange(nx, dtype=np.int32)
     # one work array holds the row offsets, then c + reach, then c - reach:
     # a block leaves few temporaries behind, so few fresh pages to fault in
-    work = np.subtract(rows[blk], v, dtype=np.int32)
+    work = np.subtract(rows, v, dtype=np.int32)
     np.minimum(np.abs(work, out=work), ny, out=work)
     span = reach[work]
     np.maximum.accumulate(np.add(c, span, out=work), axis=1, out=work)
@@ -443,38 +493,54 @@ def _near_rows(rows: np.ndarray, reach: np.ndarray, blk: slice) -> np.ndarray:
     return near
 
 
-def _near(rows: np.ndarray, h: float, radius: float, strict: bool) -> np.ndarray:
+def _near(cp: _ColumnPass, h: float, radius: float, strict: bool) -> np.ndarray:
     """Nodes with a mask node at distance below `radius` (at most `radius`
-    when not strict), given the mask's `_column_rows`, a block of _LINES
-    rows at a time."""
-    ny, nx = rows.shape
+    when not strict), given the mask's column pass, a block of _LINES rows
+    at a time."""
+    ny, nx = cp.shape
     reach = _reach(h, radius, strict, ny, nx)
     near = np.empty((ny, nx), dtype=bool)
     for blk in _line_blocks(ny):
-        near[blk] = _near_rows(rows, reach, blk)
+        near[blk] = _near_rows(cp.rows(blk), reach, blk)
     return near
 
 
-def _nearest(rows: np.ndarray, h: float, iy, ix) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(cp: _ColumnPass, h: float, iy, ix) -> tuple[np.ndarray, np.ndarray]:
     """(row, column) of the mask node nearest each node (iy, ix), given the
-    mask's `_column_rows`; the mask must have a node.
+    mask's column pass; the mask must have a node.
 
     Nearest means the least squared distance (dy h)^2 + (dx h)^2, ties to
     the smaller column and, within a column, to the lower row: the choice
     of the distance transform's column-then-row order.  Column offsets 0,
-    +-1, +-2, ... are scanned, and a query drops out once the offset alone
-    is farther than its best node."""
-    ny, nx = rows.shape
-    flat = rows.ravel()
+    +-1, +-2, ... are scanned along the query's row, so the column pass is
+    built at the query rows alone, and a query drops out once the offset
+    alone is farther than its best node."""
+    ny, nx = cp.shape
     iy = np.asarray(iy, dtype=np.intp)
     ix = np.asarray(ix, dtype=np.intp)
+    # the column pass at the query rows, in row order (a flag over the
+    # rows, as np.unique would import numpy.ma)
+    wanted = np.zeros(ny, dtype=bool)
+    wanted[iy] = True
+    part = np.empty((np.count_nonzero(wanted), nx), dtype=cp.dtype)
+    j = 0
+    for blk in _line_blocks(ny):
+        if (n := np.count_nonzero(wanted[blk])):
+            part[j : j + n] = cp.rows(blk)[wanted[blk]]
+            j += n
+    flat = part.ravel()
     out_y, out_x = np.empty_like(iy), np.empty_like(ix)
-    # the open queries: their index, node, flat node index and best so far
-    q, y, x, at = np.arange(iy.size), iy, ix, iy * nx + ix
+    # the open queries: their index, node, flat index in `part` and best so far
+    slot = np.cumsum(wanted) - 1
+    q, y, x, at = np.arange(iy.size), iy, ix, slot[iy] * nx + ix
     by, bx = flat[at], x
-    best = np.where(np.abs(by - y) < ny, ((by - y) * h) ** 2, np.inf)
+    d = (by - y) * h
+    best = np.where(np.abs(by - y) < ny, d * d, np.inf)
     for k in range(1, nx):
-        done = best < (k * h) ** 2
+        # every square a product, as in _edt_distance: a Python float's
+        # ** 2 may round a last bit apart and break a tie the wrong way
+        kh2 = (k * h) * (k * h)
+        done = best < kh2
         if done.any():
             out_y[q[done]], out_x[q[done]] = by[done], bx[done]
             q, y, x, at, by, bx, best = (a[~done] for a in (q, y, x, at, by, bx, best))
@@ -484,7 +550,8 @@ def _nearest(rows: np.ndarray, h: float, iy, ix) -> tuple[np.ndarray, np.ndarray
             c = x + s
             r = flat.take(at + s, mode="clip")
             ok = (c >= 0) & (c < nx) & (np.abs(r - y) < ny)
-            key = np.where(ok, ((r - y) * h) ** 2 + (k * h) ** 2, np.inf)
+            d = (r - y) * h
+            key = np.where(ok, d * d + kh2, np.inf)
             better = (key < best) | ((key == best) & (c < bx))
             best = np.where(better, key, best)
             by, bx = np.where(better, r, by), np.where(better, c, bx)
@@ -611,7 +678,7 @@ def largest_disc_at(dom: PlanarDomain, z: complex, cap: float) -> float:
     if r.inside.all():
         return cap
     iy, ix = r.nearest_index(z)
-    oy, ox = _nearest(_column_rows(~r.inside), r.h, [iy], [ix])
+    oy, ox = _nearest(_ColumnPass(r.inside, invert=True), r.h, [iy], [ix])
     d = float(_edt_distance(r.h, oy[0] - iy, ox[0] - ix))
     snap = abs(z - r.node_z(iy, ix))
     return min(cap, max(0.0, d - snap))
@@ -621,9 +688,9 @@ def clearance(dom: PlanarDomain, z):
     """Grid distance from z to the rasterized domain closure (0 if inside).
 
     z is a point, answered as a float, or an array of points, answered as
-    an array by one nearest-node scan, against a column pass of the inside
-    nodes built for the call.  Error <= h*sqrt(2); distances are measured
-    against the window content.
+    an array by one nearest-node scan, against the column pass of the
+    inside nodes at the query rows.  Error <= h*sqrt(2); distances are
+    measured against the window content.
     """
     z = np.asarray(z, dtype=complex)
     away = ~np.asarray(dom.tree.member(z.real, z.imag))
@@ -634,7 +701,7 @@ def clearance(dom: PlanarDomain, z):
             out[away] = math.inf
         else:
             iy, ix = r.nearest_index(z[away])
-            ty, tx = _nearest(_column_rows(r.inside), r.h, iy, ix)
+            ty, tx = _nearest(_ColumnPass(r.inside), r.h, iy, ix)
             # |z - node| as a complex scalar's abs takes it; np.abs of a
             # complex array may round differently
             d = z[away] - r.node_z(ty, tx)
@@ -656,9 +723,10 @@ class ConditionXCertificate:
     node).  The verdict lives on grid indices of `raster`, the raster of
     `domain`:
 
-    - `admissible_rows` is the `_column_rows` of the admissible nodes, or
-      None when no node is admissible or the condition fails; it is the
-      one grid the certificate keeps;
+    - `admissible` is the `_ColumnPass` of the admissible nodes, or None
+      when no node is admissible or the condition fails; its mask, packed
+      8 nodes to a byte, and its block tables (about 0.19 B a node) are
+      all the certificate keeps of the grid;
     - `witness_of(iy, ix)` gives the (row, column) of the nearest admissible
       node, with the distance transform's tie-breaking: the witness of a
       witnessed node, one closer than M.  Witnesses are found only when
@@ -683,7 +751,7 @@ class ConditionXCertificate:
     M: float
     delta: float
     domain: PlanarDomain = field(repr=False)
-    admissible_rows: Optional[np.ndarray] = field(repr=False)
+    admissible: Optional[_ColumnPass] = field(repr=False)
     failure_points: np.ndarray
     failure_count: int
     unprovable_count: int
@@ -696,15 +764,15 @@ class ConditionXCertificate:
 
     def witness_of(self, iy, ix) -> tuple[np.ndarray, np.ndarray]:
         """(row, column) of the admissible node nearest each node (iy, ix)."""
-        return _nearest(self.admissible_rows, self.raster.h, iy, ix)
+        return _nearest(self.admissible, self.raster.h, iy, ix)
 
     @property
     def witnessed(self) -> np.ndarray:
         """The domain nodes with an admissible node closer than M."""
         r = self.raster
-        if self.admissible_rows is None:
+        if self.admissible is None:
             return np.zeros_like(r.inside)
-        witnessed = _near(self.admissible_rows, r.h, self.M, strict=True)
+        witnessed = _near(self.admissible, r.h, self.M, strict=True)
         witnessed &= r.inside
         return witnessed
 
@@ -717,7 +785,7 @@ class ConditionXCertificate:
     @property
     def witness_points(self) -> np.ndarray:
         """The witness of each of `sample_points`, as complex coordinates."""
-        if self.admissible_rows is None:
+        if self.admissible is None:
             return np.array([], dtype=complex)
         wy, wx = self.witness_of(*np.nonzero(self.witnessed))
         return self.raster.xs[wx] + 1j * self.raster.ys[wy]
@@ -735,37 +803,33 @@ def _fit_slices(r: Raster, window, M: float) -> tuple[slice, slice]:
     return rows, cols
 
 
-def _admissible_rows(r: Raster, delta: float) -> Optional[np.ndarray]:
-    """`_column_rows` of the admissible nodes (outside the domain, with no
+def _admissible_rows(r: Raster, delta: float) -> Optional[_ColumnPass]:
+    """The column pass of the admissible nodes (outside the domain, with no
     domain node within delta), or None when there is none.
 
-    The delta test at a node reads only the columns within delta of it,
-    so each block of _LINES columns is decided from the inside column pass
-    of the block widened on each side by the test's reach along a row, and
-    its admissible column pass is written straight into the output: no
-    other grid-sized array is formed."""
+    The delta test runs a block of _LINES rows at a time on the inside
+    column pass at those rows, and each block's admissible nodes are
+    packed 8 to a byte into the pass's mask (ny x ceil(nx / 8) bytes): no
+    grid of more than 1 bit a node is formed.  A block with no node
+    outside the domain admits none and is skipped, and a domain that fills
+    its window builds no pass at all."""
     inside = r.inside
+    if inside.all():
+        return None
     ny, nx = inside.shape
+    inside_pass = _ColumnPass(inside)
     reach = _reach(r.h, delta, False, ny, nx)
-    halo = int(reach[0])
-    # the column pass of a column without mask nodes
-    blank = _column_rows(np.zeros((ny, 1), dtype=bool))
-    out = np.empty((ny, nx), dtype=blank.dtype)
+    bits = np.zeros((ny, -(-nx // 8)), dtype=np.uint8)
     found = False
-    for cols in _line_blocks(nx):
-        if inside[:, cols].all():  # no node outside the domain to admit
-            out[:, cols] = blank
+    for blk in _line_blocks(ny):
+        if inside[blk].all():  # no node outside the domain to admit
             continue
-        lo, hi = max(cols.start - halo, 0), min(cols.stop + halo, nx)
-        near = _near_rows(_column_rows(inside[:, lo:hi]), reach, slice(None))
-        admissible = near[:, cols.start - lo : cols.stop - lo]
-        np.logical_not(np.logical_or(admissible, inside[:, cols], out=admissible), out=admissible)
+        admissible = _near_rows(inside_pass.rows(blk), reach, blk)
+        np.logical_not(np.logical_or(admissible, inside[blk], out=admissible), out=admissible)
         if admissible.any():
-            out[:, cols] = _column_rows(admissible)
+            bits[blk] = np.packbits(admissible, axis=1)
             found = True
-        else:
-            out[:, cols] = blank
-    return out if found else None
+    return _ColumnPass(bits, nx=nx) if found else None
 
 
 def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertificate:
@@ -783,13 +847,14 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
     clipping elsewhere.
 
     Two exact distance tests do the work, each a column pass and a row pass
-    (`_near`): the admissible nodes are the nodes outside the domain with no
-    domain node within delta (`_admissible_rows`, by column blocks), and
-    the witnessed nodes are the domain nodes with an admissible node closer
-    than M (by row blocks, each counted and dropped).  No distance field
-    and no mask of the grid is built; the certificate keeps the admissible
-    column pass, from which `witness_of` finds the witness of any node on
-    demand.
+    (`_near`), both a block of _LINES rows at a time: the admissible nodes
+    are the nodes outside the domain with no domain node within delta
+    (`_admissible_rows`), and the witnessed nodes are the domain nodes with
+    an admissible node closer than M (each block counted and dropped).  No
+    distance field and no byte mask of the grid is built; the certificate
+    keeps the admissible nodes as a bit mask with its column-pass tables
+    (`_ColumnPass`), from which `witness_of` finds the witness of any node
+    on demand.
     """
     if M <= 0 or delta <= 0:
         raise ValueError(f"M and delta must be positive, got M={M}, delta={delta}")
@@ -810,9 +875,9 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
     if not inside.any():
         return ConditionXCertificate(True, M, delta, dom, None, empty, 0, 0, False, notes)
 
-    adm_rows = _admissible_rows(r, delta)
+    admissible = _admissible_rows(r, delta)
     ny, nx = inside.shape
-    reach = None if adm_rows is None else _reach(r.h, M, True, ny, nx)
+    reach = None if admissible is None else _reach(r.h, M, True, ny, nx)
     # the domain nodes lacking a witness, a block of rows at a time: all of
     # them counted, those with a full search disc (the fit slices) counted
     # apart, and the first of these in row-major order kept up to the cap
@@ -821,8 +886,8 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
     pts, left = [], _FAILURE_SAMPLE_CAP
     for blk in _line_blocks(ny):
         miss = inside[blk].copy()
-        if adm_rows is not None:
-            miss &= ~_near_rows(adm_rows, reach, blk)
+        if admissible is not None:
+            miss &= ~_near_rows(admissible.rows(blk), reach, blk)
         n_miss += int(np.count_nonzero(miss))
         fit_rows = slice(max(rows.start - blk.start, 0), max(rows.stop - blk.start, 0))
         fit = miss[fit_rows, cols]
@@ -855,7 +920,7 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
         )
 
     return ConditionXCertificate(
-        True, M, delta, dom, adm_rows, empty, 0, n_unprov, accepted, notes,
+        True, M, delta, dom, admissible, empty, 0, n_unprov, accepted, notes,
     )
 
 
@@ -896,7 +961,7 @@ def _distance_to_outside(r: Raster, w: complex, reach: float) -> float:
     return float(np.min(np.abs(w - (r.xs[cols][ox] + 1j * r.ys[rows][oy]))))
 
 
-# inside nodes per chunk of the covering pass
+# nodes per group of rows of the covering pass
 _CHUNK = 1 << 13
 # a node coordinate over M within this of a half-integer lies on a bisector
 _BISECTOR = 1e-9
@@ -904,10 +969,11 @@ _BISECTOR = 1e-9
 
 def _cover(r: Raster, M: float, points: np.ndarray):
     """The covering point of every inside node, in row-major order: yields
-    (z, cover) per chunk of at most _CHUNK inside nodes of a block of
-    _LINES rows, cover[i] the index in `points` (on (M Z)^2, in (l, k)
-    order, each within M of an inside node) of the point w nearest z[i]
-    with np.abs(z[i] - w) < M, the first on a tie, or -1.
+    (z, cover) per group of max(1, _CHUNK // nx) rows, which holds at most
+    _CHUNK nodes on grids of at most _CHUNK columns, cover[i] the index in
+    `points` (on (M Z)^2, in (l, k) order, each within M of an inside
+    node) of the point w nearest z[i] with np.abs(z[i] - w) < M, the
+    first on a tie, or -1.
 
     Only the 3 x 3 points around a node's rint point (rint(x/M), rint(y/M))
     M can lie within M of it.  Off the bisectors of the lattice the rint
@@ -925,27 +991,29 @@ def _cover(r: Raster, M: float, points: np.ndarray):
     col_l, row_k = (xl - l0).astype(np.int32), (yk - k0).astype(np.int32)
     col_off = np.abs(r.xs / M - xl) >= 0.5 - _BISECTOR
     row_off = np.abs(r.ys / M - yk) >= 0.5 - _BISECTOR
-    for blk in _line_blocks(len(r.ys)):
-        block_iy, block_ix = np.nonzero(r.inside[blk])
-        block_iy += blk.start
-        for part in range(0, block_iy.size, _CHUNK):
-            iy, ix = block_iy[part : part + _CHUNK], block_ix[part : part + _CHUNK]
-            z = r.xs[ix] + 1j * r.ys[iy]
-            l, k = col_l[ix], row_k[iy]
-            cover = index[l, k]
-            rest = np.flatnonzero((np.abs(z - pts[cover]) >= M) | col_off[ix] | row_off[iy])
-            if rest.size:
-                zr, l, k = z[rest], l[rest], k[rest]
-                best = np.full(rest.size, math.inf)
-                got = np.full(rest.size, -1, dtype=np.int32)
-                for dl in (-1, 0, 1):
-                    for dk in (-1, 0, 1):
-                        c = index[l + dl, k + dk]
-                        d = np.abs(zr - pts[c])
-                        better = (d < M) & (d < best)
-                        best[better], got[better] = d[better], c[better]
-                cover[rest] = got
-            yield z, cover
+    ny, nx = r.inside.shape
+    group = max(1, _CHUNK // nx)
+    for start in range(0, ny, group):
+        iy, ix = np.nonzero(r.inside[start : start + group])
+        if not iy.size:
+            continue
+        iy += start
+        z = r.xs[ix] + 1j * r.ys[iy]
+        l, k = col_l[ix], row_k[iy]
+        cover = index[l, k]
+        rest = np.flatnonzero((np.abs(z - pts[cover]) >= M) | col_off[ix] | row_off[iy])
+        if rest.size:
+            zr, l, k = z[rest], l[rest], k[rest]
+            best = np.full(rest.size, math.inf)
+            got = np.full(rest.size, -1, dtype=np.int32)
+            for dl in (-1, 0, 1):
+                for dk in (-1, 0, 1):
+                    c = index[l + dl, k + dk]
+                    d = np.abs(zr - pts[c])
+                    better = (d < M) & (d < best)
+                    best[better], got[better] = d[better], c[better]
+            cover[rest] = got
+        yield z, cover
 
 
 def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
@@ -962,8 +1030,8 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
     its disc touches the domain only at its rim and may hold no exterior
     node (clause (a)).  Dropping a point can only make clause (b) fail,
     never pass a bad set.  The nearest-node queries against the domain
-    read a column pass of the inside nodes built here and freed before
-    the covering pass.  Clauses re-verified before returning:
+    read the column pass of the inside nodes at their query rows alone.
+    Clauses re-verified before returning:
 
     (a) the search disc meets the complement: some node outside the domain
         lies closer than M to w.  The witness w* is such a node, so
@@ -987,7 +1055,7 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
     dom, M, delta, r = cert.domain, cert.M, cert.delta, cert.raster
     x0, x1, y0, y1 = dom.window
     w = witnesses = np.array([], dtype=complex)
-    if cert.admissible_rows is not None:  # else no witness, so no point
+    if cert.admissible is not None:  # else no witness, so no point
         ls, ks = np.meshgrid(
             np.arange(math.floor((x0 - M) / M), math.ceil((x1 + M) / M) + 1),
             np.arange(math.floor((y0 - M) / M), math.ceil((y1 + M) / M) + 1),
@@ -997,10 +1065,10 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
         w.real, w.imag = ls.ravel() * M, ks.ravel() * M
 
         # n: the node nearest w; z: the domain node nearest n
-        inside_rows = _column_rows(r.inside)
+        inside_pass = _ColumnPass(r.inside)
         ziy, zix = r.nearest_index(w)
         out = ~r.inside[ziy, zix]
-        ziy[out], zix[out] = _nearest(inside_rows, r.h, ziy[out], zix[out])
+        ziy[out], zix[out] = _nearest(inside_pass, r.h, ziy[out], zix[out])
         # the search disc meets the sampled domain
         keep = np.abs(w - (r.xs[zix] + 1j * r.ys[ziy])) < M * (1 - 1e-12)
         w, ziy, zix = w[keep], ziy[keep], zix[keep]
@@ -1027,8 +1095,8 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
             )
 
         # clause (c)(i): witness clearance, measured on the grid
-        cy, cx = _nearest(inside_rows, r.h, wy, wx)
-        del inside_rows
+        cy, cx = _nearest(inside_pass, r.h, wy, wx)
+        del inside_pass
         clear = _edt_distance(r.h, cy - wy, cx - wx)
         if (clear <= delta).any():
             j = int(np.argmax(clear <= delta))

@@ -77,9 +77,11 @@ def weight_constants(M: float, delta: float) -> tuple[float, float]:
 _GAMMA_MAX = 64
 
 
-# 2^15 pairwise terms per chunk bound the temporaries at ~3 MB: 1 MB in
-# _phi_many, 2.6 MB in _tile_bounds (its float64 box offsets and distances)
-_BLOCK = 1 << 15
+# 2^13 pairwise terms per chunk bound the temporaries below 1 MB: 0.46 MB
+# in _phi_many, 0.72 MB in _tile_bounds (its float64 box offsets and
+# distances), under the bit-packed certificate's 1.2 B a node; a row sum
+# does not depend on the chunk
+_BLOCK = 1 << 13
 
 
 def _phi_many(ws: np.ndarray, zs: np.ndarray, power: float, scale: float) -> np.ndarray:

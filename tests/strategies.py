@@ -5,6 +5,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from dbar_range import geometry
 from dbar_range.geometry import Complement, Disc, HalfPlane, Intersection, Rect, Union
 
 
@@ -45,6 +46,25 @@ def radial_bump(z, center: complex = 0j, radius: float = 1.0):
     with np.errstate(over="ignore"):
         out[safe] = np.exp(-1.0 / g[safe])
     return out
+
+
+def column_rows(mask):
+    """The whole-grid column pass of a mask, the oracle of
+    `geometry._ColumnPass`: for every node the row of the nearest mask
+    node in its column, ties to the lower row; -2 ny or 3 ny in a column
+    without mask nodes.  int16 while 3 ny < 2^15, int32 above."""
+    ny, nx = mask.shape
+    dtype = np.int16 if 3 * ny < 2**15 else np.int32
+    rows = np.arange(ny, dtype=dtype)[:, None]
+    up = np.maximum.accumulate(np.where(mask, rows, dtype(-2 * ny)), axis=0)
+    down = np.minimum.accumulate(np.where(mask, rows, dtype(3 * ny))[::-1], axis=0)[::-1]
+    return np.where(rows - up <= down - rows, up, down)
+
+
+def pass_rows(cp):
+    """The rows of a `geometry._ColumnPass`, a block of _LINES rows at a
+    time, stacked into the whole grid."""
+    return np.concatenate([cp.rows(blk) for blk in geometry._line_blocks(cp.shape[0])])
 
 
 def drop_witnesses(cert, iy, ix):

@@ -376,11 +376,11 @@ def test_config_hash_is_the_sha256_of_the_canonical_config(config):
 
 
 def test_certify_fine_mesh_stays_below_6_3_bytes_per_node(tmp_path):
-    # no grid outlives the pass that reads it: beside the raster (1 B a
-    # node) condition X keeps the admissible column pass (2 B) and the
-    # lattice builds the inside one (2 B) for its nearest-node queries;
-    # the command peaked at 7.35 B a node with the witnessed grid and a
-    # cached inside column pass, 5.70 B without them
+    # no column pass is stored: beside the raster (1 B a node) condition
+    # X keeps the admissible nodes as a bit mask, and the lattice builds
+    # the inside pass at its query rows alone; the command peaked at
+    # 5.70 B a node with the admissible and the inside column passes
+    # stored (2 B each), 2.15 B without (the weight stage's blocks)
     argv = ["certify", "--domain", str(ROOT / "domains/uniform_gallery.json"),
             "--M", "2", "--delta", "0.1", "--mesh", "0.01", "--out", str(tmp_path)]
     tracemalloc.start()
@@ -389,13 +389,14 @@ def test_certify_fine_mesh_stays_below_6_3_bytes_per_node(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.3 * 1_442_401
+    assert peak < 2.5 * 1_442_401
 
 
 def test_omega_s_scenario_stays_below_4_35_bytes_per_node(tmp_path):
     # condition X fails on omega_s, so its certificate keeps no grid, and
     # clearance and the composite weight form none beside the raster; the
-    # command peaked at 6.79 B a node before they streamed, 3.94 B after
+    # command peaked at 6.79 B a node before they streamed, 3.94 B after,
+    # and 2.64 B with the admissible nodes a bit mask and no stored pass
     argv = ["scenario", "--spec", str(ROOT / "scenarios" / "omega_s.json"),
             "--out", str(tmp_path)]
     nodes = scenarios.omega_s_composite()[0].raster.inside.size
@@ -406,7 +407,7 @@ def test_omega_s_scenario_stays_below_4_35_bytes_per_node(tmp_path):
     finally:
         tracemalloc.stop()
     assert nodes == 2_085_417
-    assert peak < 4.35 * nodes
+    assert peak < 3.05 * nodes
 
 
 def test_tube_monte_carlo_stays_below_1_85_mb():

@@ -39,8 +39,8 @@ from dbar_range.geometry import (
     load_domain,
     plane,
 )
-from dbar_range.geometry import _column_rows, _edt_distance, _fit_slices, _near, _nearest
-from strategies import csg_trees, drop_witnesses
+from dbar_range.geometry import _ColumnPass, _edt_distance, _fit_slices, _near, _nearest
+from strategies import column_rows, csg_trees, drop_witnesses, pass_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 DOMAINS = sorted((ROOT / "domains").glob("*.json"))
@@ -195,11 +195,11 @@ class TestGridDistances:
     def test_near_and_nearest_match_the_transform(self, path):
         r = load_domain(path).raster
         iy, ix = np.indices(r.inside.shape).reshape(2, -1)
-        for mask in (r.inside, ~r.inside):
+        for mask, rows in ((r.inside, _ColumnPass(r.inside)),
+                           (~r.inside, _ColumnPass(r.inside, invert=True))):
             if not mask.any():
                 continue
             dist, idx = ndimage.distance_transform_edt(~mask, sampling=r.h, return_indices=True)
-            rows = _column_rows(mask)
             for radius in (r.h, 2 * r.h, 0.1, 2.0):
                 assert np.array_equal(_near(rows, r.h, radius, strict=True), dist < radius)
                 assert np.array_equal(_near(rows, r.h, radius, strict=False), dist <= radius)
@@ -217,13 +217,13 @@ class TestGridDistances:
         assume(r.inside.any())
         dist_in = ndimage.distance_transform_edt(~r.inside, sampling=h)
         for strict in (True, False):
-            got = _near(_column_rows(r.inside), h, delta, strict)
+            got = _near(_ColumnPass(r.inside), h, delta, strict)
             assert np.array_equal(got, dist_in < delta if strict else dist_in <= delta)
         admissible = ~r.inside & (dist_in > delta)
         assume(admissible.any())
         dist_adm = ndimage.distance_transform_edt(~admissible, sampling=h)
         for strict in (True, False):
-            got = _near(_column_rows(admissible), h, M, strict)
+            got = _near(_ColumnPass(admissible), h, M, strict)
             assert np.array_equal(got, dist_adm < M if strict else dist_adm <= M)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -237,7 +237,7 @@ class TestGridDistances:
         mask = np.random.default_rng(seed).random(shape) < density
         assume(mask.any())
         iy, ix = np.indices(shape).reshape(2, -1)
-        got = np.array(_nearest(_column_rows(mask), h, iy, ix))
+        got = np.array(_nearest(_ColumnPass(mask), h, iy, ix))
         # least (dy h)^2 + (dx h)^2, ties to the smaller column, then row
         my, mx = np.nonzero(mask)
         order = np.lexsort((my, mx))
@@ -270,11 +270,11 @@ def condition_x_oracle(dom, M, delta, cap):
     admissible column pass (None without admissible nodes), the failure
     and unprovable counts and the first `cap` failing nodes."""
     r = dom.raster
-    admissible = ~(_near(_column_rows(r.inside), r.h, delta, strict=False) | r.inside)
+    admissible = ~(_near(_ColumnPass(r.inside), r.h, delta, strict=False) | r.inside)
     adm_rows, witnessed = None, np.zeros_like(r.inside)
     if admissible.any():
-        adm_rows = _column_rows(admissible)
-        witnessed = _near(adm_rows, r.h, M, strict=True) & r.inside
+        adm_rows = column_rows(admissible)
+        witnessed = _near(_ColumnPass(admissible), r.h, M, strict=True) & r.inside
     miss = r.inside & ~witnessed
     rows, cols = _fit_slices(r, dom.window, M)
     iy, ix = np.nonzero(miss[rows, cols])
@@ -284,10 +284,10 @@ def condition_x_oracle(dom, M, delta, cap):
 
 
 class TestStreamedPasses:
-    """Condition X streams its delta test in column blocks, each widened
-    by the test's reach, and its M test in row blocks that are counted
-    and dropped; the lattice tests a witness by the distance to the
-    nearest admissible node.  Each equals the whole-grid computation."""
+    """Condition X streams its delta test and its M test in row blocks,
+    the first packing the admissible nodes into a bit mask, the second
+    counted and dropped; the lattice tests a witness by the distance to
+    the nearest admissible node.  Each equals the whole-grid computation."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
@@ -315,17 +315,17 @@ class TestStreamedPasses:
             got_rows = geometry._admissible_rows(r, delta)
             cert = condition_x(dom, M, delta)
 
-        def same(a, b):
-            if a is None or b is None:
-                return a is b
-            return a.dtype == b.dtype and np.array_equal(a, b)
+        def same(cp, rows):
+            if cp is None or rows is None:
+                return cp is rows
+            return cp.dtype == rows.dtype and np.array_equal(pass_rows(cp), rows)
 
         assert same(got_rows, adm_rows)
         assert (cert.failure_count, cert.holds) == (n_fail, n_fail == 0)
         assert cert.unprovable_count == n_unprov
         assert np.array_equal(cert.failure_points, pts if n_fail else [])
         # a failing certificate keeps no grid
-        assert same(cert.admissible_rows, adm_rows if cert.holds else None)
+        assert same(cert.admissible, adm_rows if cert.holds else None)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -347,7 +347,7 @@ class TestStreamedPasses:
         if off or not M:
             M = math.nextafter(M, math.inf if off >= 0 else -math.inf)
         assume(M > 0)
-        rows = _column_rows(mask)
+        rows = _ColumnPass(mask)
         iy, ix = np.indices(shape).reshape(2, -1)
         wy, wx = _nearest(rows, h, iy, ix)
         got = _edt_distance(h, wy - iy, wx - ix) < M
@@ -376,8 +376,8 @@ class TestLineBlocks:
 
     @staticmethod
     def passes(mask):
-        rows = _column_rows(mask)
-        return [rows] + [_near(rows, 0.05, radius, strict)
+        rows = _ColumnPass(mask)
+        return [pass_rows(rows)] + [_near(rows, 0.05, radius, strict)
                          for radius in (0.05, 0.3, 2.0) for strict in (True, False)]
 
     @staticmethod
@@ -387,7 +387,7 @@ class TestLineBlocks:
                cert.accepted_by_symmetry, cert.notes, cert.witnessed, cert.failure_points]
         if cert.holds:
             lat = build_lattice(cert)
-            out += [cert.admissible_rows, lat.points, lat.witnesses]
+            out += [pass_rows(cert.admissible), lat.points, lat.witnesses]
         return out
 
     @pytest.mark.parametrize("lines", [1, 3, 7])
@@ -440,13 +440,15 @@ class TestLineBlocks:
         # mask node, so its values reach both ends
         mask = np.zeros((ny, 2), dtype=bool)
         mask[np.random.default_rng(ny).choice(ny, 12, replace=False), 0] = True
-        got = _column_rows(mask)
+        cp = _ColumnPass(mask)
+        got = pass_rows(cp)
         # the int32 reference: the whole-grid column pass
         rows = np.arange(ny, dtype=np.int32)[:, None]
         up = np.maximum.accumulate(np.where(mask, rows, np.int32(-2 * ny)), axis=0)
         down = np.minimum.accumulate(np.where(mask, rows, np.int32(3 * ny))[::-1], axis=0)[::-1]
         want = np.where(rows - up <= down - rows, up, down)
-        assert want.dtype == np.int32 and got.dtype == dtype and np.array_equal(got, want)
+        assert cp.dtype == got.dtype == dtype
+        assert want.dtype == np.int32 and np.array_equal(got, want)
         assert got.min() == -2 * ny and got.max() == 3 * ny
         # column 0: the nearest mask row, ties to the lower one
         hits = np.flatnonzero(mask[:, 0])
@@ -463,7 +465,7 @@ class TestLineBlocks:
         # z: the domain node nearest the node nearest each point
         ziy, zix = r.nearest_index(points)
         out = ~r.inside[ziy, zix]
-        ziy[out], zix[out] = _nearest(_column_rows(r.inside), r.h, ziy[out], zix[out])
+        ziy[out], zix[out] = _nearest(_ColumnPass(r.inside), r.h, ziy[out], zix[out])
         dropped = np.isin(points, [0j, 1 + 0j])
         assert dropped.sum() == 2
         drop_witnesses(cert, ziy[dropped], zix[dropped])
@@ -481,6 +483,114 @@ class TestLineBlocks:
             with pytest.raises(LatticeVerificationError) as err:
                 build_lattice(cert)
             assert str(err.value) == want
+
+
+class TestColumnPass:
+    """`_ColumnPass` stores no pass: it reads its mask (a bool grid, its
+    complement or the grid packed 8 nodes to a byte) a block of rows at a
+    time.  Every block, and the threshold and nearest-node queries read
+    through it, equal the whole-grid oracle `column_rows` and a brute
+    force over all node pairs."""
+
+    @staticmethod
+    def passes(mask):
+        return (_ColumnPass(mask), _ColumnPass(~mask, invert=True),
+                _ColumnPass(np.packbits(mask, axis=1), nx=mask.shape[1]))
+
+    @staticmethod
+    def check(mask, h, radius, lines, span):
+        ny, nx = mask.shape
+        want = column_rows(mask)
+        iy, ix = np.indices(mask.shape).reshape(2, -1)
+        # brute force over all (node, mask node) pairs, the mask nodes in
+        # column-major order so that argmin takes the smaller column, then
+        # the lower row, on a tie
+        my, mx = np.nonzero(mask.T)[::-1]
+        dy, dx = (my - iy[:, None]) * h, (mx - ix[:, None]) * h
+        square = dy * dy + dx * dx
+        d = np.sqrt(square)
+        near = {strict: ((d < radius) if strict else (d <= radius)).any(axis=1).reshape(ny, nx)
+                for strict in (True, False)}
+        with mock.patch.object(geometry, "_LINES", lines):
+            for cp in TestColumnPass.passes(mask):
+                assert cp.shape == (ny, nx) and cp.dtype == want.dtype
+                for blk in geometry._line_blocks(ny):
+                    rows = cp.rows(blk)
+                    assert rows.dtype == want.dtype and np.array_equal(rows, want[blk])
+                assert np.array_equal(cp.rows(span), want[span])
+                for strict in (True, False):
+                    assert np.array_equal(_near(cp, h, radius, strict), near[strict])
+                if not mask.any():
+                    continue
+                # queries in every row, as witness_points makes them
+                pick = np.argmin(square, axis=1)
+                assert np.array_equal(_nearest(cp, h, iy, ix), [my[pick], mx[pick]])
+                oy, ox = _nearest(cp, h, [], [])
+                assert oy.size == ox.size == 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        ny=st.sampled_from([1, 7, 8, 9, 64, 65]),
+        nx=st.integers(1, 21),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        lines=st.sampled_from([1, 3, 64]),
+        h=st.floats(0.003, 0.2),
+        radius=st.floats(0.0, 1.5),
+        span=st.tuples(st.integers(0, 64), st.integers(1, 65)),
+    )
+    def test_every_block_and_query_equals_the_oracle(self, ny, nx, density, seed, lines, h,
+                                                      radius, span):
+        mask = np.random.default_rng(seed).random((ny, nx)) < density
+        # any nonempty run of rows, not only a block
+        start = min(span[0], ny - 1)
+        self.check(mask, h, radius, lines, slice(start, start + span[1]))
+
+    @pytest.mark.parametrize("nx", [1, 9])
+    @pytest.mark.parametrize("lines", [3, 64])
+    def test_tall_grids_take_int32(self, nx, lines):
+        # 3 ny >= 2^15: the int32 path, on a narrow grid
+        ny = 10_923
+        mask = np.zeros((ny, nx), dtype=bool)
+        rng = np.random.default_rng(nx)
+        mask[rng.choice(ny, 8, replace=False), rng.integers(0, nx, 8)] = True
+        assert column_rows(mask).dtype == np.int32
+        self.check(mask, 0.01, 0.05, lines, slice(5_000, 5_200))
+
+    def test_a_domain_filling_its_window_builds_no_pass(self, monkeypatch):
+        built = []
+        init = _ColumnPass.__init__
+
+        def counting(cp, *args, **kwargs):
+            built.append(cp)
+            init(cp, *args, **kwargs)
+
+        monkeypatch.setattr(_ColumnPass, "__init__", counting)
+        cert = condition_x(load_domain(ROOT / "domains" / "whole_plane.json"), M=2.0, delta=0.1)
+        assert not cert.holds and cert.admissible is None and not built
+        # the counter sees the inside pass and the admissible one elsewhere
+        cert = condition_x(unit_disc(), M=1.5, delta=0.1)
+        assert cert.holds and len(built) == 2 and built[1] is cert.admissible
+
+    def test_delta_test_skips_blocks_without_an_outside_node(self, monkeypatch):
+        # the half-plane y < 0.3 fills the lower rows of the window: only
+        # the row blocks that reach above it run the delta test
+        dom = PlanarDomain(HalfPlane(-1j, -0.3 + 0j), (-2, 2, -2, 2), 0.02)
+        r = dom.raster
+        blocks = [blk for blk in geometry._line_blocks(len(r.ys)) if not r.inside[blk].all()]
+        assert 0 < len(blocks) < len(list(geometry._line_blocks(len(r.ys))))
+        seen = []
+        near_rows = geometry._near_rows
+
+        def counting(rows, reach, blk):
+            seen.append(blk)
+            return near_rows(rows, reach, blk)
+
+        monkeypatch.setattr(geometry, "_near_rows", counting)
+        admissible = geometry._admissible_rows(r, 0.1)
+        assert seen == blocks
+        want = ~(_near(_ColumnPass(r.inside), r.h, 0.1, strict=False) | r.inside)
+        assert np.array_equal(pass_rows(admissible), column_rows(want))
 
 
 class TestLargestDisc:
@@ -635,9 +745,9 @@ class TestConditionX:
         monkeypatch.setattr(geometry, "_FAILURE_SAMPLE_CAP", cap)
         cert = condition_x(dom, M, delta)
         r = dom.raster
-        admissible = ~(_near(_column_rows(r.inside), r.h, delta, strict=False) | r.inside)
+        admissible = ~(_near(_ColumnPass(r.inside), r.h, delta, strict=False) | r.inside)
         witnessed = r.inside & (
-            _near(_column_rows(admissible), r.h, M, strict=True) if admissible.any()
+            _near(_ColumnPass(admissible), r.h, M, strict=True) if admissible.any()
             else False
         )
         rows, cols = _fit_slices(r, dom.window, M)
@@ -739,7 +849,7 @@ class TestBuildLattice:
             cert = condition_x(dom, M=1.0, delta=0.1)
             lat = build_lattice(cert)
             assert lat.domain is cert.domain is dom
-        assert len(lat) == 0 and cert.admissible_rows is None
+        assert len(lat) == 0 and cert.admissible is None
 
     def test_lattice_does_not_keep_its_certificate(self):
         # a command can drop the certificate's grids before weighing the lattice

@@ -141,7 +141,7 @@ class TestSeriesWeight:
         # the first one is the first left uncovered
         dom = PlanarDomain(plane(), (-1.0, 1.0, -1.0, 1.0), 0.05, "translation_x")
         cert = condition_x(dom, M=1.5, delta=0.3)
-        assert cert.holds and cert.admissible_rows is None
+        assert cert.holds and cert.admissible is None
         with pytest.raises(LatticeVerificationError) as err:
             build_lattice(cert)
         assert str(err.value) == f"coverage clause violated at sampled node {-1.0 - 1.0j}"
@@ -158,7 +158,7 @@ class TestSeriesWeight:
         ziy, zix = r.nearest_index(points)
         out = ~r.inside[ziy, zix]
         ziy[out], zix[out] = geometry._nearest(
-            geometry._column_rows(r.inside), r.h, ziy[out], zix[out]
+            geometry._ColumnPass(r.inside), r.h, ziy[out], zix[out]
         )
         for drop, clause in ((points.imag <= -5, "coverage clause"),
                              (np.isin(points, [0j, 1j]), "clause (b)")):
@@ -762,7 +762,8 @@ class TestComposite:
 
     def test_memory_stays_below_1_9_bytes_per_node_on_omega_s(self):
         # no grid-sized mask: 2.34 B a node with the central columns' mask
-        # and fancy-indexed column copies, 1.73 B without them
+        # and fancy-indexed column copies, 1.73 B without them, 0.88 B with
+        # blocks of 2^13 pairwise terms (2^15 before)
         dom, chi, fam, lattice = scenarios.omega_s_composite()
         nodes = dom.raster.inside.size
         tracemalloc.start()
@@ -772,7 +773,7 @@ class TestComposite:
         finally:
             tracemalloc.stop()
         assert cert.certified
-        assert peak < 1.9 * nodes
+        assert peak < 1.0 * nodes
 
     def test_regional_bounds(self):
         dom, chi, fam, lattice = toy_composite()
@@ -813,8 +814,10 @@ class TestComposite:
 
 
 def test_certify_chain_stays_below_32_bytes_per_node():
-    # the grid passes stream in line blocks, so only their outputs (the
-    # raster, two column passes and the witnessed grid) span the grid
+    # the grid passes stream in line blocks and no column pass is
+    # stored, so only the raster and the admissible bit mask span the
+    # grid: 10.0 B a node with the admissible and inside column passes
+    # stored, 3.78 B without
     dom = load_domain(ROOT / "domains" / "uniform_gallery.json")
     tracemalloc.start()
     try:
@@ -826,16 +829,15 @@ def test_certify_chain_stays_below_32_bytes_per_node():
         tracemalloc.stop()
     nodes = dom.raster.inside.size
     assert nodes == 361_201
-    assert peak < 32 * nodes
+    assert peak < 4.4 * nodes
 
 
 def test_certify_chain_with_raster_stays_below_6_1_bytes_per_node():
     # from a freshly loaded domain, so that the raster build is traced:
-    # every grid the chain builds is an output of at most 2 B a node, at
-    # most three of them (raster, admissible and inside column passes)
-    # live at once, and every temporary has the size of one block; 8.2 B
-    # a node with the witnessed grid and the cached inside column pass,
-    # 5.56 B without
+    # no column pass is stored, the admissible nodes are a bit mask, and
+    # every temporary has the size of one block; 8.2 B a node with the
+    # witnessed grid and the cached inside column pass, 5.56 B with the
+    # admissible and inside column passes stored, 2.17 B without
     dom = replace(load_domain(ROOT / "domains" / "uniform_gallery.json"), mesh=0.01)
     tracemalloc.start()
     try:
@@ -847,17 +849,21 @@ def test_certify_chain_with_raster_stays_below_6_1_bytes_per_node():
         tracemalloc.stop()
     nodes = cert.raster.inside.size
     assert nodes == 1_442_401
-    assert peak < 6.1 * nodes
+    assert peak < 2.5 * nodes
 
 
 def test_raster_and_certificate_hold_at_most_3_bytes_per_node():
-    # inside (bool) and the admissible column pass (int16); the rest are
-    # the raster's axes
+    # inside (bool), the admissible nodes packed 8 to a byte and the two
+    # int16 tables of their column pass (1/32 B a node each at 64 rows a
+    # block); the rest are the raster's axes.  The name keeps the bound
+    # of the stored int16 column pass, 3 B a node; it now holds 1.25 B
     cert = condition_x(load_domain(ROOT / "domains" / "uniform_gallery.json"), M=2.0, delta=0.1)
-    r = cert.raster
-    assert cert.admissible_rows.shape == r.inside.shape
-    arrays = [v for obj in (r, cert) for v in vars(obj).values() if isinstance(v, np.ndarray)]
-    assert sum(a.nbytes for a in arrays) <= 3 * r.inside.size + 8 * sum(r.inside.shape)
+    r, adm = cert.raster, cert.admissible
+    ny, nx = r.inside.shape
+    assert adm.shape == (ny, nx) and adm.mask.shape == (ny, -(-nx // 8))
+    arrays = [v for obj in (r, cert, adm) for v in vars(obj).values()
+              if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 1.25 * r.inside.size + 8 * (ny + nx)
 
 
 def test_strip_gallery_weight_equals_the_per_node_values():
