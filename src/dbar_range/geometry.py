@@ -31,9 +31,10 @@ grid.  A column pass (`_ColumnPass`) reads its mask a block of rows at a
 time: it keeps, at each block boundary, the nearest mask row above and
 below in each column (1/16 B a node in int16, the type on grids of fewer
 than 10 923 rows), from which a block's rows follow.  So the raster
-holds 1 B a node and the certificate 1/8 B, its admissible nodes packed
-8 to a byte; a point query (`clearance`, `largest_disc_at`,
-`build_lattice`) builds the inside column pass at its query rows alone.
+holds 1 B a node and the certificate under 0.2 B, its admissible nodes
+packed 8 to a byte plus their tables; a point query (`clearance`,
+`largest_disc_at`, `build_lattice`) builds the inside column pass at its
+query rows alone.
 
 Unbounded domains are handled by the finite window plus an explicitly
 declared translation symmetry; nothing outside the window is ever
