@@ -15,26 +15,35 @@ the weight report (`weights.lattice_weight_report`) the lattice, which
 holds the domain in turn.
 Every distance question is a threshold test or a nearest-node query,
 answered exactly, in the distance transform's own float formula, by a
-column pass and a row pass in numpy (`_near`, `_nearest`).  Condition X
-keeps the admissible nodes as a bit mask, and the lattice finds the
-witnesses of the few nodes it needs.  The lattice makes the chain's one
-covering pass (`_cover`), which keeps of the cover only what the weight
-report reads (`cover_gap`).  Complex coordinates appear only for the
-lattice points, their witnesses and one group of rows of that pass.
+column pass and a row pass in numpy (`_near`, `_nearest`).  Each pass
+does only the work its answer reads.  Condition X keeps the admissible
+nodes as a bit mask, and its M test runs the row pass only on a block
+where some domain node has no admissible node near enough in its own
+column; the lattice finds the witnesses of the few nodes it needs.  The
+lattice makes the chain's one covering pass (`_cover`), which keeps of
+the cover only what the weight report reads (`cover_gap`) and the
+uncovered nodes: a node off the bisectors of the lattice is covered by
+its rint point, so along a row only the first and the last such node of
+each lattice cell, and the nodes on the bisectors, form a distance.
+Complex coordinates appear only for the lattice points, their witnesses
+and those nodes.
 
-No grid-sized array outlives the pass that reads it, and no column pass
-is stored.  A node's membership depends on that node alone and every
-row of a row pass is independent of the others, so the raster build and
-the grid passes stream in blocks of `_LINES` raster lines: their
-temporaries have the size of one block, and only their outputs span the
-grid.  A column pass (`_ColumnPass`) reads its mask a block of rows at a
-time: it keeps, at each block boundary, the nearest mask row above and
-below in each column (1/16 B a node in int16, the type on grids of fewer
-than 10 923 rows), from which a block's rows follow.  So the raster
-holds 1 B a node and the certificate under 0.2 B, its admissible nodes
-packed 8 to a byte plus their tables; a point query (`clearance`,
-`largest_disc_at`, `build_lattice`) builds the inside column pass at its
-query rows alone.
+No grid-sized array outlives the pass that reads it.  A node's
+membership depends on that node alone and every row of a row pass is
+independent of the others, so the raster build and the grid passes
+stream in blocks of `_LINES` raster lines: their temporaries have the
+size of one block, and only their outputs span the grid.  A primitive
+that depends on one coordinate alone (a constant strip, a rectangle's
+two tests in x and two in y) is evaluated along that axis and broadcast.
+A column pass (`_ColumnPass`) reads its mask a block of rows at a time:
+it keeps, at each block boundary, the nearest mask row above and below
+in each column (1/16 B a node in int16, the type on grids of fewer than
+10 923 rows), from which a block's rows follow.  So the raster holds 1 B
+a node plus the tables of its inside column pass (`Raster.inside_pass`,
+built once and read by condition X, the lattice and `clearance`), and
+the certificate under 0.2 B, its admissible nodes packed 8 to a byte
+plus their tables; a point query (`clearance`, `largest_disc_at`,
+`build_lattice`) computes a column pass at its query rows alone.
 
 Unbounded domains are handled by the finite window plus an explicitly
 declared translation symmetry; nothing outside the window is ever
@@ -252,6 +261,10 @@ class HalfPlane:
 
 @dataclass(frozen=True)
 class Rect:
+    """Open axis rectangle x0 < x < x1, y0 < y < y1.  `member` makes its
+    two tests in x and its two in y apart, so that on a column of x values
+    against a row of y values only the one & between them spans the grid."""
+
     x0: float
     x1: float
     y0: float
@@ -263,12 +276,14 @@ class Rect:
             raise DomainSpecError("rectangle bounds must satisfy x0 < x1 and y0 < y1")
 
     def member(self, x, y):
-        return (x > self.x0) & (x < self.x1) & (y > self.y0) & (y < self.y1)
+        return ((x > self.x0) & (x < self.x1)) & ((y > self.y0) & (y < self.y1))
 
 
 @dataclass(frozen=True, eq=False)
 class Strip:
-    """Graph strip eta_lo(x) < y < eta_hi(x)."""
+    """Graph strip eta_lo(x) < y < eta_hi(x).  With both bounds constant
+    `member` compares y alone and has y's shape, which the CSG operators
+    and the raster broadcast against x."""
 
     eta_lo: EtaFunc
     eta_hi: EtaFunc
@@ -282,6 +297,9 @@ class Strip:
         return "const" in self.eta_lo.spec and "const" in self.eta_hi.spec
 
     def member(self, x, y):
+        if self.is_constant:
+            y = np.asarray(y)
+            return (y > self.eta_lo.spec["const"]) & (y < self.eta_hi.spec["const"])
         return (y > self.eta_lo(x)) & (y < self.eta_hi(x))
 
 
@@ -325,7 +343,8 @@ def plane():
 
 class Raster:
     """Grid of membership values at the domain's mesh, 1 B a node: the
-    one grid that lives as long as its domain."""
+    one grid that lives as long as its domain, with the column pass of its
+    inside nodes (`inside_pass`, 1/16 B a node), built when first read."""
 
     def __init__(self, domain: "PlanarDomain"):
         self.h = domain.mesh
@@ -333,11 +352,18 @@ class Raster:
         self.ys = _grid_axis(domain.window[2], domain.window[3], self.h)
         # a block of _LINES columns at a time: its x values as a column
         # against the y values as a row, so that a primitive that depends
-        # on x alone (a graph strip's eta) is evaluated once per column and
-        # the temporaries run along y
+        # on x alone (a graph strip's eta) is evaluated once per column, one
+        # that depends on y alone (a constant strip) once per row of the
+        # block's answer, and the temporaries run along y
         self.inside = np.empty((len(self.ys), len(self.xs)), dtype=bool)
         for cols in _line_blocks(len(self.xs)):
             self.inside[:, cols] = domain.tree.member(self.xs[cols, None], self.ys[None, :]).T
+
+    @cached_property
+    def inside_pass(self) -> "_ColumnPass":
+        """The column pass of the inside nodes, which condition X's delta
+        test, the lattice and `clearance` read."""
+        return _ColumnPass(self.inside)
 
     def nearest_index(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(row, column) of the node nearest each point z, clipped to the
@@ -441,13 +467,30 @@ class _ColumnPass:
         down = np.multiply(m, rows - hi, dtype=self.dtype)
         down += self.dtype.type(hi)
         np.minimum(down[-1], self._down[-(-e // self.lines)], out=down[-1])
-        # the running extremes a row at a time: along axis 0 of a C-ordered
-        # block numpy's accumulate is several times slower
-        for i in range(1, e - s):
-            np.maximum(up[i - 1], up[i], out=up[i])
-        for i in range(e - s - 2, -1, -1):
-            np.minimum(down[i + 1], down[i], out=down[i])
+        up, down = _running(np.maximum, up), _running(np.minimum, down, backward=True)
         return np.where(rows - up <= down - rows, up, down)[a - s : b - s]
+
+
+def _running(op, a: np.ndarray, backward: bool = False) -> np.ndarray:
+    """The running `op` (np.maximum or np.minimum) of the rows of a, down
+    them or, `backward`, up them; a is overwritten.
+
+    By doubling, in ceil(log2(len(a))) whole-array steps between two
+    buffers: after the step of span d each row holds the extreme of the 2d
+    rows ending (backward: starting) at it.  Along axis 0 of a C-ordered
+    array numpy's accumulate is several times slower, and a row at a time
+    twice as slow on a block of 64 rows."""
+    b = np.empty_like(a)
+    d = 1
+    while d < len(a):
+        if backward:
+            b[-d:] = a[-d:]
+            op(a[:-d], a[d:], out=b[:-d])
+        else:
+            b[:d] = a[:d]
+            op(a[d:], a[:-d], out=b[d:])
+        a, b, d = b, a, 2 * d
+    return a
 
 
 def _reach(h: float, radius: float, strict: bool, ny: int, nx: int) -> np.ndarray:
@@ -689,9 +732,9 @@ def clearance(dom: PlanarDomain, z):
     """Grid distance from z to the rasterized domain closure (0 if inside).
 
     z is a point, answered as a float, or an array of points, answered as
-    an array by one nearest-node scan, against the column pass of the
-    inside nodes at the query rows.  Error <= h*sqrt(2); distances are
-    measured against the window content.
+    an array by one nearest-node scan, against the raster's inside column
+    pass (`Raster.inside_pass`) at the query rows.  Error <= h*sqrt(2);
+    distances are measured against the window content.
     """
     z = np.asarray(z, dtype=complex)
     away = ~np.asarray(dom.tree.member(z.real, z.imag))
@@ -702,7 +745,7 @@ def clearance(dom: PlanarDomain, z):
             out[away] = math.inf
         else:
             iy, ix = r.nearest_index(z[away])
-            ty, tx = _nearest(_ColumnPass(r.inside), r.h, iy, ix)
+            ty, tx = _nearest(r.inside_pass, r.h, iy, ix)
             # |z - node| as a complex scalar's abs takes it; np.abs of a
             # complex array may round differently
             d = z[away] - r.node_z(ty, tx)
@@ -808,24 +851,23 @@ def _admissible_rows(r: Raster, delta: float) -> Optional[_ColumnPass]:
     """The column pass of the admissible nodes (outside the domain, with no
     domain node within delta), or None when there is none.
 
-    The delta test runs a block of _LINES rows at a time on the inside
-    column pass at those rows, and each block's admissible nodes are
+    The delta test runs a block of _LINES rows at a time on the raster's
+    inside column pass at those rows, and each block's admissible nodes are
     packed 8 to a byte into the pass's mask (ny x ceil(nx / 8) bytes): no
     grid of more than 1 bit a node is formed.  A block with no node
     outside the domain admits none and is skipped, and a domain that fills
-    its window builds no pass at all."""
+    its window reads no pass and builds none."""
     inside = r.inside
     if inside.all():
         return None
     ny, nx = inside.shape
-    inside_pass = _ColumnPass(inside)
     reach = _reach(r.h, delta, False, ny, nx)
     bits = np.zeros((ny, -(-nx // 8)), dtype=np.uint8)
     found = False
     for blk in _line_blocks(ny):
         if inside[blk].all():  # no node outside the domain to admit
             continue
-        admissible = _near_rows(inside_pass.rows(blk), reach, blk)
+        admissible = _near_rows(r.inside_pass.rows(blk), reach, blk)
         np.logical_not(np.logical_or(admissible, inside[blk], out=admissible), out=admissible)
         if admissible.any():
             bits[blk] = np.packbits(admissible, axis=1)
@@ -855,7 +897,11 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
     distance field and no byte mask of the grid is built; the certificate
     keeps the admissible nodes as a bit mask with its column-pass tables
     (`_ColumnPass`), from which `witness_of` finds the witness of any node
-    on demand.
+    on demand.  The delta test reads the raster's inside column pass
+    (`Raster.inside_pass`).  The M test runs its row pass only on a block
+    where some domain node's nearest admissible node in its own column
+    lies more rows away than the test admits at column offset 0: every
+    other node is witnessed by that node, so such a block has no miss.
     """
     if M <= 0 or delta <= 0:
         raise ValueError(f"M and delta must be positive, got M={M}, delta={delta}")
@@ -878,7 +924,10 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
 
     admissible = _admissible_rows(r, delta)
     ny, nx = inside.shape
-    reach = None if admissible is None else _reach(r.h, M, True, ny, nx)
+    if admissible is not None:
+        reach = _reach(r.h, M, True, ny, nx)
+        # the largest row offset the M test admits in a node's own column
+        vmax = int(np.count_nonzero(reach[:ny] >= 0)) - 1
     # the domain nodes lacking a witness, a block of rows at a time: all of
     # them counted, those with a full search disc (the fit slices) counted
     # apart, and the first of these in row-major order kept up to the cap
@@ -888,7 +937,14 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
     for blk in _line_blocks(ny):
         miss = inside[blk].copy()
         if admissible is not None:
-            miss &= ~_near_rows(admissible.rows(blk), reach, blk)
+            adm = admissible.rows(blk)
+            # the row offset of each node's nearest admissible node in its
+            # column (at least ny in a column without one): a block whose
+            # domain nodes all lie within vmax rows of theirs has no miss
+            off = adm - np.arange(blk.start, blk.stop, dtype=adm.dtype)[:, None]
+            if not ((np.abs(off, out=off) > vmax) & miss).any():
+                continue
+            miss &= ~_near_rows(adm, reach, blk)
         n_miss += int(np.count_nonzero(miss))
         fit_rows = slice(max(rows.start - blk.start, 0), max(rows.stop - blk.start, 0))
         fit = miss[fit_rows, cols]
@@ -962,25 +1018,30 @@ def _distance_to_outside(r: Raster, w: complex, reach: float) -> float:
     return float(np.min(np.abs(w - (r.xs[cols][ox] + 1j * r.ys[rows][oy]))))
 
 
-# nodes per group of rows of the covering pass
-_CHUNK = 1 << 13
 # a node coordinate over M within this of a half-integer lies on a bisector
 _BISECTOR = 1e-9
 
 
 def _cover(r: Raster, M: float, points: np.ndarray):
-    """The covering point of every inside node, in row-major order: yields
-    (z, cover) per group of max(1, _CHUNK // nx) rows, which holds at most
-    _CHUNK nodes on grids of at most _CHUNK columns, cover[i] the index in
+    """The inside nodes that decide the covering pass, a block of _LINES
+    rows at a time: yields (z, cover) per block, cover[i] the index in
     `points` (on (M Z)^2, in (l, k) order, each within M of an inside
-    node) of the point w nearest z[i] with np.abs(z[i] - w) < M, the
-    first on a tie, or -1.
+    node) of the point w nearest z[i] with np.abs(z[i] - w) < M, the first
+    on a tie, or -1.  Every uncovered node is yielded, in row-major order,
+    and the largest np.abs(z - w*) over the yielded nodes, w* the witness
+    of a node's covering point, is the largest over all inside nodes.
 
-    Only the 3 x 3 points around a node's rint point (rint(x/M), rint(y/M))
-    M can lie within M of it.  Off the bisectors of the lattice the rint
-    point is the nearest by a margin far above rounding, so a node there
-    that it covers takes it; every other node scans its 3 x 3 points in
-    (l, k) order, taking a point only when strictly nearer."""
+    Only the 3 x 3 points around a node's rint point (l, k) = (rint(x/M),
+    rint(y/M)) can lie within M of it.  A node off the bisectors of the
+    lattice whose rint point is listed is fast: that point lies within
+    M/sqrt(2) of it, the nearest by a margin far above rounding, so it
+    covers the node.  Along a row the fast nodes of one cell (one l) share
+    their covering point, so the one farthest from any fixed point, its
+    witness among them, is the first or the last, every other lying at
+    least h nearer in x: those two stand for the run, and no distance is
+    formed for the rest.  Every other node is slow, and scans its 3 x 3
+    points in (l, k) order, taking a point only when strictly nearer; the
+    slow nodes follow the runs' ends in each block, in row-major order."""
     xl, yk = np.rint(r.xs / M), np.rint(r.ys / M)
     # point (l, k) at index[l - l0, k - k0], -1 when not listed; the grid
     # holds the 3 x 3 points around every node's rint point
@@ -993,28 +1054,46 @@ def _cover(r: Raster, M: float, points: np.ndarray):
     col_off = np.abs(r.xs / M - xl) >= 0.5 - _BISECTOR
     row_off = np.abs(r.ys / M - yk) >= 0.5 - _BISECTOR
     ny, nx = r.inside.shape
-    group = max(1, _CHUNK // nx)
-    for start in range(0, ny, group):
-        iy, ix = np.nonzero(r.inside[start : start + group])
-        if not iy.size:
-            continue
-        iy += start
+    # the cells along x: runs of the columns of one l, the j-th from
+    # column start[j], width[j] wide, with l - l0 = cell_l[j]
+    start = np.flatnonzero(np.diff(col_l, prepend=-1))
+    width, cell_l = np.diff(start, append=nx), col_l[start]
+    on_col = ~col_off
+    # a fast node's c + 1 and nx - c, whose largest in a run give its last
+    # and first fast column (0 for a node that is not fast, so 0 in a run
+    # without one)
+    dtype = np.int16 if nx < 2**15 else np.int32
+    after, before = np.arange(1, nx + 1, dtype=dtype), np.arange(nx, 0, -1, dtype=dtype)
+    # the 3 x 3 point offsets of a slow node's scan, in (l, k) order
+    dl, dk = np.repeat([-1, 0, 1], 3)[:, None], np.tile([-1, 0, 1], 3)[:, None]
+    for blk in _line_blocks(ny):
+        inside = r.inside[blk]
+        # each (row, cell) rint point, -1 when unlisted or on a bisector row
+        cell = index[cell_l[None, :], row_k[blk, None]]
+        cell[row_off[blk]] = -1
+        fast = np.repeat(cell >= 0, width, axis=1)
+        fast &= inside
+        fast &= on_col
+        last = np.maximum.reduceat(np.multiply(fast, after, dtype=dtype), start, axis=1)
+        first = np.maximum.reduceat(np.multiply(fast, before, dtype=dtype), start, axis=1)
+        iy, j = np.nonzero(last)
+        ends = np.concatenate((nx - first[iy, j], last[iy, j] - 1))
+        cover_ends = np.tile(cell[iy, j], 2)
+        z_ends = r.xs[ends] + 1j * r.ys[np.tile(iy + blk.start, 2)]
+        # the slow nodes in row-major order (by the flat index: a 2-d
+        # np.nonzero costs several times more), each taking the first of
+        # its 3 x 3 points nearest it among those closer than M
+        np.logical_not(fast, out=fast)
+        iy, ix = np.divmod(np.flatnonzero(fast & inside), nx)
+        iy += blk.start
         z = r.xs[ix] + 1j * r.ys[iy]
-        l, k = col_l[ix], row_k[iy]
-        cover = index[l, k]
-        rest = np.flatnonzero((np.abs(z - pts[cover]) >= M) | col_off[ix] | row_off[iy])
-        if rest.size:
-            zr, l, k = z[rest], l[rest], k[rest]
-            best = np.full(rest.size, math.inf)
-            got = np.full(rest.size, -1, dtype=np.int32)
-            for dl in (-1, 0, 1):
-                for dk in (-1, 0, 1):
-                    c = index[l + dl, k + dk]
-                    d = np.abs(zr - pts[c])
-                    better = (d < M) & (d < best)
-                    best[better], got[better] = d[better], c[better]
-            cover[rest] = got
-        yield z, cover
+        c = index[col_l[ix] + dl, row_k[iy] + dk]
+        d = np.abs(z - pts[c])
+        d[d >= M] = math.inf
+        at = d.argmin(axis=0), np.arange(z.size)
+        cover = np.where(d[at] < M, c[at], -1)
+        if z_ends.size or z.size:
+            yield np.concatenate((z_ends, z)), np.concatenate((cover_ends, cover))
 
 
 def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
@@ -1031,7 +1110,8 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
     its disc touches the domain only at its rim and may hold no exterior
     node (clause (a)).  Dropping a point can only make clause (b) fail,
     never pass a bad set.  The nearest-node queries against the domain
-    read the column pass of the inside nodes at their query rows alone.
+    read the raster's inside column pass (`Raster.inside_pass`) at their
+    query rows alone.
     Clauses re-verified before returning:
 
     (a) the search disc meets the complement: some node outside the domain
@@ -1042,7 +1122,11 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
         is complement too: a w closer than M to the outside of the window
         (distance 0 when w lies beyond it) passes.
     (b) every inside node is covered, by one pass (`_cover`) that also
-        measures `cover_gap`.  The first uncovered node with a full search
+        measures `cover_gap`.  It forms a distance only for the nodes that
+        decide either: those on the lattice's bisectors or without a
+        listed rint point, and along each row the first and the last of
+        the others in each lattice cell, which their rint point covers.
+        The first uncovered node with a full search
         disc, in row-major order, violates clause (b); failing that, the
         first uncovered node (an edge node a declared symmetry was trusted
         to cover) violates the coverage clause the weight needs;
@@ -1066,10 +1150,9 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
         w.real, w.imag = ls.ravel() * M, ks.ravel() * M
 
         # n: the node nearest w; z: the domain node nearest n
-        inside_pass = _ColumnPass(r.inside)
         ziy, zix = r.nearest_index(w)
         out = ~r.inside[ziy, zix]
-        ziy[out], zix[out] = _nearest(inside_pass, r.h, ziy[out], zix[out])
+        ziy[out], zix[out] = _nearest(r.inside_pass, r.h, ziy[out], zix[out])
         # the search disc meets the sampled domain
         keep = np.abs(w - (r.xs[zix] + 1j * r.ys[ziy])) < M * (1 - 1e-12)
         w, ziy, zix = w[keep], ziy[keep], zix[keep]
@@ -1096,8 +1179,7 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
             )
 
         # clause (c)(i): witness clearance, measured on the grid
-        cy, cx = _nearest(inside_pass, r.h, wy, wx)
-        del inside_pass
+        cy, cx = _nearest(r.inside_pass, r.h, wy, wx)
         clear = _edt_distance(r.h, cy - wy, cx - wx)
         if (clear <= delta).any():
             j = int(np.argmax(clear <= delta))

@@ -6,30 +6,34 @@ import numpy as np
 from hypothesis import strategies as st
 
 from dbar_range import geometry
-from dbar_range.geometry import Complement, Disc, HalfPlane, Intersection, Rect, Union
+from dbar_range.geometry import Complement, Disc, HalfPlane, Intersection, Rect, Strip, Union
 
 
 @st.composite
-def primitives(draw):
+def primitives(draw, kinds=("disc", "rect", "halfplane")):
+    """A primitive of one of `kinds`; "strip" is a constant strip."""
     c = st.floats(-2.5, 2.5)
-    kind = draw(st.sampled_from(["disc", "rect", "halfplane"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "disc":
         return Disc(draw(c), draw(c), draw(st.floats(0.2, 2.5)))
     if kind == "rect":
         x0, y0 = draw(c), draw(c)
         return Rect(x0, x0 + draw(st.floats(0.2, 4.0)), y0, y0 + draw(st.floats(0.2, 4.0)))
+    if kind == "strip":
+        lo = draw(c)
+        return Strip.constant(lo, lo + draw(st.floats(0.05, 3.0)))
     theta = draw(st.floats(0.0, 2 * math.pi))
     return HalfPlane(complex(math.cos(theta), math.sin(theta)), complex(draw(c), 0.0))
 
 
 @st.composite
-def csg_trees(draw, depth=2):
+def csg_trees(draw, depth=2, kinds=("disc", "rect", "halfplane")):
     if depth == 0 or draw(st.booleans()):
-        return draw(primitives())
+        return draw(primitives(kinds))
     op = draw(st.sampled_from([Union, Intersection, Complement]))
     if op is Complement:
-        return Complement(draw(csg_trees(depth=depth - 1)))
-    return op(tuple(draw(st.lists(csg_trees(depth=depth - 1), min_size=1, max_size=3))))
+        return Complement(draw(csg_trees(depth - 1, kinds)))
+    return op(tuple(draw(st.lists(csg_trees(depth - 1, kinds), min_size=1, max_size=3))))
 
 
 def radial_bump(z, center: complex = 0j, radius: float = 1.0):

@@ -168,6 +168,29 @@ class TestRasterFields:
             assert r.inside.shape == (len(r.ys), len(r.xs)) and r.inside.flags.writeable
             assert np.array_equal(r.inside, meshgrid_inside(dom, r))
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        kinds=st.sampled_from([("disc", "rect", "halfplane", "strip"), ("strip",), ("rect",)]),
+        data=st.data(),
+        h=st.sampled_from([0.05, 1 / 16, 0.07]),
+    )
+    def test_inside_is_the_meshgrid_membership(self, kinds, data, h):
+        # trees of constant strips alone or rectangles alone are separable:
+        # their member gives a row of y values against a column of x values
+        tree = data.draw(csg_trees(kinds=kinds))
+        dom = PlanarDomain(tree, (-3.0, 3.05, -2.5, 2.5), h)
+        r = dom.raster
+        assert r.inside.dtype == bool and r.inside.shape == (len(r.ys), len(r.xs))
+        assert np.array_equal(r.inside, meshgrid_inside(dom, r))
+
+    def test_constant_strip_member_has_the_shape_of_y(self):
+        strip = Strip.constant(-0.5, 0.25)
+        y = np.linspace(-1, 1, 9)
+        got = strip.member(np.zeros((4, 1)), y[None, :])
+        assert got.shape == (1, 9) and np.array_equal(got[0], (y > -0.5) & (y < 0.25))
+        assert strip.member(np.zeros(3), 0.0).shape == ()
+        assert Rect(-1, 1, -1, 1).member(np.zeros((4, 1)), y[None, :]).shape == (4, 9)
+
     @pytest.mark.parametrize("path", DOMAINS, ids=[p.stem for p in DOMAINS])
     def test_columns_are_the_raster_xs(self, path):
         dom = load_domain(path)
@@ -569,8 +592,16 @@ class TestColumnPass:
         cert = condition_x(load_domain(ROOT / "domains" / "whole_plane.json"), M=2.0, delta=0.1)
         assert not cert.holds and cert.admissible is None and not built
         # the counter sees the inside pass and the admissible one elsewhere
-        cert = condition_x(unit_disc(), M=1.5, delta=0.1)
-        assert cert.holds and len(built) == 2 and built[1] is cert.admissible
+        dom = unit_disc()
+        cert = condition_x(dom, M=1.5, delta=0.1)
+        assert cert.holds and len(built) == 2
+        assert built[0] is dom.raster.inside_pass and built[1] is cert.admissible
+        # the raster keeps its inside pass: another certificate builds only
+        # its admissible pass, and the lattice and clearance build none
+        cert = condition_x(dom, M=1.5, delta=0.1)
+        build_lattice(cert)
+        clearance(dom, np.array([1.5 + 0.5j, 0.3j, -1.9 - 1.9j]))
+        assert len(built) == 3 and built[2] is cert.admissible
 
     def test_delta_test_skips_blocks_without_an_outside_node(self, monkeypatch):
         # the half-plane y < 0.3 fills the lower rows of the window: only
@@ -591,6 +622,34 @@ class TestColumnPass:
         assert seen == blocks
         want = ~(_near(_ColumnPass(r.inside), r.h, 0.1, strict=False) | r.inside)
         assert np.array_equal(pass_rows(admissible), column_rows(want))
+
+
+    def test_m_test_runs_no_row_pass_on_the_gallery(self, monkeypatch):
+        # every domain node of the gallery has an admissible node closer
+        # than M in its own column, so only the delta test's blocks, those
+        # holding a node outside the domain, run the row pass
+        seen = []
+        near_rows = geometry._near_rows
+
+        def counting(rows, reach, blk):
+            seen.append(blk)
+            return near_rows(rows, reach, blk)
+
+        monkeypatch.setattr(geometry, "_near_rows", counting)
+        dom = load_domain(ROOT / "domains" / "uniform_gallery.json")
+        r = dom.raster
+        assert r.h == 0.02
+        blocks = [blk for blk in geometry._line_blocks(len(r.ys)) if not r.inside[blk].all()]
+        cert = condition_x(dom, M=2.0, delta=0.1)
+        assert cert.holds and seen == blocks
+        # the control: on the unit disc at M = 0.5 the centre's column has
+        # no admissible node within M, so the M test runs its row pass there
+        seen.clear()
+        dom = unit_disc()
+        blocks = [blk for blk in geometry._line_blocks(len(dom.raster.ys))
+                  if not dom.raster.inside[blk].all()]
+        cert = condition_x(dom, M=0.5, delta=0.1)
+        assert not cert.holds and seen[:len(blocks)] == blocks and len(seen) > len(blocks)
 
 
 class TestLargestDisc:

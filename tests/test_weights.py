@@ -7,7 +7,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -100,6 +100,28 @@ def cover_oracle(r, M, points):
         best[better] = d[better]
         cover[better] = j
     return zs, cover
+
+
+def fast_nodes(zs, M, points):
+    """The nodes zs that the covering pass covers without a distance: off
+    the bisectors of the lattice (M Z)^2, their rint point (rint(x/M),
+    rint(y/M)) listed among `points`.  Returns that mask and the index of
+    each node's rint point in `points`, -1 when not listed."""
+    listed = {(round(p.real / M), round(p.imag / M)): j for j, p in enumerate(points)}
+    x, y = zs.real / M, zs.imag / M
+    l, k = np.rint(x), np.rint(y)
+    on = np.abs(x - l) >= 0.5 - geometry._BISECTOR
+    on |= np.abs(y - k) >= 0.5 - geometry._BISECTOR
+    rint = np.array([listed.get(lk, -1) for lk in zip(l.astype(int).tolist(),
+                                                       k.astype(int).tolist())])
+    return ~on & (rint >= 0), rint
+
+
+def node_position(r, z):
+    """The position of each node z among the inside nodes in row-major
+    order, as `cover_oracle` lists them."""
+    iy, ix = r.nearest_index(z)
+    return np.searchsorted(np.flatnonzero(r.inside), iy * r.inside.shape[1] + ix)
 
 
 def binary_gallery():
@@ -198,10 +220,23 @@ class TestSeriesWeight:
         lat = build_lattice(condition_x(dom, M, delta))
         r = dom.raster
         zs, cover = cover_oracle(r, M, lat.points)
-        got = list(geometry._cover(r, M, lat.points))
-        assert np.array_equal(np.concatenate([z for z, _ in got]), zs)
-        assert np.array_equal(np.concatenate([c for _, c in got]), cover)
         assert cover.min() >= 0
+        # the fast nodes: off the bisectors, with a listed rint point, which
+        # is each one's oracle cover
+        fast, rint = fast_nodes(zs, M, lat.points)
+        assert fast.any() and (~fast).any()
+        assert np.array_equal(cover[fast], rint[fast])
+        # the pass yields inside nodes with the oracle's cover: every slow
+        # node, in row-major order, and the first and last fast node of
+        # each run of one cell in a row
+        got = list(geometry._cover(r, M, lat.points))
+        z = np.concatenate([z for z, _ in got])
+        at = node_position(r, z)
+        assert np.array_equal(zs[at], z)
+        assert np.array_equal(np.concatenate([c for _, c in got]), cover[at])
+        assert np.array_equal(at[~fast[at]], np.flatnonzero(~fast))
+        # most nodes form no distance
+        assert len(z) < len(zs) / 2
         d = np.abs(zs - lat.witnesses[cover])
         assert lat.cover_gap == float(np.max(d))
         # the report's bound is the per-node minimum of 4 |z - w*|^-6
@@ -216,7 +251,7 @@ class TestSeriesWeight:
     @pytest.mark.parametrize("lines", [1, 3, 7])
     def test_stats_equal_the_default_block(self, lines):
         # two lattices of 267 and 385 raster rows: multiples of no block
-        # size tried; the chunks of inside nodes shrink too
+        # size tried
         doms = [(make_gallery(), 1.0, 0.2), (binary_gallery(), 1.0, 0.2)]
 
         def run():
@@ -229,8 +264,7 @@ class TestSeriesWeight:
 
         want = run()
         assert [len(d.raster.ys) for d, _, _ in doms] == [267, 385]
-        with mock.patch.object(geometry, "_LINES", lines), \
-                mock.patch.object(geometry, "_CHUNK", 37 * lines):
+        with mock.patch.object(geometry, "_LINES", lines):
             assert run() == want
 
     def test_coverage_error_names_the_first_uncovered_node(self):
@@ -249,8 +283,7 @@ class TestSeriesWeight:
         assert not np.any((z.real >= x0 + M) & (z.real <= x1 - M)
                           & (z.imag >= y0 + M) & (z.imag <= y1 - M))
         for lines in (geometry._LINES, 1):
-            with mock.patch.object(geometry, "_LINES", lines), \
-                    mock.patch.object(geometry, "_CHUNK", 7):
+            with mock.patch.object(geometry, "_LINES", lines):
                 with pytest.raises(LatticeVerificationError) as err:
                     build_lattice(cert)
             assert str(err.value) == f"coverage clause violated at sampled node {zs[miss]}"
@@ -353,6 +386,66 @@ def witness_sets(draw, r):
 
     n = draw(st.integers(1, 12))
     return np.array([complex(coord(r.xs), coord(r.ys)) for _ in range(n)])
+
+
+class TestCoveringPass:
+    """`build_lattice`'s covering pass against `cover_oracle`, every inside
+    node against every kept point, on random rasters: with nodes on the
+    bisectors of the lattice (M/h an even integer, so that the half-integer
+    multiples of M are nodes, exactly at h = 2^-k), with lattice points
+    dropped, and at several block sizes."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(
+        tree=csg_trees(),
+        h=st.sampled_from([1 / 16, 1 / 32, 0.05]),
+        k=st.integers(4, 25),
+        off=st.sampled_from([0.0, 0.0, 0.37]),
+        drop=st.sampled_from([0.0, 0.1, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+        lines=st.sampled_from([1, 3, 64]),
+    )
+    def test_cover_gap_and_errors_equal_the_oracle(self, tree, h, k, off, drop, seed, lines):
+        M = min((2 * k + off) * h, 2.5)
+        dom = PlanarDomain(tree, (-3.0, 3.0, -2.5, 3.5), h, "translation_x")
+        cert = condition_x(dom, M, 5.5 * h)
+        assume(cert.holds)
+        r = cert.raster
+        x0, x1, y0, y1 = dom.window
+        # the domain node z of every lattice point build_lattice tries, and
+        # a random share of them without a witness
+        ls = np.arange(math.floor((x0 - M) / M), math.ceil((x1 + M) / M) + 1)
+        ks = np.arange(math.floor((y0 - M) / M), math.ceil((y1 + M) / M) + 1)
+        w = (ls[:, None] * M + 1j * (ks[None, :] * M)).ravel()
+        ziy, zix = r.nearest_index(w)
+        out = ~r.inside[ziy, zix]
+        if r.inside.any():
+            ziy[out], zix[out] = geometry._nearest(r.inside_pass, r.h, ziy[out], zix[out])
+        gone = np.random.default_rng(seed).random(len(w)) < drop
+        drop_witnesses(cert, ziy[gone], zix[gone])
+        with mock.patch.object(geometry, "_LINES", lines), \
+                mock.patch.object(geometry, "_cover", wraps=geometry._cover) as cover_pass:
+            try:
+                lat, err = build_lattice(cert), None
+            except LatticeVerificationError as exc:
+                lat, err = None, str(exc)
+        # clauses (a) and (c) are checked before the pass
+        assume(cover_pass.called)
+        zs, cover = cover_oracle(r, M, cover_pass.call_args.args[2])
+        miss = cover < 0
+        fit = miss & (zs.real >= x0 + M) & (zs.real <= x1 - M)
+        fit &= (zs.imag >= y0 + M) & (zs.imag <= y1 - M)
+        event("clause (b)" if fit.any() else "coverage clause" if miss.any() else "cover_gap")
+        if fit.any():
+            assert err == (f"clause (b) violated: sampled node {zs[np.argmax(fit)]} "
+                           "is not covered by any lattice disc")
+        elif miss.any():
+            assert err == f"coverage clause violated at sampled node {zs[np.argmax(miss)]}"
+        else:
+            assert err is None
+            gap = np.abs(zs - lat.witnesses[cover])
+            assert lat.cover_gap == (float(np.max(gap)) if len(zs) else None)
 
 
 class TestGridExtreme:
