@@ -353,8 +353,8 @@ class Raster:
         # a block of _LINES columns at a time: its x values as a column
         # against the y values as a row, so that a primitive that depends
         # on x alone (a graph strip's eta) is evaluated once per column, one
-        # that depends on y alone (a constant strip) once per row of the
-        # block's answer, and the temporaries run along y
+        # that depends on y alone (a constant strip) gives a single row for
+        # the block, and the temporaries run along y
         self.inside = np.empty((len(self.ys), len(self.xs)), dtype=bool)
         for cols in _line_blocks(len(self.xs)):
             self.inside[:, cols] = domain.tree.member(self.xs[cols, None], self.ys[None, :]).T
