@@ -124,14 +124,13 @@ def _domain(doc, mesh):
 def cmd_certify(args) -> int:
     from .geometry import build_lattice, condition_x
     from .reporting import stamp, write_report
-    from .weights import _GAMMA_MAX, lattice_weight_report
+    from .weights import lattice_weight_report
 
     config = {
         "command": "certify",
         "domain": _load_json(args.domain),
         "M": args.M,
         "delta": args.delta,
-        "gamma_max": _GAMMA_MAX,
         "mesh": args.mesh,
         "seed": args.seed,
     }
@@ -160,7 +159,6 @@ def cmd_certify(args) -> int:
         print(f"condition not satisfied; report: {path}")
         return 2
     lat = build_lattice(cx)
-    del cx  # the weight stage reads the domain: free the admissible bit mask now
     weight = lattice_weight_report(lat)
     report["weight"] = weight
     report["verdict"] = "closed range certified on the windowed domain"
@@ -253,7 +251,7 @@ def main(argv=None) -> int:
     handlers = {"certify": cmd_certify, "verify": cmd_verify, "scenario": cmd_scenario}
     try:
         return handlers[args.command](args)
-    except (FileNotFoundError, ConfigurationError, LatticeVerificationError, SolverError,
+    except (OSError, ConfigurationError, LatticeVerificationError, SolverError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

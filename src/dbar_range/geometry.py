@@ -11,8 +11,7 @@ the bound does not hold there.
 The certify chain works on grid indices and builds no distance field.
 Each stage takes what the one before returned: condition X the domain,
 the lattice the certificate, which holds the domain and so its raster, and
-the weight report (`weights.lattice_weight_report`) the lattice, which
-holds the domain in turn.
+the weight report (`weights.lattice_weight_report`) the lattice.
 Every distance question is a threshold test or a nearest-node query,
 answered exactly, in the distance transform's own float formula, by a
 column pass and a row pass in numpy (`_near`, `_nearest`).  Each pass
@@ -20,13 +19,11 @@ does only the work its answer reads.  Condition X keeps the admissible
 nodes as a bit mask, and its M test runs the row pass only on a block
 where some domain node has no admissible node near enough in its own
 column; the lattice finds the witnesses of the few nodes it needs.  The
-lattice makes the chain's one covering pass (`_cover`), which keeps of
-the cover only what the weight report reads (`cover_gap`) and the
-uncovered nodes: a node off the bisectors of the lattice is covered by
-its rint point, so along a row only the first and the last such node of
-each lattice cell, and the nodes on the bisectors, form a distance.
-Complex coordinates appear only for the lattice points, their witnesses
-and those nodes.
+lattice makes the chain's one covering pass (`_cover`), which only
+checks coverage: a node off the bisectors of the lattice is covered by
+its rint point, so only the nodes on the bisectors or without a listed
+rint point form a distance.  Complex coordinates appear only for the
+lattice points, their witnesses and those nodes.
 
 No grid-sized array outlives the pass that reads it.  A node's
 membership depends on that node alone and every row of a row pass is
@@ -786,9 +783,9 @@ class ConditionXCertificate:
     and that were accepted by the domain's declared translation symmetry
     rather than by an explicit witness.
 
-    `build_lattice` reads the witnesses it needs and keeps the domain, not
-    the certificate, so once the lattice is built the certificate and its
-    grid can be dropped.
+    `build_lattice` reads the witnesses it needs and keeps neither the
+    certificate nor the domain, so once the lattice is built the
+    certificate and its grid can be dropped.
     """
 
     holds: bool
@@ -989,16 +986,14 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
 @dataclass(frozen=True, eq=False)
 class LatticeWitnessSet:
     """Lattice points w on (M Z)^2 meeting the domain, each with an exterior
-    witness w* of clearance > delta and |w - w*| <= 2M.  `cover_gap` is the
-    largest |z - w*| over the inside nodes z, w* the witness of z's covering
-    point (None without inside nodes); B = 4/(3M)^6 assumes it at most 3M."""
+    witness w* of clearance > delta and |w - w*| <= 2M, whose discs of
+    radius M cover every inside node.  So every inside node z lies within
+    3M of the witness of its covering point, which B = 4/(3M)^6 assumes."""
 
-    domain: PlanarDomain = field(repr=False)
     M: float
     delta: float
     points: np.ndarray
     witnesses: np.ndarray
-    cover_gap: Optional[float]
 
     def __len__(self):
         return len(self.points)
@@ -1023,25 +1018,17 @@ _BISECTOR = 1e-9
 
 
 def _cover(r: Raster, M: float, points: np.ndarray):
-    """The inside nodes that decide the covering pass, a block of _LINES
-    rows at a time: yields (z, cover) per block, cover[i] the index in
-    `points` (on (M Z)^2, in (l, k) order, each within M of an inside
-    node) of the point w nearest z[i] with np.abs(z[i] - w) < M, the first
-    on a tie, or -1.  Every uncovered node is yielded, in row-major order,
-    and the largest np.abs(z - w*) over the yielded nodes, w* the witness
-    of a node's covering point, is the largest over all inside nodes.
+    """The inside nodes z that no point w of `points` covers, np.abs(z - w)
+    < M, a block of _LINES rows at a time: yields each block's uncovered
+    nodes, in row-major order, when it has any.  The points lie on
+    (M Z)^2, each within M of an inside node.
 
     Only the 3 x 3 points around a node's rint point (l, k) = (rint(x/M),
     rint(y/M)) can lie within M of it.  A node off the bisectors of the
     lattice whose rint point is listed is fast: that point lies within
-    M/sqrt(2) of it, the nearest by a margin far above rounding, so it
-    covers the node.  Along a row the fast nodes of one cell (one l) share
-    their covering point, so the one farthest from any fixed point, its
-    witness among them, is the first or the last, every other lying at
-    least h nearer in x: those two stand for the run, and no distance is
-    formed for the rest.  Every other node is slow, and scans its 3 x 3
-    points in (l, k) order, taking a point only when strictly nearer; the
-    slow nodes follow the runs' ends in each block, in row-major order."""
+    M/sqrt(2) of it, by a margin far above rounding, so it covers the node
+    and no distance is formed.  Every other node is slow, and scans its
+    3 x 3 points."""
     xl, yk = np.rint(r.xs / M), np.rint(r.ys / M)
     # point (l, k) at index[l - l0, k - k0], -1 when not listed; the grid
     # holds the 3 x 3 points around every node's rint point
@@ -1054,46 +1041,28 @@ def _cover(r: Raster, M: float, points: np.ndarray):
     col_off = np.abs(r.xs / M - xl) >= 0.5 - _BISECTOR
     row_off = np.abs(r.ys / M - yk) >= 0.5 - _BISECTOR
     ny, nx = r.inside.shape
-    # the cells along x: runs of the columns of one l, the j-th from
-    # column start[j], width[j] wide, with l - l0 = cell_l[j]
+    # the cells along x: runs of the columns of one l, from column start[j],
+    # width[j] wide, with l - l0 = cell_l[j]
     start = np.flatnonzero(np.diff(col_l, prepend=-1))
     width, cell_l = np.diff(start, append=nx), col_l[start]
-    on_col = ~col_off
-    # a fast node's c + 1 and nx - c, whose largest in a run give its last
-    # and first fast column (0 for a node that is not fast, so 0 in a run
-    # without one)
-    dtype = np.int16 if nx < 2**15 else np.int32
-    after, before = np.arange(1, nx + 1, dtype=dtype), np.arange(nx, 0, -1, dtype=dtype)
-    # the 3 x 3 point offsets of a slow node's scan, in (l, k) order
+    # the 3 x 3 point offsets of a slow node's scan
     dl, dk = np.repeat([-1, 0, 1], 3)[:, None], np.tile([-1, 0, 1], 3)[:, None]
     for blk in _line_blocks(ny):
-        inside = r.inside[blk]
-        # each (row, cell) rint point, -1 when unlisted or on a bisector row
-        cell = index[cell_l[None, :], row_k[blk, None]]
-        cell[row_off[blk]] = -1
-        fast = np.repeat(cell >= 0, width, axis=1)
-        fast &= inside
-        fast &= on_col
-        last = np.maximum.reduceat(np.multiply(fast, after, dtype=dtype), start, axis=1)
-        first = np.maximum.reduceat(np.multiply(fast, before, dtype=dtype), start, axis=1)
-        iy, j = np.nonzero(last)
-        ends = np.concatenate((nx - first[iy, j], last[iy, j] - 1))
-        cover_ends = np.tile(cell[iy, j], 2)
-        z_ends = r.xs[ends] + 1j * r.ys[np.tile(iy + blk.start, 2)]
+        # whether each (row, cell) rint point is unlisted or on a bisector row
+        cell = index[cell_l[None, :], row_k[blk, None]] < 0
+        cell[row_off[blk]] = True
+        slow = np.repeat(cell, width, axis=1)
+        slow |= col_off
+        slow &= r.inside[blk]
         # the slow nodes in row-major order (by the flat index: a 2-d
-        # np.nonzero costs several times more), each taking the first of
-        # its 3 x 3 points nearest it among those closer than M
-        np.logical_not(fast, out=fast)
-        iy, ix = np.divmod(np.flatnonzero(fast & inside), nx)
+        # np.nonzero costs several times more)
+        iy, ix = np.divmod(np.flatnonzero(slow), nx)
         iy += blk.start
         z = r.xs[ix] + 1j * r.ys[iy]
-        c = index[col_l[ix] + dl, row_k[iy] + dk]
-        d = np.abs(z - pts[c])
-        d[d >= M] = math.inf
-        at = d.argmin(axis=0), np.arange(z.size)
-        cover = np.where(d[at] < M, c[at], -1)
-        if z_ends.size or z.size:
-            yield np.concatenate((z_ends, z)), np.concatenate((cover_ends, cover))
+        d = np.abs(z - pts[index[col_l[ix] + dl, row_k[iy] + dk]])
+        z = z[~(d < M).any(axis=0)]
+        if z.size:
+            yield z
 
 
 def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
@@ -1121,12 +1090,10 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
         the domain is its window content, so everything beyond the window
         is complement too: a w closer than M to the outside of the window
         (distance 0 when w lies beyond it) passes.
-    (b) every inside node is covered, by one pass (`_cover`) that also
-        measures `cover_gap`.  It forms a distance only for the nodes that
-        decide either: those on the lattice's bisectors or without a
-        listed rint point, and along each row the first and the last of
-        the others in each lattice cell, which their rint point covers.
-        The first uncovered node with a full search
+    (b) every inside node is covered, by one pass (`_cover`) that forms
+        a distance only for the nodes on the lattice's bisectors or
+        without a listed rint point; every other node is covered by its
+        rint point.  The first uncovered node with a full search
         disc, in row-major order, violates clause (b); failing that, the
         first uncovered node (an edge node a declared symmetry was trusted
         to cover) violates the coverage clause the weight needs;
@@ -1195,14 +1162,10 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
                 f"clause (c)(ii) violated at w={bad}: |w - w*| = {gap.max()} > 2M"
             )
 
-    # clause (b), and the largest distance from a node to its covering witness
-    gaps, stray = [], None
-    for z, cover in _cover(r, M, w):
-        miss = cover < 0
-        if not miss.any():
-            gaps.append(float(np.max(np.abs(z - witnesses[cover]))))
-            continue
-        fit = miss & (z.real >= x0 + M) & (z.real <= x1 - M)
+    # clause (b)
+    stray = None
+    for z in _cover(r, M, w):
+        fit = (z.real >= x0 + M) & (z.real <= x1 - M)
         fit &= (z.imag >= y0 + M) & (z.imag <= y1 - M)
         if fit.any():
             raise LatticeVerificationError(
@@ -1210,10 +1173,10 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
                 "is not covered by any lattice disc"
             )
         if stray is None:
-            stray = z[np.argmax(miss)]
+            stray = z[0]
     if stray is not None:
         raise LatticeVerificationError(f"coverage clause violated at sampled node {stray}")
-    return LatticeWitnessSet(dom, M, delta, w, witnesses, max(gaps, default=None))
+    return LatticeWitnessSet(M, delta, w, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -172,12 +172,22 @@ def scaling_ratio(
     return ScalingRatio(j, num, den, ratio, num_direct, den_direct, ratio_direct, rel_gap)
 
 
+def _check_scales(j_values: Sequence[int], mesh: float) -> None:
+    """The scaling and tube params that the quadrature needs: some scale,
+    and a positive finite mesh."""
+    if not j_values:
+        raise ScenarioError("j_values must not be empty")
+    if not (math.isfinite(mesh) and mesh > 0):
+        raise ScenarioError(f"mesh must be finite and > 0, got {mesh}")
+
+
 def scaling_scenario(
     j_values: Sequence[int] = (1, 2, 4, 8, 16),
     mesh: float = 1 / 16,
     center: complex = 0j,
     seed: int = 0,
 ) -> dict:
+    _check_scales(j_values, mesh)
     rows = [scaling_ratio(j, mesh, center) for j in j_values]
     s = rows[0].ratio / rows[0].j
     dev = max(abs(r.ratio_direct - s * r.j) / (s * r.j) for r in rows)
@@ -316,6 +326,7 @@ def tube_scenario(
     """Tube over a base with large discs: the fiber volume cancels from the
     test ratio, so the tube inherits the planar growth exactly.  The base
     is the plane on the window [-(jmax + 1), jmax + 1]^2."""
+    _check_scales(j_values, mesh)
     jmax = max(j_values)
     w = jmax + 1.0
     dom = PlanarDomain(plane(), (-w, w, -w, w), mesh)

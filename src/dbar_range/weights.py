@@ -9,12 +9,9 @@ strip weight realizes the quadratic band construction; the composite weight
 glues the two with a cutoff for domains that fail the exterior-witness
 condition but carry strip structure away from a central column.
 
-`lattice_weight_report` weighs a lattice on the raster of its own domain.
-Its grid scan sums phi = sum |z - w*|^-4 over every witness of the finite
-lattice, truncating nothing; the tail term of gamma_max = 64 annuli is only
-added to the reported `grid_max_phi`.  The grid minimum of the Hessian
-bound 4 |z - w*|^-6 comes from the lattice's own cover (`cover_gap`).
-A and B, and so C, are the closed forms of `weight_constants`.
+`lattice_weight_report` reports a certified lattice by the closed forms
+of `weight_constants`: A and B, and so C, depend on M and delta alone,
+and the lattice's clauses (b) and (c) are what make them hold.
 """
 
 from __future__ import annotations
@@ -71,10 +68,6 @@ def weight_constants(M: float, delta: float) -> tuple[float, float]:
     near = sum((2 * g + 7) ** 2 / g**4 for g in range(1, 4))
     A = 49.0 * delta**-4 + (near + 56.0 * _tail_inv_cubes(4)) / M**4
     return A, B
-
-
-# annuli of the lattice tail term added to the reported grid max of phi
-_GAMMA_MAX = 64
 
 
 # 2^13 pairwise terms per chunk bound the temporaries below 1 MB: 0.46 MB
@@ -562,37 +555,21 @@ def certificate(A: float, B: float) -> WeightCertificate:
 
 
 def lattice_weight_report(lat: LatticeWitnessSet) -> dict:
-    """The weight-report payload of a certified lattice, on its domain.
-
-    A and B are `weight_constants` at the lattice's M and delta.
-    `grid_max_phi` is `_grid_extreme`'s max of phi over the inside nodes,
-    summed over every witness of the finite lattice, truncating nothing;
-    `tail_bound`, the part of the series beyond _GAMMA_MAX annuli of the
-    covering lattice point, is only added to it, and no verdict reads that
-    field.  `grid_min_zzbar` is 4 cover_gap^-6, the least of the per-node
-    bounds 4 |z - w*|^-6.  Raises ValueError when the domain has no inside
-    node.
+    """The weight-report payload of a certified lattice: A and B are
+    `weight_constants` at the lattice's M and delta, C their certificate.
+    Raises ValueError when the lattice is empty, which a lattice that
+    passed its coverage clause is only when the domain has no inside node.
     """
-    if lat.cover_gap is None:
+    if len(lat) == 0:
         raise ValueError("domain has no rasterized nodes")
     A, B = weight_constants(lat.M, lat.delta)
-    tail = 56.0 / lat.M**4 * (1.0 / (2.0 * _GAMMA_MAX**2))
-    r = lat.domain.raster
-    max_phi = _grid_extreme(lat.witnesses, r.xs, r.ys, r.inside, -4.0, 1.0, True)
-    # numpy's array power, which may round apart from a float's, as the
-    # per-node bounds were taken
-    min_zzbar = 4.0 * np.array([lat.cover_gap]) ** -6.0
     cert = certificate(A, B)
     return {
         "M": lat.M,
         "delta": lat.delta,
-        "gamma_max": _GAMMA_MAX,
         "A": A,
         "B": B,
-        "tail_bound": tail,
         "C": cert.C if math.isfinite(cert.C) else None,
         "log10_C": cert.log10_C,
         "kind": cert.kind,
-        "grid_min_zzbar": float(min_zzbar[0]),
-        "grid_max_phi": max_phi + tail,
     }

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbar_range import cli, discrete, geometry, scenarios, weights
-from dbar_range.reporting import config_hash
+from dbar_range.reporting import canonical_json, config_hash
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -37,7 +37,7 @@ def sha256(data: bytes) -> str:
 SCENARIO_SHA256 = {
     "gallery_uniform": {
         "scenario_gallery_report.json":
-            "63390135e0fa0f0baca3e60566bbe94b9788a568a958b6d1eef9859f19f126e3",
+            "6ba653662834549d7cc99d6b71f01bcfe93f5bf36f0d431092e7230c58343a03",
     },
     "omega_s": {
         "scenario_omega_s_report.json":
@@ -141,22 +141,31 @@ def test_tube_mc_samples_below_1_exit_1_naming_the_param(samples, tmp_path, caps
 
 def test_certify_gallery_report_bytes_pinned(tmp_path):
     assert certify_sha256(tmp_path, "uniform_gallery.json", 0) == (
-        "0ac943fbd0e0790052311f415670095fdb0475da17b47adc276b76779bc55e4a"
+        "a6b2fd15df252cad9c1fb892e3dd4339a44fb81fe6acadb97d9902b50584c32e"
     )
 
 
 def test_certify_gallery_fine_mesh_report_bytes_pinned(tmp_path):
-    # at h=0.01 the weight scan evaluates phi on the fewest tiles
     assert certify_sha256(tmp_path, "uniform_gallery.json", 0, "--mesh", "0.01") == (
-        "dbf23b561c1b35136ca8926eec6c5552994e42584f51ab773f1764726a6155ff"
+        "4ffe96d8fe8e40d123f46ecfa995209bd3c552427c7b0660131d0d2020075b04"
     )
 
 
 def test_certify_whole_plane_report_bytes_pinned(tmp_path):
     # condition X fails on the plane: exit 2 with the undecided report
     assert certify_sha256(tmp_path, "whole_plane.json", 2) == (
-        "fbfaad68331c0c06d1160e706d17a8776de7987f2a1e9852fd522dff51c11443"
+        "9dbf5a1937a8a7240a6bef8c658f97e36bc6017b2dafe95bdd59f988695f5658"
     )
+
+
+def test_certify_weight_block_does_not_depend_on_the_mesh(tmp_path):
+    # the weight report holds the closed forms in (M, delta) alone
+    blocks = []
+    for mesh in ("0.02", "0.01"):
+        certify_sha256(tmp_path / mesh, "uniform_gallery.json", 0, "--mesh", mesh)
+        report = json.loads((tmp_path / mesh / "certify_report.json").read_text())
+        blocks.append(canonical_json(report["weight"]))
+    assert blocks[0] == blocks[1]
 
 
 @pytest.mark.parametrize("M", ["0.6", "1.2"])
@@ -314,6 +323,48 @@ def test_malformed_scenario_spec_exits_1_naming_the_key(spec, key, tmp_path, cap
     assert err.startswith("error: scenario ") and key in err
 
 
+@pytest.mark.parametrize("kind", ["scaling", "tube"])
+@pytest.mark.parametrize(
+    "spec, line",
+    [
+        ({"mesh": 0}, "mesh must be finite and > 0, got 0.0"),
+        ({"mesh": -0.1}, "mesh must be finite and > 0, got -0.1"),
+        ({"mesh": "nan"}, "mesh must be finite and > 0, got nan"),
+        ({"params": {"j_values": []}}, "j_values must not be empty"),
+    ],
+    ids=["mesh_0", "mesh_negative", "mesh_nan", "j_values_empty"],
+)
+def test_scale_scenario_without_a_quadrature_exits_1_naming_the_key(kind, spec, line,
+                                                                     tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"scenario": kind, **spec}))
+    assert cli.main(["scenario", "--spec", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "argv, errno",
+    [
+        (["certify", "--domain", ROOT / "domains", "--M", "2", "--delta", "0.1"],
+         "Is a directory"),
+        (["verify", "--domain", ROOT / "domains", "--C", "1"], "Is a directory"),
+        (["scenario", "--spec", ROOT / "scenarios"], "Is a directory"),
+        (["certify", "--domain", ROOT / "domains" / "whole_plane.json", "--M", "2",
+          "--delta", "0.1", "--out", "{file}"], "File exists"),
+    ],
+    ids=["certify_domain_dir", "verify_domain_dir", "scenario_spec_dir", "out_is_a_file"],
+)
+def test_unreadable_input_or_output_exits_1(argv, errno, tmp_path, capsys):
+    # every OSError is a usage error, not an internal one
+    file = tmp_path / "file"
+    file.write_text("")
+    argv = [str(a).format(file=file) for a in argv]
+    assert cli.main(argv if "--out" in argv else [*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and errno in err
+
+
 @pytest.mark.parametrize("doc", [[], "x"], ids=["list", "string"])
 @pytest.mark.parametrize("extra", [[], ["--mesh", "0.05"], ["--seed", "3"]],
                          ids=["plain", "mesh", "seed"])
@@ -456,12 +507,18 @@ def test_scaling_and_tube_scenarios_leave_ndimage_unimported(tmp_path):
     assert out.stdout.splitlines()[-1] == "[0, 0] False"
 
 
-def test_every_traced_layer_resolves():
-    # bench/spans.py wraps these functions by name; a rename in the package
-    # must update the tracer in the same change
+def load_spans():
+    """The benchmark's tracer module, bench/spans.py."""
     spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_layer_resolves():
+    # bench/spans.py wraps these functions by name; a rename in the package
+    # must update the tracer in the same change
+    spans = load_spans()
     assert spans.LAYERS
     for module, attr, name, _ in spans.LAYERS:
         assert module.startswith("dbar_range."), name
@@ -470,6 +527,36 @@ def test_every_traced_layer_resolves():
             assert hasattr(obj, part), f"{name}: {module}.{attr} does not resolve"
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+GEOMETRY_COUNTS = {"raster_nodes", "witnesses", "report_bytes"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, counts",
+    [
+        (["certify", "--domain", "uniform_gallery.json", "--M", "2", "--delta", "0.1"], 0,
+         GEOMETRY_COUNTS | {"lattice_points"}),
+        (["certify", "--domain", "whole_plane.json", "--M", "2", "--delta", "0.1"], 2,
+         GEOMETRY_COUNTS),
+        (["verify", "--domain", "unit_disc.json", "--C", "1"], 0,
+         {"raster_nodes", "unknowns", "nnz", "solves", "lsqr_iters", "solve_max_residual",
+          "report_bytes"}),
+        (["scenario", "--spec", "gallery_uniform.json"], 0, GEOMETRY_COUNTS | {"lattice_points"}),
+    ],
+    ids=["certify_gallery", "certify_whole_plane", "verify_disc", "scenario_gallery"],
+)
+def test_traced_commands_count_without_error(argv, code, counts, tmp_path):
+    # the tracer's counters read attributes of what the layers return, so
+    # a traced run fails where a dropped attribute is still counted
+    spans = load_spans()
+    folder = ROOT / ("scenarios" if argv[0] == "scenario" else "domains")
+    argv = [*argv[:2], str(folder / argv[2]), *argv[3:], "--out", str(tmp_path)]
+    result = spans.trace_command(argv)
+    assert (result["exit_code"], result["error"]) == (code, None)
+    assert [s["name"] for s in result["spans"] if s["error"]] == []
+    totals = spans.layer_totals(result["spans"])
+    assert {k for t in totals.values() for k in t["counts"]} == counts
 
 
 def test_every_module_is_reached_from_the_cli():

@@ -899,16 +899,15 @@ class TestBuildLattice:
         lat = build_lattice(condition_x(dom, M=1.0, delta=0.05))
         assert len(lat) == 0
 
-    def test_lattice_carries_its_domain(self):
+    def test_lattice_is_empty_exactly_without_inside_nodes(self):
         # the witnessed path and the early return of a domain with no node
-        for dom in (
-            PlanarDomain(Disc(0, 0, 0.4), (-3, 3, -3, 3), 0.02),
-            PlanarDomain(Union(()), (-2, 2, -2, 2), 0.01),
+        for dom, points in (
+            (PlanarDomain(Disc(0, 0, 0.4), (-3, 3, -3, 3), 0.02), True),
+            (PlanarDomain(Union(()), (-2, 2, -2, 2), 0.01), False),
         ):
             cert = condition_x(dom, M=1.0, delta=0.1)
-            lat = build_lattice(cert)
-            assert lat.domain is cert.domain is dom
-        assert len(lat) == 0 and cert.admissible is None
+            assert (len(build_lattice(cert)) > 0) == points == dom.raster.inside.any()
+        assert cert.admissible is None
 
     def test_lattice_does_not_keep_its_certificate(self):
         # a command can drop the certificate's grids before weighing the lattice

@@ -102,6 +102,18 @@ def cover_oracle(r, M, points):
     return zs, cover
 
 
+def uncovered(r, M, points):
+    """The nodes the covering pass yields, all its blocks joined."""
+    return np.concatenate([np.array([], dtype=complex), *geometry._cover(r, M, points)])
+
+
+def thinned(points, M):
+    """The points without their three columns l = -1, 0, 1: the nodes with
+    |x| < M then lie M or more from every point, with their rint point
+    unlisted."""
+    return points[np.abs(points.real) > 1.5 * M]
+
+
 def fast_nodes(zs, M, points):
     """The nodes zs that the covering pass covers without a distance: off
     the bisectors of the lattice (M Z)^2, their rint point (rint(x/M),
@@ -115,13 +127,6 @@ def fast_nodes(zs, M, points):
     rint = np.array([listed.get(lk, -1) for lk in zip(l.astype(int).tolist(),
                                                        k.astype(int).tolist())])
     return ~on & (rint >= 0), rint
-
-
-def node_position(r, z):
-    """The position of each node z among the inside nodes in row-major
-    order, as `cover_oracle` lists them."""
-    iy, ix = r.nearest_index(z)
-    return np.searchsorted(np.flatnonzero(r.inside), iy * r.inside.shape[1] + ix)
 
 
 def binary_gallery():
@@ -200,7 +205,7 @@ class TestSeriesWeight:
     def test_empty_raster_has_no_weight(self):
         dom = PlanarDomain(Union(()), (-2, 2, -2, 2), 0.01)
         lat = build_lattice(condition_x(dom, M=1.0, delta=0.05))
-        assert len(lat) == 0 and lat.cover_gap is None
+        assert len(lat) == 0
         with pytest.raises(ValueError, match="^domain has no rasterized nodes$"):
             lattice_weight_report(lat)
 
@@ -226,27 +231,15 @@ class TestSeriesWeight:
         fast, rint = fast_nodes(zs, M, lat.points)
         assert fast.any() and (~fast).any()
         assert np.array_equal(cover[fast], rint[fast])
-        # the pass yields inside nodes with the oracle's cover: every slow
-        # node, in row-major order, and the first and last fast node of
-        # each run of one cell in a row
-        got = list(geometry._cover(r, M, lat.points))
-        z = np.concatenate([z for z, _ in got])
-        at = node_position(r, z)
-        assert np.array_equal(zs[at], z)
-        assert np.array_equal(np.concatenate([c for _, c in got]), cover[at])
-        assert np.array_equal(at[~fast[at]], np.flatnonzero(~fast))
         # most nodes form no distance
-        assert len(z) < len(zs) / 2
-        d = np.abs(zs - lat.witnesses[cover])
-        assert lat.cover_gap == float(np.max(d))
-        # the report's bound is the per-node minimum of 4 |z - w*|^-6
-        assert lattice_weight_report(lat)["grid_min_zzbar"] == float(np.min(4.0 * d**-6.0))
-        # exact ties: another point as near as the covering one
-        near = np.abs(zs - lat.points[cover])
-        tie = np.zeros(len(zs), dtype=bool)
-        for j, p in enumerate(lat.points):
-            tie |= (np.abs(zs - p) == near) & (cover != j)
-        assert tie.sum() >= 100
+        assert (~fast).sum() < len(zs) / 2
+        # the pass yields the oracle's uncovered nodes, in row-major order:
+        # none of the lattice's, and those of it thinned
+        assert uncovered(r, M, lat.points).size == 0
+        points = thinned(lat.points, M)
+        zs, cover = cover_oracle(r, M, points)
+        assert (cover < 0).any()
+        assert np.array_equal(uncovered(r, M, points), zs[cover < 0])
 
     @pytest.mark.parametrize("lines", [1, 3, 7])
     def test_stats_equal_the_default_block(self, lines):
@@ -257,13 +250,20 @@ class TestSeriesWeight:
         def run():
             out = []
             for dom, M, delta in doms:
-                lat = build_lattice(condition_x(replace(dom), M, delta))
-                out.append((lat.points.tolist(), lat.witnesses.tolist(), lat.cover_gap,
+                dom = replace(dom)
+                lat = build_lattice(condition_x(dom, M, delta))
+                out.append((lat.points.tolist(), lat.witnesses.tolist(),
+                            uncovered(dom.raster, M, thinned(lat.points, M)).tolist(),
                             lattice_weight_report(lat)))
             return out
 
         want = run()
         assert [len(d.raster.ys) for d, _, _ in doms] == [267, 385]
+        # on the thinned points the pass yields the oracle's uncovered
+        # nodes, in row-major order
+        for (dom, M, _), (points, _, nodes, _) in zip(doms, want):
+            zs, cover = cover_oracle(dom.raster, M, thinned(np.array(points), M))
+            assert nodes and nodes == zs[cover < 0].tolist()
         with mock.patch.object(geometry, "_LINES", lines):
             assert run() == want
 
@@ -289,7 +289,8 @@ class TestSeriesWeight:
             assert str(err.value) == f"coverage clause violated at sampled node {zs[miss]}"
 
     def test_tail_contract(self):
-        # enlarging the truncation moves phi by at most the previous tail;
+        # enlarging the truncation moves phi by at most the tail beyond
+        # gamma annuli, 56/M^4 * 1/(2 gamma^2), on which A's tail rests;
         # phi_gamma sums |z - w*|^-4 over the witnesses within gamma
         # annuli (sup-norm, in units of M) of the lattice point covering z
         dom = make_gallery()
@@ -307,27 +308,27 @@ class TestSeriesWeight:
         rng = np.random.default_rng(3)
         zs = lat.points[rng.choice(len(lat.points), 5, replace=False)]
         for g in (1, 2, 4):
-            with mock.patch.object(weights, "_GAMMA_MAX", g):
-                tail = lattice_weight_report(lat)["tail_bound"]
+            tail = 56.0 / lat.M**4 * (1.0 / (2.0 * g**2))
             for z in zs:
                 z = complex(z) + 0.05 + 0.05j
                 p_small, p_big = truncated(z, g), truncated(z, g + 1)
                 assert 0 <= p_big - p_small <= tail + 1e-12
 
     def test_gallery_grid_bounds(self):
-        # Lemma-style conclusion on the grid: phi + tail <= A, zzbar >= B
+        # Lemma-style conclusion on the grid: phi <= A over the inside nodes,
+        # and 4 |z - w*|^-6 >= B, w* the witness of z's covering point
         dom = make_gallery()
         lat = build_lattice(condition_x(dom, M=1.0, delta=0.2))
         rep = lattice_weight_report(lat)
-        assert rep["grid_max_phi"] <= rep["A"]
-        assert rep["grid_min_zzbar"] >= rep["B"]
+        r = dom.raster
+        zs, cover = cover_oracle(r, lat.M, lat.points)
+        assert cover.min() >= 0
+        assert float(np.min(4.0 * np.abs(zs - lat.witnesses[cover]) ** -6.0)) >= rep["B"]
+        phi = PointSeriesWeight(lat.witnesses)
+        assert float(np.max(phi.value(zs))) <= rep["A"]
         # 5-point Laplacian/4 of the series over all witnesses at the inside
         # nodes: it agrees with the analytic bound direction up to O(h^2)
-        r = dom.raster
         h = r.h
-        iy, ix = np.nonzero(r.inside)
-        zs = r.xs[ix] + 1j * r.ys[iy]
-        phi = PointSeriesWeight(lat.witnesses)
         fd = (
             phi.value(zs + h) + phi.value(zs - h) + phi.value(zs + 1j * h)
             + phi.value(zs - 1j * h) - 4.0 * phi.value(zs)
@@ -346,13 +347,12 @@ class TestSeriesWeight:
         dom = make_gallery()
         lat = build_lattice(condition_x(dom, M=1.0, delta=0.2))
         rep = lattice_weight_report(lat)
-        assert set(rep) == {
-            "M", "delta", "gamma_max", "A", "B", "tail_bound", "C",
-            "log10_C", "kind", "grid_min_zzbar", "grid_max_phi",
-        }
-        assert rep["kind"] == "bounded"
-        assert rep["grid_min_zzbar"] >= rep["B"]
-        assert rep["grid_max_phi"] <= rep["A"]
+        assert set(rep) == {"M", "delta", "A", "B", "C", "log10_C", "kind"}
+        assert (rep["A"], rep["B"]) == weight_constants(1.0, 0.2)
+        # e^A overflows, so C is reported as null beside its log10
+        cert = certificate(rep["A"], rep["B"])
+        assert cert.C == math.inf and rep["C"] is None
+        assert (rep["log10_C"], rep["kind"]) == (cert.log10_C, "bounded")
 
 
 # (power, scale) of the series weight and of its zzbar
@@ -406,7 +406,8 @@ class TestCoveringPass:
         seed=st.integers(0, 2**32 - 1),
         lines=st.sampled_from([1, 3, 64]),
     )
-    def test_cover_gap_and_errors_equal_the_oracle(self, tree, h, k, off, drop, seed, lines):
+    def test_uncovered_nodes_and_errors_equal_the_oracle(self, tree, h, k, off, drop, seed,
+                                                         lines):
         M = min((2 * k + off) * h, 2.5)
         dom = PlanarDomain(tree, (-3.0, 3.0, -2.5, 3.5), h, "translation_x")
         cert = condition_x(dom, M, 5.5 * h)
@@ -432,20 +433,21 @@ class TestCoveringPass:
                 lat, err = None, str(exc)
         # clauses (a) and (c) are checked before the pass
         assume(cover_pass.called)
-        zs, cover = cover_oracle(r, M, cover_pass.call_args.args[2])
+        points = cover_pass.call_args.args[2]
+        zs, cover = cover_oracle(r, M, points)
         miss = cover < 0
+        with mock.patch.object(geometry, "_LINES", lines):
+            assert np.array_equal(uncovered(r, M, points), zs[miss])
         fit = miss & (zs.real >= x0 + M) & (zs.real <= x1 - M)
         fit &= (zs.imag >= y0 + M) & (zs.imag <= y1 - M)
-        event("clause (b)" if fit.any() else "coverage clause" if miss.any() else "cover_gap")
+        event("clause (b)" if fit.any() else "coverage clause" if miss.any() else "covered")
         if fit.any():
             assert err == (f"clause (b) violated: sampled node {zs[np.argmax(fit)]} "
                            "is not covered by any lattice disc")
         elif miss.any():
             assert err == f"coverage clause violated at sampled node {zs[np.argmax(miss)]}"
         else:
-            assert err is None
-            gap = np.abs(zs - lat.witnesses[cover])
-            assert lat.cover_gap == (float(np.max(gap)) if len(zs) else None)
+            assert err is None and len(lat) == len(points)
 
 
 class TestGridExtreme:
@@ -569,7 +571,7 @@ def loop_lattice(dom, M, delta, cert):
     r = cert.raster
     empty = np.array([], dtype=complex)
     if not r.inside.any():
-        return LatticeWitnessSet(dom, M, delta, empty, empty, None)
+        return LatticeWitnessSet(M, delta, empty, empty)
     sample_points, witness_points = cert.sample_points, cert.witness_points
     sample_row = np.full(r.inside.shape, -1, dtype=np.int32)
     sx = np.clip(np.rint((sample_points.real - r.xs[0]) / r.h), 0, len(r.xs) - 1)
@@ -623,18 +625,17 @@ def loop_lattice(dom, M, delta, cert):
         raise LatticeVerificationError("clause (b) violated")
     if miss.size:
         raise LatticeVerificationError("coverage clause violated")
-    cover_gap = float(np.max(np.abs(zs - witnesses_arr[cover])))
-    return LatticeWitnessSet(dom, M, delta, points_arr, witnesses_arr, cover_gap)
+    return LatticeWitnessSet(M, delta, points_arr, witnesses_arr)
 
 
 def lattice_outcome(build):
-    """The points, witnesses and cover gap, or the clause a
-    LatticeVerificationError names."""
+    """The points and witnesses, or the clause a LatticeVerificationError
+    names."""
     try:
         lat = build()
     except LatticeVerificationError as exc:
         return ("error", str(exc).split(" violated")[0])
-    return ("ok", lat.points.tolist(), lat.witnesses.tolist(), lat.cover_gap)
+    return ("ok", lat.points.tolist(), lat.witnesses.tolist())
 
 
 def origin_witness(dom, delta):
