@@ -20,10 +20,10 @@ nodes as a bit mask, and its M test runs the row pass only on a block
 where some domain node has no admissible node near enough in its own
 column; the lattice finds the witnesses of the few nodes it needs.  The
 lattice makes the chain's one covering pass (`_cover`), which only
-checks coverage: a node off the bisectors of the lattice is covered by
-its rint point, so only the nodes on the bisectors or without a listed
-rint point form a distance.  Complex coordinates appear only for the
-lattice points, their witnesses and those nodes.
+checks coverage: a node is covered by its rint point when that point is
+listed, so only the nodes without a listed rint point form a distance.
+Complex coordinates appear only for the lattice points, their witnesses
+and those nodes.
 
 No grid-sized array outlives the pass that reads it.  A node's
 membership depends on that node alone and every row of a row pass is
@@ -1013,10 +1013,6 @@ def _distance_to_outside(r: Raster, w: complex, reach: float) -> float:
     return float(np.min(np.abs(w - (r.xs[cols][ox] + 1j * r.ys[rows][oy]))))
 
 
-# a node coordinate over M within this of a half-integer lies on a bisector
-_BISECTOR = 1e-9
-
-
 def _cover(r: Raster, M: float, points: np.ndarray):
     """The inside nodes z that no point w of `points` covers, np.abs(z - w)
     < M, a block of _LINES rows at a time: yields each block's uncovered
@@ -1024,11 +1020,11 @@ def _cover(r: Raster, M: float, points: np.ndarray):
     (M Z)^2, each within M of an inside node.
 
     Only the 3 x 3 points around a node's rint point (l, k) = (rint(x/M),
-    rint(y/M)) can lie within M of it.  A node off the bisectors of the
-    lattice whose rint point is listed is fast: that point lies within
-    M/sqrt(2) of it, by a margin far above rounding, so it covers the node
-    and no distance is formed.  Every other node is slow, and scans its
-    3 x 3 points."""
+    rint(y/M)) can lie within M of it.  The rint point lies within
+    M/sqrt(2) of the node, even on a bisector of the lattice, so a node
+    whose rint point is listed is covered, by a margin far above rounding,
+    and forms no distance.  Every other node is slow, and scans its 3 x 3
+    points."""
     xl, yk = np.rint(r.xs / M), np.rint(r.ys / M)
     # point (l, k) at index[l - l0, k - k0], -1 when not listed; the grid
     # holds the 3 x 3 points around every node's rint point
@@ -1038,8 +1034,6 @@ def _cover(r: Raster, M: float, points: np.ndarray):
     index[pl - l0, pk - k0] = np.arange(len(points))
     pts = np.append(points, complex(math.inf))  # index -1: a point covering nothing
     col_l, row_k = (xl - l0).astype(np.int32), (yk - k0).astype(np.int32)
-    col_off = np.abs(r.xs / M - xl) >= 0.5 - _BISECTOR
-    row_off = np.abs(r.ys / M - yk) >= 0.5 - _BISECTOR
     ny, nx = r.inside.shape
     # the cells along x: runs of the columns of one l, from column start[j],
     # width[j] wide, with l - l0 = cell_l[j]
@@ -1048,11 +1042,8 @@ def _cover(r: Raster, M: float, points: np.ndarray):
     # the 3 x 3 point offsets of a slow node's scan
     dl, dk = np.repeat([-1, 0, 1], 3)[:, None], np.tile([-1, 0, 1], 3)[:, None]
     for blk in _line_blocks(ny):
-        # whether each (row, cell) rint point is unlisted or on a bisector row
-        cell = index[cell_l[None, :], row_k[blk, None]] < 0
-        cell[row_off[blk]] = True
-        slow = np.repeat(cell, width, axis=1)
-        slow |= col_off
+        # the inside nodes whose rint point is not listed
+        slow = np.repeat(index[cell_l[None, :], row_k[blk, None]] < 0, width, axis=1)
         slow &= r.inside[blk]
         # the slow nodes in row-major order (by the flat index: a 2-d
         # np.nonzero costs several times more)
@@ -1091,12 +1082,12 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
         is complement too: a w closer than M to the outside of the window
         (distance 0 when w lies beyond it) passes.
     (b) every inside node is covered, by one pass (`_cover`) that forms
-        a distance only for the nodes on the lattice's bisectors or
-        without a listed rint point; every other node is covered by its
-        rint point.  The first uncovered node with a full search
-        disc, in row-major order, violates clause (b); failing that, the
-        first uncovered node (an edge node a declared symmetry was trusted
-        to cover) violates the coverage clause the weight needs;
+        a distance only for the nodes without a listed rint point; every
+        other node is covered by its rint point.  The first uncovered node
+        with a full search disc, in row-major order, violates clause (b);
+        failing that, the first uncovered node (an edge node a declared
+        symmetry was trusted to cover) violates the coverage clause the
+        weight needs;
     (c) witnesses clear delta (the distance from the witness node to its
         nearest domain node) and |w - w*| <= 2M.
     """
