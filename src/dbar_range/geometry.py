@@ -512,9 +512,17 @@ def _reach(h: float, radius: float, strict: bool, ny: int, nx: int) -> np.ndarra
     return np.append(reach, np.int32(-1))
 
 
-def _near_rows(rows: np.ndarray, reach: np.ndarray, blk: slice) -> np.ndarray:
-    """The rows `blk` of `_near`, given the mask's column pass at those
-    rows (`_ColumnPass.rows(blk)`) and the test's `_reach` table.
+def _column_reach(reach: np.ndarray) -> int:
+    """The largest row offset a `_reach` table admits at column offset 0
+    (-1 when none): a node that far from a mask node in its own column, or
+    nearer, passes the test."""
+    return int(np.count_nonzero(reach[:-1] >= 0)) - 1
+
+
+def _near_rows(rows: np.ndarray, reach: np.ndarray, blk) -> np.ndarray:
+    """The rows `blk` (a slice or an index array) of `_near`, given the
+    mask's column pass at those rows (`_ColumnPass.rows`) and the test's
+    `_reach` table.
 
     A node is near when some column c reaches it: a running max of
     c + reach and a running min of c - reach along each row decide that."""
@@ -853,21 +861,34 @@ def _admissible_rows(r: Raster, delta: float) -> Optional[_ColumnPass]:
     packed 8 to a byte into the pass's mask (ny x ceil(nx / 8) bytes): no
     grid of more than 1 bit a node is formed.  A block with no node
     outside the domain admits none and is skipped, and a domain that fills
-    its window reads no pass and builds none."""
+    its window reads no pass and builds none.  Within a block the row pass
+    runs only on the rows holding an outside node whose nearest domain node
+    in its own column lies more rows away than the test admits at column
+    offset 0 (vmax): every other outside node has that domain node within
+    delta, so a row without such a node admits none."""
     inside = r.inside
     if inside.all():
         return None
     ny, nx = inside.shape
     reach = _reach(r.h, delta, False, ny, nx)
+    vmax = _column_reach(reach)
     bits = np.zeros((ny, -(-nx // 8)), dtype=np.uint8)
     found = False
     for blk in _line_blocks(ny):
-        if inside[blk].all():  # no node outside the domain to admit
+        ins = inside[blk]
+        if ins.all():  # no node outside the domain to admit
             continue
-        admissible = _near_rows(r.inside_pass.rows(blk), reach, blk)
-        np.logical_not(np.logical_or(admissible, inside[blk], out=admissible), out=admissible)
+        rows = r.inside_pass.rows(blk)
+        off = rows - np.arange(blk.start, blk.stop, dtype=rows.dtype)[:, None]
+        far = np.abs(off, out=off) > vmax
+        far &= ~ins
+        sel = np.flatnonzero(far.any(axis=1))
+        if not sel.size:
+            continue
+        admissible = _near_rows(rows[sel], reach, blk.start + sel)
+        np.logical_not(np.logical_or(admissible, ins[sel], out=admissible), out=admissible)
         if admissible.any():
-            bits[blk] = np.packbits(admissible, axis=1)
+            bits[blk.start + sel] = np.packbits(admissible, axis=1)
             found = True
     return _ColumnPass(bits, nx=nx) if found else None
 
@@ -923,8 +944,7 @@ def condition_x(dom: PlanarDomain, M: float, delta: float) -> ConditionXCertific
     ny, nx = inside.shape
     if admissible is not None:
         reach = _reach(r.h, M, True, ny, nx)
-        # the largest row offset the M test admits in a node's own column
-        vmax = int(np.count_nonzero(reach[:ny] >= 0)) - 1
+        vmax = _column_reach(reach)
     # the domain nodes lacking a witness, a block of rows at a time: all of
     # them counted, those with a full search disc (the fit slices) counted
     # apart, and the first of these in row-major order kept up to the cap

@@ -25,7 +25,6 @@ from .geometry import (
     Rect,
     Strip,
     Union,
-    _line_blocks,
     build_lattice,
     clearance,
     condition_x,
@@ -72,49 +71,63 @@ class BumpProfile:
     """exp(-1/(1 - |z|^2)) on the unit disc, through its closed-form
     derivative fields.
 
-    Values within `_DROP_RING` of the unit circle are dropped: they are
-    below exp(-500), and skipping them avoids overflow in the inner
-    quotient.  The adjoint here is the formal one for compactly supported
-    data, -d/dz, applied to the (0,1)-form with this coefficient.
+    Values within `_DROP_RING` of the unit circle and beyond are dropped
+    (set to 0): inside the circle they are below exp(-500).  The fields
+    take g = 1 - |z|^2 as 1.0 at a dropped node, so every quotient in g
+    stays finite: a whole block is evaluated with no floating-point warning
+    and no gather of the live nodes.  The adjoint here is the formal one
+    for compactly supported data, -d/dz, applied to the (0,1)-form with
+    this coefficient.
     """
 
     _DROP_RING = 1e-3
 
     def _g(self, z):
-        z = np.asarray(z, dtype=complex)
+        """|z|^2, g (1.0 at a dropped node) and the live flags."""
         r2 = np.abs(z) ** 2
-        g = 1.0 - r2
         live = r2 < (1.0 - self._DROP_RING) ** 2
-        return g, live
+        return r2, np.where(live, 1.0 - r2, 1.0), live
 
     def dbar_star(self, z):
         """-d/dz of the bump: alpha * zbar / g^2."""
         z = np.asarray(z, dtype=complex)
-        g, live = self._g(z)
-        out = np.zeros(g.shape, dtype=complex)
-        gl = g[live]
-        out[live] = np.exp(-1.0 / gl) * np.conj(z[live]) / gl**2
+        _, g, live = self._g(z)
+        out = np.exp(-1.0 / g) * np.conj(z)
+        out /= g**2
+        np.copyto(out, 0, where=~live)
         return out
 
     def dbar_dbar_star(self, z):
         """d/dzbar of dbar_star: alpha (1/g^2 + 2|z|^2/g^3 - |z|^2/g^4)."""
         z = np.asarray(z, dtype=complex)
-        g, live = self._g(z)
+        r2, g, live = self._g(z)
+        val = 1.0 / g**2 + 2.0 * r2 / g**3 - r2 / g**4
+        val *= np.exp(-1.0 / g)
         out = np.zeros(g.shape, dtype=complex)
-        gl = g[live]
-        r2 = np.abs(z[live]) ** 2
-        out[live] = np.exp(-1.0 / gl) * (1.0 / gl**2 + 2.0 * r2 / gl**3 - r2 / gl**4)
+        np.copyto(out.real, val, where=live)
         return out
 
 
+# values of the integrand per block of `_disc_quadrature_norm` at the most
+_QUAD_BLOCK = 2**12
+
+
 def _disc_quadrature_norm(fn, center: complex, radius: float, h: float) -> float:
+    """h times the l2 norm of fn on the grid of mesh h over the square
+    bounding the disc: the quadrature of the L2 norm on the disc.
+
+    fn acts value by value, so it is evaluated a block of at most
+    `_QUAD_BLOCK` values at a time (whole rows, at least one), and its
+    temporaries stay that small whatever the grid.  The grid of values
+    itself is kept whole: np.linalg.norm takes its float from one BLAS dot
+    over all of it, whose summation order a blocked sum of squares would
+    not reproduce."""
     xs = np.arange(center.real - radius, center.real + radius + h / 2, h)
     ys = np.arange(center.imag - radius, center.imag + radius + h / 2, h)
-    # the integrand a block of rows at a time, into the one array whose
-    # norm is taken
     vals = np.empty((len(ys), len(xs)), dtype=complex)
-    for blk in _line_blocks(len(ys)):
-        vals[blk] = fn(xs[None, :] + 1j * ys[blk, None])
+    step = max(1, _QUAD_BLOCK // len(xs))
+    for i in range(0, len(ys), step):
+        vals[i : i + step] = fn(xs[None, :] + 1j * ys[i : i + step, None])
     return h * float(np.linalg.norm(vals.ravel()))
 
 
@@ -172,13 +185,10 @@ def scaling_ratio(
     return ScalingRatio(j, num, den, ratio, num_direct, den_direct, ratio_direct, rel_gap)
 
 
-def _check_scales(j_values: Sequence[int], mesh: float) -> None:
-    """The scaling and tube params that the quadrature needs: some scale,
-    and a positive finite mesh."""
+def _check_scales(j_values: Sequence[int]) -> None:
+    """The scaling and tube param that the quadrature needs: some scale."""
     if not j_values:
         raise ScenarioError("j_values must not be empty")
-    if not (math.isfinite(mesh) and mesh > 0):
-        raise ScenarioError(f"mesh must be finite and > 0, got {mesh}")
 
 
 def scaling_scenario(
@@ -187,7 +197,7 @@ def scaling_scenario(
     center: complex = 0j,
     seed: int = 0,
 ) -> dict:
-    _check_scales(j_values, mesh)
+    _check_scales(j_values)
     rows = [scaling_ratio(j, mesh, center) for j in j_values]
     s = rows[0].ratio / rows[0].j
     dev = max(abs(r.ratio_direct - s * r.j) / (s * r.j) for r in rows)
@@ -289,6 +299,16 @@ def tube_factor_mc(m: int, samples: int = 1_000_000, seed: int = 0) -> float:
     order, where numpy's pairwise summation splits them with parts of up
     to max(_MC_BLOCK, 128), each part summed by one np.add.reduce in a
     reused buffer and the part sums added as numpy adds them.
+
+    A part is drawn with rng.random into a reused (n, 2) buffer and mapped
+    to -1 + 2u in place: rng.uniform(-1, 1) takes the same doubles u and
+    computes low + (high - low) u, and 2u is exact, so the samples are its
+    very floats.  x^2 + y^2 and then q = 1 - r^2 are formed in place, and
+    q > 0 exactly when r^2 < 1, so clipping q at 0 and raising it to the
+    power k - 1 gives (1 - r^2)^(k-1) inside the disc and 0 outside, as a
+    gather of the inside samples would, with no gather or scatter.  At
+    k = 1 the power would turn the clipped zeros into ones, so that slice
+    sums a count of the samples inside, which is exact in a float.
     """
     if m < 1:
         raise ScenarioError(f"fiber dimension must be >= 1, got {m}")
@@ -297,21 +317,26 @@ def tube_factor_mc(m: int, samples: int = 1_000_000, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     leaf = max(_MC_BLOCK, 128)
     parts = _pairwise_parts(samples, leaf)
-    buf = np.empty(max(parts))
+    xy_buf = np.empty((max(parts), 2))
+    q_buf = np.empty(max(parts))
     vol = 1.0
     for k in range(1, m + 1):
         sums = []
-        # a loop, not a call per part: a part's temporaries live on while
-        # the next part is drawn, so the allocator reuses their pages
-        # instead of handing them back and faulting them in again
         for n in parts:
-            xy = rng.uniform(-1.0, 1.0, size=(n, 2))
-            r2 = xy[:, 0] ** 2 + xy[:, 1] ** 2
-            inside = r2 < 1.0
-            vals = buf[:n]
-            vals[:] = 0.0
-            vals[inside] = (1.0 - r2[inside]) ** (k - 1)
-            sums.append(float(np.add.reduce(vals)))
+            xy, q = xy_buf[:n], q_buf[:n]
+            rng.random(out=xy)
+            xy *= 2.0
+            xy -= 1.0
+            x, y = xy[:, 0], xy[:, 1]
+            np.multiply(x, x, out=q)
+            q += np.multiply(y, y, out=y)
+            if k == 1:
+                sums.append(float(np.count_nonzero(q < 1.0)))
+                continue
+            np.subtract(1.0, q, out=q)
+            np.maximum(q, 0.0, out=q)
+            q **= k - 1
+            sums.append(float(np.add.reduce(q)))
         vol *= 4.0 * (_pairwise_total(samples, leaf, iter(sums)) / samples)
     return vol
 
@@ -326,7 +351,7 @@ def tube_scenario(
     """Tube over a base with large discs: the fiber volume cancels from the
     test ratio, so the tube inherits the planar growth exactly.  The base
     is the plane on the window [-(jmax + 1), jmax + 1]^2."""
-    _check_scales(j_values, mesh)
+    _check_scales(j_values)
     jmax = max(j_values)
     w = jmax + 1.0
     dom = PlanarDomain(plane(), (-w, w, -w, w), mesh)
@@ -706,6 +731,18 @@ def _as_given(value):
     return value
 
 
+def _or_null(convert):
+    """`convert`, letting null through: the scenario's default."""
+    return lambda value: None if value is None else convert(value)
+
+
+def _positive(value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"must be finite and > 0, got {value}")
+    return value
+
+
 # kind -> (scenario function, {param: converter}); a spec param not listed
 # is an error, and every listed one is converted before the call
 _SCENARIOS = {
@@ -716,23 +753,23 @@ _SCENARIOS = {
         {
             "c": _as_given,
             "bands": _as_given,
-            "M": _as_given,
+            "M": float,
             "window": tuple,
-            "condition_M": _as_given,
-            "condition_delta": _as_given,
+            "condition_M": _or_null(float),
+            "condition_delta": _or_null(float),
             "symmetry": _as_given,
         },
     ),
     "omega_s": (
         omega_s_scenario,
         {
-            "kappa1": _as_given,
-            "j_min": _as_given,
-            "j_max": _as_given,
+            "kappa1": float,
+            "j_min": int,
+            "j_max": int,
             "window": tuple,
-            "condition_M": _as_given,
-            "condition_delta": _as_given,
-            "K": _as_given,
+            "condition_M": float,
+            "condition_delta": float,
+            "K": _or_null(_positive),
         },
     ),
 }
@@ -741,14 +778,15 @@ _SCENARIOS = {
 def _convert(what: str, convert, value):
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"scenario {what}: {exc}") from None
 
 
 def run_scenario(spec: dict) -> dict:
     """Execute a scenario spec {scenario, params, mesh, seed}; deterministic
     given the spec.  A param the scenario does not take, or a param, seed
-    or mesh that does not convert, raises ScenarioError naming its key."""
+    or mesh that does not convert, raises ScenarioError naming its key, as
+    does a mesh that is not finite and > 0, for every kind."""
     if not isinstance(spec, dict) or "scenario" not in spec:
         raise ScenarioError("scenario spec needs a 'scenario' key")
     kind = spec["scenario"]
@@ -773,6 +811,8 @@ def run_scenario(spec: dict) -> dict:
     kw = {"seed": _convert("'seed'", int, spec.get("seed", 0))}
     if spec.get("mesh") is not None:
         kw["mesh"] = _convert("'mesh'", float, spec["mesh"])
+        if not (math.isfinite(kw["mesh"]) and kw["mesh"] > 0):
+            raise ScenarioError(f"mesh must be finite and > 0, got {kw['mesh']}")
     for key, convert in converters.items():
         if key in params:
             kw[key] = _convert(f"param {key!r}", convert, params[key])

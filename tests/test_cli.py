@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -323,16 +324,18 @@ def test_malformed_scenario_spec_exits_1_naming_the_key(spec, key, tmp_path, cap
     assert err.startswith("error: scenario ") and key in err
 
 
-@pytest.mark.parametrize("kind", ["scaling", "tube"])
+BAD_MESHES = [({"mesh": 0}, "mesh must be finite and > 0, got 0.0", "mesh_0"),
+              ({"mesh": -0.1}, "mesh must be finite and > 0, got -0.1", "mesh_negative"),
+              ({"mesh": "nan"}, "mesh must be finite and > 0, got nan", "mesh_nan")]
+
+
+# every kind checks the mesh before it runs; scaling and tube need a scale
 @pytest.mark.parametrize(
-    "spec, line",
-    [
-        ({"mesh": 0}, "mesh must be finite and > 0, got 0.0"),
-        ({"mesh": -0.1}, "mesh must be finite and > 0, got -0.1"),
-        ({"mesh": "nan"}, "mesh must be finite and > 0, got nan"),
-        ({"params": {"j_values": []}}, "j_values must not be empty"),
-    ],
-    ids=["mesh_0", "mesh_negative", "mesh_nan", "j_values_empty"],
+    "kind, spec, line",
+    [pytest.param(kind, spec, line, id=f"{name}-{kind}")
+     for spec, line, name in BAD_MESHES for kind in ("scaling", "tube", "gallery", "omega_s")]
+    + [pytest.param(kind, {"params": {"j_values": []}}, "j_values must not be empty",
+                    id=f"j_values_empty-{kind}") for kind in ("scaling", "tube")],
 )
 def test_scale_scenario_without_a_quadrature_exits_1_naming_the_key(kind, spec, line,
                                                                      tmp_path, capsys):
@@ -341,6 +344,58 @@ def test_scale_scenario_without_a_quadrature_exits_1_naming_the_key(kind, spec, 
     assert cli.main(["scenario", "--spec", str(path), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {line}\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "kind, params, key, line",
+    [
+        ("omega_s", {"K": "nan"}, "K", "must be finite and > 0, got nan"),
+        ("omega_s", {"K": -1}, "K", "must be finite and > 0, got -1.0"),
+        ("omega_s", {"K": 0}, "K", "must be finite and > 0, got 0.0"),
+        ("omega_s", {"j_min": "a"}, "j_min", "invalid literal for int() with base 10: 'a'"),
+        ("omega_s", {"j_max": math.inf}, "j_max", "cannot convert float infinity to integer"),
+        ("omega_s", {"kappa1": None}, "kappa1", "float() argument must be"),
+        ("omega_s", {"condition_delta": [0.05]}, "condition_delta", "float() argument must be"),
+        ("gallery", {"preset": "uniform", "M": [2]}, "M", "float() argument must be"),
+        ("gallery", {"preset": "uniform", "condition_M": "two"}, "condition_M",
+         "could not convert string to float: 'two'"),
+        ("gallery", {"preset": "uniform", "condition_delta": {}}, "condition_delta",
+         "float() argument must be"),
+    ],
+    ids=["K_nan", "K_negative", "K_0", "j_min_str", "j_max_inf", "kappa1_null",
+         "omega_delta_list", "M_list", "condition_M_str", "gallery_delta_object"],
+)
+def test_malformed_numeric_scenario_param_exits_1_naming_it(kind, params, key, line,
+                                                              tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"scenario": kind, "params": params}))
+    assert cli.main(["scenario", "--spec", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario param {key!r}: {line}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_numeric_scenario_params_convert_as_the_mesh_does(monkeypatch):
+    # numbers and numeric strings convert with float or int, as the mesh
+    # and the tube's m do; a null K or condition leaves the default
+    calls = []
+    for kind in ("gallery", "omega_s"):
+        fn, converters = scenarios._SCENARIOS[kind]
+        monkeypatch.setitem(scenarios._SCENARIOS, kind,
+                            (lambda **kw: calls.append(kw), converters))
+    scenarios.run_scenario({"scenario": "omega_s", "params": {
+        "kappa1": "0.4", "j_min": -5.0, "j_max": "6", "condition_M": 2,
+        "condition_delta": "0.05", "K": None}})
+    scenarios.run_scenario({"scenario": "gallery", "params": {
+        "c": [0.0, 1.0], "bands": [[0.25, 0.75]], "M": "2", "condition_M": None,
+        "condition_delta": 0.1}})
+    omega, gallery = calls
+    assert omega == {"seed": 0, "kappa1": 0.4, "j_min": -5, "j_max": 6, "condition_M": 2.0,
+                     "condition_delta": 0.05, "K": None}
+    assert [type(omega[k]) for k in ("kappa1", "j_min", "j_max", "condition_M")] == [
+        float, int, int, float]
+    assert gallery == {"seed": 0, "c": [0.0, 1.0], "bands": [[0.25, 0.75]], "M": 2.0,
+                       "condition_M": None, "condition_delta": 0.1}
 
 
 @pytest.mark.parametrize(
@@ -463,8 +518,8 @@ def test_omega_s_scenario_stays_below_4_35_bytes_per_node(tmp_path):
 
 def test_tube_monte_carlo_stays_below_1_85_mb():
     # one part of at most 2^14 samples at a time: the 8 MB of all samples
-    # held for np.mean peaked at 11.4 MB; 1.65 MB is the peak of a first
-    # call in a fresh process, 0.90 MB of a later one
+    # held for np.mean peaked at 11.4 MB; 1.16 MB is the peak of a first
+    # call in a fresh process, 0.40 MB of a later one
     tracemalloc.start()
     try:
         scenarios.tube_factor_mc(3, 10**6)
@@ -472,6 +527,56 @@ def test_tube_monte_carlo_stays_below_1_85_mb():
     finally:
         tracemalloc.stop()
     assert peak < 1.85e6
+
+
+def test_scaling_scenario_stays_below_5_mb():
+    # the integrands a block of at most _QUAD_BLOCK values at a time: of
+    # the 4.60 MB peak, 4.21 MB is the kept j = 16 grid of 513^2 values;
+    # blocks of 64 rows of 513 values peaked at 7.91 MB
+    tracemalloc.start()
+    try:
+        scenarios.scaling_scenario()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+@pytest.mark.parametrize("field", ["dbar_star", "dbar_dbar_star"])
+def test_disc_quadrature_norm_does_not_depend_on_the_block(field, monkeypatch):
+    # the scaling scenario's direct path at j = 16; 2^20 values hold the
+    # whole 513 x 513 grid in one block, 1 a row a block
+    fn = getattr(scenarios.BumpProfile(), field)
+    norms = []
+    for block in (1, 7, 4096, 2**20):
+        monkeypatch.setattr(scenarios, "_QUAD_BLOCK", block)
+        norms.append(scenarios._disc_quadrature_norm(lambda z: fn(z / 16) / 16, 0j, 16.0, 1 / 16))
+    assert norms[0] > 0 and norms == [norms[0]] * 4
+
+
+def test_bump_fields_are_the_masked_formulas_without_a_warning():
+    # the fields on the square bounding the unit disc's window, and on
+    # rays across the drop ring and the unit circle: off the live disc they
+    # are 0, and on it the closed forms evaluated at the live nodes alone
+    bump = scenarios.BumpProfile()
+    xs = np.linspace(-math.sqrt(2), math.sqrt(2), 301)
+    ring = 1.0 - bump._DROP_RING
+    radii = np.concatenate([ring * (1 + np.array([-1e-12, -1e-15, 0.0, 1e-15, 1e-12])),
+                            [0.998, 0.999, 1.0 - 1e-9, 1.0, 1.0 + 1e-9]])
+    rays = radii[:, None] * np.exp(1j * np.linspace(0, 2 * math.pi, 13))[None, :]
+    for z in (xs[None, :] + 1j * xs[:, None], rays):
+        r2 = np.abs(z) ** 2
+        live = r2 < ring**2
+        assert live.any() and not live.all()
+        g, zl, rl = 1.0 - r2[live], z[live], r2[live]
+        want = np.zeros(z.shape, dtype=complex)
+        want[live] = np.exp(-1.0 / g) * np.conj(zl) / g**2
+        want_dd = np.zeros(z.shape, dtype=complex)
+        want_dd[live] = np.exp(-1.0 / g) * (1.0 / g**2 + 2.0 * rl / g**3 - rl / g**4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, got_dd = bump.dbar_star(z), bump.dbar_dbar_star(z)
+        assert np.array_equal(got, want) and np.array_equal(got_dd, want_dd)
 
 
 @pytest.mark.parametrize("verbose", [False, True])

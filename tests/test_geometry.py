@@ -603,13 +603,20 @@ class TestColumnPass:
         clearance(dom, np.array([1.5 + 0.5j, 0.3j, -1.9 - 1.9j]))
         assert len(built) == 3 and built[2] is cert.admissible
 
-    def test_delta_test_skips_blocks_without_an_outside_node(self, monkeypatch):
-        # the half-plane y < 0.3 fills the lower rows of the window: only
-        # the row blocks that reach above it run the delta test
-        dom = PlanarDomain(HalfPlane(-1j, -0.3 + 0j), (-2, 2, -2, 2), 0.02)
-        r = dom.raster
-        blocks = [blk for blk in geometry._line_blocks(len(r.ys)) if not r.inside[blk].all()]
-        assert 0 < len(blocks) < len(list(geometry._line_blocks(len(r.ys))))
+    @staticmethod
+    def delta_pass_rows(r, delta):
+        """The rows the delta test runs its row pass on, from the whole-grid
+        column pass of `inside`: those holding an outside node whose
+        nearest domain node in its column lies more rows away than the
+        farthest row offset within delta at column offset 0."""
+        ny = len(r.ys)
+        vmax = np.count_nonzero(_edt_distance(r.h, np.arange(ny), 0) <= delta) - 1
+        off = np.abs(column_rows(r.inside) - np.arange(ny)[:, None])
+        return np.flatnonzero(((off > vmax) & ~r.inside).any(axis=1))
+
+    @staticmethod
+    def counting_near_rows(monkeypatch):
+        """Record the `blk` of every `_near_rows` call."""
         seen = []
         near_rows = geometry._near_rows
 
@@ -618,38 +625,49 @@ class TestColumnPass:
             return near_rows(rows, reach, blk)
 
         monkeypatch.setattr(geometry, "_near_rows", counting)
+        return seen
+
+    def test_delta_test_skips_blocks_without_an_outside_node(self, monkeypatch):
+        # the half-plane y < 0.3 fills the lower rows of the window: only
+        # the rows above it hold an outside node, and of those only the
+        # rows more than delta above it run the delta test's row pass
+        dom = PlanarDomain(HalfPlane(-1j, -0.3 + 0j), (-2, 2, -2, 2), 0.02)
+        r = dom.raster
+        outside_rows = np.flatnonzero(~r.inside.all(axis=1))
+        want = self.delta_pass_rows(r, 0.1)
+        assert 0 < len(want) < len(outside_rows) < len(r.ys)
+        assert np.isin(want, outside_rows).all()
+        seen = self.counting_near_rows(monkeypatch)
         admissible = geometry._admissible_rows(r, 0.1)
-        assert seen == blocks
+        # one call per block of rows, each on the rows of one block
+        assert all(len(np.unique(blk // geometry._LINES)) == 1 for blk in seen)
+        assert np.array_equal(np.concatenate(seen), want)
         want = ~(_near(_ColumnPass(r.inside), r.h, 0.1, strict=False) | r.inside)
         assert np.array_equal(pass_rows(admissible), column_rows(want))
 
-
     def test_m_test_runs_no_row_pass_on_the_gallery(self, monkeypatch):
         # every domain node of the gallery has an admissible node closer
-        # than M in its own column, so only the delta test's blocks, those
-        # holding a node outside the domain, run the row pass
-        seen = []
-        near_rows = geometry._near_rows
-
-        def counting(rows, reach, blk):
-            seen.append(blk)
-            return near_rows(rows, reach, blk)
-
-        monkeypatch.setattr(geometry, "_near_rows", counting)
+        # than M in its own column, so only the delta test runs a row pass,
+        # on the rows with an outside node farther than delta from the
+        # domain in its column
+        seen = self.counting_near_rows(monkeypatch)
         dom = load_domain(ROOT / "domains" / "uniform_gallery.json")
         r = dom.raster
         assert r.h == 0.02
-        blocks = [blk for blk in geometry._line_blocks(len(r.ys)) if not r.inside[blk].all()]
         cert = condition_x(dom, M=2.0, delta=0.1)
-        assert cert.holds and seen == blocks
+        assert cert.holds and seen
+        assert all(isinstance(blk, np.ndarray) for blk in seen)
+        assert np.array_equal(np.concatenate(seen), self.delta_pass_rows(r, 0.1))
         # the control: on the unit disc at M = 0.5 the centre's column has
-        # no admissible node within M, so the M test runs its row pass there
+        # no admissible node within M, so the M test runs its row pass
+        # there, a block of rows at a time
         seen.clear()
         dom = unit_disc()
-        blocks = [blk for blk in geometry._line_blocks(len(dom.raster.ys))
-                  if not dom.raster.inside[blk].all()]
         cert = condition_x(dom, M=0.5, delta=0.1)
-        assert not cert.holds and seen[:len(blocks)] == blocks and len(seen) > len(blocks)
+        n = sum(isinstance(blk, np.ndarray) for blk in seen)
+        assert not cert.holds and 0 < n < len(seen)
+        assert np.array_equal(np.concatenate(seen[:n]), self.delta_pass_rows(dom.raster, 0.1))
+        assert all(isinstance(blk, slice) for blk in seen[n:])
 
 
 class TestLargestDisc:
