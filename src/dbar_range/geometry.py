@@ -879,13 +879,13 @@ def _admissible_rows(r: Raster, delta: float) -> Optional[_ColumnPass]:
         if ins.all():  # no node outside the domain to admit
             continue
         rows = r.inside_pass.rows(blk)
-        off = rows - np.arange(blk.start, blk.stop, dtype=rows.dtype)[:, None]
-        far = np.abs(off, out=off) > vmax
-        far &= ~ins
-        sel = np.flatnonzero(far.any(axis=1))
+        v = np.arange(blk.start, blk.stop, dtype=rows.dtype)[:, None]
+        sel = np.flatnonzero(((np.abs(rows - v) > vmax) & ~ins).any(axis=1))
         if not sel.size:
             continue
-        admissible = _near_rows(rows[sel], reach, blk.start + sel)
+        # rebound, so the block's pass is freed before the row pass
+        rows = rows[sel]
+        admissible = _near_rows(rows, reach, blk.start + sel)
         np.logical_not(np.logical_or(admissible, ins[sel], out=admissible), out=admissible)
         if admissible.any():
             bits[blk.start + sel] = np.packbits(admissible, axis=1)
