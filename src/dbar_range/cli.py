@@ -9,7 +9,9 @@ re-verification and an eigensolver that fails included), 2 condition not
 satisfied, 3 verification exceeded the supplied constant, 4 internal
 error (any other exception, a MemoryError included: one "error: internal:"
 line on stderr, and the traceback too under -v).  The package
-needs numpy alone at run time; no command imports scipy.
+needs numpy alone at run time; no command imports scipy, numpy.random
+or hashlib, so none maps OpenSSL's libcrypto (numpy.random imports it
+through secrets and hmac).
 
 --mesh replaces the "mesh" of the domain file (certify, verify) or of the
 scenario spec, so every stage of a command works at that one mesh; a

@@ -260,29 +260,27 @@ def tube_factor(m: int) -> float:
     return math.pi**m / math.factorial(m)
 
 
-# samples per draw of tube_factor_mc at the most; numpy sums up to 128
-# values unsplit, so a draw may hold that many
+# samples per part of tube_factor_mc at the most
 _MC_BLOCK = 1 << 14
 
-
-def _pairwise_parts(n: int, leaf: int) -> list:
-    """The sizes of the parts np.add.reduce sums n contiguous values in, in
-    order: numpy's pairwise summation splits n into h = n // 2 - (n // 2) %
-    8 and n - h while n exceeds `leaf` (128 in numpy), and sums each part
-    left in one piece."""
-    if n <= leaf:
-        return [n]
-    h = n // 2 - (n // 2) % 8
-    return _pairwise_parts(h, leaf) + _pairwise_parts(n - h, leaf)
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the stream's increment and
+# the two multipliers of its mixing function
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _pairwise_total(n: int, leaf: int, sums) -> float:
-    """The sum of n values as np.add.reduce takes it, from the sums of
-    their `_pairwise_parts` (an iterator, in order)."""
-    if n <= leaf:
-        return next(sums)
-    h = n // 2 - (n // 2) % 8
-    return _pairwise_total(h, leaf, sums) + _pairwise_total(n - h, leaf, sums)
+def _mix64(z, tmp) -> None:
+    """SplitMix64's mixing function of every value of the uint64 array z,
+    in place in wrapping arithmetic; tmp is a scratch array of z's size."""
+    np.right_shift(z, 30, out=tmp)
+    z ^= tmp
+    z *= _MIX1
+    np.right_shift(z, 27, out=tmp)
+    z ^= tmp
+    z *= _MIX2
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
 
 
 def tube_factor_mc(m: int, samples: int = 1_000_000, seed: int = 0) -> float:
@@ -294,40 +292,53 @@ def tube_factor_mc(m: int, samples: int = 1_000_000, seed: int = 0) -> float:
     more than 1e6 samples for a 1% answer at m = 6; the slice product
     keeps every factor's variance small.
 
-    Each slice's mean is np.mean of all its samples, bit for bit, without
-    holding them: the samples are drawn part by part from the stream, in
-    order, where numpy's pairwise summation splits them with parts of up
-    to max(_MC_BLOCK, 128), each part summed by one np.add.reduce in a
-    reused buffer and the part sums added as numpy adds them.
+    The samples come from the SplitMix64 stream of the seed (an integer in
+    [0, 2^64)): its value n = 1, 2, ... is mix64(seed + n gamma) in
+    wrapping uint64 arithmetic, and the top 53 bits of a value, read as u
+    in [0, 2^53), give the double u / 2^52 - 1 in [-1, 1), exactly.  Sample
+    i of slice k (both from 0) is the point (x, y) of values 2 (k samples +
+    i) + 1 and + 2.  So the stream is drawn by index: a slice takes its
+    samples a part of at most `_MC_BLOCK` at a time, each part's counters
+    added to a reused table of n gamma and mixed in place, and the part
+    sums are added with math.fsum, so the estimate does not depend on the
+    part size beyond the rounding of each part's own sum.
 
-    A part is drawn with rng.random into a reused (n, 2) buffer and mapped
-    to -1 + 2u in place: rng.uniform(-1, 1) takes the same doubles u and
-    computes low + (high - low) u, and 2u is exact, so the samples are its
-    very floats.  x^2 + y^2 and then q = 1 - r^2 are formed in place, and
-    q > 0 exactly when r^2 < 1, so clipping q at 0 and raising it to the
-    power k - 1 gives (1 - r^2)^(k-1) inside the disc and 0 outside, as a
-    gather of the inside samples would, with no gather or scatter.  At
-    k = 1 the power would turn the clipped zeros into ones, so that slice
-    sums a count of the samples inside, which is exact in a float.
+    x^2 + y^2 and then q = 1 - r^2 are formed in a reused buffer, and q > 0
+    exactly when r^2 < 1, so clipping q at 0 and raising it to the power
+    k - 1 gives (1 - r^2)^(k-1) inside the disc and 0 outside, with no
+    gather or scatter.  At k = 1 the power would turn the clipped zeros
+    into ones, so that slice sums a count of the samples inside, which is
+    exact in a float.
     """
     if m < 1:
         raise ScenarioError(f"fiber dimension must be >= 1, got {m}")
     if samples < 1:
         raise ScenarioError(f"mc_samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    leaf = max(_MC_BLOCK, 128)
-    parts = _pairwise_parts(samples, leaf)
-    xy_buf = np.empty((max(parts), 2))
-    q_buf = np.empty(max(parts))
+    if not 0 <= seed < 1 << 64:
+        raise ScenarioError(f"'seed' must be in [0, 2^64) for the tube, got {seed}")
+    block = min(samples, _MC_BLOCK)
+    steps = np.arange(1, 2 * block + 1, dtype=np.uint64)
+    steps *= np.uint64(_GAMMA)
+    z_buf = np.empty_like(steps)
+    t_buf = np.empty_like(steps)
+    drawn = 0
     vol = 1.0
     for k in range(1, m + 1):
         sums = []
-        for n in parts:
-            xy, q = xy_buf[:n], q_buf[:n]
-            rng.random(out=xy)
-            xy *= 2.0
+        for start in range(0, samples, block):
+            n = min(block, samples - start)
+            z, t = z_buf[: 2 * n], t_buf[: 2 * n]
+            np.add(steps[: 2 * n], np.uint64((seed + drawn * _GAMMA) % (1 << 64)), out=z)
+            drawn += 2 * n
+            _mix64(z, t)
+            # the top 53 bits: below 2^63, so their int64 view is the same
+            # number, and it converts to a double faster than a uint64
+            np.right_shift(z, 11, out=t)
+            xy = z.view(np.float64)
+            np.multiply(t.view(np.int64), 2.0**-52, out=xy)
             xy -= 1.0
-            x, y = xy[:, 0], xy[:, 1]
+            x, y = xy[0::2], xy[1::2]
+            q = t.view(np.float64)[:n]
             np.multiply(x, x, out=q)
             q += np.multiply(y, y, out=y)
             if k == 1:
@@ -337,7 +348,7 @@ def tube_factor_mc(m: int, samples: int = 1_000_000, seed: int = 0) -> float:
             np.maximum(q, 0.0, out=q)
             q **= k - 1
             sums.append(float(np.add.reduce(q)))
-        vol *= 4.0 * (_pairwise_total(samples, leaf, iter(sums)) / samples)
+        vol *= 4.0 * (math.fsum(sums) / samples)
     return vol
 
 
@@ -718,8 +729,39 @@ def omega_s_scenario(
 # ---------------------------------------------------------------------------
 
 
-def _ints(values) -> list:
-    return [int(j) for j in values]
+def _integral(value) -> int:
+    """int(value), refusing a bool and a finite float with a fractional
+    part, which int would read as 1 or 0 and truncate."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and math.isfinite(value) and not value.is_integer()
+    ):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _list_of(convert):
+    """An array, each of its items converted with `convert`."""
+
+    def convert_all(values) -> list:
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"must be an array, got {values!r}")
+        return [convert(v) for v in values]
+
+    return convert_all
+
+
+def _band(band):
+    """A gallery band: a [lo, hi] pair of numbers, or an object of the eta
+    specs 'eta_lo' and 'eta_hi' (objects themselves)."""
+    if isinstance(band, dict):
+        if sorted(band) != ["eta_hi", "eta_lo"] or not all(
+            isinstance(eta, dict) for eta in band.values()
+        ):
+            raise ValueError(f"a band object holds the objects 'eta_lo' and 'eta_hi', got {band!r}")
+        return band
+    if not isinstance(band, (list, tuple)) or len(band) != 2:
+        raise ValueError(f"a band is a [lo, hi] pair or an eta_lo/eta_hi object, got {band!r}")
+    return [float(band[0]), float(band[1])]
 
 
 def _complex_pair(pair) -> complex:
@@ -746,13 +788,16 @@ def _positive(value) -> float:
 # kind -> (scenario function, {param: converter}); a spec param not listed
 # is an error, and every listed one is converted before the call
 _SCENARIOS = {
-    "scaling": (scaling_scenario, {"j_values": _ints, "center": _complex_pair}),
-    "tube": (tube_scenario, {"m": int, "mc_samples": int, "j_values": _ints}),
+    "scaling": (scaling_scenario, {"j_values": _list_of(_integral), "center": _complex_pair}),
+    "tube": (
+        tube_scenario,
+        {"m": _integral, "mc_samples": _integral, "j_values": _list_of(_integral)},
+    ),
     "gallery": (
         strip_gallery,
         {
-            "c": _as_given,
-            "bands": _as_given,
+            "c": _list_of(float),
+            "bands": _list_of(_band),
             "M": float,
             "window": tuple,
             "condition_M": _or_null(float),
@@ -764,8 +809,8 @@ _SCENARIOS = {
         omega_s_scenario,
         {
             "kappa1": float,
-            "j_min": int,
-            "j_max": int,
+            "j_min": _integral,
+            "j_max": _integral,
             "window": tuple,
             "condition_M": float,
             "condition_delta": float,
@@ -786,7 +831,10 @@ def run_scenario(spec: dict) -> dict:
     """Execute a scenario spec {scenario, params, mesh, seed}; deterministic
     given the spec.  A param the scenario does not take, or a param, seed
     or mesh that does not convert, raises ScenarioError naming its key, as
-    does a mesh that is not finite and > 0, for every kind."""
+    do a mesh that is not finite and > 0, for every kind, and a gallery
+    param without a default (c, bands, M) that neither the spec nor its
+    preset gives.  An integer (a seed, a count, a scale, a height index)
+    converts only from an integral number or string."""
     if not isinstance(spec, dict) or "scenario" not in spec:
         raise ScenarioError("scenario spec needs a 'scenario' key")
     kind = spec["scenario"]
@@ -808,7 +856,7 @@ def run_scenario(spec: dict) -> dict:
             f"scenario param {unknown[0]!r}: {kind} takes no such parameter "
             f"(it takes {', '.join(sorted(known))})"
         )
-    kw = {"seed": _convert("'seed'", int, spec.get("seed", 0))}
+    kw = {"seed": _convert("'seed'", _integral, spec.get("seed", 0))}
     if spec.get("mesh") is not None:
         kw["mesh"] = _convert("'mesh'", float, spec["mesh"])
         if not (math.isfinite(kw["mesh"]) and kw["mesh"] > 0):
@@ -816,4 +864,8 @@ def run_scenario(spec: dict) -> dict:
     for key, convert in converters.items():
         if key in params:
             kw[key] = _convert(f"param {key!r}", convert, params[key])
+    if kind == "gallery":
+        for key in ("c", "bands", "M"):
+            if key not in kw:
+                raise ScenarioError(f"scenario param {key!r}: a gallery without a preset needs it")
     return fn(**kw)

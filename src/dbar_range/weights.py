@@ -346,11 +346,39 @@ class PointSeriesWeight:
 # ---------------------------------------------------------------------------
 
 
+# CutoffProfile samples its derivatives at _CUTOFF_SAMPLES points, a block
+# of _CUTOFF_BLOCK of them at a time
+_CUTOFF_SAMPLES = 1 << 16
+_CUTOFF_BLOCK = 1 << 12
+
+
+def _gradient_part(f, x, first: bool, last: bool) -> tuple:
+    """np.gradient(f, x) of a whole array, bit for bit, at the points of its
+    slice f, x that the slice determines, and those points: the slice's
+    interior, by np.gradient's non-uniform second-order formula, and an end
+    of the slice that is an end of the array (first, last), by the
+    first-order formula."""
+    dx = np.diff(x)
+    dx1, dx2 = dx[:-1], dx[1:]
+    a = -(dx2) / (dx1 * (dx1 + dx2))
+    b = (dx2 - dx1) / (dx1 * dx2)
+    c = dx1 / (dx2 * (dx1 + dx2))
+    parts = [a * f[:-2] + b * f[1:-1] + c * f[2:]]
+    if first:
+        parts.insert(0, (f[1:2] - f[:1]) / dx[:1])
+    if last:
+        parts.append((f[-1:] - f[-2:-1]) / dx[-1:])
+    return np.concatenate(parts), x[0 if first else 1 : len(x) if last else -1]
+
+
 class CutoffProfile:
     """Smoothstep in |Re z|: identically 0 for |x| <= lo, 1 for |x| >= hi.
 
     Derivative sups are dense-sampling estimates inflated by 5%; they feed
-    the cross-term bound of the composite certificate.
+    the cross-term bound of the composite certificate.  The samples'
+    np.gradient and its np.gradient are taken a block at a time, each block
+    with a halo of two samples on either side, so the sups are those of
+    the whole arrays, bit for bit, without holding them.
     """
 
     def __init__(self, lo: float = 2.0, hi: float = 3.0):
@@ -358,12 +386,17 @@ class CutoffProfile:
             raise ValueError("cutoff needs lo < hi")
         self.lo = float(lo)
         self.hi = float(hi)
-        xs = np.linspace(lo - 0.05, hi + 0.05, 1 << 16)
-        vals = self.value(xs)
-        d1 = np.gradient(vals, xs)
-        d2 = np.gradient(d1, xs)
-        self.sup_d1 = 1.05 * float(np.max(np.abs(d1)))
-        self.sup_d2 = 1.05 * float(np.max(np.abs(d2)))
+        xs = np.linspace(lo - 0.05, hi + 0.05, _CUTOFF_SAMPLES)
+        sup_d1 = sup_d2 = 0.0
+        for s in range(0, len(xs), _CUTOFF_BLOCK):
+            i0, i1 = max(s - 2, 0), min(s + _CUTOFF_BLOCK + 2, len(xs))
+            first, last = i0 == 0, i1 == len(xs)
+            d1, x1 = _gradient_part(self.value(xs[i0:i1]), xs[i0:i1], first, last)
+            d2, _ = _gradient_part(d1, x1, first, last)
+            sup_d1 = max(sup_d1, float(np.max(np.abs(d1))))
+            sup_d2 = max(sup_d2, float(np.max(np.abs(d2))))
+        self.sup_d1 = 1.05 * sup_d1
+        self.sup_d2 = 1.05 * sup_d2
 
     def value(self, x):
         x = np.abs(np.asarray(x, dtype=float))

@@ -52,7 +52,7 @@ SCENARIO_SHA256 = {
     },
     "tube_m3": {
         "scenario_tube_report.json":
-            "35b225dd095f057725d3ddd7c37022d0f2e9fa82f36cda557b736c9db81543d5",
+            "fc1c7747288b8c31e46a52d6da0ffd07b7d75c5a6c3786a80a296051d36b64a2",
         "scenario_tube_rows.csv":
             "e503819a1a0d2c9742803b7a3c88a86d6c08f8cc233becf70b6a61af0c7fd84a",
     },
@@ -92,42 +92,70 @@ def certify_sha256(tmp_path, domain, expect_code, *extra):
     return sha256((tmp_path / "certify_report.json").read_bytes())
 
 
-def one_draw_mc(m, samples, seed):
-    """tube_factor_mc as one draw of all samples per slice and np.mean."""
-    rng = np.random.default_rng(seed)
+def splitmix64(seed, count):
+    """The first `count` values of SplitMix64 seeded with `seed`, in Python
+    integers: Vigna's splitmix64.c, transcribed."""
+    mask, x, out = (1 << 64) - 1, seed, []
+    for _ in range(count):
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_mix64_of_the_counters_is_splitmix64(seed):
+    counters = [(seed + n * scenarios._GAMMA) % 2**64 for n in range(1, 65)]
+    z = np.array(counters, dtype=np.uint64)
+    scenarios._mix64(z, np.empty_like(z))
+    assert z.tolist() == splitmix64(seed, 64)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 12345])
+def test_tube_factor_mc_is_the_slice_means_over_the_stream(seed, monkeypatch):
+    # sample i of slice k is (x, y) from values 2 (k samples + i) + 1 and
+    # + 2, each its top 53 bits over 2^52 minus 1; parts of 3 samples
+    # split the slices unevenly
+    m, samples = 3, 11
+    values = iter(splitmix64(seed, 2 * m * samples))
     vol = 1.0
     for k in range(1, m + 1):
-        xy = rng.uniform(-1.0, 1.0, size=(samples, 2))
-        r2 = xy[:, 0] ** 2 + xy[:, 1] ** 2
-        inside = r2 < 1.0
-        vals = np.zeros(samples)
-        vals[inside] = (1.0 - r2[inside]) ** (k - 1)
-        vol *= 4.0 * float(np.mean(vals))
-    return vol
+        terms = []
+        for _ in range(samples):
+            x, y = ((next(values) >> 11) * 2.0**-52 - 1.0 for _ in "xy")
+            r2 = x * x + y * y
+            terms.append((1.0 - r2) ** (k - 1) if r2 < 1.0 else 0.0)
+        vol *= 4.0 * (math.fsum(terms) / samples)
+    monkeypatch.setattr(scenarios, "_MC_BLOCK", 3)
+    assert scenarios.tube_factor_mc(m, samples, seed) == pytest.approx(vol, rel=1e-15)
 
 
-@pytest.mark.parametrize("block", [7, 1 << 16, 5000])
-def test_tube_factor_mc_is_one_draw_of_all_samples(block, monkeypatch):
-    # the blocked draws take the stream in order, so they equal one draw
-    m, samples, seed = 3, 5000, 4
-    vol = one_draw_mc(m, samples, seed)
+@pytest.mark.parametrize("block", [7, 128, 2**14, 2**20])
+def test_tube_factor_mc_does_not_depend_on_the_part_size(block, monkeypatch):
+    # each part's sum rounds on its own, and math.fsum adds them exactly
+    m, samples, seed = 3, 2**15 + 3, 4
+    vol = scenarios.tube_factor_mc(m, samples, seed)
     monkeypatch.setattr(scenarios, "_MC_BLOCK", block)
-    assert scenarios.tube_factor_mc(m, samples, seed) == vol
+    assert scenarios.tube_factor_mc(m, samples, seed) == pytest.approx(vol, rel=1e-12)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(
-    samples=st.sampled_from([1, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1,
-                             2**17 + 24, 10**6 + 3]),
-    block=st.sampled_from([7, 128, 1000, 1 << 16]),
-    m=st.integers(1, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_tube_factor_mc_sums_as_np_mean_at_the_split_points(samples, block, m, seed):
-    # the leaves of numpy's pairwise split, summed as it sums them, give
-    # np.mean's very float around every split point of the recursion
-    with mock.patch.object(scenarios, "_MC_BLOCK", block):
-        assert scenarios.tube_factor_mc(m, samples, seed) == one_draw_mc(m, samples, seed)
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m", range(1, 5))
+def test_tube_factor_mc_is_within_1_percent_of_the_ball_volume(m, seed):
+    vol = scenarios.tube_factor_mc(m, 10**6, seed)
+    assert vol == pytest.approx(math.pi**m / math.factorial(m), rel=0.01)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_tube_seed_outside_uint64_exits_1_naming_it(seed, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    spec = {"scenario": "tube", "params": {"m": 1, "j_values": [1]}, "seed": seed}
+    path.write_text(json.dumps(spec))
+    assert cli.main(["scenario", "--spec", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'seed'" in err and str(seed) in err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -375,6 +403,59 @@ def test_malformed_numeric_scenario_param_exits_1_naming_it(kind, params, key, l
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize(
+    "params, key, line",
+    [
+        ({"c": 5, "bands": []}, "c", "must be an array, got 5"),
+        ({"c": [0, "top"], "bands": [[0.2, 0.8]], "M": 1}, "c",
+         "could not convert string to float: 'top'"),
+        ({"c": [0, 1], "bands": [5], "M": 1}, "bands",
+         "a band is a [lo, hi] pair or an eta_lo/eta_hi object, got 5"),
+        ({"c": [0, 1], "bands": [[0.2]], "M": 1}, "bands",
+         "a band is a [lo, hi] pair or an eta_lo/eta_hi object, got [0.2]"),
+        ({"c": [0, 1], "bands": [{"eta_lo": {"const": 0.2}, "eta_hi": 0.8}], "M": 1}, "bands",
+         "a band object holds the objects 'eta_lo' and 'eta_hi'"),
+        ({"c": [0, 1], "bands": [[0.2, 0.8]]}, "M", "a gallery without a preset needs it"),
+        ({"bands": [[0.2, 0.8]], "M": 1}, "c", "a gallery without a preset needs it"),
+    ],
+    ids=["c_int", "c_str_item", "band_int", "band_single", "band_eta_number", "no_M", "no_c"],
+)
+def test_malformed_gallery_spec_exits_1_naming_the_key(params, key, line, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"scenario": "gallery", "params": params}))
+    assert cli.main(["scenario", "--spec", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario param {key!r}: {line}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "kind, spec, key, value",
+    [
+        ("tube", {"params": {"m": 2.7}}, "param 'm'", "2.7"),
+        ("tube", {"params": {"m": True}}, "param 'm'", "True"),
+        ("tube", {"params": {"mc_samples": 1e5 + 0.5}}, "param 'mc_samples'", "100000.5"),
+        ("tube", {"params": {"j_values": [1.5]}}, "param 'j_values'", "1.5"),
+        ("scaling", {"params": {"j_values": [1, False]}}, "param 'j_values'", "False"),
+        ("omega_s", {"params": {"j_min": -5.5}}, "param 'j_min'", "-5.5"),
+        ("omega_s", {"params": {"j_max": True}}, "param 'j_max'", "True"),
+        ("scaling", {"seed": 0.5}, "'seed'", "0.5"),
+        ("scaling", {"seed": True}, "'seed'", "True"),
+    ],
+    ids=["tube_m_fraction", "tube_m_bool", "mc_samples_fraction", "tube_j_fraction",
+         "scaling_j_bool", "j_min_fraction", "j_max_bool", "seed_fraction", "seed_bool"],
+)
+def test_non_integral_scenario_integer_exits_1_naming_it(kind, spec, key, value, tmp_path,
+                                                         capsys):
+    # int would truncate 2.7 to 2 and read a bool as 1 or 0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"scenario": kind, **spec}))
+    assert cli.main(["scenario", "--spec", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: scenario {key}: must be an integer, got {value}\n")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_numeric_scenario_params_convert_as_the_mesh_does(monkeypatch):
     # numbers and numeric strings convert with float or int, as the mesh
     # and the tube's m do; a null K or condition leaves the default
@@ -452,20 +533,24 @@ def test_certify_modules_leave_spline_interpolation_unimported(tmp_path):
 
 def test_certify_and_verify_leave_openssl_unloaded(tmp_path):
     # the config digest is the built-in SHA-256: importing hashlib would map
-    # OpenSSL's libcrypto (about 3.6 MB resident) into every child
+    # OpenSSL's libcrypto (about 3.6 MB resident) into every child; the
+    # tube's Monte Carlo draws no numpy.random stream, whose import takes
+    # secrets, hmac and so _hashlib with it
     code = (
         "import sys, dbar_range.cli\n"
         "main, out = dbar_range.cli.main, sys.argv[1]\n"
         "codes = [main(['certify', '--domain', sys.argv[2], '--M', '2', '--delta', '0.1',"
         " '--out', out]), main(['verify', '--domain', sys.argv[3], '--C', '1', '--out', out])]\n"
-        "print(codes, '_hashlib' in sys.modules)"
+        "codes += [main(['scenario', '--spec', spec, '--out', out]) for spec in sys.argv[4:]]\n"
+        "print(codes, sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))"
     )
     domains = [str(ROOT / "domains" / d) for d in ("uniform_gallery.json", "unit_disc.json")]
     out = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path), *domains],
+        [sys.executable, "-c", code, str(tmp_path), *domains, *map(str, SPECS)],
         capture_output=True, text=True, check=True, env={"PYTHONPATH": str(ROOT / "src")},
     )
-    assert out.stdout.splitlines()[-1] == "[0, 0] False"
+    assert len(SPECS) == 4
+    assert out.stdout.splitlines()[-1] == f"{[0] * 6} []"
 
 
 _json_values = st.recursive(
@@ -502,7 +587,9 @@ def test_omega_s_scenario_stays_below_4_35_bytes_per_node(tmp_path):
     # condition X fails on omega_s, so its certificate keeps no grid, and
     # clearance and the composite weight form none beside the raster; the
     # command peaked at 6.79 B a node before they streamed, 3.94 B after,
-    # and 2.64 B with the admissible nodes a bit mask and no stored pass
+    # 2.64-2.72 B with the admissible nodes a bit mask and no stored pass,
+    # and 2.39-2.50 B with the cutoff's derivative sups taken a block at a
+    # time
     argv = ["scenario", "--spec", str(ROOT / "scenarios" / "omega_s.json"),
             "--out", str(tmp_path)]
     nodes = scenarios.omega_s_composite()[0].raster.inside.size
@@ -513,13 +600,13 @@ def test_omega_s_scenario_stays_below_4_35_bytes_per_node(tmp_path):
     finally:
         tracemalloc.stop()
     assert nodes == 2_085_417
-    assert peak < 3.05 * nodes
+    assert peak < 2.6 * nodes
 
 
 def test_tube_monte_carlo_stays_below_1_85_mb():
     # one part of at most 2^14 samples at a time: the 8 MB of all samples
-    # held for np.mean peaked at 11.4 MB; 1.16 MB is the peak of a first
-    # call in a fresh process, 0.40 MB of a later one
+    # held at once peaked at 11.4 MB; the stream's three buffers of 2^15
+    # uint64 values (counter steps, values, scratch) peak at 0.86 MB
     tracemalloc.start()
     try:
         scenarios.tube_factor_mc(3, 10**6)

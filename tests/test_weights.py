@@ -766,6 +766,32 @@ class TestPointSeriesWeight:
         assert w.zzbar(z) == pytest.approx(lap / 4.0, rel=1e-5)
 
 
+class TestCutoffProfile:
+    @pytest.mark.parametrize(
+        "lo, hi", [(2.0, 3.0), (0.0, 1.0), (-1.0, 0.5), (0.3, 0.31), (5.0, 100.0), (1e-3, 2e-3)]
+    )
+    def test_sups_equal_the_full_array_gradients(self, lo, hi):
+        # the blocks with their halos give np.gradient's very values
+        chi = CutoffProfile(lo, hi)
+        xs = np.linspace(lo - 0.05, hi + 0.05, 1 << 16)
+        d1 = np.gradient(chi.value(xs), xs)
+        d2 = np.gradient(d1, xs)
+        assert chi.sup_d1 == 1.05 * float(np.max(np.abs(d1)))
+        assert chi.sup_d2 == 1.05 * float(np.max(np.abs(d2)))
+
+    def test_memory_stays_below_1_5_mb(self):
+        # the whole-array gradients held about ten 2^16-float temporaries
+        # (5.25 MB); a block of 2^12 samples at a time peaks at 0.87 MB,
+        # 0.52 MB of it the samples' abscissae
+        tracemalloc.start()
+        try:
+            CutoffProfile(2.0, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+
 def toy_composite():
     strips = tuple(Strip.constant(j - 0.75, j - 0.25) for j in range(-3, 5))
     tree = Union(strips + (Rect(-2.0, 2.0, -4.0, 4.0),))
