@@ -9,23 +9,21 @@ re-verification and an eigensolver that fails included), 2 condition not
 satisfied, 3 verification exceeded the supplied constant, 4 internal
 error (any other exception, a MemoryError included: one "error: internal:"
 line on stderr, and the traceback too under -v).  The package
-needs numpy alone at run time; no command imports scipy, numpy.random
-or hashlib, so none maps OpenSSL's libcrypto (numpy.random imports it
-through secrets and hmac).
+needs numpy alone at run time; no command imports scipy, or numpy.random,
+which maps OpenSSL's libcrypto through secrets and hmac.
 
 --mesh replaces the "mesh" of the domain file (certify, verify) or of the
 scenario spec, so every stage of a command works at that one mesh; a
 certify or verify report records the file's own document and --mesh.
 
-DBAR_RANGE_THREADS caps the linear-algebra thread pools (default 1 so that
-identical configs reproduce byte-identical reports); when set it overrides
+DBAR_RANGE_THREADS caps the linear-algebra thread pools (default 1, so
+that each config always replays byte for byte); when set it overrides
 inherited OMP/OPENBLAS/MKL_NUM_THREADS values.  It must be honored
-before the numeric stack loads, which is why the heavy imports live inside
-the command handlers.  It only takes effect if numpy is not loaded yet:
-`main` called in a process that already imported numpy runs with that
-process's pools, and with more than one thread some reductions (the
-scaling scenario's quadrature norms) round differently, so the report
-bytes can differ from those of `python -m dbar_range.cli`.
+before numpy loads, which is why the heavy imports live inside the
+command handlers.  `main` called in a process that already imported
+numpy runs with that process's pools: with more than one thread some
+reductions (the scaling scenario's quadrature norms) round differently,
+so the report bytes can differ from those of `python -m dbar_range.cli`.
 """
 
 from __future__ import annotations
