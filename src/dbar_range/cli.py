@@ -244,8 +244,8 @@ def cmd_scenario(args) -> int:
 def main(argv=None) -> int:
     _setup_threads()
     args = build_parser().parse_args(argv)
-    # DomainSpecError, QueryError, MeshError and ScenarioError are
-    # ValueErrors, so no command imports a module only to name its error
+    # DomainSpecError, MeshError and ScenarioError are ValueErrors, so no
+    # command imports a module only to name its error
     from .geometry import ConfigurationError, LatticeVerificationError, SolverError
 
     handlers = {"certify": cmd_certify, "verify": cmd_verify, "scenario": cmd_scenario}

@@ -5,8 +5,10 @@ Two discretizations live on the raster's inside nodes.
 `op` maps node values of a function to node values of its dzbar
 derivative (du/dx + i du/dy)/2, with centered differences where both
 neighbors are inside and one-sided differences toward the boundary.  It
-imposes no boundary condition; it serves the twisted quadrature check, and
-`DbarGrid` builds it only when first read.
+imposes no boundary condition.  No command reads it: it stays because the
+benchmark's trace counts its entries (`discrete.nnz` in `bench/spans.py`)
+and the tests' twisted quadrature check applies its adjoint; `DbarGrid`
+builds it only when first read.
 
 The closed-range constant and the canonical solution go through the
 dbar-Neumann operator.  In one variable, box = dbar dbar* on (0,1)-forms is
@@ -37,11 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .geometry import MeshError, PlanarDomain, SolverError, _ColumnPass, _near
+from .geometry import MeshError, PlanarDomain, SolverError
 
 __all__ = [
     "CooMatrix",
@@ -53,12 +54,6 @@ __all__ = [
     "least_norm_solve",
     "closed_range_constant",
     "verify_certificate",
-    "twisted_quadrature_check",
-    "WeightField",
-    "constant_field",
-    "abs2_field",
-    "gaussian_decay_field",
-    "theta_factor",
 ]
 
 # Lanczos stops when the relative residual of its Ritz pair reaches
@@ -279,7 +274,7 @@ class DbarGrid:
     m_k inside nodes on line k (see `LineFactor`).  The rest is built when
     first read and then kept: `ground_state` and `ground_solve` by verify,
     `op`, which maps node values of a function to node values of the
-    (0,1)-form coefficient, only by the twisted check and the tests.
+    (0,1)-form coefficient, by no command (see the module docstring).
     Nothing here takes a distance transform.
     """
 
@@ -542,110 +537,3 @@ def verify_certificate(g: DbarGrid, C_cert: float) -> dict:
             "to the certified bound"
         ),
     }
-
-
-# ---------------------------------------------------------------------------
-# Twisted estimate by quadrature
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightField:
-    """Pointwise data of a real C^2 weight on C: value, d/dz, d^2/dz dzbar.
-
-    All three callables are vectorized over complex arrays.
-    """
-
-    value: Callable
-    dz: Callable
-    zzbar: Callable
-
-
-def constant_field(c: float) -> WeightField:
-    return WeightField(
-        value=lambda z: np.full(np.shape(z), float(c)),
-        dz=lambda z: np.zeros(np.shape(z), dtype=complex),
-        zzbar=lambda z: np.zeros(np.shape(z)),
-    )
-
-
-def abs2_field(scale: float = 1.0) -> WeightField:
-    """scale * |z|^2: gradient scale*conj(z), Hessian scale."""
-    return WeightField(
-        value=lambda z: scale * np.abs(z) ** 2,
-        dz=lambda z: scale * np.conj(z),
-        zzbar=lambda z: np.full(np.shape(z), float(scale)),
-    )
-
-
-def gaussian_decay_field(alpha: float) -> WeightField:
-    """exp(-alpha |z|^2) with its exact derivatives."""
-
-    def val(z):
-        return np.exp(-alpha * np.abs(z) ** 2)
-
-    return WeightField(
-        value=val,
-        dz=lambda z: -alpha * np.conj(z) * val(z),
-        zzbar=lambda z: val(z) * (alpha**2 * np.abs(z) ** 2 - alpha),
-    )
-
-
-def theta_factor(lam: WeightField, tau: WeightField, z) -> np.ndarray:
-    """Twisted curvature factor tau lam_zzbar - tau_zzbar - |tau_z|^2 / tau.
-
-    Times |u|^2 it is the curvature term of the twisted estimate for a
-    (0,1)-form u on C.  tau must be positive at every point of z.
-    """
-    tv = np.asarray(tau.value(z), dtype=float)
-    if np.any(tv <= 0):
-        raise ValueError("tau must be positive where the twisted term is evaluated")
-    return (
-        tv * np.asarray(lam.zzbar(z), dtype=float)
-        - np.asarray(tau.zzbar(z), dtype=float)
-        - np.abs(np.asarray(tau.dz(z), dtype=complex)) ** 2 / tv
-    )
-
-
-def twisted_quadrature_check(
-    lam: WeightField,
-    tau: WeightField,
-    u_fn: Callable,
-    g: DbarGrid,
-) -> float:
-    """Quadrature slack of the twisted lower bound on a test (0,1)-form.
-
-    slack = 2 ||sqrt(tau) adj_lam(u)||_lam^2 - integral of the twisted
-    curvature term against |u|^2 e^(-lam).  (In one complex variable the
-    dbar of a (0,1)-form vanishes for degree reasons, so the first term of
-    the estimate contributes nothing.)  adj_lam = e^lam op^H(e^-lam .) with
-    op^H the conjugate transpose of `op`, which realizes the formal adjoint
-    -d/dz for interior-supported data.
-
-    The continuum inequality is slack >= 0; quadrature returns
-    slack >= -O(h^2) * scale.  Support must stay 2h clear of the boundary
-    and tau must be positive on it.
-    """
-    z = g.nodes_z
-    u = np.asarray(u_fn(z), dtype=complex)
-    supp = np.abs(u) > 0
-    r = g.domain.raster
-    near_edge = _near(_ColumnPass(r.inside, invert=True), g.h, 2 * g.h, strict=False)[r.inside]
-    if (supp & near_edge).any():
-        raise ValueError(
-            "test form support reaches within 2h of the boundary; "
-            "the formal adjoint identity needs interior support"
-        )
-    tv = np.asarray(tau.value(z), dtype=float)
-    if supp.any() and np.min(tv[supp]) <= 0:
-        raise ValueError("tau must be positive on the support of u")
-    lv = np.asarray(lam.value(z), dtype=float)
-    elam = np.exp(-lv)
-
-    adj = np.exp(lv) * (g.op.H @ (elam * u))
-    lhs = 2.0 * g.h**2 * float(np.sum(tv * np.abs(adj) ** 2 * elam))
-
-    theta = np.zeros(z.shape)
-    theta[supp] = theta_factor(lam, tau, z[supp])
-    rhs = g.h**2 * float(np.sum(theta * np.abs(u) ** 2 * elam))
-    return lhs - rhs

@@ -39,8 +39,8 @@ in each column (1/16 B a node in int16, the type on grids of fewer than
 a node plus the tables of its inside column pass (`Raster.inside_pass`,
 built once and read by condition X, the lattice and `clearance`), and
 the certificate under 0.2 B, its admissible nodes packed 8 to a byte
-plus their tables; a point query (`clearance`, `largest_disc_at`,
-`build_lattice`) computes a column pass at its query rows alone.
+plus their tables; a point query (`clearance`, `build_lattice`'s witness
+search) computes a column pass at its query rows alone.
 
 Unbounded domains are handled by the finite window plus an explicitly
 declared translation symmetry; nothing outside the window is ever
@@ -54,7 +54,6 @@ import it to name them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -64,7 +63,6 @@ import numpy as np
 
 __all__ = [
     "DomainSpecError",
-    "QueryError",
     "ConfigurationError",
     "MeshError",
     "SolverError",
@@ -76,27 +74,18 @@ __all__ = [
     "Union",
     "Intersection",
     "Complement",
-    "plane",
     "PlanarDomain",
     "ConditionXCertificate",
     "LatticeWitnessSet",
-    "contains",
-    "largest_disc_at",
     "clearance",
     "condition_x",
     "build_lattice",
-    "domain_to_dict",
     "domain_from_dict",
-    "load_domain",
 ]
 
 
 class DomainSpecError(ValueError):
     """Malformed domain description."""
-
-
-class QueryError(ValueError):
-    """Query outside the contract of the domain (point not in window, ...)."""
 
 
 class ConfigurationError(RuntimeError):
@@ -127,6 +116,15 @@ def _finite(what: str, *values) -> None:
         raise DomainSpecError(f"{what} must be finite")
 
 
+def _number(what: str, value) -> float:
+    """float(value), with a DomainSpecError naming `what` for a value that
+    float refuses (a list, an object, a non-numeric string)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainSpecError(f"{what} must be a number, got {value!r}") from None
+
+
 class EtaFunc:
     """Boundary graph for a strip: a constant, or the natural cubic spline
     through samples (x_i, y_i).
@@ -143,12 +141,16 @@ class EtaFunc:
 
     def __init__(self, spec: dict):
         if "const" in spec:
-            self.spec = {"const": float(spec["const"])}
+            self.spec = {"const": _number("eta constant", spec["const"])}
             _finite("eta constant", self.spec["const"])
             self.x_range = (-math.inf, math.inf)
         elif "x" in spec and "y" in spec:
-            xs = [float(v) for v in spec["x"]]
-            ys = [float(v) for v in spec["y"]]
+            if not all(isinstance(spec[k], (list, tuple)) for k in "xy"):
+                raise DomainSpecError(
+                    f"eta samples 'x' and 'y' must be arrays, got {spec['x']!r} and {spec['y']!r}"
+                )
+            xs = [_number("an eta sample", v) for v in spec["x"]]
+            ys = [_number("an eta sample", v) for v in spec["y"]]
             if len(xs) != len(ys) or len(xs) < 2:
                 raise DomainSpecError("eta samples need matching x/y arrays of length >= 2")
             _finite("eta samples", *xs, *ys)
@@ -285,10 +287,6 @@ class Strip:
     eta_lo: EtaFunc
     eta_hi: EtaFunc
 
-    @classmethod
-    def constant(cls, lo: float, hi: float) -> "Strip":
-        return cls(EtaFunc({"const": lo}), EtaFunc({"const": hi}))
-
     @property
     def is_constant(self) -> bool:
         return "const" in self.eta_lo.spec and "const" in self.eta_hi.spec
@@ -326,11 +324,6 @@ class Complement:
 
     def member(self, x, y):
         return ~np.asarray(self.child.member(x, y))
-
-
-def plane():
-    """The whole plane (complement of the empty union)."""
-    return Complement(Union(()))
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +406,16 @@ class _ColumnPass:
     (-2 ny or 3 ny).  Every value lies in [-2 ny, 3 ny], so the rows are
     int16 while 3 ny < 2^15 and int32 above (`dtype`).
 
-    No pass is stored.  The mask is read a block at a time: a bool grid,
-    its complement (`invert`), or, given `nx`, a grid packed 8 nodes to a
-    byte along x (`np.packbits(mask, axis=1)`).  At each boundary of the
-    blocks of _LINES rows the pass keeps the nearest mask row above and
-    below it in each column, 2 x ny/_LINES x nx values, from which a
-    block's rows follow by a running max and min within the block."""
+    No pass is stored.  The mask is read a block at a time: a bool grid
+    or, given `nx`, a grid packed 8 nodes to a byte along x
+    (`np.packbits(mask, axis=1)`).  At each boundary of the blocks of
+    _LINES rows the pass keeps the nearest mask row above and below it in
+    each column, 2 x ny/_LINES x nx values, from which a block's rows
+    follow by a running max and min within the block."""
 
-    def __init__(self, mask: np.ndarray, invert: bool = False, nx: Optional[int] = None):
+    def __init__(self, mask: np.ndarray, nx: Optional[int] = None):
         ny = mask.shape[0]
-        self.mask, self.invert, self.packed = mask, invert, nx is not None
+        self.mask, self.packed = mask, nx is not None
         self.shape = (ny, mask.shape[1] if nx is None else nx)
         self.dtype = np.dtype(np.int16 if 3 * ny < 2**15 else np.int32)
         self.lines = _LINES
@@ -443,7 +436,7 @@ class _ColumnPass:
     def _mask(self, blk: slice) -> np.ndarray:
         if self.packed:
             return np.unpackbits(self.mask[blk], axis=1, count=self.shape[1]).view(bool)
-        return ~self.mask[blk] if self.invert else self.mask[blk]
+        return self.mask[blk]
 
     def rows(self, blk: slice) -> np.ndarray:
         """The column pass at the rows `blk`, a nonempty slice of
@@ -655,14 +648,6 @@ class PlanarDomain:
         if self.symmetry not in ("none", "translation_x"):
             raise DomainSpecError(f"unknown symmetry {self.symmetry!r}")
 
-    def in_window(self, z: complex) -> bool:
-        x0, x1, y0, y1 = self.window
-        return x0 <= z.real <= x1 and y0 <= z.imag <= y1
-
-    def member(self, z: complex) -> bool:
-        """Exact CSG membership, no window check."""
-        return bool(self.tree.member(np.asarray(z.real), np.asarray(z.imag)))
-
     def columns(self) -> np.ndarray:
         """x coordinates of the raster columns, after checking that every
         strip's eta is defined across the window and keeps eta_lo < eta_hi
@@ -690,47 +675,6 @@ class PlanarDomain:
 # ---------------------------------------------------------------------------
 # Point queries
 # ---------------------------------------------------------------------------
-
-
-def contains(dom: PlanarDomain, z: complex) -> bool:
-    """Exact CSG-tree membership for a point of the window."""
-    if not dom.in_window(z):
-        raise QueryError(f"{z} lies outside the window {dom.window}")
-    return dom.member(z)
-
-
-def largest_disc_at(dom: PlanarDomain, z: complex, cap: float) -> float:
-    """Radius of the largest disc around z inside the domain, capped at cap.
-
-    Exact for a tree consisting of one disc, half-plane, rectangle or
-    constant-band strip; otherwise the distance from z to the rasterized
-    complement (error <= h*sqrt(2)).  The window clips what the grid can
-    see: with no complement nodes in reach the answer is the cap.
-    """
-    if cap <= 0:
-        raise QueryError(f"cap must be positive, got {cap}")
-    if not contains(dom, z):
-        raise QueryError(f"{z} is not in the domain")
-    t = dom.tree
-    if isinstance(t, Disc):
-        return min(cap, t.r - math.hypot(z.real - t.cx, z.imag - t.cy))
-    if isinstance(t, HalfPlane):
-        val = t.a.real * z.real - t.a.imag * z.imag + t.b.real
-        return min(cap, -val / abs(t.a))
-    if isinstance(t, Rect):
-        return min(cap, z.real - t.x0, t.x1 - z.real, z.imag - t.y0, t.y1 - z.imag)
-    if isinstance(t, Strip) and t.is_constant:
-        lo = t.eta_lo.spec["const"]
-        hi = t.eta_hi.spec["const"]
-        return min(cap, z.imag - lo, hi - z.imag)
-    r = dom.raster
-    if r.inside.all():
-        return cap
-    iy, ix = r.nearest_index(z)
-    oy, ox = _nearest(_ColumnPass(r.inside, invert=True), r.h, [iy], [ix])
-    d = float(_edt_distance(r.h, oy[0] - iy, ox[0] - ix))
-    snap = abs(z - r.node_z(iy, ix))
-    return min(cap, max(0.0, d - snap))
 
 
 def clearance(dom: PlanarDomain, z):
@@ -783,10 +727,10 @@ class ConditionXCertificate:
 
     When the condition fails no witness is kept, and `failure_points` holds
     up to 10 000 failing nodes as complex coordinates.  `witnessed` (the
-    boolean grid of the domain nodes that found a witness), `sample_points`
-    and `witness_points` (the witnessed nodes and their witnesses as
-    complex coordinates) are computed when read, by another pass over the
-    grid.
+    boolean grid of the domain nodes that found a witness) and
+    `witness_points` (their witnesses as complex coordinates) are computed
+    when read, by another pass over the grid; no command reads them, and
+    the benchmark's trace counts `witness_points` (`geometry.witnesses`).
     `accepted_by_symmetry` flags nodes whose search disc left the window
     and that were accepted by the domain's declared translation symmetry
     rather than by an explicit witness.
@@ -826,14 +770,9 @@ class ConditionXCertificate:
         return witnessed
 
     @property
-    def sample_points(self) -> np.ndarray:
-        """The witnessed nodes as complex coordinates, in row-major order."""
-        iy, ix = np.nonzero(self.witnessed)
-        return self.raster.xs[ix] + 1j * self.raster.ys[iy]
-
-    @property
     def witness_points(self) -> np.ndarray:
-        """The witness of each of `sample_points`, as complex coordinates."""
+        """The witness of each witnessed node, in row-major order, as complex
+        coordinates."""
         if self.admissible is None:
             return np.array([], dtype=complex)
         wy, wx = self.witness_of(*np.nonzero(self.witnessed))
@@ -1195,33 +1134,6 @@ def build_lattice(cert: ConditionXCertificate) -> LatticeWitnessSet:
 # ---------------------------------------------------------------------------
 
 
-def _tree_to_dict(node) -> dict:
-    if isinstance(node, Disc):
-        return {"prim": "disc", "params": {"center": [node.cx, node.cy], "radius": node.r}}
-    if isinstance(node, HalfPlane):
-        return {
-            "prim": "halfplane",
-            "params": {"a": [node.a.real, node.a.imag], "b": [node.b.real, node.b.imag]},
-        }
-    if isinstance(node, Rect):
-        return {
-            "prim": "rect",
-            "params": {"x0": node.x0, "x1": node.x1, "y0": node.y0, "y1": node.y1},
-        }
-    if isinstance(node, Strip):
-        return {
-            "prim": "strip",
-            "params": {"eta_lo": node.eta_lo.spec, "eta_hi": node.eta_hi.spec},
-        }
-    if isinstance(node, Union):
-        return {"op": "union", "children": [_tree_to_dict(c) for c in node.children]}
-    if isinstance(node, Intersection):
-        return {"op": "intersect", "children": [_tree_to_dict(c) for c in node.children]}
-    if isinstance(node, Complement):
-        return {"op": "complement", "children": [_tree_to_dict(node.child)]}
-    raise DomainSpecError(f"{type(node).__name__} nodes are not serializable")
-
-
 def _tree_from_dict(d: dict):
     if not isinstance(d, dict):
         raise DomainSpecError(f"tree node must be an object, got {type(d).__name__}")
@@ -1261,18 +1173,6 @@ def _tree_from_dict(d: dict):
     raise DomainSpecError("tree node needs an 'op' or 'prim' key")
 
 
-def domain_to_dict(dom: PlanarDomain) -> dict:
-    x0, x1, y0, y1 = dom.window
-    out = {
-        "window": {"x0": x0, "x1": x1, "y0": y0, "y1": y1},
-        "mesh": dom.mesh,
-        "tree": _tree_to_dict(dom.tree),
-    }
-    if dom.symmetry != "none":
-        out["symmetry"] = dom.symmetry
-    return out
-
-
 def domain_from_dict(d: dict) -> PlanarDomain:
     try:
         w = d["window"]
@@ -1283,9 +1183,3 @@ def domain_from_dict(d: dict) -> PlanarDomain:
         raise DomainSpecError(f"invalid domain document: {exc}") from None
     symmetry = d.get("symmetry", "none")
     return PlanarDomain(tree, window, mesh, symmetry)
-
-
-def load_domain(path) -> PlanarDomain:
-    with open(path, "r", encoding="utf-8") as fh:
-        return domain_from_dict(json.load(fh))
-

@@ -28,8 +28,6 @@ from .geometry import (
     build_lattice,
     clearance,
     condition_x,
-    largest_disc_at,
-    plane,
 )
 from .weights import (
     CutoffProfile,
@@ -361,17 +359,10 @@ def tube_scenario(
 ) -> dict:
     """Tube over a base with large discs: the fiber volume cancels from the
     test ratio, so the tube inherits the planar growth exactly.  The base
-    is the plane on the window [-(jmax + 1), jmax + 1]^2."""
+    is the plane, which holds the disc of radius j at 0 for every scale j;
+    the planar ratios are quadratures on those discs, so no raster is
+    built."""
     _check_scales(j_values)
-    jmax = max(j_values)
-    w = jmax + 1.0
-    dom = PlanarDomain(plane(), (-w, w, -w, w), mesh)
-    reach = largest_disc_at(dom, 0j, cap=jmax + 1.0)
-    if reach < jmax:
-        raise ScenarioError(
-            f"base domain only admits discs of radius {reach} at 0; "
-            f"need {jmax} for the requested scales"
-        )
     c_m = tube_factor(m)
     c_mc = tube_factor_mc(m, mc_samples, seed)
     mc_rel = abs(c_mc - c_m) / c_m
@@ -441,7 +432,8 @@ def gallery_domain(
 
     Each band is either [lo, hi] constants or {"eta_lo": .., "eta_hi": ..}
     sampled specs, and must fit strictly inside its height interval.
-    Returns the domain plus measured metadata (spacing, minimal gap).
+    Returns the domain plus measured metadata (spacing, minimal gap between
+    consecutive bands, inf for one band).
     """
     c = [float(v) for v in c]
     if len(c) < 2 or any(a >= b for a, b in zip(c, c[1:])):
@@ -503,7 +495,13 @@ def strip_gallery(
     available, and the quadratic band weight with its explicit certificate
     (bound M^2, Hessian 1/2).  The band weight's finite-difference Hessian
     and its max are taken per raster row, at the height of each row that
-    holds an inside node."""
+    holds an inside node.  The condition's default delta and the report's
+    min_gap are gaps between bands, so a gallery has at least two."""
+    if len(bands) < 2:
+        raise ScenarioError(
+            f"scenario param 'bands': a gallery needs at least 2 bands, since its "
+            f"gaps lie between bands; got {len(bands)}"
+        )
     c = [float(v) for v in c]
     spacing = max(b - a for a, b in zip(c, c[1:]))
     if spacing > M + 1e-12:
@@ -778,6 +776,14 @@ def _or_null(convert):
     return lambda value: None if value is None else convert(value)
 
 
+def _window(value) -> tuple:
+    """A window (x0, x1, y0, y1): an array of exactly four finite numbers."""
+    window = _list_of(float)(value)
+    if len(window) != 4 or not all(map(math.isfinite, window)):
+        raise ValueError(f"must be an array of 4 finite numbers, got {value!r}")
+    return tuple(window)
+
+
 def _positive(value) -> float:
     value = float(value)
     if not (math.isfinite(value) and value > 0):
@@ -799,7 +805,7 @@ _SCENARIOS = {
             "c": _list_of(float),
             "bands": _list_of(_band),
             "M": float,
-            "window": tuple,
+            "window": _window,
             "condition_M": _or_null(float),
             "condition_delta": _or_null(float),
             "symmetry": _as_given,
@@ -811,7 +817,7 @@ _SCENARIOS = {
             "kappa1": float,
             "j_min": _integral,
             "j_max": _integral,
-            "window": tuple,
+            "window": _window,
             "condition_M": float,
             "condition_delta": float,
             "K": _or_null(_positive),

@@ -27,11 +27,9 @@ from .geometry import LatticeWitnessSet, PlanarDomain
 
 __all__ = [
     "weight_constants",
-    "strip_weight",
     "StripWeightFamily",
     "PointSeriesWeight",
     "CutoffProfile",
-    "composite_weight",
     "certify_composite",
     "CompositeCertification",
     "WeightCertificate",
@@ -204,52 +202,13 @@ def _smoothstep(t):
     return out if out.shape else float(out)
 
 
-def strip_weight(
-    c_prev: float,
-    c_j: float,
-    z: complex,
-    quad_from: Optional[float] = None,
-) -> tuple[float, float]:
-    """One band of the strip weight: the squared distance (Im z - c_j)^2 on
-    the upper part of the band, switched off smoothly toward c_prev.
-
-    `quad_from` is the height above which the weight is exactly quadratic
-    (defaults to the middle of the band); it must sit below the strip the
-    band serves so the Hessian value 1/2 is exact on the strip.  On the
-    cutoff collar the value stays within [0, (c_j - c_prev)^2] and the
-    reported Hessian is the finite-difference value of the documented
-    profile  (Im z - c_j)^2 * s((Im z - c_prev)/(quad_from - c_prev))
-    with s the exp(-1/t) smoothstep.
-    """
-    if c_prev >= c_j:
-        raise ValueError(f"band requires c_prev < c_j, got {c_prev} >= {c_j}")
-    y = z.imag if isinstance(z, complex) else float(z)
-    if y < c_prev or y > c_j:
-        raise ValueError(f"Im z = {y} outside the band [{c_prev}, {c_j}]")
-    if quad_from is None:
-        quad_from = 0.5 * (c_prev + c_j)
-    if not (c_prev < quad_from < c_j):
-        raise ValueError("quad_from must lie strictly inside the band")
-
-    def val(yy):
-        t = (yy - c_prev) / (quad_from - c_prev)
-        return (yy - c_j) ** 2 * _smoothstep(t)
-
-    if y >= quad_from:
-        return float((y - c_j) ** 2), 0.5
-    d = 1e-4 * (c_j - c_prev)
-    zzbar = (val(y + d) - 2.0 * val(y) + val(y - d)) / (d * d) / 4.0
-    return float(val(y)), float(zzbar)
-
-
 class StripWeightFamily:
     """Sum of band weights over a strictly increasing height sequence.
 
     Band j lives between cs[j] and cs[j+1] and is quadratic from
     quad_from[j] upward.  The value depends on the height only; outside
-    [cs[0], cs[-1]] it vanishes.  `value` and `zzbar` take points z
-    (complex: the height is Im z) or heights (real), as `strip_weight`
-    does, so a caller can evaluate them once per raster row.
+    [cs[0], cs[-1]] it vanishes.  `value` and `zzbar` take a 1-d array of
+    heights, so a caller evaluates them once per raster row.
     """
 
     def __init__(self, cs: Sequence[float], quad_from: Optional[Sequence[float]] = None):
@@ -269,15 +228,11 @@ class StripWeightFamily:
         self.max_gap = max(b - a for a, b in zip(cs, cs[1:]))
         self.sup_value = self.max_gap**2
 
-    @staticmethod
-    def _heights(z) -> np.ndarray:
-        return np.asarray(np.imag(z) if np.iscomplexobj(z) else z, dtype=float)
-
     def _band_index(self, y):
         idx = np.searchsorted(np.asarray(self.cs), y, side="right") - 1
         return np.clip(idx, 0, len(self.cs) - 2)
 
-    def _at(self, y: np.ndarray) -> np.ndarray:
+    def value(self, y: np.ndarray) -> np.ndarray:
         """The weight at the 1-d array of heights y."""
         j = self._band_index(y)
         lo = np.asarray(self.cs)[j]
@@ -288,21 +243,15 @@ class StripWeightFamily:
         out[(y < self.cs[0]) | (y > self.cs[-1])] = 0.0
         return out
 
-    def value(self, z):
-        y = self._heights(z)
-        out = self._at(np.atleast_1d(y))
-        return float(out[0]) if y.ndim == 0 else out
-
-    def zzbar(self, z):
-        y = self._heights(z)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
+    def zzbar(self, y: np.ndarray) -> np.ndarray:
+        """Its complex Hessian at the 1-d array of heights y: 1/2 where the
+        band is quadratic, the second difference of `value` elsewhere."""
         d = 1e-4 * self.max_gap
-        out = (self._at(y + d) - 2 * self._at(y) + self._at(y - d)) / (d * d) / 4.0
+        out = (self.value(y + d) - 2 * self.value(y) + self.value(y - d)) / (d * d) / 4.0
         j = self._band_index(y)
         quad = (y >= np.asarray(self.quad_from)[j]) & (y <= np.asarray(self.cs)[j + 1])
         out[quad] = 0.5
-        return float(out[0]) if scalar else out
+        return out
 
     @cached_property
     def sup_dy(self) -> float:
@@ -311,7 +260,7 @@ class StripWeightFamily:
         sup = 0.0
         for a, b in zip(self.cs, self.cs[1:]):
             ys = np.linspace(a, b, 4097)
-            sup = max(sup, float(np.max(np.abs(np.gradient(self._at(ys), ys)))))
+            sup = max(sup, float(np.max(np.abs(np.gradient(self.value(ys), ys)))))
         return 1.05 * sup  # dense-sampling bound, inflated
 
 
@@ -320,7 +269,8 @@ class PointSeriesWeight:
     """Series weight over an explicitly listed witness set (no lattice).
 
     Used for the composite construction, where witnesses are placed by hand
-    in the transition bands.  Values and Hessians are exact finite sums.
+    in the transition bands.  `certify_composite` bounds its value and
+    Hessian, exact finite sums, over the raster (`_grid_extreme`).
     """
 
     witnesses: np.ndarray
@@ -329,16 +279,6 @@ class PointSeriesWeight:
         self.witnesses = np.asarray(self.witnesses, dtype=complex)
         if len(self.witnesses) == 0:
             raise ValueError("need at least one witness point")
-
-    def value(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = _phi_many(self.witnesses, z, -4.0, 1.0)
-        return float(out[0]) if out.shape == (1,) else out
-
-    def zzbar(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = _phi_many(self.witnesses, z, -6.0, 4.0)
-        return float(out[0]) if out.shape == (1,) else out
 
 
 # ---------------------------------------------------------------------------
@@ -406,36 +346,6 @@ class CutoffProfile:
 def _cross_term_bound(chi: CutoffProfile, phi_strip: StripWeightFamily) -> float:
     # |(chi phi)_{z zbar} - chi phi_{z zbar}| <= |chi'| |phi_y| / 2 + |chi''| phi / 4
     return chi.sup_d1 * phi_strip.sup_dy / 2.0 + chi.sup_d2 * phi_strip.sup_value / 4.0
-
-
-def composite_weight(
-    chi: CutoffProfile,
-    phi_strip: StripWeightFamily,
-    phi_lattice: PointSeriesWeight,
-    K: float,
-    z: complex,
-    b: float,
-) -> tuple[float, float]:
-    """Pointwise value and certified Hessian lower bound of
-    psi = chi * phi_strip + K * phi_lattice.
-
-    Presumes the composite-domain structure: outside |Re z| > chi.lo the
-    domain coincides with the strips (where the strip weight is exactly
-    quadratic), and b is a verified lower bound for the lattice part's
-    Hessian on |Re z| <= chi.hi.  A nonpositive bound is a reported
-    outcome, not an error: it means K is too small.
-    """
-    if K <= 0:
-        raise ValueError(f"K must be positive, got {K}")
-    x = z.real
-    value = float(chi.value(x) * phi_strip.value(z) + K * phi_lattice.value(z))
-    if abs(x) >= chi.hi:
-        lower = 0.5
-    elif abs(x) <= chi.lo:
-        lower = K * b
-    else:
-        lower = K * b - _cross_term_bound(chi, phi_strip)
-    return value, lower
 
 
 @dataclass(frozen=True)

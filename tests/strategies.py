@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from dbar_range import geometry
-from dbar_range.geometry import Complement, Disc, HalfPlane, Intersection, Rect, Strip, Union
+from dbar_range.geometry import Complement, Disc, HalfPlane, Intersection, Rect, Union
+from oracles import constant_strip
 
 
 @st.composite
@@ -21,7 +22,7 @@ def primitives(draw, kinds=("disc", "rect", "halfplane")):
         return Rect(x0, x0 + draw(st.floats(0.2, 4.0)), y0, y0 + draw(st.floats(0.2, 4.0)))
     if kind == "strip":
         lo = draw(c)
-        return Strip.constant(lo, lo + draw(st.floats(0.05, 3.0)))
+        return constant_strip(lo, lo + draw(st.floats(0.05, 3.0)))
     theta = draw(st.floats(0.0, 2 * math.pi))
     return HalfPlane(complex(math.cos(theta), math.sin(theta)), complex(draw(c), 0.0))
 

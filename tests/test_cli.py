@@ -389,9 +389,16 @@ def test_scale_scenario_without_a_quadrature_exits_1_naming_the_key(kind, spec, 
          "could not convert string to float: 'two'"),
         ("gallery", {"preset": "uniform", "condition_delta": {}}, "condition_delta",
          "float() argument must be"),
+        ("gallery", {"preset": "uniform", "window": [1, 2, 3]}, "window",
+         "must be an array of 4 finite numbers, got [1, 2, 3]"),
+        ("gallery", {"preset": "uniform", "window": "abcd"}, "window",
+         "must be an array, got 'abcd'"),
+        ("omega_s", {"window": [-10, 10, -7, "inf"]}, "window",
+         "must be an array of 4 finite numbers, got [-10, 10, -7, 'inf']"),
     ],
     ids=["K_nan", "K_negative", "K_0", "j_min_str", "j_max_inf", "kappa1_null",
-         "omega_delta_list", "M_list", "condition_M_str", "gallery_delta_object"],
+         "omega_delta_list", "M_list", "condition_M_str", "gallery_delta_object",
+         "gallery_window_3", "gallery_window_str", "omega_window_inf"],
 )
 def test_malformed_numeric_scenario_param_exits_1_naming_it(kind, params, key, line,
                                                               tmp_path, capsys):
@@ -417,8 +424,13 @@ def test_malformed_numeric_scenario_param_exits_1_naming_it(kind, params, key, l
          "a band object holds the objects 'eta_lo' and 'eta_hi'"),
         ({"c": [0, 1], "bands": [[0.2, 0.8]]}, "M", "a gallery without a preset needs it"),
         ({"bands": [[0.2, 0.8]], "M": 1}, "c", "a gallery without a preset needs it"),
+        # a gallery's default delta and its min_gap are gaps between bands
+        ({"c": [0, 1], "bands": [[0.2, 0.8]], "M": 1}, "bands", "a gallery needs at least 2"),
+        ({"c": [0, 1], "bands": [[0.2, 0.8]], "M": 1, "condition_delta": 0.25}, "bands",
+         "a gallery needs at least 2 bands, since its gaps lie between bands; got 1"),
     ],
-    ids=["c_int", "c_str_item", "band_int", "band_single", "band_eta_number", "no_M", "no_c"],
+    ids=["c_int", "c_str_item", "band_int", "band_single", "band_eta_number", "no_M", "no_c",
+         "one_band", "one_band_given_delta"],
 )
 def test_malformed_gallery_spec_exits_1_naming_the_key(params, key, line, tmp_path, capsys):
     path = tmp_path / "spec.json"
@@ -427,6 +439,45 @@ def test_malformed_gallery_spec_exits_1_naming_the_key(params, key, line, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith(f"error: scenario param {key!r}: {line}") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "eta, line",
+    [({"x": 5, "y": [1, 2]}, "eta samples 'x' and 'y' must be arrays, got 5 and [1, 2]"),
+     ({"x": [-9, 9], "y": "ab"}, "eta samples 'x' and 'y' must be arrays, got [-9, 9] and 'ab'"),
+     ({"x": [[-9], [9]], "y": [1, 2]}, "an eta sample must be a number, got [-9]"),
+     ({"const": [0.1]}, "eta constant must be a number, got [0.1]")],
+    ids=["x_int", "y_str", "x_item_list", "const_list"],
+)
+@pytest.mark.parametrize("command", ["scenario", "certify"])
+def test_eta_samples_that_are_not_arrays_exit_1_naming_them(command, eta, line, tmp_path,
+                                                            capsys):
+    # a band of a gallery spec, or the strip of a domain document
+    strip = {"eta_lo": eta, "eta_hi": {"const": 0.8}}
+    path = tmp_path / "in.json"
+    if command == "scenario":
+        params = {"c": [0, 1, 2], "bands": [strip, [1.2, 1.8]], "M": 1}
+        doc, argv = {"scenario": "gallery", "params": params}, ["--spec", str(path)]
+    else:
+        window = {"x0": -2, "x1": 2, "y0": -2, "y1": 2}
+        doc = {"window": window, "tree": {"prim": "strip", "params": strip}}
+        argv = ["--domain", str(path), "--M", "1", "--delta", "0.1"]
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, *argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_tube_scenario_builds_no_raster(monkeypatch):
+    # its base is the plane, which holds the disc of every scale, and its
+    # planar ratios are quadratures on those discs
+    def refuse(raster, domain):
+        raise AssertionError("the tube scenario rasterized a domain")
+
+    monkeypatch.setattr(geometry.Raster, "__init__", refuse)
+    report = scenarios.tube_scenario(m=2, j_values=[1, 2], mc_samples=1000)
+    assert [r["j"] for r in report["measured"]["rows"]] == [1, 2]
+    assert all(check["passed"] for check in report["checks"][1:])
 
 
 @pytest.mark.parametrize(
@@ -773,32 +824,29 @@ def test_every_module_is_reached_from_the_cli():
         assert missing == [], f"dbar_range.{name}.__all__ names {missing}"
 
 
-# exported on purpose although no package module uses them: the scalar
-# oracles of the strip and composite weights, the JSON round trip, the
-# twisted-estimate check and its weight fields (ROADMAP keeps this list)
-KEPT_UNREFERENCED = {
-    "twisted_quadrature_check", "constant_field", "abs2_field", "gaussian_decay_field",
-    "domain_to_dict", "load_domain", "strip_weight", "composite_weight",
-}
-
-
 def test_exported_names_are_used_by_the_package():
-    # a name in some __all__ that no package module reads (as a Name, an
-    # Attribute or an imported name) serves tests only, and belongs there
-    referenced, exported = set(), set()
+    # every function, class and constant that a package module defines at
+    # its top level, private or not, is read by some package module (as a
+    # Name, an Attribute or an imported name); code that only tests read
+    # belongs in tests/oracles.py
+    referenced, defined = set(), set()
     for path in (ROOT / "src" / "dbar_range").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(a.name for a in node.names)
-            elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                exported.update(ast.literal_eval(node.value))
-    assert exported - referenced == KEPT_UNREFERENCED
+    assert "_ColumnPass" in defined and "LANCZOS_TOL" in defined
+    assert defined - referenced - {"__all__"} == set()
 
 
 def test_no_exported_callable_takes_a_mesh():

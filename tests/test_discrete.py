@@ -11,15 +11,10 @@ from hypothesis import strategies as st
 from dbar_range import discrete
 from dbar_range.discrete import (
     CooMatrix,
-    abs2_field,
     assemble,
     closed_range_constant,
-    constant_field,
-    gaussian_decay_field,
     lanczos,
     least_norm_solve,
-    theta_factor,
-    twisted_quadrature_check,
     verify_certificate,
 )
 from dbar_range.geometry import (
@@ -31,6 +26,13 @@ from dbar_range.geometry import (
     Rect,
     SolverError,
     Union,
+)
+from oracles import (
+    abs2_field,
+    constant_field,
+    gaussian_decay_field,
+    theta_factor,
+    twisted_quadrature_check,
 )
 from strategies import csg_trees, radial_bump
 

@@ -2,18 +2,13 @@
 
 For a (0,1)-form u on C the curvature term of the twisted estimate is
 theta |u|^2 with theta = tau lam_zzbar - tau_zzbar - |tau_z|^2 / tau, the
-factor `discrete.theta_factor` evaluates for the twisted quadrature check.
+factor `oracles.theta_factor` evaluates for the twisted quadrature check.
 """
 
 import numpy as np
 import pytest
 
-from dbar_range.discrete import (
-    abs2_field,
-    constant_field,
-    gaussian_decay_field,
-    theta_factor,
-)
+from oracles import abs2_field, constant_field, gaussian_decay_field, theta_factor
 
 
 def random_points(rng, count, radius=1.0):

@@ -25,21 +25,16 @@ from dbar_range.geometry import (
     Intersection,
     LatticeVerificationError,
     PlanarDomain,
-    QueryError,
     Rect,
     Strip,
     Union,
     build_lattice,
     clearance,
     condition_x,
-    contains,
     domain_from_dict,
-    domain_to_dict,
-    largest_disc_at,
-    load_domain,
-    plane,
 )
 from dbar_range.geometry import _ColumnPass, _edt_distance, _fit_slices, _near, _nearest
+from oracles import constant_strip, domain_to_dict, load_domain, plane, sample_points
 from strategies import column_rows, csg_trees, drop_witnesses, pass_rows
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,7 +52,7 @@ def gallery(
     symmetry="translation_x",
 ):
     """Union of constant horizontal bands given as (lo, hi) pairs."""
-    strips = tuple(Strip.constant(lo, hi) for lo, hi in heights)
+    strips = tuple(constant_strip(lo, hi) for lo, hi in heights)
     return PlanarDomain(Union(strips), window, mesh, symmetry)
 
 
@@ -69,18 +64,19 @@ def uniform_gallery(y_max=8.0, window_pad=0.0, mesh=0.02):
     return gallery(heights, (-w, w, -w, w), mesh)
 
 
+def member_at(dom, z: complex) -> bool:
+    """Exact CSG membership of the point z."""
+    return bool(dom.tree.member(np.asarray(z.real), np.asarray(z.imag)))
+
+
 class TestContains:
     def test_primitives(self):
         d = unit_disc()
-        assert contains(d, 0j) is True
-        assert contains(d, 2 + 0j) is False
-        strip = PlanarDomain(Strip.constant(0, 1), (-2, 2, -2, 2), 0.05)
-        assert contains(strip, 0.5j) is True
-        assert contains(strip, -0.5j) is False
-
-    def test_outside_window_rejected(self):
-        with pytest.raises(QueryError):
-            contains(unit_disc(), 5 + 0j)
+        assert member_at(d, 0j) is True
+        assert member_at(d, 2 + 0j) is False
+        strip = PlanarDomain(constant_strip(0, 1), (-2, 2, -2, 2), 0.05)
+        assert member_at(strip, 0.5j) is True
+        assert member_at(strip, -0.5j) is False
 
     def test_matches_dense_sampling_oracle(self):
         # independent membership oracle: evaluate each primitive directly
@@ -89,7 +85,7 @@ class TestContains:
             (
                 Intersection((Disc(0, 0, 1.5), Complement(Disc(0.5, 0, 0.5)))),
                 Rect(-1.8, -1.2, -1.8, 1.8),
-                Strip.constant(1.6, 1.9),
+                constant_strip(1.6, 1.9),
             )
         )
         dom = PlanarDomain(tree, (-2, 2, -2, 2), 0.05)
@@ -104,7 +100,7 @@ class TestContains:
             return in_disc or in_rect or in_strip
 
         for x, y in pts:
-            assert contains(dom, complex(x, y)) == oracle(x, y)
+            assert member_at(dom, complex(x, y)) == oracle(x, y)
 
     def test_rasterization_matches_membership_at_nodes(self):
         dom = unit_disc(mesh=0.1)
@@ -112,7 +108,7 @@ class TestContains:
         for iy in range(0, len(r.ys), 7):
             for ix in range(0, len(r.xs), 7):
                 z = r.node_z(iy, ix)
-                assert bool(r.inside[iy, ix]) == dom.member(z)
+                assert bool(r.inside[iy, ix]) == member_at(dom, z)
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ class TestRasterFields:
         assert np.array_equal(r.inside, meshgrid_inside(dom, r))
 
     def test_constant_strip_member_has_the_shape_of_y(self):
-        strip = Strip.constant(-0.5, 0.25)
+        strip = constant_strip(-0.5, 0.25)
         y = np.linspace(-1, 1, 9)
         got = strip.member(np.zeros((4, 1)), y[None, :])
         assert got.shape == (1, 9) and np.array_equal(got[0], (y > -0.5) & (y < 0.25))
@@ -218,8 +214,8 @@ class TestGridDistances:
     def test_near_and_nearest_match_the_transform(self, path):
         r = load_domain(path).raster
         iy, ix = np.indices(r.inside.shape).reshape(2, -1)
-        for mask, rows in ((r.inside, _ColumnPass(r.inside)),
-                           (~r.inside, _ColumnPass(r.inside, invert=True))):
+        for mask in (r.inside, ~r.inside):
+            rows = _ColumnPass(mask)
             if not mask.any():
                 continue
             dist, idx = ndimage.distance_transform_edt(~mask, sampling=r.h, return_indices=True)
@@ -385,7 +381,7 @@ class TestLineBlocks:
     @staticmethod
     def banded(extra=()):
         # bands (j - 1/4, j + 1/4): the lattice rows of M = 1 run along them
-        strips = tuple(Strip.constant(j - 0.25, j + 0.25) for j in range(-3, 4))
+        strips = tuple(constant_strip(j - 0.25, j + 0.25) for j in range(-3, 4))
         return PlanarDomain(Union(strips + extra), (-3.0, 3.05, -2.5, 2.5), 0.05, "translation_x")
 
     @staticmethod
@@ -509,16 +505,15 @@ class TestLineBlocks:
 
 
 class TestColumnPass:
-    """`_ColumnPass` stores no pass: it reads its mask (a bool grid, its
-    complement or the grid packed 8 nodes to a byte) a block of rows at a
-    time.  Every block, and the threshold and nearest-node queries read
-    through it, equal the whole-grid oracle `column_rows` and a brute
-    force over all node pairs."""
+    """`_ColumnPass` stores no pass: it reads its mask (a bool grid or the
+    grid packed 8 nodes to a byte) a block of rows at a time.  Every block,
+    and the threshold and nearest-node queries read through it, equal the
+    whole-grid oracle `column_rows` and a brute force over all node
+    pairs."""
 
     @staticmethod
     def passes(mask):
-        return (_ColumnPass(mask), _ColumnPass(~mask, invert=True),
-                _ColumnPass(np.packbits(mask, axis=1), nx=mask.shape[1]))
+        return _ColumnPass(mask), _ColumnPass(np.packbits(mask, axis=1), nx=mask.shape[1])
 
     @staticmethod
     def check(mask, h, radius, lines, span):
@@ -670,51 +665,6 @@ class TestColumnPass:
         assert all(isinstance(blk, slice) for blk in seen[n:])
 
 
-class TestLargestDisc:
-    def test_exact_primitives(self):
-        assert largest_disc_at(unit_disc(), 0j, cap=2.0) == 1.0
-        strip = PlanarDomain(Strip.constant(0, 1), (-2, 2, -2, 2), 0.05)
-        assert largest_disc_at(strip, 0.5j, cap=2.0) == 0.5
-        rect = PlanarDomain(Rect(0, 2, 0, 1), (-1, 3, -1, 2), 0.05)
-        assert largest_disc_at(rect, 1 + 0.5j, cap=3.0) == 0.5
-        hp = PlanarDomain(HalfPlane(1 + 0j, 0j), (-3, 3, -3, 3), 0.05)
-        assert largest_disc_at(hp, -1 + 0j, cap=5.0) == pytest.approx(1.0)
-
-    def test_union_with_far_component(self):
-        # brute-force radial sampling oracle on the composite tree
-        R = 1.2
-        tree = Union((Disc(0, 0, R), Disc(3, 0, 0.3)))
-        dom = PlanarDomain(tree, (-4, 4, -4, 4), 0.02)
-        got = largest_disc_at(dom, 0j, cap=3.0)
-
-        radii = np.linspace(0.01, 3.0, 800)
-        angles = np.linspace(0, 2 * math.pi, 256, endpoint=False)
-        oracle = 3.0
-        for r in radii:
-            zs = r * np.exp(1j * angles)
-            if not all(dom.member(z) for z in zs):
-                oracle = r
-                break
-        assert got == pytest.approx(oracle, abs=0.05)
-        assert got == pytest.approx(R, abs=0.05)
-
-    def test_monotone_under_shrinking(self):
-        big = PlanarDomain(Disc(0, 0, 1.5), (-2, 2, -2, 2), 0.02)
-        small = PlanarDomain(
-            Intersection((Disc(0, 0, 1.5), Rect(-1, 1, -2, 2))),
-            (-2, 2, -2, 2),
-            0.02,
-        )
-        for z in (0j, 0.3 + 0.2j, -0.5j):
-            assert largest_disc_at(small, z, cap=3.0) <= largest_disc_at(
-                big, z, cap=3.0
-            ) + 1e-12
-
-    def test_not_inside_rejected(self):
-        with pytest.raises(QueryError):
-            largest_disc_at(unit_disc(), 1.5 + 0j, cap=1.0)
-
-
 class TestClearance:
     def test_outside_point(self):
         d = PlanarDomain(Disc(0, 0, 1.0), (-4, 4, -4, 4), 0.02)
@@ -785,7 +735,7 @@ class TestConditionX:
         assert cert.holds
         assert cert.failure_count == 0
         # every witness clears delta
-        for z, w in zip(cert.sample_points[:50], cert.witness_points[:50]):
+        for z, w in zip(sample_points(cert)[:50], cert.witness_points[:50]):
             assert clearance(dom, complex(w)) > 0.1
         # on the index grids: each witnessed domain node has an admissible
         # witness node closer than M
@@ -886,16 +836,19 @@ class TestConditionX:
         M = 2.0
         cert = condition_x(dom, M=M, delta=0.08)
         assert cert.holds
+        # a sampled node's witness lies outside the domain and closer than
+        # M, so no disc of radius M about the node fits in the domain
+        zs, ws = sample_points(cert), cert.witness_points
         rng = np.random.default_rng(5)
-        pick = rng.choice(len(cert.sample_points), size=100, replace=False)
-        for z in cert.sample_points[pick]:
-            assert largest_disc_at(dom, complex(z), cap=M + dom.mesh) <= M
+        pick = rng.choice(len(zs), size=100, replace=False)
+        assert not dom.tree.member(ws[pick].real, ws[pick].imag).any()
+        assert (np.abs(zs[pick] - ws[pick]) < M).all()
 
     def test_empty_domain_vacuously_holds(self):
         dom = PlanarDomain(Union(()), (-2, 2, -2, 2), 0.01)
         cert = condition_x(dom, M=1.0, delta=0.05)
         assert cert.holds
-        assert len(cert.sample_points) == 0
+        assert len(sample_points(cert)) == 0
 
 
 class TestBuildLattice:
@@ -1079,7 +1032,7 @@ class TestJsonRoundTrip:
             )
 
     def test_strip_requires_order(self):
-        dom = PlanarDomain(Strip.constant(1.0, 0.5), (-1, 1, -1, 1), 0.05)
+        dom = PlanarDomain(constant_strip(1.0, 0.5), (-1, 1, -1, 1), 0.05)
         with pytest.raises(DomainSpecError):
             dom.raster
 

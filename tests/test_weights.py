@@ -19,12 +19,9 @@ from dbar_range.geometry import (
     LatticeWitnessSet,
     PlanarDomain,
     Rect,
-    Strip,
     Union,
     build_lattice,
     condition_x,
-    load_domain,
-    plane,
 )
 from dbar_range.weights import (
     CompositeCertification,
@@ -33,10 +30,18 @@ from dbar_range.weights import (
     StripWeightFamily,
     certificate,
     certify_composite,
-    composite_weight,
     lattice_weight_report,
-    strip_weight,
     weight_constants,
+)
+from oracles import (
+    composite_weight,
+    constant_strip,
+    load_domain,
+    plane,
+    sample_points,
+    series_value,
+    series_zzbar,
+    strip_weight,
 )
 from strategies import csg_trees, drop_witnesses
 
@@ -52,7 +57,7 @@ def series_A_oracle(M, delta):
 
 def make_gallery(mesh=0.045):
     strips = tuple(
-        Strip.constant(j - 0.75, j - 0.25) for j in range(-5, 7)
+        constant_strip(j - 0.75, j - 0.25) for j in range(-5, 7)
     )
     return PlanarDomain(Union(strips), (-6, 6, -6, 6), mesh, "translation_x")
 
@@ -142,19 +147,22 @@ def miscovered_rect():
 class TestSeriesWeight:
     def test_single_witness_closed_form(self):
         phi = PointSeriesWeight(np.array([0j]))
-        assert phi.value(1.0 + 0j) == 1.0
-        assert phi.zzbar(1.0 + 0j) == 4.0
+        assert series_value(phi, 1.0 + 0j) == 1.0
+        assert series_zzbar(phi, 1.0 + 0j) == 4.0
 
     def test_zzbar_matches_finite_differences(self):
         # oracle: Laplacian/4 of |z - w|^-4 equals 4 |z - w|^-6
         w = PointSeriesWeight(np.array([0j]))
-        phi = w.value
+
+        def phi(z):
+            return series_value(w, z)
+
         z = 1.3 + 0.4j
         h = 1e-4
         lap = (
             phi(z + h) + phi(z - h) + phi(z + 1j * h) + phi(z - 1j * h) - 4 * phi(z)
         ) / h**2
-        zzbar = w.zzbar(z)
+        zzbar = series_zzbar(w, z)
         assert lap / 4.0 == pytest.approx(4.0 * abs(z) ** -6, rel=1e-6)
         assert zzbar <= lap / 4.0 * (1 + 1e-6)
 
@@ -322,14 +330,17 @@ class TestSeriesWeight:
         zs, cover = cover_oracle(r, lat.M, lat.points)
         assert cover.min() >= 0
         assert float(np.min(4.0 * np.abs(zs - lat.witnesses[cover]) ** -6.0)) >= rep["B"]
-        phi = PointSeriesWeight(lat.witnesses)
-        assert float(np.max(phi.value(zs))) <= rep["A"]
+        w = PointSeriesWeight(lat.witnesses)
+
+        def phi(z):
+            return series_value(w, z)
+
+        assert float(np.max(phi(zs))) <= rep["A"]
         # 5-point Laplacian/4 of the series over all witnesses at the inside
         # nodes: it agrees with the analytic bound direction up to O(h^2)
         h = r.h
         fd = (
-            phi.value(zs + h) + phi.value(zs - h) + phi.value(zs + 1j * h)
-            + phi.value(zs - 1j * h) - 4.0 * phi.value(zs)
+            phi(zs + h) + phi(zs - h) + phi(zs + 1j * h) + phi(zs - 1j * h) - 4.0 * phi(zs)
         ) / (4.0 * h * h)
         assert fd.min() >= rep["B"] - 10 * h**2
         # and it is the analytic zzbar to O(h^2): each second difference is
@@ -339,7 +350,7 @@ class TestSeriesWeight:
         for i in range(0, len(zs), 2000):
             d = np.abs(zs[i : i + 2000, None] - lat.witnesses[None, :])
             bound[i : i + 2000] = 35.0 * h**2 * np.sum((d - h) ** -8.0, axis=1)
-        assert np.all(np.abs(fd - phi.zzbar(zs)) <= bound)
+        assert np.all(np.abs(fd - series_zzbar(w, zs)) <= bound)
 
     def test_report_payload(self):
         dom = make_gallery()
@@ -570,11 +581,11 @@ def loop_lattice(dom, M, delta, cert):
     empty = np.array([], dtype=complex)
     if not r.inside.any():
         return LatticeWitnessSet(M, delta, empty, empty)
-    sample_points, witness_points = cert.sample_points, cert.witness_points
+    witnessed_z, witness_points = sample_points(cert), cert.witness_points
     sample_row = np.full(r.inside.shape, -1, dtype=np.int32)
-    sx = np.clip(np.rint((sample_points.real - r.xs[0]) / r.h), 0, len(r.xs) - 1)
-    sy = np.clip(np.rint((sample_points.imag - r.ys[0]) / r.h), 0, len(r.ys) - 1)
-    sample_row[sy.astype(np.intp), sx.astype(np.intp)] = np.arange(len(sample_points))
+    sx = np.clip(np.rint((witnessed_z.real - r.xs[0]) / r.h), 0, len(r.xs) - 1)
+    sy = np.clip(np.rint((witnessed_z.imag - r.ys[0]) / r.h), 0, len(r.ys) - 1)
+    sample_row[sy.astype(np.intp), sx.astype(np.intp)] = np.arange(len(witnessed_z))
     dist_in, in_idx = ndimage.distance_transform_edt(
         ~r.inside, sampling=r.h, return_indices=True
     )
@@ -727,22 +738,20 @@ class TestStripWeight:
     def test_family_matches_single_band(self):
         fam = StripWeightFamily([0.0, 1.0, 2.0], quad_from=[0.2, 1.2])
         v, zz = strip_weight(1.0, 2.0, 1.7j, quad_from=1.2)
-        assert fam.value(1.7j) == pytest.approx(v)
-        assert fam.zzbar(1.7j) == pytest.approx(zz)
-        assert fam.value(-0.5j) == 0.0
+        assert fam.value(np.array([1.7]))[0] == pytest.approx(v)
+        assert fam.zzbar(np.array([1.7]))[0] == pytest.approx(zz)
+        assert fam.value(np.array([-0.5]))[0] == 0.0
 
     def test_family_reads_heights_from_real_input(self):
-        # a real argument is a height, as in strip_weight: the collar of
-        # each band has a negative Hessian that a height-0 reading misses
+        # the family takes an array of heights: the collar of each band has
+        # a negative Hessian, which the single-band oracle gives bit for bit
         fam = StripWeightFamily([0.0, 1.0, 2.0], quad_from=[0.2, 1.2])
         for lo, hi, qf in ((0.0, 1.0, 0.2), (1.0, 2.0, 1.2)):
-            for y in (lo + 0.03, lo + 0.1, lo + 0.17):
-                v, zz = strip_weight(lo, hi, complex(0, y), quad_from=qf)
-                assert fam.value(y) == fam.value(1j * y) == v
-                assert fam.zzbar(y) == fam.zzbar(1j * y) == zz
-            ys = np.array([lo + 0.05, lo + 0.15])
-            assert np.array_equal(fam.zzbar(ys), fam.zzbar(1j * ys))
-        assert fam.zzbar(0.1j) == pytest.approx(-8.75, rel=1e-5)
+            ys = np.array([lo + 0.03, lo + 0.1, lo + 0.17])
+            want = np.array([strip_weight(lo, hi, complex(0, y), quad_from=qf) for y in ys])
+            assert np.array_equal(fam.value(ys), want[:, 0])
+            assert np.array_equal(fam.zzbar(ys), want[:, 1])
+        assert fam.zzbar(np.array([0.1]))[0] == pytest.approx(-8.75, rel=1e-5)
 
     def test_family_sup_dy_bounds_the_dense_gradient(self):
         fam = StripWeightFamily([0.0, 1.0, 2.0], quad_from=[0.2, 1.2])
@@ -757,13 +766,14 @@ class TestStripWeight:
 class TestPointSeriesWeight:
     def test_zzbar_fd_oracle(self):
         w = PointSeriesWeight(np.array([2.5 + 1j, -2.5 - 0.5j]))
+
+        def phi(z):
+            return series_value(w, z)
+
         z = 0.3 + 0.2j
         h = 1e-4
-        lap = (
-            w.value(z + h) + w.value(z - h) + w.value(z + 1j * h) + w.value(z - 1j * h)
-            - 4 * w.value(z)
-        ) / h**2
-        assert w.zzbar(z) == pytest.approx(lap / 4.0, rel=1e-5)
+        lap = (phi(z + h) + phi(z - h) + phi(z + 1j * h) + phi(z - 1j * h) - 4 * phi(z)) / h**2
+        assert series_zzbar(w, z) == pytest.approx(lap / 4.0, rel=1e-5)
 
 
 class TestCutoffProfile:
@@ -793,7 +803,7 @@ class TestCutoffProfile:
 
 
 def toy_composite():
-    strips = tuple(Strip.constant(j - 0.75, j - 0.25) for j in range(-3, 5))
+    strips = tuple(constant_strip(j - 0.75, j - 0.25) for j in range(-3, 5))
     tree = Union(strips + (Rect(-2.0, 2.0, -4.0, 4.0),))
     dom = PlanarDomain(tree, (-6, 6, -5, 5), 0.05)
     fam = StripWeightFamily(
@@ -817,16 +827,16 @@ def per_node_composite(dom, chi, fam, lattice, K=None):
     trans = (ax > chi.lo) & (ax < chi.hi)
     outer = ax >= chi.hi
     central = ax <= chi.hi
-    b = float(np.min(lattice.zzbar(zs[central]))) if central.any() else 0.0
-    lattice_max = float(np.max(lattice.value(zs)))
-    s_outer = float(np.min(fam.zzbar(zs[outer]))) if outer.any() else 0.5
-    s_trans = float(np.min(fam.zzbar(zs[trans]))) if trans.any() else 0.0
+    b = float(np.min(series_zzbar(lattice, zs[central]))) if central.any() else 0.0
+    lattice_max = float(np.max(series_value(lattice, zs)))
+    s_outer = float(np.min(fam.zzbar(zs[outer].imag))) if outer.any() else 0.5
+    s_trans = float(np.min(fam.zzbar(zs[trans].imag))) if trans.any() else 0.0
     if trans.any():
-        zt = zs[trans]
+        yt = zs[trans].imag
         d = r.h
-        dy = np.abs(fam.value(zt + 1j * d) - fam.value(zt - 1j * d)) / (2 * d)
+        dy = np.abs(fam.value(yt + d) - fam.value(yt - d)) / (2 * d)
         sup_dy_trans = 1.05 * float(np.max(dy))
-        phi_max_trans = float(np.max(fam.value(zt)))
+        phi_max_trans = float(np.max(fam.value(yt)))
         cross = chi.sup_d1 * sup_dy_trans / 2.0 + chi.sup_d2 * phi_max_trans / 4.0
     else:
         cross = chi.sup_d1 * fam.sup_dy / 2.0 + chi.sup_d2 * fam.sup_value / 4.0
@@ -858,7 +868,7 @@ def collar_composite():
     # transition nodes sit on the collars, where the strip Hessian is
     # negative and its y-difference is steep
     dom, chi, fam, lattice = toy_composite()
-    strips = tuple(Strip.constant(j - 0.75, j - 0.25) for j in range(-3, 5))
+    strips = tuple(constant_strip(j - 0.75, j - 0.25) for j in range(-3, 5))
     tree = Union(strips + (Rect(-2.5, 2.5, -4.0, 4.0),))
     return PlanarDomain(tree, dom.window, dom.mesh), chi, fam, lattice
 
@@ -913,8 +923,8 @@ class TestComposite:
         iy, ix = np.nonzero(r.inside)
         zs = r.xs[ix] + 1j * r.ys[iy]
         central = np.abs(zs.real) <= chi.hi
-        assert cert.b == float(np.min(lattice.zzbar(zs)[central]))
-        assert cert.A_bound == fam.sup_value + cert.K * float(np.max(lattice.value(zs)))
+        assert cert.b == float(np.min(series_zzbar(lattice, zs)[central]))
+        assert cert.A_bound == fam.sup_value + cert.K * float(np.max(series_value(lattice, zs)))
 
     def test_small_K_reports_failure(self):
         dom, chi, fam, lattice = toy_composite()
@@ -995,11 +1005,10 @@ def test_strip_gallery_weight_equals_the_per_node_values():
     )
     fam = StripWeightFamily(c, [a + 0.9 * meta["lo_margin"] for a in c[:-1]])
     r = dom.raster
-    iy, ix = np.nonzero(r.inside)
-    zs = r.xs[ix] + 1j * r.ys[iy]
-    vals = fam.value(zs)
+    ys = r.ys[np.nonzero(r.inside)[0]]
+    vals = fam.value(ys)
     d = r.h
-    fd = (fam.value(zs + 1j * d) - 2 * vals + fam.value(zs - 1j * d)) / (d * d) / 4.0
+    fd = (fam.value(ys + d) - 2 * vals + fam.value(ys - d)) / (d * d) / 4.0
     assert got == {"fd_min_zzbar": float(np.min(fd)), "phi_max": float(np.max(vals))}
 
 
